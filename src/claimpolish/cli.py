@@ -17,6 +17,7 @@ CLAIMPOLISH_MEANING_CMD, CLAIMPOLISH_ARGUMENT_CMD.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -43,8 +44,6 @@ from .corpus import (
 )
 from .embedding import HashingEmbedder
 from .evalstats import (
-    RankAnnotation,
-    cohens_kappa,
     competent_workers,
     krippendorff_alpha,
     load_annotations,
@@ -201,6 +200,12 @@ def _delimiters(config: dict[str, str]) -> DelimiterConfig:
     )
 
 
+def _embedder(config: dict[str, str]) -> HashingEmbedder:
+    return HashingEmbedder(
+        dim=int(config.get("embed_dim", "256")), seed=int(config.get("embed_seed", "0"))
+    )
+
+
 def _build_generator(config: dict[str, str], delimiters: DelimiterConfig):
     spec = config.get("generator", "mock")
     if spec == "mock":
@@ -229,6 +234,48 @@ def _build_registry(config: dict[str, str], embedder) -> ScorerRegistry:
         meaning=scorer_for("meaning_scorer", JaccardMeaningScorer()),
         argument=scorer_for("argument_scorer", HeuristicArgumentScorer()),
     )
+
+
+@contextlib.contextmanager
+def _closing_adapters(registry: ScorerRegistry, generator=None):
+    """On the way out, close the generator and scorers that have ``close()``."""
+    try:
+        yield
+    finally:
+        for adapter in (generator, *(scorer for _, scorer in registry.items())):
+            if hasattr(adapter, "close"):
+                adapter.close()
+
+
+def _write_reports(
+    out: Path, config: dict[str, str], embedder, pairs: list, outputs: dict, metadata: dict
+) -> list[Path]:
+    """Evaluate each strategy's outputs on ``pairs``; write report.json and report.csv."""
+    instances = [
+        EvalInstance(
+            source=p.source.text,
+            output=p.source.text,  # placeholder, replaced per strategy
+            references=(p.reference.text,),
+            context=p.context,
+        )
+        for p in pairs
+    ]
+    reports = evaluate_run(
+        instances,
+        outputs,
+        embedder,
+        bleu_mode=config.get("bleu_mode", "sentence"),
+        sari_variant=config.get("sari_variant", "canonical"),
+    )
+    payload = {
+        "metadata": {**metadata, "n_instances": len(instances)},
+        "reports": {name: reports[name].to_payload() for name in sorted(reports)},
+    }
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_report_csv({name: reports[name] for name in sorted(reports)}, out / "report.csv")
+    return [out / "report.json", out / "report.csv"]
 
 
 def _parse_strategies(text: str | None) -> list[Strategy]:
@@ -356,9 +403,7 @@ def cmd_run(config: dict[str, str]) -> int:
     context_mode = _CONTEXT_FLAG[config.get("context", "none")]
     strategies = _parse_strategies(config.get("strategies"))
     delimiters = _delimiters(config)
-    embedder = HashingEmbedder(
-        dim=int(config.get("embed_dim", "256")), seed=int(config.get("embed_seed", "0"))
-    )
+    embedder = _embedder(config)
 
     pairs = load_pairs(pairs_path)
     if not pairs:
@@ -409,7 +454,9 @@ def cmd_run(config: dict[str, str]) -> int:
     done_instances: list[int] = []
     errors: list[dict] = []
 
-    with open(selections_path, "w", encoding="utf-8") as sel_fh:
+    with _closing_adapters(registry, generator), open(
+        selections_path, "w", encoding="utf-8"
+    ) as sel_fh:
         for i, pair in enumerate(pairs):
             if pair.pair_id in checkpoint:
                 for strategy in strategies:
@@ -463,40 +510,22 @@ def cmd_run(config: dict[str, str]) -> int:
 
     artifacts = [selections_path]
     if done_instances:
-        instances = [
-            EvalInstance(
-                source=pairs[i].source.text,
-                output=pairs[i].source.text,  # placeholder, replaced per strategy
-                references=(pairs[i].reference.text,),
-                context=pairs[i].context,
-            )
-            for i in done_instances
-        ]
-        reports = evaluate_run(
-            instances,
-            outputs,
+        artifacts += _write_reports(
+            out,
+            config,
             embedder,
-            bleu_mode=config.get("bleu_mode", "sentence"),
-            sari_variant=config.get("sari_variant", "canonical"),
-        )
-        payload = {
-            "metadata": {
+            [pairs[i] for i in done_instances],
+            outputs,
+            {
                 "seed": seed,
                 "config_hash": _config_hash(config),
                 "dataset_fingerprint": _sha256_file(pairs_path),
-                "n_instances": len(instances),
                 "n_errors": len(errors),
                 "strategies": [s.value for s in strategies],
                 "context": config.get("context", "none"),
                 "n_candidates": n_candidates,
             },
-            "reports": {name: reports[name].to_payload() for name in sorted(reports)},
-        }
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_report_csv({name: reports[name] for name in sorted(reports)}, out / "report.csv")
-        artifacts += [out / "report.json", out / "report.csv"]
+        )
         if (out / "ranker.json").is_file():
             artifacts.append(out / "ranker.json")
 
@@ -514,19 +543,18 @@ def cmd_calibrate(config: dict[str, str]) -> int:
     started = time.time()
     chains_path = _require_file(config.get("chains"), "chains file")
     out = _out_dir(config)
-    embedder = HashingEmbedder(
-        dim=int(config.get("embed_dim", "256")), seed=int(config.get("embed_seed", "0"))
-    )
+    embedder = _embedder(config)
     registry = _build_registry(config, embedder)
     chains = load_chains(chains_path)
-    result = calibrate_weights(
-        chains,
-        registry,
-        grid_step=float(config.get("grid_step", "0.01")),
-        range_lo=float(config.get("range_lo", "0.01")),
-        range_hi=float(config.get("range_hi", "0.98")),
-        aggregation=config.get("aggregation", "pooled"),
-    )
+    with _closing_adapters(registry):
+        result = calibrate_weights(
+            chains,
+            registry,
+            grid_step=float(config.get("grid_step", "0.01")),
+            range_lo=float(config.get("range_lo", "0.01")),
+            range_hi=float(config.get("range_hi", "0.98")),
+            aggregation=config.get("aggregation", "pooled"),
+        )
     save_calibration(out / "weights.json", result)
     with open(out / "calibration.json", "w", encoding="utf-8") as fh:
         json.dump(
@@ -689,9 +717,6 @@ def cmd_report(config: dict[str, str]) -> int:
     selections_path = _require_file(config.get("selections"), "selections file")
     pairs_path = _require_file(config.get("pairs"), "pairs file")
     out = _out_dir(config)
-    embedder = HashingEmbedder(
-        dim=int(config.get("embed_dim", "256")), seed=int(config.get("embed_seed", "0"))
-    )
     pairs = load_pairs(pairs_path)
     by_pair: dict[str, dict[str, str]] = {}
     strategies: list[str] = []
@@ -706,44 +731,27 @@ def cmd_report(config: dict[str, str]) -> int:
     usable = [p for p in pairs if set(by_pair.get(p.pair_id, {})) == set(strategies)]
     if not usable:
         raise ConfigError("no pair has selections for every strategy")
-    instances = [
-        EvalInstance(
-            source=p.source.text,
-            output=p.source.text,
-            references=(p.reference.text,),
-            context=p.context,
-        )
-        for p in usable
-    ]
     outputs = {
         s: [by_pair[p.pair_id][s] for p in usable] for s in strategies
     }
-    reports = evaluate_run(
-        instances,
+    artifacts = _write_reports(
+        out,
+        config,
+        _embedder(config),
+        usable,
         outputs,
-        embedder,
-        bleu_mode=config.get("bleu_mode", "sentence"),
-        sari_variant=config.get("sari_variant", "canonical"),
-    )
-    payload = {
-        "metadata": {
+        {
             "dataset_fingerprint": _sha256_file(pairs_path),
             "selections_fingerprint": _sha256_file(selections_path),
-            "n_instances": len(instances),
             "strategies": sorted(strategies),
         },
-        "reports": {name: reports[name].to_payload() for name in sorted(reports)},
-    }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_report_csv({name: reports[name] for name in sorted(reports)}, out / "report.csv")
+    )
     _write_manifest(
         out,
         "report",
         config,
         {"selections": selections_path, "pairs": pairs_path},
-        [out / "report.json", out / "report.csv"],
+        artifacts,
         started,
     )
     return 0

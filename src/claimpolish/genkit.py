@@ -10,12 +10,12 @@ external generator process over stdin/stdout.
 
 from __future__ import annotations
 
-import json
 import logging
-import subprocess
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
+
+from .ndjson import NdjsonChild
 
 log = logging.getLogger(__name__)
 
@@ -108,15 +108,7 @@ class CandidateSet:
     candidates: tuple[Candidate, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorCapabilities:
-    supports_context: bool = False
-    supports_seeding: bool = True
-
-
 class Generator(Protocol):
-    capabilities: GeneratorCapabilities
-
     def generate(
         self, input_text: str, directive: Directive, config: GenerationConfig, seed: int
     ) -> str: ...
@@ -247,8 +239,6 @@ class MockGenerator:
     (input, directive, config, seed).
     """
 
-    capabilities = GeneratorCapabilities(supports_context=True, supports_seeding=True)
-
     def __init__(self, delimiters: tuple[str, str] = ("<PREV>", "<TOPIC>")):
         self._delimiters = delimiters
 
@@ -328,46 +318,21 @@ class MockGenerator:
         return out
 
 
-def mock_generate(
-    input_text: str,
-    directive: Directive,
-    seed: int = 0,
-    config: GenerationConfig = GenerationConfig(),
-) -> str:
-    """Convenience wrapper around a default-configured MockGenerator."""
-    return MockGenerator().generate(input_text, directive, config, seed)
-
-
 # ---------------------------------------------------------------------------
 # external generator adapter
 
-class StdioGenerator:
-    """Drive an external generator process over a JSON-lines protocol.
+class StdioGenerator(NdjsonChild):
+    """Drive an external generator process over the NDJSON protocol.
 
     One request per line on stdin:
     ``{"input": str, "directive": "greedy"|"topk:K", "config": {...},
     "seed": int}``; one response per line on stdout, either
-    ``{"text": str}`` or ``{"error": str}``. The child is spawned once
-    and reused; protocol violations and reported errors surface as
-    GenerationError.
+    ``{"text": str}`` or ``{"error": str}``. Protocol violations and
+    reported errors surface as GenerationError.
     """
 
-    capabilities = GeneratorCapabilities(supports_context=True, supports_seeding=True)
-
-    def __init__(self, command: Sequence[str]):
-        self._command = list(command)
-        self._proc: subprocess.Popen | None = None
-
-    def _ensure_proc(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self._command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
-        return self._proc
+    error = GenerationError
+    role = "generator"
 
     def generate(
         self,
@@ -376,64 +341,13 @@ class StdioGenerator:
         config: GenerationConfig = GenerationConfig(),
         seed: int = 0,
     ) -> str:
-        proc = self._ensure_proc()
         request = {
             "input": input_text,
             "directive": str(directive),
             "config": config.to_payload(),
             "seed": seed,
         }
-        assert proc.stdin is not None and proc.stdout is not None
-        proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
-        proc.stdin.flush()
-        line = proc.stdout.readline()
-        if not line:
-            raise GenerationError("generator process closed its stdout")
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError:
-            raise GenerationError(f"generator sent malformed JSON: {line!r}") from None
-        if "error" in response:
-            raise GenerationError(f"generator error: {response['error']}")
-        if "text" not in response or not isinstance(response["text"], str):
+        response = self.request(request)
+        if not isinstance(response.get("text"), str):
             raise GenerationError(f"generator response missing 'text': {response!r}")
         return response["text"]
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            assert self._proc.stdin is not None
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-        self._proc = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# candidate persistence
-
-def candidate_set_to_record(pair_id: str, cset: CandidateSet) -> dict:
-    return {
-        "pair_id": pair_id,
-        "source": cset.source,
-        "candidates": [
-            {"text": c.text, "origin": str(c.origin) if c.origin else None, "index": c.index}
-            for c in cset.candidates
-        ],
-    }
-
-
-def candidate_set_from_record(record: dict) -> tuple[str, CandidateSet]:
-    candidates = tuple(
-        Candidate(
-            text=c["text"],
-            origin=Directive.parse(c["origin"]) if c.get("origin") else None,
-            index=int(c["index"]),
-        )
-        for c in record["candidates"]
-    )
-    return record["pair_id"], CandidateSet(source=record["source"], candidates=candidates)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import subprocess
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,7 @@ import numpy as np
 
 from .corpus import ContextBundle, RevisionChain
 from .embedding import Embedder, cosine
+from .ndjson import NdjsonChild
 from .text import normalize_whitespace, tokenize
 
 log = logging.getLogger(__name__)
@@ -99,13 +99,6 @@ class ScorerRegistry:
         return (("fluency", self.fluency), ("meaning", self.meaning), ("argument", self.argument))
 
 
-def normalize_meaning(cos_sim: float) -> float:
-    """Map a cosine similarity in [-1, 1] onto [0, 1] via (s + 1) / 2."""
-    if not -1.0 - 1e-6 <= cos_sim <= 1.0 + 1e-6:
-        raise ValueError(f"cosine similarity {cos_sim} outside [-1, 1]")
-    return (min(max(cos_sim, -1.0), 1.0) + 1.0) / 2.0
-
-
 def _to_unit_interval(raw: float, lo: float, hi: float, scorer_name: str) -> float:
     if not lo - 1e-6 <= raw <= hi + 1e-6:
         raise ScorerError(
@@ -130,52 +123,6 @@ def score_candidate(
         lo, hi = scorer.output_range
         values[name] = _to_unit_interval(raw, lo, hi, name)
     return ScoreVector(**values)
-
-
-def score_candidates(
-    registry: ScorerRegistry,
-    source: str,
-    candidates: Sequence[str],
-    context: ContextBundle,
-    normalization: str = "declared",
-) -> list[ScoreVector]:
-    """Score a whole candidate set.
-
-    ``normalization="declared"`` maps each raw output through its
-    scorer's declared range (same as score_candidate). ``"minmax"``
-    instead rescales each component across the candidate set, so the
-    best candidate per component gets 1 and the worst 0; a component
-    that is constant across the set maps to 0.5 everywhere.
-    """
-    if normalization == "declared":
-        return [score_candidate(registry, source, c, context) for c in candidates]
-    if normalization != "minmax":
-        raise ValueError(f"unknown normalization {normalization!r}")
-    columns: dict[str, list[float]] = {}
-    for name, scorer in registry.items():
-        raws = []
-        for cand in candidates:
-            try:
-                raw = scorer.score(source, cand, context)
-            except ScorerError:
-                raise
-            except Exception as exc:
-                raise ScorerError(f"{name} scorer failed: {exc}") from exc
-            lo, hi = scorer.output_range
-            if not lo - 1e-6 <= raw <= hi + 1e-6:
-                raise ScorerError(
-                    f"{name} scorer returned {raw}, outside its declared range [{lo}, {hi}]"
-                )
-            raws.append(float(raw))
-        lo_obs, hi_obs = min(raws), max(raws)
-        if hi_obs > lo_obs:
-            columns[name] = [(r - lo_obs) / (hi_obs - lo_obs) for r in raws]
-        else:
-            columns[name] = [0.5] * len(raws)
-    return [
-        ScoreVector(fluency=f, meaning=m, argument=a)
-        for f, m, a in zip(columns["fluency"], columns["meaning"], columns["argument"])
-    ]
 
 
 def autoscore(vector: ScoreVector, weights: Weights) -> float:
@@ -284,32 +231,23 @@ def default_registry() -> ScorerRegistry:
 # ---------------------------------------------------------------------------
 # external scorer adapter
 
-class StdioScorer:
-    """Drive an external scorer process over a JSON-lines protocol.
+class StdioScorer(NdjsonChild):
+    """Drive an external scorer process over the NDJSON protocol.
 
     One request per line on stdin: ``{"source": str, "candidate": str,
     "context": {"topic": ..., "previous_claim": ...}}``; one response
     per line on stdout, ``{"score": float}`` or ``{"error": str}``.
+    Protocol violations and reported errors surface as ScorerError.
     """
 
-    def __init__(self, command: Sequence[str], output_range: tuple[float, float] = (0.0, 1.0)):
-        self._command = list(command)
-        self.output_range = output_range
-        self._proc: subprocess.Popen | None = None
+    error = ScorerError
+    role = "scorer"
 
-    def _ensure_proc(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self._command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
-        return self._proc
+    def __init__(self, command: Sequence[str], output_range: tuple[float, float] = (0.0, 1.0)):
+        super().__init__(command)
+        self.output_range = output_range
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
-        proc = self._ensure_proc()
         request = {
             "source": source,
             "candidate": candidate,
@@ -318,34 +256,10 @@ class StdioScorer:
                 "previous_claim": context.previous_claim if context else None,
             },
         }
-        assert proc.stdin is not None and proc.stdout is not None
-        proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
-        proc.stdin.flush()
-        line = proc.stdout.readline()
-        if not line:
-            raise ScorerError("scorer process closed its stdout")
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError:
-            raise ScorerError(f"scorer sent malformed JSON: {line!r}") from None
-        if "error" in response:
-            raise ScorerError(f"scorer error: {response['error']}")
-        if "score" not in response or not isinstance(response["score"], (int, float)):
+        response = self.request(request)
+        if not isinstance(response.get("score"), (int, float)):
             raise ScorerError(f"scorer response missing 'score': {response!r}")
         return float(response["score"])
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            assert self._proc.stdin is not None
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-        self._proc = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 # ---------------------------------------------------------------------------

@@ -186,19 +186,6 @@ def train_pairwise_ranker(
     return PairwiseRanker(embedder=embedder, weight_vector=w, training_meta=meta)
 
 
-def rank_candidates(ranker: PairwiseRanker, candidate_set: CandidateSet) -> list[Candidate]:
-    """All candidates, best first; exact score ties keep index order."""
-    if not candidate_set.candidates:
-        raise ValueError("empty candidate set")
-    # sorted() is stable, so equal scores preserve the ascending-index
-    # order the set already has
-    return sorted(
-        candidate_set.candidates,
-        key=lambda c: ranker.score_text(c.text),
-        reverse=True,
-    )
-
-
 def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
     if not isinstance(ranker.embedder, HashingEmbedder):
         raise ValueError("only hashing embedders can be persisted")

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_synthetic_pairs
 
+import claimpolish.cli as cli
 from claimpolish.cli import (
     ConfigError,
     _config_hash,
@@ -329,6 +330,60 @@ def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):
     assert all(r["chosen"].endswith("(greedy)") for r in top1)
 
 
+@pytest.fixture()
+def recording_adapters(tmp_path, monkeypatch):
+    """Stdio generator and fluency scorer that remember each instance and close."""
+    opened = []
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.closes = 0
+            opened.append(self)
+
+        def close(self):
+            self.closes += 1
+            super().close()
+
+    class RecordingGenerator(Recording, cli.StdioGenerator):
+        pass
+
+    class RecordingScorer(Recording, cli.StdioScorer):
+        pass
+
+    script = tmp_path / "fluency.py"
+    script.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps({'score': 1.0}), flush=True)\n"
+    )
+    monkeypatch.setattr(cli, "StdioGenerator", RecordingGenerator)
+    monkeypatch.setattr(cli, "StdioScorer", RecordingScorer)
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _stdio_generator_script(tmp_path))
+    monkeypatch.setenv("CLAIMPOLISH_FLUENCY_CMD", f"stdio:{sys.executable} {script}")
+    return opened
+
+
+@pytest.mark.parametrize("broken, expected_code", [(False, 0), (True, 1)])
+def test_run_closes_stdio_adapters(tmp_path, recording_adapters, broken, expected_code):
+    pairs = make_synthetic_pairs(3, seed=3)
+    if broken:
+        pairs[1] = dataclasses.replace(
+            pairs[1], source=dataclasses.replace(pairs[1].source, text="BROKEN claim")
+        )
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, pairs_path)
+    code = run_cli(
+        "run", "--pairs", pairs_path, "--out", tmp_path / "o", "--strategies", "top1"
+    )
+    assert code == expected_code
+    assert [type(a).__name__ for a in recording_adapters] == [
+        "RecordingGenerator",
+        "RecordingScorer",
+    ]
+    assert all(a.closes == 1 and a._proc is None for a in recording_adapters)
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -354,6 +409,12 @@ def test_calibrate_artifacts(tmp_path, chains_file, capsys):
     assert (out / "manifest.json").is_file()
     summary = capsys.readouterr().out
     assert "r=" in summary and "grid=66" in summary
+
+
+def test_calibrate_closes_stdio_scorer(tmp_path, chains_file, recording_adapters):
+    assert run_cli("calibrate", "--chains", chains_file, "--out", tmp_path / "cal") == 0
+    [scorer] = recording_adapters
+    assert scorer.closes == 1 and scorer._proc is None
 
 
 def test_calibrate_bad_grid(tmp_path, chains_file, capsys):

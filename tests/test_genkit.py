@@ -1,4 +1,3 @@
-import json
 import sys
 
 import pytest
@@ -13,12 +12,9 @@ from claimpolish.genkit import (
     MockGenerator,
     StdioGenerator,
     TOPK,
-    candidate_set_from_record,
-    candidate_set_to_record,
     dedup,
     generate_candidates,
     make_schedule,
-    mock_generate,
 )
 
 CFG = GenerationConfig()
@@ -76,30 +72,30 @@ def test_generation_config_validation():
 
 
 def test_greedy_cleanup_worked_example():
-    assert mock_generate("its good", GREEDY) == "It's good."
+    assert MockGenerator().generate("its good", GREEDY) == "It's good."
 
 
 def test_greedy_all_rules_fire_together():
-    out = mock_generate("dont worry about the cost", GREEDY)
+    out = MockGenerator().generate("dont worry about the cost", GREEDY)
     assert out == "Don't worry about the cost."
 
 
 def test_greedy_clean_input_is_identity():
     clean = "The policy helps local business."
-    assert mock_generate(clean, GREEDY) == clean
+    assert MockGenerator().generate(clean, GREEDY) == clean
 
 
 def test_greedy_is_idempotent():
-    once = mock_generate("its good", GREEDY)
-    assert mock_generate(once, GREEDY) == once
+    once = MockGenerator().generate("its good", GREEDY)
+    assert MockGenerator().generate(once, GREEDY) == once
 
 
 def test_greedy_preserves_existing_terminal_punctuation():
-    assert mock_generate("is this right?", GREEDY) == "Is this right?"
+    assert MockGenerator().generate("is this right?", GREEDY) == "Is this right?"
 
 
 def test_greedy_contraction_keeps_capitalization():
-    assert mock_generate("Dont do it", GREEDY) == "Don't do it."
+    assert MockGenerator().generate("Dont do it", GREEDY) == "Don't do it."
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +103,14 @@ def test_greedy_contraction_keeps_capitalization():
 
 
 def test_topk_is_deterministic_per_seed():
-    a = mock_generate("many people agree", TOPK(5), seed=4)
-    b = mock_generate("many people agree", TOPK(5), seed=4)
+    a = MockGenerator().generate("many people agree", TOPK(5), seed=4)
+    b = MockGenerator().generate("many people agree", TOPK(5), seed=4)
     assert a == b
 
 
 def test_topk_varies_with_k():
     outs = {
-        mock_generate("many people agree somewhat", TOPK(k), seed=0)
+        MockGenerator().generate("many people agree somewhat", TOPK(k), seed=0)
         for k in (5, 10, 15)
     }
     assert len(outs) > 1
@@ -162,7 +158,7 @@ def test_topk_inapplicable_rule_falls_forward():
 
 
 def test_context_is_stripped_before_rewriting():
-    out = mock_generate("its good <PREV> earlier claim <TOPIC> taxes", GREEDY)
+    out = MockGenerator().generate("its good <PREV> earlier claim <TOPIC> taxes", GREEDY)
     assert out == "It's good."
     assert "<PREV>" not in out and "<TOPIC>" not in out
 
@@ -180,7 +176,7 @@ def test_empty_after_stripping_raises():
 
 def test_max_length_truncation():
     cfg = GenerationConfig(min_length=1, max_length=3)
-    out = mock_generate("one two three four five", GREEDY, config=cfg)
+    out = MockGenerator().generate("one two three four five", GREEDY, config=cfg)
     assert out == "One two three"
 
 
@@ -189,8 +185,6 @@ def test_max_length_truncation():
 
 
 class FlakyGenerator:
-    capabilities = MockGenerator.capabilities
-
     def __init__(self, fail_on):
         self.fail_on = fail_on
 
@@ -302,17 +296,9 @@ def test_stdio_generator_dead_process_raises(tmp_path):
             gen.generate("x", GREEDY, CFG, 0)
 
 
-# ---------------------------------------------------------------------------
-# records
-
-
-def test_candidate_set_record_roundtrip():
-    cset = dedup(
-        generate_candidates(MockGenerator(), "its good", CFG, make_schedule(3), 1)
-    )
-    record = candidate_set_to_record("p#0", cset)
-    assert record["pair_id"] == "p#0"
-    json.dumps(record)  # serializable
-    pair_id, back = candidate_set_from_record(record)
-    assert pair_id == "p#0"
-    assert back == cset
+def test_stdio_generator_missing_text_raises(tmp_path):
+    cmd = _stdio_script(tmp_path, "    print(json.dumps({'txt': 'typo'}), flush=True)\n")
+    with StdioGenerator(cmd) as gen:
+        with pytest.raises(GenerationError) as err:
+            gen.generate("x", GREEDY, CFG, 0)
+    assert "missing 'text'" in str(err.value)

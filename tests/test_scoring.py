@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -15,17 +16,16 @@ from claimpolish.scoring import (
     ScoreVector,
     ScorerError,
     ScorerRegistry,
+    StdioScorer,
     Weights,
     autoscore,
     calibrate_weights,
     default_registry,
     load_weights,
-    normalize_meaning,
     pearson,
     save_calibration,
     save_weights,
     score_candidate,
-    score_candidates,
     simplex_grid,
 )
 
@@ -73,14 +73,6 @@ def test_weights_validate_simplex():
     assert DEFAULT_WEIGHTS.alpha + DEFAULT_WEIGHTS.beta + DEFAULT_WEIGHTS.gamma == 1.0
 
 
-def test_normalize_meaning_affine_map():
-    assert normalize_meaning(-1.0) == 0.0
-    assert normalize_meaning(0.0) == 0.5
-    assert normalize_meaning(1.0) == 1.0
-    with pytest.raises(ValueError):
-        normalize_meaning(1.5)
-
-
 def test_autoscore_weighted_sum():
     # second candidate wins on argument quality despite weaker fluency
     first = ScoreVector(0.9, 0.9, 0.1)
@@ -124,23 +116,6 @@ def test_score_candidate_wraps_scorer_exceptions():
     with pytest.raises(ScorerError) as err:
         score_candidate(registry, "s", "c", None)
     assert "fluency scorer failed" in str(err.value)
-
-
-def test_score_candidates_minmax_rescales_per_set():
-    table = {"a": 0.2, "b": 0.6, "c": 0.4}
-    registry = ScorerRegistry(
-        fluency=TableScorer(table),
-        meaning=FixedScorer(0.9),  # constant column -> 0.5 everywhere
-        argument=TableScorer(table),
-    )
-    vecs = score_candidates(registry, "s", ["a", "b", "c"], None, normalization="minmax")
-    assert [v.fluency for v in vecs] == [0.0, 1.0, pytest.approx(0.5)]
-    assert all(v.meaning == 0.5 for v in vecs)
-
-
-def test_score_candidates_unknown_normalization():
-    with pytest.raises(ValueError):
-        score_candidates(default_registry(), "s", ["a"], None, normalization="zscore")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +163,63 @@ def test_argument_scorer_rewards_new_tokens_and_form():
     # saturates at five new tokens, capped at 1.0
     many = scorer.score("a.", "A stronger case with many fresh angles here.", None)
     assert many == 1.0
+
+
+# ---------------------------------------------------------------------------
+# stdio adapter
+
+
+def _stdio_script(tmp_path, body):
+    path = tmp_path / "scorer.py"
+    path.write_text("import json, sys\nfor line in sys.stdin:\n" + body)
+    return [sys.executable, str(path)]
+
+
+def test_stdio_scorer_roundtrip(tmp_path):
+    cmd = _stdio_script(
+        tmp_path,
+        "    req = json.loads(line)\n"
+        "    ctx = req['context']\n"
+        "    hit = ctx['topic'] == 'taxes' and ctx['previous_claim'] is None\n"
+        "    print(json.dumps({'score': len(req['candidate']) / 10 if hit else -1}), flush=True)\n",
+    )
+    context = ContextBundle(topic="taxes")
+    with StdioScorer(cmd, output_range=(-1.0, 1.0)) as scorer:
+        assert scorer.output_range == (-1.0, 1.0)
+        assert scorer.score("s", "abc", context) == pytest.approx(0.3)
+        assert scorer.score("s", "abcde", context) == pytest.approx(0.5)
+
+
+def test_stdio_scorer_error_response_raises(tmp_path):
+    cmd = _stdio_script(tmp_path, "    print(json.dumps({'error': 'no model'}), flush=True)\n")
+    with StdioScorer(cmd) as scorer:
+        with pytest.raises(ScorerError) as err:
+            scorer.score("s", "c", None)
+    assert str(err.value) == "scorer error: no model"
+
+
+def test_stdio_scorer_malformed_response_raises(tmp_path):
+    cmd = _stdio_script(tmp_path, "    print('not json', flush=True)\n")
+    with StdioScorer(cmd) as scorer:
+        with pytest.raises(ScorerError) as err:
+            scorer.score("s", "c", None)
+    assert "scorer sent malformed JSON" in str(err.value)
+
+
+def test_stdio_scorer_dead_process_raises(tmp_path):
+    path = tmp_path / "dead.py"
+    path.write_text("import sys; sys.exit(0)\n")
+    with StdioScorer([sys.executable, str(path)]) as scorer:
+        with pytest.raises(ScorerError):
+            scorer.score("s", "c", None)
+
+
+def test_stdio_scorer_missing_score_raises(tmp_path):
+    cmd = _stdio_script(tmp_path, "    print(json.dumps({'score': 'high'}), flush=True)\n")
+    with StdioScorer(cmd) as scorer:
+        with pytest.raises(ScorerError) as err:
+            scorer.score("s", "c", None)
+    assert "missing 'score'" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
