@@ -116,14 +116,16 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict[str, str]:
-    """File config, overridden by CLI flags, overridden by adapter envs."""
+def _merge_config(args: argparse.Namespace) -> dict[str, str]:
+    """File config, overridden by CLI flags, overridden by adapter envs.
+
+    Every option of the subcommand is a config key under its dest name.
+    """
     merged: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(read_config_file(args.config))
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
             merged[key] = str(value)
     for key, env in _ENV_ADAPTERS.items():
         if os.environ.get(env):
@@ -377,21 +379,27 @@ def cmd_prepare(config: dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 # run
 
+def _read_selections(path: Path) -> dict[str, dict[str, dict]]:
+    """selections.jsonl records as {pair_id: {strategy: record}}; a
+    repeated (pair, strategy) keeps its last record."""
+    by_pair: dict[str, dict[str, dict]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                rec = json.loads(line)
+                by_pair.setdefault(rec["pair_id"], {})[rec["strategy"]] = rec
+    return by_pair
+
+
 def _load_checkpoint(
     selections_path: Path, strategies: list[Strategy]
-) -> dict[str, dict[str, str]]:
-    """Rows of complete instances from an interrupted run, keyed by pair."""
+) -> dict[str, dict[str, dict]]:
+    """Records of complete instances from an interrupted run, keyed by pair."""
     if not selections_path.is_file():
         return {}
-    rows: dict[str, dict[str, str]] = {}
-    with open(selections_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            rows.setdefault(rec["pair_id"], {})[rec["strategy"]] = line.rstrip("\n")
     wanted = {s.value for s in strategies}
-    return {pid: by_s for pid, by_s in rows.items() if set(by_s) == wanted}
+    by_pair = _read_selections(selections_path)
+    return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
 def cmd_run(config: dict[str, str]) -> int:
@@ -460,8 +468,9 @@ def cmd_run(config: dict[str, str]) -> int:
         for i, pair in enumerate(pairs):
             if pair.pair_id in checkpoint:
                 for strategy in strategies:
-                    sel_fh.write(checkpoint[pair.pair_id][strategy.value] + "\n")
-                    rec = json.loads(checkpoint[pair.pair_id][strategy.value])
+                    # rows were written by this json.dumps call, so they round-trip
+                    rec = checkpoint[pair.pair_id][strategy.value]
+                    sel_fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
                     outputs[strategy.value].append(rec["chosen"])
                 done_instances.append(i)
                 continue
@@ -718,22 +727,12 @@ def cmd_report(config: dict[str, str]) -> int:
     pairs_path = _require_file(config.get("pairs"), "pairs file")
     out = _out_dir(config)
     pairs = load_pairs(pairs_path)
-    by_pair: dict[str, dict[str, str]] = {}
-    strategies: list[str] = []
-    with open(selections_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            by_pair.setdefault(rec["pair_id"], {})[rec["strategy"]] = rec["chosen"]
-            if rec["strategy"] not in strategies:
-                strategies.append(rec["strategy"])
-    usable = [p for p in pairs if set(by_pair.get(p.pair_id, {})) == set(strategies)]
+    by_pair = _read_selections(selections_path)
+    strategies = sorted({s for by_s in by_pair.values() for s in by_s})
+    usable = [p for p in pairs if sorted(by_pair.get(p.pair_id, {})) == strategies]
     if not usable:
         raise ConfigError("no pair has selections for every strategy")
-    outputs = {
-        s: [by_pair[p.pair_id][s] for p in usable] for s in strategies
-    }
+    outputs = {s: [by_pair[p.pair_id][s]["chosen"] for p in usable] for s in strategies}
     artifacts = _write_reports(
         out,
         config,
@@ -743,7 +742,7 @@ def cmd_report(config: dict[str, str]) -> int:
         {
             "dataset_fingerprint": _sha256_file(pairs_path),
             "selections_fingerprint": _sha256_file(selections_path),
-            "strategies": sorted(strategies),
+            "strategies": strategies,
         },
     )
     _write_manifest(
@@ -814,39 +813,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "prepare": (
-        cmd_prepare,
-        ["seed", "out", "chains", "per_label_test", "train_fraction", "granularity"],
-    ),
-    "run": (
-        cmd_run,
-        [
-            "seed",
-            "out",
-            "pairs",
-            "context",
-            "strategies",
-            "n_candidates",
-            "weights",
-            "train_pairs",
-            "ranker",
-        ],
-    ),
-    "calibrate": (
-        cmd_calibrate,
-        ["seed", "out", "chains", "grid_step", "range_lo", "range_hi", "aggregation"],
-    ),
-    "stats": (cmd_stats, ["seed", "out", "annotations", "mode", "strategy_pairs"]),
-    "report": (cmd_report, ["seed", "out", "selections", "pairs"]),
+    "prepare": cmd_prepare,
+    "run": cmd_run,
+    "calibrate": cmd_calibrate,
+    "stats": cmd_stats,
+    "report": cmd_report,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command, keys = _COMMANDS[args.command]
     try:
-        config = _merge_config(args, keys)
-        return command(config)
+        config = _merge_config(args)
+        return _COMMANDS[args.command](config)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,6 +84,41 @@ def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 # BLEU
 
+def _bleu_counts(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> list[int]:
+    """Clipped matches and hypothesis n-gram totals for orders 1-4, then
+    the hypothesis length c and the closest reference length r: the
+    counts that corpus BLEU sums over instances."""
+    clipped, totals = [], []
+    for n in range(1, 5):
+        hyp_grams = Counter(_ngrams(hyp, n))
+        max_ref: Counter = Counter()
+        for ref in refs:
+            for gram, count in Counter(_ngrams(ref, n)).items():
+                if count > max_ref[gram]:
+                    max_ref[gram] = count
+        clipped.append(sum(min(count, max_ref[gram]) for gram, count in hyp_grams.items()))
+        totals.append(sum(hyp_grams.values()))
+    c = len(hyp)
+    r = min((len(ref) for ref in refs), key=lambda length: (abs(length - c), length))
+    return [*clipped, *totals, c, r]
+
+
+def _bleu_from_counts(counts: Sequence[int], scale: float = 1.0) -> float:
+    """``scale`` times smoothed BLEU-4 from (summed) ``_bleu_counts``."""
+    clipped, totals, c, r = counts[:4], counts[4:8], counts[8], counts[9]
+    log_sum = 0.0
+    orders = 0
+    for matched, total in zip(clipped, totals):
+        if total == 0:
+            continue
+        log_sum += math.log((matched if matched > 0 else _BLEU_EPS) / total)
+        orders += 1
+    if orders == 0 or c == 0:
+        return 0.0
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return scale * bp * math.exp(log_sum / orders)
+
+
 def sentence_bleu(output: str, references: Sequence[str]) -> float:
     """Smoothed sentence-level BLEU-4 on the 0-1 scale.
 
@@ -98,29 +133,24 @@ def sentence_bleu(output: str, references: Sequence[str]) -> float:
     refs = [tokenize(r) for r in references]
     if not hyp or not refs:
         return 0.0
-    log_sum = 0.0
-    orders = 0
-    for n in range(1, 5):
-        hyp_grams = Counter(_ngrams(hyp, n))
-        total = sum(hyp_grams.values())
-        if total == 0:
-            continue
-        max_ref: Counter = Counter()
-        for ref in refs:
-            for gram, count in Counter(_ngrams(ref, n)).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram]) for gram, count in hyp_grams.items())
-        precision = (clipped if clipped > 0 else _BLEU_EPS) / total
-        log_sum += math.log(precision)
-        orders += 1
-    if orders == 0:
-        return 0.0
-    geo_mean = math.exp(log_sum / orders)
-    c = len(hyp)
-    r = min((len(ref) for ref in refs), key=lambda length: (abs(length - c), length))
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * geo_mean
+    return _bleu_from_counts(_bleu_counts(hyp, refs))
+
+
+def _bleu_part(output: str, references: Sequence[str], mode: str) -> float | list[int]:
+    """One instance's share of corpus BLEU: its sentence BLEU in
+    ``"sentence"`` mode, its BLEU counts in ``"corpus"`` mode."""
+    if mode == "sentence":
+        return sentence_bleu(output, references)
+    if mode == "corpus":
+        return _bleu_counts(tokenize(output), [tokenize(r) for r in references])
+    raise ValueError(f"unknown bleu mode {mode!r}")
+
+
+def _bleu_total(parts: Sequence, mode: str) -> float:
+    """Corpus score 0-100 from the instances' ``_bleu_part`` values."""
+    if mode == "sentence":
+        return 100.0 * sum(parts) / len(parts)
+    return _bleu_from_counts([sum(column) for column in zip(*parts)], scale=100.0)
 
 
 def bleu(instances: Sequence[EvalInstance], mode: str = "sentence") -> float:
@@ -128,44 +158,7 @@ def bleu(instances: Sequence[EvalInstance], mode: str = "sentence") -> float:
     BLEU with ``mode="corpus"``."""
     if not instances:
         raise ValueError("empty instance list")
-    if mode == "sentence":
-        return 100.0 * sum(
-            sentence_bleu(inst.output, inst.references) for inst in instances
-        ) / len(instances)
-    if mode != "corpus":
-        raise ValueError(f"unknown bleu mode {mode!r}")
-    clipped_totals = [0] * 5
-    totals = [0] * 5
-    c_total = 0
-    r_total = 0
-    for inst in instances:
-        hyp = tokenize(inst.output)
-        refs = [tokenize(r) for r in inst.references]
-        c_total += len(hyp)
-        r_total += min((len(ref) for ref in refs), key=lambda L: (abs(L - len(hyp)), L))
-        for n in range(1, 5):
-            hyp_grams = Counter(_ngrams(hyp, n))
-            totals[n] += sum(hyp_grams.values())
-            max_ref: Counter = Counter()
-            for ref in refs:
-                for gram, count in Counter(_ngrams(ref, n)).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
-            clipped_totals[n] += sum(
-                min(count, max_ref[gram]) for gram, count in hyp_grams.items()
-            )
-    log_sum = 0.0
-    orders = 0
-    for n in range(1, 5):
-        if totals[n] == 0:
-            continue
-        numer = clipped_totals[n] if clipped_totals[n] > 0 else _BLEU_EPS
-        log_sum += math.log(numer / totals[n])
-        orders += 1
-    if orders == 0 or c_total == 0:
-        return 0.0
-    bp = 1.0 if c_total >= r_total else math.exp(1.0 - r_total / c_total)
-    return 100.0 * bp * math.exp(log_sum / orders)
+    return _bleu_total([_bleu_part(i.output, i.references, mode) for i in instances], mode)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +290,12 @@ def exact_match_ratio(instances: Sequence[EvalInstance]) -> float:
     normalization."""
     if not instances:
         raise ValueError("empty instance list")
-    hits = sum(
-        1
-        for inst in instances
-        if any(
-            normalize_whitespace(inst.output) == normalize_whitespace(ref)
-            for ref in inst.references
-        )
-    )
-    return hits / len(instances)
+    return sum(1 for inst in instances if _exact_match(inst)) / len(instances)
+
+
+def _exact_match(inst: EvalInstance) -> bool:
+    output = normalize_whitespace(inst.output)
+    return any(output == normalize_whitespace(ref) for ref in inst.references)
 
 
 def no_edit_ratio(instances: Sequence[EvalInstance]) -> float:
@@ -327,42 +317,53 @@ def context_similarity(output: str, context_field: str | None, embedder: Embedde
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _single_report(
-    instances: Sequence[EvalInstance],
-    embedder: Embedder,
-    bleu_mode: str,
-    sari_variant: str,
-) -> MetricReport:
-    rouge_scores = [
-        max(rouge_l(inst.output, ref) for ref in inst.references) for inst in instances
-    ]
-    sari_scores = [
-        sari(inst.source, inst.output, inst.references, variant=sari_variant)
-        for inst in instances
-    ]
-    sim_orig = [
-        context_similarity(inst.output, inst.source, embedder) for inst in instances
-    ]
-    prev_vals = [
-        context_similarity(inst.output, inst.context.previous_claim, embedder)
-        for inst in instances
-        if inst.context.previous_claim
-    ]
-    topic_vals = [
-        context_similarity(inst.output, inst.context.topic, embedder)
-        for inst in instances
-        if inst.context.topic
-    ]
+@dataclass(frozen=True)
+class _Row:
+    """Every score of one (instance, output) row; a strategy's report
+    aggregates the rows of the outputs it chose."""
+
+    bleu: float | list[int]  # a _bleu_part value
+    rouge_l: float
+    sari: float
+    no_edit: bool
+    exact_match: bool
+    sim_original: float
+    sim_previous: float | None
+    sim_topic: float | None
+
+
+def _score_row(
+    inst: EvalInstance, embedder: Embedder, bleu_mode: str, sari_variant: str
+) -> _Row:
+    previous, topic = inst.context.previous_claim, inst.context.topic
+    return _Row(
+        bleu=_bleu_part(inst.output, inst.references, bleu_mode),
+        rouge_l=max(rouge_l(inst.output, ref) for ref in inst.references),
+        sari=sari(inst.source, inst.output, inst.references, variant=sari_variant),
+        no_edit=inst.output == inst.source,
+        exact_match=_exact_match(inst),
+        sim_original=context_similarity(inst.output, inst.source, embedder),
+        sim_previous=context_similarity(inst.output, previous, embedder) if previous else None,
+        sim_topic=context_similarity(inst.output, topic, embedder) if topic else None,
+    )
+
+
+def _aggregate(rows: Sequence[_Row], bleu_mode: str) -> MetricReport:
+    """Report over ``rows`` in instance order; similarity to a context
+    field averages only the rows whose instance has that field."""
+    n = len(rows)
+    prev_vals = [row.sim_previous for row in rows if row.sim_previous is not None]
+    topic_vals = [row.sim_topic for row in rows if row.sim_topic is not None]
     return MetricReport(
-        bleu=bleu(instances, mode=bleu_mode),
-        rouge_l=sum(rouge_scores) / len(rouge_scores),
-        sari=sum(sari_scores) / len(sari_scores),
-        no_edit_ratio=no_edit_ratio(instances),
-        exact_match_ratio=exact_match_ratio(instances),
-        sim_original=sum(sim_orig) / len(sim_orig),
+        bleu=_bleu_total([row.bleu for row in rows], bleu_mode),
+        rouge_l=sum(row.rouge_l for row in rows) / n,
+        sari=sum(row.sari for row in rows) / n,
+        no_edit_ratio=sum(1 for row in rows if row.no_edit) / n,
+        exact_match_ratio=sum(1 for row in rows if row.exact_match) / n,
+        sim_original=sum(row.sim_original for row in rows) / n,
         sim_previous=sum(prev_vals) / len(prev_vals) if prev_vals else None,
         sim_topic=sum(topic_vals) / len(topic_vals) if topic_vals else None,
-        n_instances=len(instances),
+        n_instances=n,
     )
 
 
@@ -374,21 +375,27 @@ def evaluate_run(
     sari_variant: str = "canonical",
 ) -> dict[str, MetricReport]:
     """One MetricReport per strategy; ``outputs`` maps strategy name to
-    a list of output texts aligned with ``instances``."""
+    a list of output texts aligned with ``instances``.
+
+    Strategies often choose the same output for an instance, so each
+    distinct (instance index, output) row is scored once and shared.
+    """
     if not instances:
         raise ValueError("empty instance list")
+    rows: dict[tuple[int, str], _Row] = {}
     reports = {}
     for strategy, texts in outputs.items():
         if len(texts) != len(instances):
             raise ValueError(
                 f"strategy {strategy!r}: {len(texts)} outputs for {len(instances)} instances"
             )
-        strategy_instances = [
-            replace(inst, output=text) for inst, text in zip(instances, texts)
-        ]
-        reports[strategy] = _single_report(
-            strategy_instances, embedder, bleu_mode, sari_variant
-        )
+        keys = list(enumerate(texts))
+        for i, text in keys:
+            if (i, text) not in rows:
+                rows[i, text] = _score_row(
+                    replace(instances[i], output=text), embedder, bleu_mode, sari_variant
+                )
+        reports[strategy] = _aggregate([rows[key] for key in keys], bleu_mode)
     return reports
 
 

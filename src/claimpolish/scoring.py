@@ -340,6 +340,24 @@ def _chain_points(
     return matrices, positions
 
 
+def _grid_correlations(
+    weight_matrix: np.ndarray, values: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per grid point: Pearson r of its combined scores with ``target``,
+    and the scores' variance (r is undefined where it is 0). None when
+    ``target`` is constant."""
+    tc = target - target.mean()
+    vt = float(tc @ tc)
+    if vt == 0.0:
+        return None
+    scores = weight_matrix @ values  # G x N
+    centered = scores - scores.mean(axis=1, keepdims=True)
+    var = np.einsum("ij,ij->i", centered, centered)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rs = (centered @ tc) / np.sqrt(var * vt)
+    return rs, var
+
+
 def calibrate_weights(
     chains: Sequence[RevisionChain],
     registry: ScorerRegistry,
@@ -375,33 +393,19 @@ def calibrate_weights(
     weight_matrix = np.asarray(triples, dtype=np.float64)  # G x 3
 
     if aggregation == "pooled":
-        values = np.hstack(matrices)  # 3 x N
-        target = np.hstack(positions)  # N
-        tc = target - target.mean()
-        vt = float(tc @ tc)
-        if vt == 0.0:
+        grid = _grid_correlations(weight_matrix, np.hstack(matrices), np.hstack(positions))
+        if grid is None:
             raise CalibrationError("revision positions have zero variance")
-        scores = weight_matrix @ values  # G x N
-        centered = scores - scores.mean(axis=1, keepdims=True)
-        var = np.einsum("ij,ij->i", centered, centered)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rs = (centered @ tc) / np.sqrt(var * vt)
+        rs, var = grid
         rs[var == 0.0] = -np.inf
     else:
         sums = np.zeros(len(triples))
         counts = np.zeros(len(triples))
         for matrix, pos in zip(matrices, positions):
-            if pos.size < 2:
+            grid = _grid_correlations(weight_matrix, matrix, pos)
+            if grid is None:
                 continue
-            pc = pos - pos.mean()
-            vp = float(pc @ pc)
-            if vp == 0.0:
-                continue
-            scores = weight_matrix @ matrix
-            centered = scores - scores.mean(axis=1, keepdims=True)
-            var = np.einsum("ij,ij->i", centered, centered)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r = (centered @ pc) / np.sqrt(var * vp)
+            r, var = grid
             valid = var > 0.0
             sums[valid] += r[valid]
             counts[valid] += 1

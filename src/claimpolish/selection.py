@@ -62,6 +62,14 @@ class PairwiseRanker:
         return float(self.weight_vector @ self.embedder.embed(text))
 
 
+# score-vector component that each per-axis strategy maximizes
+_AXES = {
+    Strategy.MAX_FLUENCY: "fluency",
+    Strategy.MAX_MEANING: "meaning",
+    Strategy.MAX_ARGUMENT: "argument",
+}
+
+
 def _argmax(values: Sequence[float]) -> int:
     """Index of the maximum; the first (lowest-index) one on exact ties."""
     best = 0
@@ -91,43 +99,36 @@ def select(
         raise ValueError("empty candidate set")
     if len(scores) != len(candidates):
         raise ValueError(f"{len(scores)} scores for {len(candidates)} candidates")
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
+    # decision scores: what an argmax strategy ranks by; the other
+    # strategies record the weighted score when weights are given
     combined: list[float | None]
-    if strategy is Strategy.AUTOSCORE:
-        if weights is None:
-            raise ValueError("autoscore strategy needs weights")
-        combined = [autoscore(v, weights) for v in scores]
-        chosen = candidates[_argmax(combined)]
-    elif strategy is Strategy.MAX_FLUENCY:
-        combined = [v.fluency for v in scores]
-        chosen = candidates[_argmax(combined)]
-    elif strategy is Strategy.MAX_MEANING:
-        combined = [v.meaning for v in scores]
-        chosen = candidates[_argmax(combined)]
-    elif strategy is Strategy.MAX_ARGUMENT:
-        combined = [v.argument for v in scores]
-        chosen = candidates[_argmax(combined)]
-    elif strategy is Strategy.PAIRWISE_RANK:
+    if strategy is Strategy.PAIRWISE_RANK:
         if ranker is None:
             raise ValueError("pairwise_rank strategy needs a trained ranker")
         combined = [ranker.score_text(c.text) for c in candidates]
-        chosen = candidates[_argmax(combined)]
-    elif strategy is Strategy.RANDOM:
+    elif strategy in _AXES:
+        combined = [getattr(v, _AXES[strategy]) for v in scores]
+    elif strategy is Strategy.AUTOSCORE and weights is None:
+        raise ValueError("autoscore strategy needs weights")
+    else:
+        combined = [autoscore(v, weights) for v in scores] if weights else [None] * len(scores)
+
+    if strategy is Strategy.RANDOM:
         if seed is None:
             raise ValueError("random strategy needs a seed")
-        combined = [autoscore(v, weights) for v in scores] if weights else [None] * len(scores)
         chosen = candidates[random.Random(seed).randrange(len(candidates))]
     elif strategy is Strategy.TOP1:
         greedy = [c for c in candidates if c.origin is not None and c.origin.kind == "greedy"]
         if not greedy:
             raise ValueError("no greedy-origin candidate in the set")
-        combined = [autoscore(v, weights) for v in scores] if weights else [None] * len(scores)
         chosen = greedy[0]
     elif strategy is Strategy.UNEDITED:
-        combined = [autoscore(v, weights) for v in scores] if weights else [None] * len(scores)
         chosen = Candidate(text=source, origin=None, index=-1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown strategy {strategy!r}")
+    else:
+        chosen = candidates[_argmax(combined)]
 
     return SelectionResult(
         chosen=chosen,

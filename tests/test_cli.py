@@ -93,7 +93,7 @@ def test_merge_precedence_file_flag_env(tmp_path, monkeypatch):
         ["run", "--config", str(cfg), "--pairs", "p.jsonl", "--seed", "9"]
     )
     monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", "stdio:gen --flag")
-    merged = _merge_config(args, ["seed", "out", "pairs", "n_candidates"])
+    merged = _merge_config(args)
     assert merged["seed"] == "9"  # flag beats file
     assert merged["n_candidates"] == "5"  # file survives when no flag
     assert merged["generator"] == "stdio:gen --flag"  # env beats file
@@ -538,5 +538,5 @@ def test_manifest_fingerprints_inputs(run_dir, pairs_file):
     digest = manifest["inputs"]["pairs"]["sha256"]
     import hashlib
 
-    assert digest == hashlib.sha256(open(pairs_file, "rb").read()).hexdigest()
+    assert digest == hashlib.sha256(pairs_file.read_bytes()).hexdigest()
     assert {"selections.jsonl", "report.json", "report.csv"} <= set(manifest["artifacts"])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from claimpolish import metrics
 from claimpolish.corpus import ContextBundle, MissingContextError
 from claimpolish.embedding import HashingEmbedder
 from claimpolish.metrics import (
@@ -83,6 +84,25 @@ def test_bleu_corpus_scale():
         bleu([])
     with pytest.raises(ValueError):
         bleu(instances, mode="document")
+
+
+@pytest.mark.parametrize(
+    "output, references",
+    [
+        ("the cat sat", ["the cat sat"]),
+        ("so true", ["so true"]),  # short hypothesis: orders 3 and 4 skipped
+        ("yes", ["yes"]),
+        ("x y z", ["a b c"]),
+        ("the cat sat", ["the dog sat"]),
+        ("the cat", ["the cat sat on"]),  # brevity penalty
+        ("a b c", ["a b", "a b c d"]),
+        ("a b", ["a x", "y b"]),
+        ("a b", ["a x"]),
+    ],
+)
+def test_bleu_corpus_mode_of_one_instance_is_sentence_bleu(output, references):
+    pooled = bleu([inst("s", output, references)], mode="corpus")
+    assert pooled == pytest.approx(100 * sentence_bleu(output, references), rel=1e-12)
 
 
 def test_bleu_corpus_mode_pools_counts():
@@ -265,6 +285,38 @@ def test_evaluate_run_rouge_uses_best_reference():
     instances = [inst("s t", "a b c", ["x y z", "a b c"])]
     reports = evaluate_run(instances, {"x": ["a b c"]}, EMB)
     assert reports["x"].rouge_l == pytest.approx(1.0)
+
+
+def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
+    calls = []
+    real_sari = metrics.sari
+
+    def counting_sari(source, output, references, variant="canonical"):
+        calls.append((source, output))
+        return real_sari(source, output, references, variant=variant)
+
+    monkeypatch.setattr(metrics, "sari", counting_sari)
+    instances = _instances()
+    sources = [i.source for i in instances]
+    outputs = {
+        "unedited": sources,
+        "copy": list(sources),
+        "oracle": [instances[0].references[0], instances[1].source],
+        # one text for both instances: still two rows, one per instance
+        "same": ["the same words", "the same words"],
+    }
+    reports = evaluate_run(instances, outputs, EMB)
+    assert sorted(calls) == sorted(
+        [
+            (sources[0], sources[0]),
+            (sources[1], sources[1]),
+            (sources[0], instances[0].references[0]),
+            (sources[0], "the same words"),
+            (sources[1], "the same words"),
+        ]
+    )
+    assert reports["unedited"] == reports["copy"]
+    assert reports["oracle"] != reports["unedited"]
 
 
 def test_evaluate_run_rejects_misaligned_outputs():
