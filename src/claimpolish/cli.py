@@ -59,7 +59,8 @@ from .genkit import (
     generate_candidates,
     make_schedule,
 )
-from .metrics import EvalInstance, evaluate_run, write_report_csv
+from .metrics import BLEU_MODES, SARI_VARIANTS, EvalInstance, evaluate_run, write_report_csv
+from .ndjson import decode_line, encode_line, read_jsonl, write_json
 from .scoring import (
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
@@ -172,9 +173,7 @@ def _write_manifest(
         },
         "timestamps": {"started": started, "finished": time.time()},
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _require_file(path_text: str | None, what: str) -> Path:
@@ -193,6 +192,21 @@ def _out_dir(config: dict[str, str]) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _choice(config: dict[str, str], key: str, allowed: tuple[str, ...]) -> str:
+    """``config[key]``, which must be one of ``allowed``; the first is the default."""
+    value = config.get(key, allowed[0])
+    if value not in allowed:
+        raise ConfigError(f"unknown {key} {value!r} (choose from {', '.join(allowed)})")
+    return value
+
+
+def _metric_options(config: dict[str, str]) -> dict[str, str]:
+    return {
+        "bleu_mode": _choice(config, "bleu_mode", BLEU_MODES),
+        "sari_variant": _choice(config, "sari_variant", SARI_VARIANTS),
+    }
 
 
 def _delimiters(config: dict[str, str]) -> DelimiterConfig:
@@ -250,7 +264,7 @@ def _closing_adapters(registry: ScorerRegistry, generator=None):
 
 
 def _write_reports(
-    out: Path, config: dict[str, str], embedder, pairs: list, outputs: dict, metadata: dict
+    out: Path, metric_options: dict, embedder, pairs: list, outputs: dict, metadata: dict
 ) -> list[Path]:
     """Evaluate each strategy's outputs on ``pairs``; write report.json and report.csv."""
     instances = [
@@ -262,20 +276,12 @@ def _write_reports(
         )
         for p in pairs
     ]
-    reports = evaluate_run(
-        instances,
-        outputs,
-        embedder,
-        bleu_mode=config.get("bleu_mode", "sentence"),
-        sari_variant=config.get("sari_variant", "canonical"),
-    )
+    reports = evaluate_run(instances, outputs, embedder, **metric_options)
     payload = {
         "metadata": {**metadata, "n_instances": len(instances)},
         "reports": {name: reports[name].to_payload() for name in sorted(reports)},
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", payload)
     write_report_csv({name: reports[name] for name in sorted(reports)}, out / "report.csv")
     return [out / "report.json", out / "report.csv"]
 
@@ -345,10 +351,7 @@ def cmd_prepare(config: dict[str, str]) -> int:
         chains_path, encoding="utf-8"
     ) as src:
         for line in src:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record.get("chain_id") in validation_chain_ids:
+            if line.strip() and decode_line(line).get("chain_id") in validation_chain_ids:
                 fh.write(line if line.endswith("\n") else line + "\n")
 
     counts = {
@@ -359,9 +362,7 @@ def cmd_prepare(config: dict[str, str]) -> int:
         "validation": len(split.validation),
         "test": len(split.test),
     }
-    with open(out / "counts.json", "w", encoding="utf-8") as fh:
-        json.dump(counts, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "counts.json", counts)
 
     artifacts = [
         out / "pairs.jsonl",
@@ -383,11 +384,8 @@ def _read_selections(path: Path) -> dict[str, dict[str, dict]]:
     """selections.jsonl records as {pair_id: {strategy: record}}; a
     repeated (pair, strategy) keeps its last record."""
     by_pair: dict[str, dict[str, dict]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                by_pair.setdefault(rec["pair_id"], {})[rec["strategy"]] = rec
+    for _, rec in read_jsonl(path, required=("pair_id", "strategy", "chosen")):
+        by_pair.setdefault(rec["pair_id"], {})[rec["strategy"]] = rec
     return by_pair
 
 
@@ -408,7 +406,8 @@ def cmd_run(config: dict[str, str]) -> int:
     out = _out_dir(config)
     seed = int(config.get("seed", "0"))
     n_candidates = int(config.get("n_candidates", "10"))
-    context_mode = _CONTEXT_FLAG[config.get("context", "none")]
+    context_mode = _CONTEXT_FLAG[_choice(config, "context", tuple(_CONTEXT_FLAG))]
+    metric_options = _metric_options(config)
     strategies = _parse_strategies(config.get("strategies"))
     delimiters = _delimiters(config)
     embedder = _embedder(config)
@@ -468,9 +467,9 @@ def cmd_run(config: dict[str, str]) -> int:
         for i, pair in enumerate(pairs):
             if pair.pair_id in checkpoint:
                 for strategy in strategies:
-                    # rows were written by this json.dumps call, so they round-trip
+                    # rows were written by encode_line, so they round-trip
                     rec = checkpoint[pair.pair_id][strategy.value]
-                    sel_fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+                    sel_fh.write(encode_line(rec))
                     outputs[strategy.value].append(rec["chosen"])
                 done_instances.append(i)
                 continue
@@ -500,13 +499,12 @@ def cmd_run(config: dict[str, str]) -> int:
                         seed=instance_seed,
                     )
                     record = selection_to_record(pair.pair_id, result)
-                    rows.append(json.dumps(record, ensure_ascii=False))
+                    rows.append(encode_line(record))
                     chosen[strategy.value] = result.chosen.text
             except Exception as exc:
                 errors.append({"pair_id": pair.pair_id, "error": str(exc)})
                 continue
-            for row in rows:
-                sel_fh.write(row + "\n")
+            sel_fh.writelines(rows)
             for name, text in chosen.items():
                 outputs[name].append(text)
             sel_fh.flush()
@@ -514,14 +512,13 @@ def cmd_run(config: dict[str, str]) -> int:
 
     if errors:
         with open(out / "errors.jsonl", "w", encoding="utf-8") as fh:
-            for rec in errors:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            fh.writelines(encode_line(rec) for rec in errors)
 
     artifacts = [selections_path]
     if done_instances:
         artifacts += _write_reports(
             out,
-            config,
+            metric_options,
             embedder,
             [pairs[i] for i in done_instances],
             outputs,
@@ -565,24 +562,20 @@ def cmd_calibrate(config: dict[str, str]) -> int:
             aggregation=config.get("aggregation", "pooled"),
         )
     save_calibration(out / "weights.json", result)
-    with open(out / "calibration.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "alpha": result.weights.alpha,
-                "beta": result.weights.beta,
-                "gamma": result.weights.gamma,
-                "pearson_r": result.pearson_r,
-                "grid_step": result.grid_step,
-                "evaluated_points": result.evaluated_points,
-                "range_lo": float(config.get("range_lo", "0.01")),
-                "range_hi": float(config.get("range_hi", "0.98")),
-                "aggregation": config.get("aggregation", "pooled"),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        out / "calibration.json",
+        {
+            "alpha": result.weights.alpha,
+            "beta": result.weights.beta,
+            "gamma": result.weights.gamma,
+            "pearson_r": result.pearson_r,
+            "grid_step": result.grid_step,
+            "evaluated_points": result.evaluated_points,
+            "range_lo": float(config.get("range_lo", "0.01")),
+            "range_hi": float(config.get("range_hi", "0.98")),
+            "aggregation": config.get("aggregation", "pooled"),
+        },
+    )
     _write_manifest(
         out,
         "calibrate",
@@ -704,9 +697,7 @@ def cmd_stats(config: dict[str, str]) -> int:
             report["ranks"]["wilcoxon"] = tests
 
     report["inputs"] = {"annotations_sha256": _sha256_file(annotations_path)}
-    with open(out / "stats_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "stats_report.json", report)
     _write_manifest(
         out,
         "stats",
@@ -725,6 +716,7 @@ def cmd_report(config: dict[str, str]) -> int:
     started = time.time()
     selections_path = _require_file(config.get("selections"), "selections file")
     pairs_path = _require_file(config.get("pairs"), "pairs file")
+    metric_options = _metric_options(config)
     out = _out_dir(config)
     pairs = load_pairs(pairs_path)
     by_pair = _read_selections(selections_path)
@@ -735,7 +727,7 @@ def cmd_report(config: dict[str, str]) -> int:
     outputs = {s: [by_pair[p.pair_id][s]["chosen"] for p in usable] for s in strategies}
     artifacts = _write_reports(
         out,
-        config,
+        metric_options,
         _embedder(config),
         usable,
         outputs,

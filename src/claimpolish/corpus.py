@@ -22,23 +22,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import logging
 import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from .ndjson import RecordFormatError, encode_line, read_jsonl
+
 log = logging.getLogger(__name__)
-
-
-class ChainFormatError(ValueError):
-    """A chains file line that violates the schema; carries the line number."""
-
-    def __init__(self, line_no: int, reason: str):
-        self.line_no = line_no
-        self.reason = reason
-        super().__init__(f"line {line_no}: {reason}")
 
 
 class MissingContextError(ValueError):
@@ -167,18 +159,15 @@ class DelimiterConfig:
 
 
 def _parse_chain(record: dict, line_no: int) -> RevisionChain:
-    for key in ("chain_id", "debate_id", "claims", "intents"):
-        if key not in record:
-            raise ChainFormatError(line_no, f"missing key {key!r}")
     raw_claims = record["claims"]
     if not isinstance(raw_claims, list) or not raw_claims:
-        raise ChainFormatError(line_no, "claims must be a non-empty list")
+        raise RecordFormatError(line_no, "claims must be a non-empty list")
     claims = []
     for entry in raw_claims:
         if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
-            raise ChainFormatError(line_no, "each claim needs 'id' and 'text'")
+            raise RecordFormatError(line_no, "each claim needs 'id' and 'text'")
         if not str(entry["text"]).strip():
-            raise ChainFormatError(line_no, f"claim {entry['id']!r} has empty text")
+            raise RecordFormatError(line_no, f"claim {entry['id']!r} has empty text")
         claims.append(
             Claim(id=str(entry["id"]), text=str(entry["text"]), debate_id=str(record["debate_id"]))
         )
@@ -190,9 +179,9 @@ def _parse_chain(record: dict, line_no: int) -> RevisionChain:
         try:
             intents.append(IntentLabel(raw))
         except ValueError:
-            raise ChainFormatError(line_no, f"unknown intent {raw!r}") from None
+            raise RecordFormatError(line_no, f"unknown intent {raw!r}") from None
     if len(intents) != len(claims) - 1:
-        raise ChainFormatError(
+        raise RecordFormatError(
             line_no,
             f"{len(claims)} claims need {len(claims) - 1} intents, got {len(intents)}",
         )
@@ -211,31 +200,22 @@ def _parse_chain(record: dict, line_no: int) -> RevisionChain:
 def load_chains(path: str | Path) -> list[RevisionChain]:
     """Read a chains.jsonl file, validating every line.
 
-    Raises ChainFormatError naming the offending line on malformed JSON,
+    Raises RecordFormatError naming the offending line on malformed JSON,
     schema violations, empty claim texts, or duplicate ids.
     """
     chains: list[RevisionChain] = []
     seen_chain_ids: set[str] = set()
     seen_claim_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ChainFormatError(line_no, f"malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise ChainFormatError(line_no, "record must be a JSON object")
-            chain = _parse_chain(record, line_no)
-            if chain.chain_id in seen_chain_ids:
-                raise ChainFormatError(line_no, f"duplicate chain_id {chain.chain_id!r}")
-            seen_chain_ids.add(chain.chain_id)
-            for claim in chain.claims:
-                if claim.id in seen_claim_ids:
-                    raise ChainFormatError(line_no, f"duplicate claim id {claim.id!r}")
-                seen_claim_ids.add(claim.id)
-            chains.append(chain)
+    for line_no, rec in read_jsonl(path, required=("chain_id", "debate_id", "claims", "intents")):
+        chain = _parse_chain(rec, line_no)
+        if chain.chain_id in seen_chain_ids:
+            raise RecordFormatError(line_no, f"duplicate chain_id {chain.chain_id!r}")
+        seen_chain_ids.add(chain.chain_id)
+        for claim in chain.claims:
+            if claim.id in seen_claim_ids:
+                raise RecordFormatError(line_no, f"duplicate claim id {claim.id!r}")
+            seen_claim_ids.add(claim.id)
+        chains.append(chain)
     return chains
 
 
@@ -436,8 +416,7 @@ def pair_to_record(pair: OptimizationPair) -> dict:
 
 def write_pairs(pairs: Iterable[OptimizationPair], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair_to_record(pair), ensure_ascii=False) + "\n")
+        fh.writelines(encode_line(pair_to_record(pair)) for pair in pairs)
 
 
 def load_pairs(path: str | Path) -> list[OptimizationPair]:
@@ -448,67 +427,47 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
     pair-id convention when present.
     """
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ChainFormatError(line_no, f"malformed JSON ({exc.msg})") from None
-            for key in ("pair_id", "source", "reference", "intent"):
-                if key not in rec:
-                    raise ChainFormatError(line_no, f"missing key {key!r}")
-            pair_id = str(rec["pair_id"])
-            if "#" in pair_id:
-                chain_id, _, idx_text = pair_id.rpartition("#")
-                index = int(idx_text) if idx_text.isdigit() else 0
-            else:
-                chain_id, index = pair_id, 0
-            try:
-                intent = IntentLabel(rec["intent"])
-            except ValueError:
-                raise ChainFormatError(line_no, f"unknown intent {rec['intent']!r}") from None
-            pairs.append(
-                OptimizationPair(
-                    pair_id=pair_id,
-                    chain_id=chain_id,
-                    index=index,
-                    source=Claim(id=f"{pair_id}.src", text=rec["source"], debate_id=""),
-                    reference=Claim(id=f"{pair_id}.ref", text=rec["reference"], debate_id=""),
-                    intent=intent,
-                    context=ContextBundle(
-                        topic=rec.get("topic") or None,
-                        previous_claim=rec.get("previous_claim") or None,
-                    ),
-                )
+    for line_no, rec in read_jsonl(path, required=("pair_id", "source", "reference", "intent")):
+        pair_id = str(rec["pair_id"])
+        if "#" in pair_id:
+            chain_id, _, idx_text = pair_id.rpartition("#")
+            index = int(idx_text) if idx_text.isdigit() else 0
+        else:
+            chain_id, index = pair_id, 0
+        try:
+            intent = IntentLabel(rec["intent"])
+        except ValueError:
+            raise RecordFormatError(line_no, f"unknown intent {rec['intent']!r}") from None
+        pairs.append(
+            OptimizationPair(
+                pair_id=pair_id,
+                chain_id=chain_id,
+                index=index,
+                source=Claim(id=f"{pair_id}.src", text=rec["source"], debate_id=""),
+                reference=Claim(id=f"{pair_id}.ref", text=rec["reference"], debate_id=""),
+                intent=intent,
+                context=ContextBundle(
+                    topic=rec.get("topic") or None,
+                    previous_claim=rec.get("previous_claim") or None,
+                ),
             )
+        )
     return pairs
 
 
 def load_type_annotations(path: str | Path) -> list[TypeAnnotation]:
     """Read a types.jsonl sidecar of per-annotator optimization types."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ChainFormatError(line_no, f"malformed JSON ({exc.msg})") from None
-            for key in ("pair_id", "annotator", "types"):
-                if key not in rec:
-                    raise ChainFormatError(line_no, f"missing key {key!r}")
-            try:
-                types = frozenset(OptimizationType(t) for t in rec["types"])
-            except ValueError as exc:
-                raise ChainFormatError(line_no, str(exc)) from None
-            out.append(
-                TypeAnnotation(
-                    pair_id=str(rec["pair_id"]),
-                    annotator=str(rec["annotator"]),
-                    types=types,
-                )
+    for line_no, rec in read_jsonl(path, required=("pair_id", "annotator", "types")):
+        try:
+            types = frozenset(OptimizationType(t) for t in rec["types"])
+        except ValueError as exc:
+            raise RecordFormatError(line_no, str(exc)) from None
+        out.append(
+            TypeAnnotation(
+                pair_id=str(rec["pair_id"]),
+                annotator=str(rec["annotator"]),
+                types=types,
             )
+        )
     return out

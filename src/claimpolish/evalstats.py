@@ -15,7 +15,6 @@ ranks over ranking annotations, and Jaccard overlap of type sets.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import OptimizationType
+from .ndjson import RecordFormatError, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -394,9 +394,7 @@ FIELD_SCALES: dict[str, Scale] = {
 }
 
 
-def load_annotations(
-    path,
-) -> tuple[dict[str, AnnotationMatrix], list[RankAnnotation]]:
+def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnotation]]:
     """Read an annotations.jsonl file of Likert and ranking records.
 
     Likert records: ``{"item", "worker", "field", "value"}`` with field
@@ -406,45 +404,31 @@ def load_annotations(
     """
     likert: dict[str, dict[tuple[str, str], int]] = {}
     rankings: list[RankAnnotation] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            if "ranking" in rec:
-                for key in ("item", "worker"):
-                    if key not in rec:
-                        raise ValueError(f"line {line_no}: missing key {key!r}")
-                rankings.append(
-                    RankAnnotation(
-                        item=str(rec["item"]),
-                        worker=str(rec["worker"]),
-                        ranking=tuple(str(s) for s in rec["ranking"]),
-                    )
+    for line_no, rec in read_jsonl(path, required=("item", "worker")):
+        if "ranking" in rec:
+            rankings.append(
+                RankAnnotation(
+                    item=str(rec["item"]),
+                    worker=str(rec["worker"]),
+                    ranking=tuple(str(s) for s in rec["ranking"]),
                 )
-                continue
-            for key in ("item", "worker", "field", "value"):
-                if key not in rec:
-                    raise ValueError(f"line {line_no}: missing key {key!r}")
-            fld = rec["field"]
-            if fld not in FIELD_SCALES:
-                raise ValueError(f"line {line_no}: unknown field {fld!r}")
-            key_pair = (str(rec["item"]), str(rec["worker"]))
-            bucket = likert.setdefault(fld, {})
-            if key_pair in bucket:
-                raise ValueError(
-                    f"line {line_no}: duplicate {fld} annotation for {key_pair}"
-                )
-            value = rec["value"]
-            lo, hi = FIELD_SCALES[fld].bounds  # type: ignore[misc]
-            if not isinstance(value, int) or not lo <= value <= hi:
-                raise ValueError(
-                    f"line {line_no}: {fld} value {value!r} outside [{lo}, {hi}]"
-                )
-            bucket[key_pair] = value
+            )
+            continue
+        for key in ("field", "value"):
+            if key not in rec:
+                raise RecordFormatError(line_no, f"missing key {key!r}")
+        fld = rec["field"]
+        if fld not in FIELD_SCALES:
+            raise RecordFormatError(line_no, f"unknown field {fld!r}")
+        key_pair = (str(rec["item"]), str(rec["worker"]))
+        bucket = likert.setdefault(fld, {})
+        if key_pair in bucket:
+            raise RecordFormatError(line_no, f"duplicate {fld} annotation for {key_pair}")
+        value = rec["value"]
+        lo, hi = FIELD_SCALES[fld].bounds  # type: ignore[misc]
+        if not isinstance(value, int) or not lo <= value <= hi:
+            raise RecordFormatError(line_no, f"{fld} value {value!r} outside [{lo}, {hi}]")
+        bucket[key_pair] = value
     matrices = {
         fld: AnnotationMatrix.from_labels(labels, scale=FIELD_SCALES[fld])
         for fld, labels in likert.items()

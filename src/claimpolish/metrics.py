@@ -34,6 +34,10 @@ from .text import normalize_whitespace, tokenize
 # 1.0 on the 0-100 scale.
 _BLEU_EPS = 0.01
 
+# Allowed ``bleu_mode`` and SARI ``variant`` values; the first is the default.
+BLEU_MODES = ("sentence", "corpus")
+SARI_VARIANTS = ("canonical", "all_f1")
+
 
 @dataclass(frozen=True)
 class EvalInstance:
@@ -139,11 +143,11 @@ def sentence_bleu(output: str, references: Sequence[str]) -> float:
 def _bleu_part(output: str, references: Sequence[str], mode: str) -> float | list[int]:
     """One instance's share of corpus BLEU: its sentence BLEU in
     ``"sentence"`` mode, its BLEU counts in ``"corpus"`` mode."""
+    if mode not in BLEU_MODES:
+        raise ValueError(f"unknown bleu mode {mode!r}")
     if mode == "sentence":
         return sentence_bleu(output, references)
-    if mode == "corpus":
-        return _bleu_counts(tokenize(output), [tokenize(r) for r in references])
-    raise ValueError(f"unknown bleu mode {mode!r}")
+    return _bleu_counts(tokenize(output), [tokenize(r) for r in references])
 
 
 def _bleu_total(parts: Sequence, mode: str) -> float:
@@ -259,7 +263,7 @@ def sari(
     precision; ``"all_f1"`` scores delete by F1 as well. In both, a
     ratio with an empty denominator counts as 1.
     """
-    if variant not in ("canonical", "all_f1"):
+    if variant not in SARI_VARIANTS:
         raise ValueError(f"unknown sari variant {variant!r}")
     if not references:
         raise ValueError("references must be non-empty")

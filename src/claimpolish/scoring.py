@@ -17,7 +17,6 @@ are mapped affinely onto [0, 1], which for cosine-style scorers on
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Sequence
@@ -29,7 +28,7 @@ import numpy as np
 
 from .corpus import ContextBundle, RevisionChain
 from .embedding import Embedder, cosine
-from .ndjson import NdjsonChild
+from .ndjson import NdjsonChild, read_json, write_json
 from .text import normalize_whitespace, tokenize
 
 log = logging.getLogger(__name__)
@@ -448,14 +447,11 @@ def save_weights(
         payload["pearson_r"] = pearson_r
     if grid_step is not None:
         payload["grid_step"] = grid_step
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_weights(path: str | Path) -> Weights:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     for key in ("alpha", "beta", "gamma"):
         if key not in payload:
             raise ValueError(f"weights file {path} missing {key!r}")

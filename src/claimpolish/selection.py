@@ -11,7 +11,6 @@ of the decision score.
 from __future__ import annotations
 
 import enum
-import json
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 
 from .embedding import Embedder, HashingEmbedder
 from .genkit import Candidate, CandidateSet
+from .ndjson import read_json, write_json
 from .scoring import ScoreVector, Weights, autoscore
 
 
@@ -199,14 +199,11 @@ def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
         },
         "training_meta": ranker.training_meta,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_ranker(path: str | Path) -> PairwiseRanker:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     emb = payload.get("embedder", {})
     if emb.get("kind") != "hashing":
         raise ValueError(f"unsupported embedder kind {emb.get('kind')!r}")

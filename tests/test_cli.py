@@ -276,6 +276,57 @@ def test_run_pairwise_needs_ranker_source(tmp_path, pairs_file, capsys):
     assert "ranker" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, content, named",
+    [
+        (["run", "--pairs", "{bad}"], "5", "line 1"),
+        (["stats", "--annotations", "{bad}"], "5", "line 1"),
+        (["report", "--selections", "{bad}", "--pairs", "{pairs}"], "[1]", "line 1"),
+        (["run", "--pairs", "{pairs}", "--weights", "{bad}"], "5", "bad.json"),
+        (
+            ["run", "--pairs", "{pairs}", "--strategies", "pairwise_rank", "--ranker", "{bad}"],
+            "[]",
+            "bad.json",
+        ),
+    ],
+    ids=["run-pairs", "stats-annotations", "report-selections", "run-weights", "run-ranker"],
+)
+def test_non_object_input_exits_two(tmp_path, pairs_file, capsys, argv, content, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content + "\n")
+    argv = [arg.format(bad=bad, pairs=pairs_file) for arg in argv]
+    assert run_cli(*argv, "--out", tmp_path / "o") == 2
+    assert f"{named}: record must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("run", "context", "full"),
+        ("run", "bleu_mode", "pooled"),
+        ("run", "sari_variant", "f1"),
+        ("report", "bleu_mode", "pooled"),
+        ("report", "sari_variant", "f1"),
+    ],
+)
+def test_bad_config_value_exits_two_before_any_output(
+    tmp_path, pairs_file, capsys, command, key, value
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--pairs", pairs_file, "--out", out]
+    if command == "report":
+        pair_id = read_rows(pairs_file)[0]["pair_id"]
+        sel = tmp_path / "selections.jsonl"
+        sel.write_text(json.dumps({"pair_id": pair_id, "strategy": "top1", "chosen": "x"}) + "\n")
+        argv += ["--selections", sel]
+    assert run_cli(*argv) == 2
+    assert f"unknown {key} {value!r}" in capsys.readouterr().err
+    assert not (out / "selections.jsonl").exists()
+    assert not (out / "report.json").exists()
+
+
 def _stdio_generator_script(tmp_path):
     """NDJSON generator that refuses any input containing BROKEN."""
     script = tmp_path / "gen.py"
@@ -529,6 +580,14 @@ def test_report_rejects_empty_overlap(tmp_path, pairs_file, capsys):
     code = run_cli("report", "--selections", sel, "--pairs", pairs_file, "--out", tmp_path / "o")
     assert code == 2
     assert "every strategy" in capsys.readouterr().err
+
+
+def test_report_rejects_selection_missing_key(tmp_path, pairs_file, capsys):
+    sel = tmp_path / "selections.jsonl"
+    sel.write_text(json.dumps({"strategy": "top1", "chosen": "x"}) + "\n")
+    code = run_cli("report", "--selections", sel, "--pairs", pairs_file, "--out", tmp_path / "o")
+    assert code == 2
+    assert "error: line 1: missing key 'pair_id'" in capsys.readouterr().err
 
 
 def test_manifest_fingerprints_inputs(run_dir, pairs_file):

@@ -4,7 +4,6 @@ import pytest
 
 from claimpolish.corpus import (
     ASSIGNABLE_INTENTS,
-    ChainFormatError,
     Claim,
     ContextBundle,
     ContextMode,
@@ -27,6 +26,7 @@ from claimpolish.corpus import (
     split_dataset,
     write_pairs,
 )
+from claimpolish.ndjson import RecordFormatError
 
 from conftest import make_chain_records, make_synthetic_pairs
 
@@ -58,7 +58,7 @@ def test_load_chains_roundtrip(tmp_path, chains_file):
 def test_load_chains_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_lines(path, ['{"chain_id": "a"', ""])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_chains(path)
     assert "line 1" in str(err.value)
 
@@ -66,7 +66,7 @@ def test_load_chains_rejects_malformed_json(tmp_path):
 def test_load_chains_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_lines(path, [json.dumps({"chain_id": "a", "debate_id": "d", "claims": []})])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_chains(path)
     assert "intents" in str(err.value)
 
@@ -80,7 +80,7 @@ def test_load_chains_rejects_empty_claim_text(tmp_path):
         "intents": [],
     }
     write_lines(path, [json.dumps(rec)])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_chains(path)
     assert "empty text" in str(err.value)
 
@@ -94,7 +94,7 @@ def test_load_chains_rejects_intent_count_mismatch(tmp_path):
         "intents": ["clarification", "links"],
     }
     write_lines(path, [json.dumps(rec)])
-    with pytest.raises(ChainFormatError):
+    with pytest.raises(RecordFormatError):
         load_chains(path)
 
 
@@ -107,7 +107,7 @@ def test_load_chains_rejects_unknown_intent(tmp_path):
         "intents": ["rewrite_everything"],
     }
     write_lines(path, [json.dumps(rec)])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_chains(path)
     assert "rewrite_everything" in str(err.value)
 
@@ -135,7 +135,7 @@ def test_load_chains_rejects_duplicate_chain_id(tmp_path):
     }
     rec2 = dict(rec, claims=[{"id": "y", "text": "two"}])
     write_lines(path, [json.dumps(rec), json.dumps(rec2)])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_chains(path)
     assert "line 2" in str(err.value) and "duplicate chain_id" in str(err.value)
 
@@ -155,7 +155,7 @@ def test_load_chains_rejects_duplicate_claim_id(tmp_path):
         "intents": [],
     }
     write_lines(path, [json.dumps(rec), json.dumps(rec2)])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_chains(path)
     assert "duplicate claim id" in str(err.value)
 
@@ -435,7 +435,7 @@ def test_pairs_roundtrip(tmp_path):
 def test_load_pairs_rejects_missing_keys(tmp_path):
     path = tmp_path / "pairs.jsonl"
     write_lines(path, [json.dumps({"pair_id": "a#0", "source": "s"})])
-    with pytest.raises(ChainFormatError) as err:
+    with pytest.raises(RecordFormatError) as err:
         load_pairs(path)
     assert "reference" in str(err.value)
 
@@ -467,5 +467,5 @@ def test_load_type_annotations_rejects_unknown_type(tmp_path):
         path,
         [json.dumps({"pair_id": "a#0", "annotator": "w1", "types": ["beautify"]})],
     )
-    with pytest.raises(ChainFormatError):
+    with pytest.raises(RecordFormatError):
         load_type_annotations(path)

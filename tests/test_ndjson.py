@@ -2,7 +2,29 @@ import sys
 
 import pytest
 
-from claimpolish.ndjson import NdjsonChild
+from claimpolish.ndjson import NdjsonChild, RecordFormatError, read_jsonl, write_json
+
+
+def test_read_jsonl_reports_physical_line_after_blank_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n[2]\n')
+    records = read_jsonl(path)
+    assert next(records) == (1, {"a": 1})
+    with pytest.raises(RecordFormatError) as err:
+        next(records)
+    assert err.value.line_no == 3
+    assert str(err.value) == "line 3: record must be a JSON object"
+
+
+def test_write_json_keeps_old_bytes_when_payload_fails(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(path, {"b": 1, "a": [1.5]})
+    before = path.read_bytes()
+    assert before == b'{\n  "a": [\n    1.5\n  ],\n  "b": 1\n}\n'
+    with pytest.raises(TypeError):
+        write_json(path, {"a": object()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_child_is_spawned_on_first_use(tmp_path):
