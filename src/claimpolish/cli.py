@@ -510,9 +510,13 @@ def cmd_run(config: dict[str, str]) -> int:
             sel_fh.flush()
             done_instances.append(i)
 
+    errors_path = out / "errors.jsonl"
     if errors:
-        with open(out / "errors.jsonl", "w", encoding="utf-8") as fh:
+        with open(errors_path, "w", encoding="utf-8") as fh:
             fh.writelines(encode_line(rec) for rec in errors)
+    else:
+        # an earlier run's failures would contradict this run's report
+        errors_path.unlink(missing_ok=True)
 
     artifacts = [selections_path]
     if done_instances:

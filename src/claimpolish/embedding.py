@@ -30,6 +30,9 @@ class HashingEmbedder:
             raise ValueError("dim must be >= 2")
         self.dim = dim
         self._key = seed.to_bytes(8, "little", signed=True)
+        # token -> (slot, sign); the keyed hash is deterministic, so a
+        # remembered slot is the one a fresh hash would give
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def _slot(self, token: str) -> tuple[int, float]:
         digest = hashlib.blake2b(token.encode("utf-8"), key=self._key, digest_size=8).digest()
@@ -41,9 +44,12 @@ class HashingEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.float64)
+        slots = self._slots
         for token in tokenize(text):
-            index, sign = self._slot(token)
-            vec[index] += sign
+            slot = slots.get(token)
+            if slot is None:
+                slot = slots[token] = self._slot(token)
+            vec[slot[0]] += slot[1]
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm

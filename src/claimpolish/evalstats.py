@@ -406,6 +406,8 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
     rankings: list[RankAnnotation] = []
     for line_no, rec in read_jsonl(path, required=("item", "worker")):
         if "ranking" in rec:
+            if not isinstance(rec["ranking"], list):
+                raise RecordFormatError(line_no, "ranking must be a list")
             rankings.append(
                 RankAnnotation(
                     item=str(rec["item"]),

@@ -23,7 +23,9 @@ import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from .corpus import ContextBundle, MissingContextError
 from .embedding import Embedder, cosine
@@ -85,25 +87,42 @@ def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
+# Texts whose analysis ``_analyse`` keeps: more than one instance's source,
+# references and distinct outputs, so every row of the instance being
+# scored reuses them, and few enough that the cache stays small.
+_ANALYSE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_ANALYSE_CACHE_SIZE)
+def _analyse(text: str) -> tuple[tuple[str, ...], tuple[Counter, ...]]:
+    """Tokens of ``text`` and its order-1 to order-4 n-gram Counters.
+
+    Every caller gets the same objects, so none may mutate the Counters.
+    """
+    tokens = tuple(tokenize(text))
+    return tokens, tuple(Counter(_ngrams(tokens, n)) for n in range(1, 5))
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
-def _bleu_counts(hyp: Sequence[str], refs: Sequence[Sequence[str]]) -> list[int]:
+def _bleu_counts(output: str, references: Sequence[str]) -> list[int]:
     """Clipped matches and hypothesis n-gram totals for orders 1-4, then
     the hypothesis length c and the closest reference length r: the
     counts that corpus BLEU sums over instances."""
+    hyp, hyp_grams = _analyse(output)
+    refs = [_analyse(ref) for ref in references]
     clipped, totals = [], []
-    for n in range(1, 5):
-        hyp_grams = Counter(_ngrams(hyp, n))
+    for n in range(4):
         max_ref: Counter = Counter()
-        for ref in refs:
-            for gram, count in Counter(_ngrams(ref, n)).items():
+        for _, ref_grams in refs:
+            for gram, count in ref_grams[n].items():
                 if count > max_ref[gram]:
                     max_ref[gram] = count
-        clipped.append(sum(min(count, max_ref[gram]) for gram, count in hyp_grams.items()))
-        totals.append(sum(hyp_grams.values()))
+        clipped.append(sum(min(count, max_ref[gram]) for gram, count in hyp_grams[n].items()))
+        totals.append(sum(hyp_grams[n].values()))
     c = len(hyp)
-    r = min((len(ref) for ref in refs), key=lambda length: (abs(length - c), length))
+    r = min((len(tokens) for tokens, _ in refs), key=lambda length: (abs(length - c), length))
     return [*clipped, *totals, c, r]
 
 
@@ -133,11 +152,9 @@ def sentence_bleu(output: str, references: Sequence[str]) -> float:
     Brevity penalty uses the reference length closest to the
     hypothesis length (ties toward the shorter reference).
     """
-    hyp = tokenize(output)
-    refs = [tokenize(r) for r in references]
-    if not hyp or not refs:
+    if not references or not _analyse(output)[0]:
         return 0.0
-    return _bleu_from_counts(_bleu_counts(hyp, refs))
+    return _bleu_from_counts(_bleu_counts(output, references))
 
 
 def _bleu_part(output: str, references: Sequence[str], mode: str) -> float | list[int]:
@@ -147,7 +164,7 @@ def _bleu_part(output: str, references: Sequence[str], mode: str) -> float | lis
         raise ValueError(f"unknown bleu mode {mode!r}")
     if mode == "sentence":
         return sentence_bleu(output, references)
-    return _bleu_counts(tokenize(output), [tokenize(r) for r in references])
+    return _bleu_counts(output, references)
 
 
 def _bleu_total(parts: Sequence, mode: str) -> float:
@@ -169,25 +186,24 @@ def bleu(instances: Sequence[EvalInstance], mode: str = "sentence") -> float:
 # ROUGE-L
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # single-row dynamic program
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        current = [0]
-        for j, tok_b in enumerate(b, start=1):
-            if tok_a == tok_b:
-                current.append(prev[j - 1] + 1)
-            else:
-                current.append(max(prev[j], current[j - 1]))
-        prev = current
-    return prev[-1]
+    """Length of the longest common subsequence, bit-parallel (Allison and
+    Dix 1986; Hyyrö 2004): bit j of ``row`` is 0 where the DP row steps
+    up at b[j], so the LCS is the count of zero bits after the last token."""
+    matches: dict[str, int] = {}
+    for j, token in enumerate(b):
+        matches[token] = matches.get(token, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    row = full
+    for token in a:
+        hit = row & matches.get(token, 0)
+        row = ((row + hit) | (row - hit)) & full
+    return len(b) - row.bit_count()
 
 
 def rouge_l(output: str, reference: str) -> float:
     """LCS-based F-measure over tokens."""
-    out_tokens = tokenize(output)
-    ref_tokens = tokenize(reference)
+    out_tokens = _analyse(output)[0]
+    ref_tokens = _analyse(reference)[0]
     if not out_tokens or not ref_tokens:
         raise ValueError("both texts must be non-empty")
     lcs = _lcs_length(out_tokens, ref_tokens)
@@ -210,12 +226,12 @@ def _ratio_sum(good: Counter, denom: Counter) -> float:
 
 
 def _sari_order(
-    s_grams: list, o_grams: list, ref_gram_lists: list[list], numref: int, variant: str
+    s_grams: Counter, o_grams: Counter, ref_grams: list[Counter], numref: int, variant: str
 ) -> tuple[float, float, float]:
-    s_rep = Counter({g: c * numref for g, c in Counter(s_grams).items()})
-    o_rep = Counter({g: c * numref for g, c in Counter(o_grams).items()})
+    s_rep = Counter({g: c * numref for g, c in s_grams.items()})
+    o_rep = Counter({g: c * numref for g, c in o_grams.items()})
     r_pool: Counter = Counter()
-    for grams in ref_gram_lists:
+    for grams in ref_grams:
         r_pool.update(grams)
 
     # keep: n-grams retained from the source
@@ -267,18 +283,14 @@ def sari(
         raise ValueError(f"unknown sari variant {variant!r}")
     if not references:
         raise ValueError("references must be non-empty")
-    s_tokens = tokenize(source)
-    o_tokens = tokenize(output)
-    ref_tokens = [tokenize(r) for r in references]
+    s_grams = _analyse(source)[1]
+    o_grams = _analyse(output)[1]
+    ref_grams = [_analyse(r)[1] for r in references]
     numref = len(references)
     keep_total = delete_total = add_total = 0.0
-    for n in range(1, 5):
+    for n in range(4):
         keep, delete, add = _sari_order(
-            _ngrams(s_tokens, n),
-            _ngrams(o_tokens, n),
-            [_ngrams(rt, n) for rt in ref_tokens],
-            numref,
-            variant,
+            s_grams[n], o_grams[n], [grams[n] for grams in ref_grams], numref, variant
         )
         keep_total += keep
         delete_total += delete
@@ -383,24 +395,30 @@ def evaluate_run(
 
     Strategies often choose the same output for an instance, so each
     distinct (instance index, output) row is scored once and shared.
+    Rows are scored one instance at a time, so the texts of that
+    instance are tokenized and embedded once for all its rows.
     """
     if not instances:
         raise ValueError("empty instance list")
-    rows: dict[tuple[int, str], _Row] = {}
-    reports = {}
     for strategy, texts in outputs.items():
         if len(texts) != len(instances):
             raise ValueError(
                 f"strategy {strategy!r}: {len(texts)} outputs for {len(instances)} instances"
             )
-        keys = list(enumerate(texts))
-        for i, text in keys:
-            if (i, text) not in rows:
-                rows[i, text] = _score_row(
-                    replace(instances[i], output=text), embedder, bleu_mode, sari_variant
+    rows: dict[tuple[int, str], _Row] = {}
+    for i, instance in enumerate(instances):
+        # keyed on the text alone, so any embedder works, hashable or not;
+        # dropped after the instance, so it holds only that instance's texts
+        instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
+        for texts in outputs.values():
+            if (i, texts[i]) not in rows:
+                rows[i, texts[i]] = _score_row(
+                    replace(instance, output=texts[i]), instance_embedder, bleu_mode, sari_variant
                 )
-        reports[strategy] = _aggregate([rows[key] for key in keys], bleu_mode)
-    return reports
+    return {
+        strategy: _aggregate([rows[key] for key in enumerate(texts)], bleu_mode)
+        for strategy, texts in outputs.items()
+    }
 
 
 CSV_COLUMNS = ("strategy", "BLEU", "RougeL", "SARI", "NoEd", "ExM")

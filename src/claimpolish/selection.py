@@ -207,6 +207,11 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
     emb = payload.get("embedder", {})
     if emb.get("kind") != "hashing":
         raise ValueError(f"unsupported embedder kind {emb.get('kind')!r}")
+    for key in ("dim", "seed"):
+        if key not in emb:
+            raise ValueError(f"{path}: missing key 'embedder.{key}'")
+    if "weight_vector" not in payload:
+        raise ValueError(f"{path}: missing key 'weight_vector'")
     embedder = HashingEmbedder(dim=int(emb["dim"]), seed=int(emb["seed"]))
     weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
     if weight_vector.shape != (embedder.dim,):

@@ -299,6 +299,28 @@ def test_non_object_input_exits_two(tmp_path, pairs_file, capsys, argv, content,
     assert f"{named}: record must be a JSON object" in capsys.readouterr().err
 
 
+def test_stats_non_list_ranking_exits_two(tmp_path, capsys):
+    bad = tmp_path / "annotations.jsonl"
+    bad.write_text('{"item": "a", "worker": "w", "ranking": 5}\n')
+    assert run_cli("stats", "--annotations", bad, "--out", tmp_path / "o") == 2
+    assert "error: line 1: ranking must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["weight_vector", "embedder.dim", "embedder.seed"])
+def test_run_ranker_missing_key_exits_two(tmp_path, pairs_file, capsys, missing):
+    payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
+    owner = payload["embedder"] if missing.startswith("embedder.") else payload
+    del owner[missing.removeprefix("embedder.")]
+    ranker = tmp_path / "ranker.json"
+    ranker.write_text(json.dumps(payload))
+    code = run_cli(
+        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
+        "--strategies", "pairwise_rank", "--ranker", ranker,
+    )
+    assert code == 2
+    assert f"ranker.json: missing key '{missing}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -368,6 +390,27 @@ def test_run_instance_failure_exits_one(tmp_path, pairs_file, capsys, monkeypatc
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["n_instances"] == 3
     assert report["metadata"]["n_errors"] == 1
+
+
+def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
+    pairs = make_synthetic_pairs(4, seed=3)
+    pairs[2] = dataclasses.replace(
+        pairs[2], source=dataclasses.replace(pairs[2].source, text="BROKEN claim here")
+    )
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, pairs_path)
+    out = tmp_path / "o"
+    argv = ("run", "--pairs", pairs_path, "--out", out, "--seed", 1, "--strategies", "unedited,top1")
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _stdio_generator_script(tmp_path))
+    assert run_cli(*argv) == 1
+    assert (out / "errors.jsonl").is_file()
+    # the mock generator completes the failed instance on resume
+    monkeypatch.delenv("CLAIMPOLISH_GENERATOR_CMD")
+    assert run_cli(*argv) == 0
+    assert not (out / "errors.jsonl").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["metadata"]["n_errors"] == 0
+    assert report["metadata"]["n_instances"] == 4
 
 
 def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):

@@ -22,6 +22,17 @@ def test_embedding_is_deterministic_across_instances():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dim, seed", [(2, 0), (64, 3), (256, -7), (1000, 2**40)])
+def test_warm_embedder_equals_fresh_one(dim, seed):
+    texts = ["the tax helps towns", "Schools need funding!", "the towns need the tax", ""]
+    warm = HashingEmbedder(dim=dim, seed=seed)
+    for text in texts:
+        warm.embed(text)
+    for text in texts + ["new words, old tax"]:
+        fresh = HashingEmbedder(dim=dim, seed=seed).embed(text)
+        assert warm.embed(text).tobytes() == fresh.tobytes()
+
+
 def test_embedding_seed_changes_vectors():
     a = HashingEmbedder(dim=64, seed=0).embed("the tax helps")
     b = HashingEmbedder(dim=64, seed=1).embed("the tax helps")

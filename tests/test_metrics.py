@@ -1,5 +1,7 @@
 import csv
 import math
+import random
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -137,6 +139,46 @@ def test_rouge_l_rejects_empty():
         rouge_l("a", "   ")
 
 
+def _lcs_length_dp(a, b):
+    """The textbook single-row dynamic program: the reference for
+    ``metrics._lcs_length``."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for tok_a in a:
+        current = [0]
+        for j, tok_b in enumerate(b, start=1):
+            if tok_a == tok_b:
+                current.append(prev[j - 1] + 1)
+            else:
+                current.append(max(prev[j], current[j - 1]))
+        prev = current
+    return prev[-1]
+
+
+def test_lcs_length_matches_dynamic_program():
+    rng = random.Random(11)
+    cases = [
+        ([], []),
+        ([], ["a"]),
+        (["a"], []),
+        (["a"], ["a"]),
+        (["a"], ["b"]),
+        (["a"] * 7, ["a"] * 3),
+        (["a", "b", "c"], ["x", "y", "z"]),
+    ]
+    for _ in range(3000):
+        vocab = [str(v) for v in range(rng.randint(1, 12))]
+        cases.append(
+            (
+                rng.choices(vocab, k=rng.randint(0, 40)),
+                rng.choices(vocab, k=rng.randint(0, 90)),
+            )
+        )
+    for a, b in cases:
+        assert metrics._lcs_length(a, b) == _lcs_length_dp(a, b), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # SARI
 
@@ -187,6 +229,28 @@ def test_sari_multi_reference_replication_changes_score():
     two_refs = sari("a b", "a c", ["a c", "a b"])
     assert one_ref == pytest.approx(100.0, abs=1e-9)
     assert two_refs < one_ref
+
+
+def test_repeated_calls_give_equal_results():
+    # the primitives share cached n-gram Counters; a caller that mutated
+    # one would change the second result
+    source, output = "the tax helps the towns", "the new tax helps towns a lot"
+    refs = ["the tax helps towns", "a new tax helps the towns"]
+    for call in (
+        lambda: sari(source, output, refs),
+        lambda: sari(source, output, refs, variant="all_f1"),
+        lambda: sentence_bleu(output, refs),
+        lambda: rouge_l(output, refs[1]),
+        lambda: bleu([inst(source, output, refs)], mode="corpus"),
+    ):
+        assert call() == call()
+
+
+def test_text_analysis_cache_stays_bounded():
+    for k in range(1000):
+        sari(f"source {k}", f"output {k} words", [f"reference {k}"])
+    info = metrics._analyse.cache_info()
+    assert info.currsize <= info.maxsize == metrics._ANALYSE_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +381,61 @@ def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
     )
     assert reports["unedited"] == reports["copy"]
     assert reports["oracle"] != reports["unedited"]
+
+
+@dataclass
+class _ListEmbedder:
+    """A custom embedder that is unhashable, as every ``@dataclass`` with
+    ``eq`` is."""
+
+    inner: HashingEmbedder
+    dim: int = 128
+    calls: list = field(default_factory=list)
+
+    def embed(self, text):
+        self.calls.append(text)
+        return self.inner.embed(text)
+
+
+def test_evaluate_run_accepts_unhashable_embedder():
+    instances = _instances()
+    outputs = {
+        "unedited": [i.source for i in instances],
+        "oracle": [i.references[0] for i in instances],
+        "again": [i.references[0] for i in instances],
+    }
+    custom = _ListEmbedder(HashingEmbedder(dim=128))
+    with pytest.raises(TypeError):
+        hash(custom)
+    assert evaluate_run(instances, outputs, custom) == evaluate_run(instances, outputs, EMB)
+    # each text of an instance is embedded once: source, context fields
+    # and the distinct outputs that are not the source
+    first, second = instances
+    assert custom.calls == [
+        first.source, first.context.previous_claim, first.context.topic, first.references[0],
+        second.source, second.context.topic, second.references[0],
+    ]
+
+
+def test_evaluate_run_multi_reference_equals_primitives():
+    instances = [
+        inst(
+            "the tax helps towns",
+            "placeholder",
+            ["the tax helps towns overall", "a tax that helps the towns", "taxes help"],
+            topic="local taxes",
+        ),
+        inst("schools need funding", "placeholder", ["schools need more funding", "fund schools"]),
+    ]
+    texts = ["the new tax helps towns", "schools need funding"]
+    report = evaluate_run(instances, {"x": texts}, EMB)["x"]
+    rows = [(i, text) for i, text in zip(instances, texts)]
+    assert report.bleu == 100.0 * sum(sentence_bleu(t, i.references) for i, t in rows) / 2
+    assert report.rouge_l == sum(max(rouge_l(t, r) for r in i.references) for i, t in rows) / 2
+    assert report.sari == sum(sari(i.source, t, i.references) for i, t in rows) / 2
+    assert report.sim_original == sum(context_similarity(t, i.source, EMB) for i, t in rows) / 2
+    assert report.sim_topic == context_similarity(texts[0], "local taxes", EMB)
+    assert report.sim_previous is None
 
 
 def test_evaluate_run_rejects_misaligned_outputs():
