@@ -11,7 +11,9 @@ manifest.json fingerprinting inputs and emitted artifacts.
 Config files are plain ``key = value`` lines (# comments). CLI flags
 override file values. Environment variables override adapter command
 paths only: CLAIMPOLISH_GENERATOR_CMD, CLAIMPOLISH_FLUENCY_CMD,
-CLAIMPOLISH_MEANING_CMD, CLAIMPOLISH_ARGUMENT_CMD.
+CLAIMPOLISH_MEANING_CMD, CLAIMPOLISH_ARGUMENT_CMD. ``_SETTINGS`` holds
+each command's keys with their types and defaults; it also generates
+the flags. A key that no command reads is an error.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .genkit import (
     make_schedule,
 )
 from .metrics import BLEU_MODES, SARI_VARIANTS, EvalInstance, evaluate_run, write_report_csv
-from .ndjson import decode_line, encode_line, read_jsonl, write_json
+from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
 from .scoring import (
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
@@ -103,6 +105,103 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse_strategies(text: str) -> tuple[Strategy, ...]:
+    if not text or text == "all":
+        return tuple(Strategy)
+    strategies = tuple(Strategy(name.strip()) for name in text.split(",") if name.strip())
+    if not strategies:
+        raise ValueError("empty strategy list")
+    return strategies
+
+
+def _parse_intents(text: str) -> frozenset[IntentLabel]:
+    if not text:
+        return TASK_INTENTS
+    return frozenset(IntentLabel(v.strip()) for v in text.split(","))
+
+
+def _parse_strategy_pairs(text: str) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for spec_pair in text.split(",") if text else ():
+        a, _, b = spec_pair.strip().partition(":")
+        if not a or not b:
+            raise ValueError(f"bad strategy pair {spec_pair!r} (want A:B)")
+        pairs.append((a, b))
+    return tuple(pairs)
+
+
+# Each command's config keys: key -> (parse, default, flag help). A tuple
+# parse lists the allowed values, the default first. A key whose help is
+# None is read from the config file only. Flags keep argparse's int and
+# float types, so a flag's config string (and the config hash) is the
+# converted value's str.
+_SHARED = {"seed": (int, 0, "random seed"), "out": (str, None, "output directory")}
+_EMBEDDER = {"embed_dim": (int, 256, None), "embed_seed": (int, 0, None)}
+_METRICS = {
+    "bleu_mode": (BLEU_MODES, BLEU_MODES[0], None),
+    "sari_variant": (SARI_VARIANTS, SARI_VARIANTS[0], None),
+}
+_SCORERS = {
+    key: (str, "heuristic", None) for key in ("fluency_scorer", "meaning_scorer", "argument_scorer")
+}
+
+_SETTINGS = {
+    "prepare": {
+        **_SHARED,
+        "chains": (str, None, "chains.jsonl input"),
+        "per_label_test": (int, 200, "test pairs per intent label"),
+        "train_fraction": (float, 0.9, "share of the rest that goes to train"),
+        "granularity": (("chain", "pair"), "chain", "keep a chain's pairs in one split or not"),
+        "labeler": (("majority", "none"), "majority", None),
+        "filter_intents": (_parse_intents, TASK_INTENTS, None),
+    },
+    "run": {
+        **_SHARED,
+        "pairs": (str, None, "test pairs.jsonl"),
+        "context": (tuple(_CONTEXT_FLAG), "none", "debate context in the generator input"),
+        "strategies": (_parse_strategies, tuple(Strategy), "comma list or 'all'"),
+        "n_candidates": (int, 10, "candidates generated per pair"),
+        "weights": (str, None, "weights.json from calibrate"),
+        "train_pairs": (str, None, "pairs for ranker training"),
+        "ranker": (str, None, "previously trained ranker.json"),
+        "ranker_seed": (int, None, None),  # None: the run's seed
+        "generator": (str, "mock", None),
+        "prev_delimiter": (str, "<PREV>", None),
+        "topic_delimiter": (str, "<TOPIC>", None),
+        **_SCORERS,
+        **_EMBEDDER,
+        **_METRICS,
+    },
+    "calibrate": {
+        **_SHARED,
+        "chains": (str, None, "validation chains.jsonl"),
+        "grid_step": (float, 0.01, "weight grid step"),
+        "range_lo": (float, 0.01, "smallest weight on the grid"),
+        "range_hi": (float, 0.98, "largest weight on the grid"),
+        "aggregation": (("pooled", "per_chain"), "pooled", "correlate all steps or per chain"),
+        **_SCORERS,
+        **_EMBEDDER,
+    },
+    "stats": {
+        **_SHARED,
+        "annotations": (str, None, "annotations.jsonl"),
+        "mode": (("all", "aggregate", "agreement", "ranks"), "all", "which analyses to run"),
+        "strategy_pairs": (_parse_strategy_pairs, (), "A:B,C:D pairs to test"),
+        "mace_iterations": (int, 50, None),
+        "mace_restarts": (int, 10, None),
+        "mace_smoothing": (float, 0.1, None),
+        "competence_threshold": (float, 0.3, None),
+    },
+    "report": {
+        **_SHARED,
+        "selections": (str, None, "selections.jsonl from a run"),
+        "pairs": (str, None, "the pairs file the run used"),
+        **_EMBEDDER,
+        **_METRICS,
+    },
+}
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -132,6 +231,33 @@ def _merge_config(args: argparse.Namespace) -> dict[str, str]:
         if os.environ.get(env):
             merged[key] = os.environ[env]
     return merged
+
+
+def _settings(command: str, config: dict[str, str]) -> dict:
+    """``command``'s keys parsed from ``config``, defaults filled in.
+
+    Keys that only other commands read are ignored, so one file can
+    serve the whole pipeline; ConfigError names an unknown key or a bad
+    value's key.
+    """
+    for key in config:
+        if not any(key in table for table in _SETTINGS.values()):
+            raise ConfigError(f"unknown config key {key!r}")
+    settings = {}
+    for key, (parse, default, _) in _SETTINGS[command].items():
+        value = config.get(key)
+        if value is None:
+            settings[key] = default
+        elif isinstance(parse, tuple):
+            if value not in parse:
+                raise ConfigError(f"unknown {key} {value!r} (choose from {', '.join(parse)})")
+            settings[key] = value
+        else:
+            try:
+                settings[key] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    return settings
 
 
 def _config_hash(config: dict) -> str:
@@ -185,8 +311,7 @@ def _require_file(path_text: str | None, what: str) -> Path:
     return path
 
 
-def _out_dir(config: dict[str, str]) -> Path:
-    out = config.get("out")
+def _out_dir(out: str | None) -> Path:
     if not out:
         raise ConfigError("no output directory configured (--out)")
     path = Path(out)
@@ -194,36 +319,12 @@ def _out_dir(config: dict[str, str]) -> Path:
     return path
 
 
-def _choice(config: dict[str, str], key: str, allowed: tuple[str, ...]) -> str:
-    """``config[key]``, which must be one of ``allowed``; the first is the default."""
-    value = config.get(key, allowed[0])
-    if value not in allowed:
-        raise ConfigError(f"unknown {key} {value!r} (choose from {', '.join(allowed)})")
-    return value
+def _embedder(s: dict) -> HashingEmbedder:
+    return HashingEmbedder(dim=s["embed_dim"], seed=s["embed_seed"])
 
 
-def _metric_options(config: dict[str, str]) -> dict[str, str]:
-    return {
-        "bleu_mode": _choice(config, "bleu_mode", BLEU_MODES),
-        "sari_variant": _choice(config, "sari_variant", SARI_VARIANTS),
-    }
-
-
-def _delimiters(config: dict[str, str]) -> DelimiterConfig:
-    return DelimiterConfig(
-        previous=config.get("prev_delimiter", "<PREV>"),
-        topic=config.get("topic_delimiter", "<TOPIC>"),
-    )
-
-
-def _embedder(config: dict[str, str]) -> HashingEmbedder:
-    return HashingEmbedder(
-        dim=int(config.get("embed_dim", "256")), seed=int(config.get("embed_seed", "0"))
-    )
-
-
-def _build_generator(config: dict[str, str], delimiters: DelimiterConfig):
-    spec = config.get("generator", "mock")
+def _build_generator(s: dict, delimiters: DelimiterConfig):
+    spec = s["generator"]
     if spec == "mock":
         return MockGenerator(delimiters=(delimiters.previous, delimiters.topic))
     if spec.startswith("stdio:"):
@@ -231,10 +332,10 @@ def _build_generator(config: dict[str, str], delimiters: DelimiterConfig):
     raise ConfigError(f"unknown generator {spec!r}")
 
 
-def _build_registry(config: dict[str, str], embedder) -> ScorerRegistry:
+def _build_registry(s: dict, embedder) -> ScorerRegistry:
     def scorer_for(kind: str, default):
-        spec = config.get(kind)
-        if spec is None or spec == "heuristic":
+        spec = s[kind]
+        if spec == "heuristic":
             return default
         if spec == "jaccard" and kind == "meaning_scorer":
             return JaccardMeaningScorer()
@@ -264,7 +365,7 @@ def _closing_adapters(registry: ScorerRegistry, generator=None):
 
 
 def _write_reports(
-    out: Path, metric_options: dict, embedder, pairs: list, outputs: dict, metadata: dict
+    out: Path, s: dict, embedder, pairs: list, outputs: dict, metadata: dict
 ) -> list[Path]:
     """Evaluate each strategy's outputs on ``pairs``; write report.json and report.csv."""
     instances = [
@@ -276,7 +377,9 @@ def _write_reports(
         )
         for p in pairs
     ]
-    reports = evaluate_run(instances, outputs, embedder, **metric_options)
+    reports = evaluate_run(
+        instances, outputs, embedder, bleu_mode=s["bleu_mode"], sari_variant=s["sari_variant"]
+    )
     payload = {
         "metadata": {**metadata, "n_instances": len(instances)},
         "reports": {name: reports[name].to_payload() for name in sorted(reports)},
@@ -286,58 +389,23 @@ def _write_reports(
     return [out / "report.json", out / "report.csv"]
 
 
-def _parse_strategies(text: str | None) -> list[Strategy]:
-    if not text or text == "all":
-        return list(Strategy)
-    strategies = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            strategies.append(Strategy(name))
-        except ValueError:
-            raise ConfigError(f"unknown strategy {name!r}") from None
-    if not strategies:
-        raise ConfigError("empty strategy list")
-    return strategies
-
-
 # ---------------------------------------------------------------------------
 # prepare
 
-def cmd_prepare(config: dict[str, str]) -> int:
-    started = time.time()
-    chains_path = _require_file(config.get("chains"), "chains file")
-    out = _out_dir(config)
-    seed = int(config.get("seed", "0"))
-    per_label_test = int(config.get("per_label_test", "200"))
-    train_fraction = float(config.get("train_fraction", "0.9"))
-    granularity = config.get("granularity", "chain")
+def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    chains_path = _require_file(s["chains"], "chains file")
+    out = _out_dir(s["out"])
 
     chains = load_chains(chains_path)
     pairs = [pair for chain in chains for pair in derive_pairs(chain)]
     n_derived = len(pairs)
-
-    labeler_kind = config.get("labeler", "majority")
-    if labeler_kind == "majority":
+    if s["labeler"] == "majority":
         pairs = relabel_pairs(pairs, majority_labeler(pairs))
-    elif labeler_kind != "none":
-        raise ConfigError(f"unknown labeler {labeler_kind!r}")
-
-    allowed_text = config.get("filter_intents")
-    if allowed_text:
-        allowed = frozenset(IntentLabel(v.strip()) for v in allowed_text.split(","))
-    else:
-        allowed = TASK_INTENTS
-    filtered = filter_by_intent(pairs, allowed)
+    filtered = filter_by_intent(pairs, s["filter_intents"])
 
     split = split_dataset(
-        filtered,
-        per_label_test=per_label_test,
-        train_fraction=train_fraction,
-        seed=seed,
-        granularity=granularity,
+        filtered, per_label_test=s["per_label_test"], train_fraction=s["train_fraction"],
+        seed=s["seed"], granularity=s["granularity"],
     )
 
     write_pairs(pairs, out / "pairs.jsonl")
@@ -363,6 +431,7 @@ def cmd_prepare(config: dict[str, str]) -> int:
         "test": len(split.test),
     }
     write_json(out / "counts.json", counts)
+    print(json.dumps(counts, sort_keys=True))
 
     artifacts = [
         out / "pairs.jsonl",
@@ -372,9 +441,7 @@ def cmd_prepare(config: dict[str, str]) -> int:
         out / "validation_chains.jsonl",
         out / "counts.json",
     ]
-    _write_manifest(out, "prepare", config, {"chains": chains_path}, artifacts, started)
-    print(json.dumps(counts, sort_keys=True))
-    return 0
+    return {"chains": chains_path}, artifacts, 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +457,7 @@ def _read_selections(path: Path) -> dict[str, dict[str, dict]]:
 
 
 def _load_checkpoint(
-    selections_path: Path, strategies: list[Strategy]
+    selections_path: Path, strategies: tuple[Strategy, ...]
 ) -> dict[str, dict[str, dict]]:
     """Records of complete instances from an interrupted run, keyed by pair."""
     if not selections_path.is_file():
@@ -400,41 +467,36 @@ def _load_checkpoint(
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
-def cmd_run(config: dict[str, str]) -> int:
-    started = time.time()
-    pairs_path = _require_file(config.get("pairs"), "pairs file")
-    out = _out_dir(config)
-    seed = int(config.get("seed", "0"))
-    n_candidates = int(config.get("n_candidates", "10"))
-    context_mode = _CONTEXT_FLAG[_choice(config, "context", tuple(_CONTEXT_FLAG))]
-    metric_options = _metric_options(config)
-    strategies = _parse_strategies(config.get("strategies"))
-    delimiters = _delimiters(config)
-    embedder = _embedder(config)
+def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    pairs_path = _require_file(s["pairs"], "pairs file")
+    out = _out_dir(s["out"])
+    seed, strategies = s["seed"], s["strategies"]
+    delimiters = DelimiterConfig(previous=s["prev_delimiter"], topic=s["topic_delimiter"])
+    embedder = _embedder(s)
 
     pairs = load_pairs(pairs_path)
     if not pairs:
         raise ConfigError(f"no pairs in {pairs_path}")
 
-    generator = _build_generator(config, delimiters)
-    registry = _build_registry(config, embedder)
-    gen_config = GenerationConfig(n_candidates=n_candidates)
-    schedule = make_schedule(n_candidates)
+    generator = _build_generator(s, delimiters)
+    registry = _build_registry(s, embedder)
+    gen_config = GenerationConfig(n_candidates=s["n_candidates"])
+    schedule = make_schedule(s["n_candidates"])
 
-    if config.get("weights"):
-        weights = load_weights(_require_file(config["weights"], "weights file"))
+    if s["weights"]:
+        weights = load_weights(_require_file(s["weights"], "weights file"))
     else:
         weights = DEFAULT_WEIGHTS
 
     ranker = None
     inputs: dict[str, Path] = {"pairs": pairs_path}
     if Strategy.PAIRWISE_RANK in strategies:
-        if config.get("ranker"):
-            ranker_path = _require_file(config["ranker"], "ranker file")
+        if s["ranker"]:
+            ranker_path = _require_file(s["ranker"], "ranker file")
             ranker = load_ranker(ranker_path)
             inputs["ranker"] = ranker_path
-        elif config.get("train_pairs"):
-            train_path = _require_file(config["train_pairs"], "ranker training pairs")
+        elif s["train_pairs"]:
+            train_path = _require_file(s["train_pairs"], "ranker training pairs")
             inputs["train_pairs"] = train_path
             text_pairs = [
                 (p.source.text, p.reference.text)
@@ -443,10 +505,9 @@ def cmd_run(config: dict[str, str]) -> int:
             ]
             if not text_pairs:
                 raise ConfigError(f"no usable ranker training pairs in {train_path}")
+            ranker_seed = seed if s["ranker_seed"] is None else s["ranker_seed"]
             ranker = train_pairwise_ranker(
-                text_pairs,
-                embedder,
-                RankerHyperparams(seed=int(config.get("ranker_seed", str(seed)))),
+                text_pairs, embedder, RankerHyperparams(seed=ranker_seed)
             )
             save_ranker(out / "ranker.json", ranker)
         else:
@@ -454,10 +515,11 @@ def cmd_run(config: dict[str, str]) -> int:
                 "pairwise_rank strategy needs either a ranker file or train_pairs"
             )
 
+    context_mode = _CONTEXT_FLAG[s["context"]]
     selections_path = out / "selections.jsonl"
     checkpoint = _load_checkpoint(selections_path, strategies)
     # rewrite only the complete instances, in pairs-file order, then resume
-    outputs: dict[str, list[str]] = {s.value: [] for s in strategies}
+    outputs: dict[str, list[str]] = {strategy.value: [] for strategy in strategies}
     done_instances: list[int] = []
     errors: list[dict] = []
 
@@ -512,8 +574,9 @@ def cmd_run(config: dict[str, str]) -> int:
 
     errors_path = out / "errors.jsonl"
     if errors:
-        with open(errors_path, "w", encoding="utf-8") as fh:
+        with open_atomic(errors_path) as fh:
             fh.writelines(encode_line(rec) for rec in errors)
+        print(f"{len(errors)} instance(s) failed; see errors.jsonl", file=sys.stderr)
     else:
         # an earlier run's failures would contradict this run's report
         errors_path.unlink(missing_ok=True)
@@ -521,49 +584,34 @@ def cmd_run(config: dict[str, str]) -> int:
     artifacts = [selections_path]
     if done_instances:
         artifacts += _write_reports(
-            out,
-            metric_options,
-            embedder,
-            [pairs[i] for i in done_instances],
-            outputs,
+            out, s, embedder, [pairs[i] for i in done_instances], outputs,
             {
                 "seed": seed,
-                "config_hash": _config_hash(config),
+                "config_hash": config_hash,
                 "dataset_fingerprint": _sha256_file(pairs_path),
                 "n_errors": len(errors),
-                "strategies": [s.value for s in strategies],
-                "context": config.get("context", "none"),
-                "n_candidates": n_candidates,
+                "strategies": [strategy.value for strategy in strategies],
+                "context": s["context"],
+                "n_candidates": s["n_candidates"],
             },
         )
         if (out / "ranker.json").is_file():
             artifacts.append(out / "ranker.json")
-
-    _write_manifest(out, "run", config, inputs, artifacts, started)
-    if errors:
-        print(f"{len(errors)} instance(s) failed; see errors.jsonl", file=sys.stderr)
-        return 1
-    return 0
+    return inputs, artifacts, 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
 # calibrate
 
-def cmd_calibrate(config: dict[str, str]) -> int:
-    started = time.time()
-    chains_path = _require_file(config.get("chains"), "chains file")
-    out = _out_dir(config)
-    embedder = _embedder(config)
-    registry = _build_registry(config, embedder)
+def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    chains_path = _require_file(s["chains"], "chains file")
+    out = _out_dir(s["out"])
+    registry = _build_registry(s, _embedder(s))
     chains = load_chains(chains_path)
     with _closing_adapters(registry):
         result = calibrate_weights(
-            chains,
-            registry,
-            grid_step=float(config.get("grid_step", "0.01")),
-            range_lo=float(config.get("range_lo", "0.01")),
-            range_hi=float(config.get("range_hi", "0.98")),
-            aggregation=config.get("aggregation", "pooled"),
+            chains, registry, grid_step=s["grid_step"], range_lo=s["range_lo"],
+            range_hi=s["range_hi"], aggregation=s["aggregation"],
         )
     save_calibration(out / "weights.json", result)
     write_json(
@@ -575,25 +623,17 @@ def cmd_calibrate(config: dict[str, str]) -> int:
             "pearson_r": result.pearson_r,
             "grid_step": result.grid_step,
             "evaluated_points": result.evaluated_points,
-            "range_lo": float(config.get("range_lo", "0.01")),
-            "range_hi": float(config.get("range_hi", "0.98")),
-            "aggregation": config.get("aggregation", "pooled"),
+            "range_lo": s["range_lo"],
+            "range_hi": s["range_hi"],
+            "aggregation": s["aggregation"],
         },
-    )
-    _write_manifest(
-        out,
-        "calibrate",
-        config,
-        {"chains": chains_path},
-        [out / "weights.json", out / "calibration.json"],
-        started,
     )
     print(
         f"alpha={result.weights.alpha:.2f} beta={result.weights.beta:.2f} "
         f"gamma={result.weights.gamma:.2f} r={result.pearson_r:.4f} "
         f"grid={result.evaluated_points}"
     )
-    return 0
+    return {"chains": chains_path}, [out / "weights.json", out / "calibration.json"], 0
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +660,10 @@ def _strategy_of(item_id: str) -> str | None:
     return None
 
 
-def cmd_stats(config: dict[str, str]) -> int:
-    started = time.time()
-    annotations_path = _require_file(config.get("annotations"), "annotations file")
-    out = _out_dir(config)
-    mode = config.get("mode", "all")
-    if mode not in ("all", "aggregate", "agreement", "ranks"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    seed = int(config.get("seed", "0"))
-    iterations = int(config.get("mace_iterations", "50"))
-    restarts = int(config.get("mace_restarts", "10"))
-    smoothing = float(config.get("mace_smoothing", "0.1"))
-    threshold = float(config.get("competence_threshold", "0.3"))
+def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    annotations_path = _require_file(s["annotations"], "annotations file")
+    out = _out_dir(s["out"])
+    mode = s["mode"]
 
     matrices, rankings = load_annotations(annotations_path)
     report: dict = {"fields": {}, "ranks": {}}
@@ -645,13 +677,10 @@ def cmd_stats(config: dict[str, str]) -> int:
             entry["percent_agreement"] = _percent_agreement(matrix.labels)
         if mode in ("all", "aggregate"):
             mace = mace_aggregate(
-                matrix,
-                iterations=iterations,
-                restarts=restarts,
-                smoothing=smoothing,
-                seed=seed,
+                matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"],
+                smoothing=s["mace_smoothing"], seed=s["seed"],
             )
-            competent = competent_workers(mace, threshold)
+            competent = competent_workers(mace, s["competence_threshold"])
             per_strategy: dict[str, list[float]] = {}
             for item, label in mace.posterior_labels.items():
                 strategy = _strategy_of(item)
@@ -665,25 +694,21 @@ def cmd_stats(config: dict[str, str]) -> int:
                 "mean_posterior": sum(float(v) for v in mace.posterior_labels.values())
                 / len(mace.posterior_labels),
                 "per_strategy_mean": {
-                    s: sum(vals) / len(vals) for s, vals in sorted(per_strategy.items())
+                    name: sum(vals) / len(vals) for name, vals in sorted(per_strategy.items())
                 },
             }
         report["fields"][fld] = entry
 
     if rankings and mode in ("all", "ranks"):
         report["ranks"]["mean_rank"] = mean_rank(rankings)
-        pair_text = config.get("strategy_pairs", "")
-        tests = {}
-        if pair_text:
+        if s["strategy_pairs"]:
             per_item: dict[str, dict[str, list[float]]] = {}
             for ann in rankings:
                 slot = per_item.setdefault(ann.item, {})
                 for position, name in enumerate(ann.ranking, start=1):
                     slot.setdefault(name, []).append(position)
-            for spec_pair in pair_text.split(","):
-                a, _, b = spec_pair.strip().partition(":")
-                if not a or not b:
-                    raise ConfigError(f"bad strategy pair {spec_pair!r} (want A:B)")
+            tests = report["ranks"]["wilcoxon"] = {}
+            for a, b in s["strategy_pairs"]:
                 xs, ys = [], []
                 for item in sorted(per_item):
                     ranks_a = per_item[item].get(a)
@@ -697,42 +722,30 @@ def cmd_stats(config: dict[str, str]) -> int:
                     "p_value": p_value,
                     "n_items": len(xs),
                 }
-        if tests:
-            report["ranks"]["wilcoxon"] = tests
 
     report["inputs"] = {"annotations_sha256": _sha256_file(annotations_path)}
     write_json(out / "stats_report.json", report)
-    _write_manifest(
-        out,
-        "stats",
-        config,
-        {"annotations": annotations_path},
-        [out / "stats_report.json"],
-        started,
-    )
-    return 0
+    return {"annotations": annotations_path}, [out / "stats_report.json"], 0
 
 
 # ---------------------------------------------------------------------------
 # report
 
-def cmd_report(config: dict[str, str]) -> int:
-    started = time.time()
-    selections_path = _require_file(config.get("selections"), "selections file")
-    pairs_path = _require_file(config.get("pairs"), "pairs file")
-    metric_options = _metric_options(config)
-    out = _out_dir(config)
+def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    selections_path = _require_file(s["selections"], "selections file")
+    pairs_path = _require_file(s["pairs"], "pairs file")
+    out = _out_dir(s["out"])
     pairs = load_pairs(pairs_path)
     by_pair = _read_selections(selections_path)
-    strategies = sorted({s for by_s in by_pair.values() for s in by_s})
+    strategies = sorted({name for by_s in by_pair.values() for name in by_s})
     usable = [p for p in pairs if sorted(by_pair.get(p.pair_id, {})) == strategies]
     if not usable:
         raise ConfigError("no pair has selections for every strategy")
-    outputs = {s: [by_pair[p.pair_id][s]["chosen"] for p in usable] for s in strategies}
+    outputs = {name: [by_pair[p.pair_id][name]["chosen"] for p in usable] for name in strategies}
     artifacts = _write_reports(
         out,
-        metric_options,
-        _embedder(config),
+        s,
+        _embedder(s),
         usable,
         outputs,
         {
@@ -741,24 +754,21 @@ def cmd_report(config: dict[str, str]) -> int:
             "strategies": strategies,
         },
     )
-    _write_manifest(
-        out,
-        "report",
-        config,
-        {"selections": selections_path, "pairs": pairs_path},
-        artifacts,
-        started,
-    )
-    return 0
+    return {"selections": selections_path, "pairs": pairs_path}, artifacts, 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", help="output directory")
+# Each command takes its settings and the config hash, and returns the
+# inputs and artifacts for the manifest, and its exit code.
+_COMMANDS = {
+    "prepare": (cmd_prepare, "load chains, derive/label/filter/split pairs"),
+    "run": (cmd_run, "generate, score, select, and evaluate"),
+    "calibrate": (cmd_calibrate, "grid-search combination weights"),
+    "stats": (cmd_stats, "annotation aggregation and significance"),
+    "report": (cmd_report, "rebuild reports from persisted selections"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -768,60 +778,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare", help="load chains, derive/label/filter/split pairs")
-    _add_common(p)
-    p.add_argument("--chains", help="chains.jsonl input")
-    p.add_argument("--per-label-test", dest="per_label_test", type=int)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--granularity", choices=["chain", "pair"])
-
-    p = sub.add_parser("run", help="generate, score, select, and evaluate")
-    _add_common(p)
-    p.add_argument("--pairs", help="test pairs.jsonl")
-    p.add_argument("--context", choices=sorted(_CONTEXT_FLAG))
-    p.add_argument("--strategies", help="comma list or 'all'")
-    p.add_argument("--n-candidates", dest="n_candidates", type=int)
-    p.add_argument("--weights", help="weights.json from calibrate")
-    p.add_argument("--train-pairs", dest="train_pairs", help="pairs for ranker training")
-    p.add_argument("--ranker", help="previously trained ranker.json")
-
-    p = sub.add_parser("calibrate", help="grid-search combination weights")
-    _add_common(p)
-    p.add_argument("--chains", help="validation chains.jsonl")
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--range-lo", dest="range_lo", type=float)
-    p.add_argument("--range-hi", dest="range_hi", type=float)
-    p.add_argument("--aggregation", choices=["pooled", "per_chain"])
-
-    p = sub.add_parser("stats", help="annotation aggregation and significance")
-    _add_common(p)
-    p.add_argument("--annotations", help="annotations.jsonl")
-    p.add_argument("--mode", choices=["all", "aggregate", "agreement", "ranks"])
-    p.add_argument("--strategy-pairs", dest="strategy_pairs", help="A:B,C:D pairs to test")
-
-    p = sub.add_parser("report", help="rebuild reports from persisted selections")
-    _add_common(p)
-    p.add_argument("--selections", help="selections.jsonl from a run")
-    p.add_argument("--pairs", help="the pairs file the run used")
-
+    for command, (_, command_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument("--config", help="key = value config file")
+        for key, (parse, _, flag_help) in _SETTINGS[command].items():
+            if flag_help is not None:
+                p.add_argument(
+                    "--" + key.replace("_", "-"),
+                    type=parse if parse in (int, float) else None,
+                    choices=parse if isinstance(parse, tuple) else None,
+                    help=flag_help,
+                )
     return parser
-
-
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "run": cmd_run,
-    "calibrate": cmd_calibrate,
-    "stats": cmd_stats,
-    "report": cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
-        return _COMMANDS[args.command](config)
+        settings = _settings(args.command, config)
+        started = time.time()
+        inputs, artifacts, code = _COMMANDS[args.command][0](settings, _config_hash(config))
+        _write_manifest(Path(settings["out"]), args.command, config, inputs, artifacts, started)
+        return code
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ class HashingEmbedder:
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
+        self.seed = seed
         self._key = seed.to_bytes(8, "little", signed=True)
         # token -> (slot, sign); the keyed hash is deterministic, so a
         # remembered slot is the one a fresh hash would give

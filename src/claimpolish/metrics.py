@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 from .corpus import ContextBundle, MissingContextError
 from .embedding import Embedder, cosine
+from .ndjson import open_atomic
 from .text import normalize_whitespace, tokenize
 
 # Smoothing constant substituted for zero n-gram-match numerators in
@@ -426,7 +427,7 @@ CSV_COLUMNS = ("strategy", "BLEU", "RougeL", "SARI", "NoEd", "ExM")
 
 def write_report_csv(reports: Mapping[str, MetricReport], path: str | Path) -> None:
     """Table-shaped CSV: strategy, BLEU, RougeL, SARI, NoEd, ExM."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for strategy, report in reports.items():

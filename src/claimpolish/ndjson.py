@@ -2,7 +2,8 @@
 
 ``read_jsonl`` yields a JSON Lines file's records with their line
 numbers, ``encode_line`` frames one record, and ``read_json`` /
-``write_json`` load and atomically store one-object artifacts.
+``write_json`` load and store one-object artifacts. ``open_atomic``,
+which ``write_json`` uses, writes any text artifact all or nothing.
 ``NdjsonChild`` speaks the format over a child's stdin and stdout for
 both stdio adapters: one request line, one response line (a result or
 ``{"error": str}``).
@@ -16,6 +17,7 @@ import os
 import subprocess
 from collections.abc import Iterator, Sequence
 from pathlib import Path
+from typing import TextIO
 
 
 class RecordFormatError(ValueError):
@@ -67,18 +69,25 @@ def read_json(path: str | Path) -> dict:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """Store ``payload`` (indent 2, sorted keys, trailing newline) in a file
-    beside ``path``, then move it over ``path``: all old bytes or all new."""
+@contextlib.contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file beside ``path`` that is moved over ``path`` when the
+    block ends cleanly: ``path`` holds all old bytes or all new."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Store ``payload`` (indent 2, sorted keys, trailing newline) atomically."""
+    with open_atomic(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class NdjsonChild:

@@ -455,6 +455,9 @@ def load_weights(path: str | Path) -> Weights:
     for key in ("alpha", "beta", "gamma"):
         if key not in payload:
             raise ValueError(f"weights file {path} missing {key!r}")
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"weights file {path}: {key!r} must be a number, got {value!r}")
     return Weights(alpha=payload["alpha"], beta=payload["beta"], gamma=payload["gamma"])
 
 

@@ -195,7 +195,7 @@ def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
         "embedder": {
             "kind": "hashing",
             "dim": ranker.embedder.dim,
-            "seed": int.from_bytes(ranker.embedder._key, "little", signed=True),
+            "seed": ranker.embedder.seed,
         },
         "training_meta": ranker.training_meta,
     }
@@ -204,6 +204,9 @@ def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
 
 def load_ranker(path: str | Path) -> PairwiseRanker:
     payload = read_json(path)
+    for key in ("embedder", "training_meta"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise ValueError(f"{path}: {key!r} must be an object")
     emb = payload.get("embedder", {})
     if emb.get("kind") != "hashing":
         raise ValueError(f"unsupported embedder kind {emb.get('kind')!r}")
@@ -212,6 +215,8 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
             raise ValueError(f"{path}: missing key 'embedder.{key}'")
     if "weight_vector" not in payload:
         raise ValueError(f"{path}: missing key 'weight_vector'")
+    if not isinstance(payload["weight_vector"], list):
+        raise ValueError(f"{path}: 'weight_vector' must be a list")
     embedder = HashingEmbedder(dim=int(emb["dim"]), seed=int(emb["seed"]))
     weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
     if weight_vector.shape != (embedder.dim,):

@@ -106,6 +106,98 @@ def test_config_hash_ignores_output_location():
     assert _config_hash(base) != _config_hash(dict(base, seed="2"))
 
 
+ALL8 = "unedited,top1,random,max_fluency,max_argument,max_meaning,autoscore,pairwise_rank"
+
+
+# merged config strings and hashes computed before the settings table existed
+@pytest.mark.parametrize(
+    "argv, merged, digest",
+    [
+        (
+            ["run", "--pairs", "inputs/pairs.jsonl", "--out", "cli", "--seed", "0",
+             "--context", "both", "--n-candidates", "10", "--strategies", ALL8,
+             "--weights", "inputs/weights.json", "--train-pairs", "inputs/train.jsonl"],
+            {"seed": "0", "out": "cli", "pairs": "inputs/pairs.jsonl", "context": "both",
+             "strategies": ALL8, "n_candidates": "10", "weights": "inputs/weights.json",
+             "train_pairs": "inputs/train.jsonl"},
+            "89ad300f10d993a403c12bb2b49b526d0b80a59151da55f506512e2c927e19ab",
+        ),
+        (
+            ["calibrate", "--chains", "chains.jsonl", "--out", "cal", "--seed", "2",
+             "--grid-step", "0.1", "--range-lo", "0.0", "--range-hi", "1",
+             "--aggregation", "per_chain"],
+            {"seed": "2", "out": "cal", "chains": "chains.jsonl", "grid_step": "0.1",
+             "range_lo": "0.0", "range_hi": "1.0", "aggregation": "per_chain"},
+            "c96a5f3dbea6e5ff7318a13a2af00ec929cb291c2111d7e841f7944004031a46",
+        ),
+    ],
+    ids=["run", "calibrate"],
+)
+def test_merged_flags_and_config_hash_are_pinned(monkeypatch, argv, merged, digest):
+    for env in cli._ENV_ADAPTERS.values():
+        monkeypatch.delenv(env, raising=False)
+    config = _merge_config(build_parser().parse_args(argv))
+    assert config == merged
+    assert _config_hash(config) == digest
+
+
+def test_flags_are_the_settings_keys_with_help():
+    flags = {
+        "prepare": {"chains", "granularity", "out", "per_label_test", "seed", "train_fraction"},
+        "run": {"context", "n_candidates", "out", "pairs", "ranker", "seed", "strategies",
+                "train_pairs", "weights"},
+        "calibrate": {"aggregation", "chains", "grid_step", "out", "range_hi", "range_lo", "seed"},
+        "stats": {"annotations", "mode", "out", "seed", "strategy_pairs"},
+        "report": {"out", "pairs", "seed", "selections"},
+    }
+    parser = build_parser()
+    assert set(cli._SETTINGS) == set(flags)
+    for command, table in cli._SETTINGS.items():
+        parsed = set(vars(parser.parse_args([command]))) - {"command", "config"}
+        assert parsed == flags[command] == {k for k, (_, _, h) in table.items() if h}
+        for parse, default, _ in table.values():
+            if isinstance(parse, tuple):
+                assert default == parse[0]
+
+
+@pytest.mark.parametrize(
+    "command, line, named",
+    [
+        ("run", "n_candidate = 5", "unknown config key 'n_candidate'"),
+        ("run", "seed = x", "seed: "),
+        ("prepare", "filter_intents = bogus", "filter_intents: "),
+        ("stats", "mode = x", "unknown mode 'x' (choose from all, aggregate, agreement, ranks)"),
+        ("calibrate", "aggregation = x", "unknown aggregation 'x' (choose from pooled, per_chain)"),
+    ],
+)
+def test_config_key_error_exits_two_before_any_output(
+    tmp_path, pairs_file, chains_file, capsys, command, line, named
+):
+    annotations = tmp_path / "annotations.jsonl"
+    _write_annotations(annotations)
+    inputs = {
+        "run": ["--pairs", pairs_file],
+        "prepare": ["--chains", chains_file],
+        "stats": ["--annotations", annotations],
+        "calibrate": ["--chains", chains_file],
+    }
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", cfg, *inputs[command], "--out", out) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_keys_of_other_commands_are_ignored(tmp_path, chains_file):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("per_label_test = 2\nn_candidates = x\nmode = bogus\nbleu_mode = corpus\n")
+    out = tmp_path / "data"
+    assert run_cli("prepare", "--config", cfg, "--chains", chains_file, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["mode"] == "bogus"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -319,6 +411,32 @@ def test_run_ranker_missing_key_exits_two(tmp_path, pairs_file, capsys, missing)
     )
     assert code == 2
     assert f"ranker.json: missing key '{missing}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("embedder", 5), ("training_meta", 5), ("weight_vector", {"a": 1})],
+)
+def test_run_ranker_bad_field_exits_two(tmp_path, pairs_file, capsys, field, value):
+    payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
+    payload[field] = value
+    ranker = tmp_path / "ranker.json"
+    ranker.write_text(json.dumps(payload))
+    code = run_cli(
+        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
+        "--strategies", "pairwise_rank", "--ranker", ranker,
+    )
+    assert code == 2
+    assert f"ranker.json: '{field}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["a", None, True])
+def test_run_weights_non_number_exits_two(tmp_path, pairs_file, capsys, value):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(dict(WEIGHTS, beta=value)))
+    code = run_cli("run", "--pairs", pairs_file, "--out", tmp_path / "o", "--weights", weights)
+    assert code == 2
+    assert "weights.json: 'beta' must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -458,3 +458,16 @@ def test_report_csv_layout(tmp_path):
     assert rows[1][0] == "unedited"
     assert rows[1][4] == "1.000000"  # NoEd
     assert len(rows) == 2
+
+
+def test_report_csv_keeps_old_bytes_when_formatting_fails(tmp_path):
+    instances = _instances()
+    reports = evaluate_run(instances, {"unedited": [i.source for i in instances]}, EMB)
+    path = tmp_path / "report.csv"
+    write_report_csv(reports, path)
+    before = path.read_bytes()
+    broken = {"broken": replace(reports["unedited"], sari="x"), **reports}
+    with pytest.raises(ValueError):
+        write_report_csv(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
