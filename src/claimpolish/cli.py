@@ -450,8 +450,17 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
 def _read_selections(path: Path) -> dict[str, dict[str, dict]]:
     """selections.jsonl records as {pair_id: {strategy: record}}; a
     repeated (pair, strategy) keeps its last record."""
+
+    def parse(rec: dict) -> dict:
+        for key in ("pair_id", "strategy", "chosen"):
+            if not isinstance(rec[key], str):
+                raise ValueError(f"{key!r} must be a string, got {rec[key]!r}")
+        if not rec["chosen"].strip():
+            raise ValueError("'chosen' must not be blank")
+        return rec
+
     by_pair: dict[str, dict[str, dict]] = {}
-    for _, rec in read_jsonl(path, required=("pair_id", "strategy", "chosen")):
+    for _, rec in read_jsonl(path, ("pair_id", "strategy", "chosen"), parse):
         by_pair.setdefault(rec["pair_id"], {})[rec["strategy"]] = rec
     return by_pair
 

@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ndjson import RecordFormatError, encode_line, read_jsonl
+from .ndjson import encode_line, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -158,42 +158,30 @@ class DelimiterConfig:
 # loading
 
 
-def _parse_chain(record: dict, line_no: int) -> RevisionChain:
-    raw_claims = record["claims"]
-    if not isinstance(raw_claims, list) or not raw_claims:
-        raise RecordFormatError(line_no, "claims must be a non-empty list")
+def _context(record: dict) -> ContextBundle:
+    topic, previous = record.get("topic") or None, record.get("previous_claim") or None
+    if not all(isinstance(text, (str, type(None))) for text in (topic, previous)):
+        raise ValueError("topic and previous_claim must be strings or null")
+    return ContextBundle(topic=topic, previous_claim=previous)
+
+
+def _parse_chain(record: dict) -> RevisionChain:
+    raw_claims, raw_intents = record["claims"], record["intents"]
+    if not isinstance(raw_claims, list) or not isinstance(raw_intents, list):
+        raise ValueError("claims and intents must be lists")
     claims = []
     for entry in raw_claims:
         if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
-            raise RecordFormatError(line_no, "each claim needs 'id' and 'text'")
-        if not str(entry["text"]).strip():
-            raise RecordFormatError(line_no, f"claim {entry['id']!r} has empty text")
+            raise ValueError("each claim needs 'id' and 'text'")
         claims.append(
             Claim(id=str(entry["id"]), text=str(entry["text"]), debate_id=str(record["debate_id"]))
         )
-    intents = []
-    for raw in record["intents"]:
-        if raw is None:
-            intents.append(IntentLabel.UNLABELED)
-            continue
-        try:
-            intents.append(IntentLabel(raw))
-        except ValueError:
-            raise RecordFormatError(line_no, f"unknown intent {raw!r}") from None
-    if len(intents) != len(claims) - 1:
-        raise RecordFormatError(
-            line_no,
-            f"{len(claims)} claims need {len(claims) - 1} intents, got {len(intents)}",
-        )
-    context = ContextBundle(
-        topic=record.get("topic") or None,
-        previous_claim=record.get("previous_claim") or None,
-    )
+    intents = (IntentLabel.UNLABELED if raw is None else IntentLabel(raw) for raw in raw_intents)
     return RevisionChain(
         chain_id=str(record["chain_id"]),
         claims=tuple(claims),
         intents=tuple(intents),
-        context=context,
+        context=_context(record),
     )
 
 
@@ -203,20 +191,22 @@ def load_chains(path: str | Path) -> list[RevisionChain]:
     Raises RecordFormatError naming the offending line on malformed JSON,
     schema violations, empty claim texts, or duplicate ids.
     """
-    chains: list[RevisionChain] = []
     seen_chain_ids: set[str] = set()
     seen_claim_ids: set[str] = set()
-    for line_no, rec in read_jsonl(path, required=("chain_id", "debate_id", "claims", "intents")):
-        chain = _parse_chain(rec, line_no)
+
+    def parse(record: dict) -> RevisionChain:
+        chain = _parse_chain(record)
         if chain.chain_id in seen_chain_ids:
-            raise RecordFormatError(line_no, f"duplicate chain_id {chain.chain_id!r}")
+            raise ValueError(f"duplicate chain_id {chain.chain_id!r}")
         seen_chain_ids.add(chain.chain_id)
         for claim in chain.claims:
             if claim.id in seen_claim_ids:
-                raise RecordFormatError(line_no, f"duplicate claim id {claim.id!r}")
+                raise ValueError(f"duplicate claim id {claim.id!r}")
             seen_claim_ids.add(claim.id)
-        chains.append(chain)
-    return chains
+        return chain
+
+    required = ("chain_id", "debate_id", "claims", "intents")
+    return [chain for _, chain in read_jsonl(path, required, parse)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,48 +416,41 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
     from the pair id; the chain id is recovered from the ``chain#index``
     pair-id convention when present.
     """
-    pairs = []
-    for line_no, rec in read_jsonl(path, required=("pair_id", "source", "reference", "intent")):
-        pair_id = str(rec["pair_id"])
+
+    def parse(record: dict) -> OptimizationPair:
+        pair_id = str(record["pair_id"])
         if "#" in pair_id:
             chain_id, _, idx_text = pair_id.rpartition("#")
             index = int(idx_text) if idx_text.isdigit() else 0
         else:
             chain_id, index = pair_id, 0
-        try:
-            intent = IntentLabel(rec["intent"])
-        except ValueError:
-            raise RecordFormatError(line_no, f"unknown intent {rec['intent']!r}") from None
-        pairs.append(
-            OptimizationPair(
-                pair_id=pair_id,
-                chain_id=chain_id,
-                index=index,
-                source=Claim(id=f"{pair_id}.src", text=rec["source"], debate_id=""),
-                reference=Claim(id=f"{pair_id}.ref", text=rec["reference"], debate_id=""),
-                intent=intent,
-                context=ContextBundle(
-                    topic=rec.get("topic") or None,
-                    previous_claim=rec.get("previous_claim") or None,
-                ),
-            )
+        for key in ("source", "reference"):
+            if not isinstance(record[key], str):
+                raise ValueError(f"{key!r} must be a string, got {record[key]!r}")
+        return OptimizationPair(
+            pair_id=pair_id,
+            chain_id=chain_id,
+            index=index,
+            source=Claim(id=f"{pair_id}.src", text=record["source"], debate_id=""),
+            reference=Claim(id=f"{pair_id}.ref", text=record["reference"], debate_id=""),
+            intent=IntentLabel(record["intent"]),
+            context=_context(record),
         )
-    return pairs
+
+    required = ("pair_id", "source", "reference", "intent")
+    return [pair for _, pair in read_jsonl(path, required, parse)]
 
 
 def load_type_annotations(path: str | Path) -> list[TypeAnnotation]:
     """Read a types.jsonl sidecar of per-annotator optimization types."""
-    out = []
-    for line_no, rec in read_jsonl(path, required=("pair_id", "annotator", "types")):
-        try:
-            types = frozenset(OptimizationType(t) for t in rec["types"])
-        except ValueError as exc:
-            raise RecordFormatError(line_no, str(exc)) from None
-        out.append(
-            TypeAnnotation(
-                pair_id=str(rec["pair_id"]),
-                annotator=str(rec["annotator"]),
-                types=types,
-            )
+
+    def parse(record: dict) -> TypeAnnotation:
+        if not isinstance(record["types"], list):
+            raise ValueError(f"types must be a list, got {record['types']!r}")
+        return TypeAnnotation(
+            pair_id=str(record["pair_id"]),
+            annotator=str(record["annotator"]),
+            types=frozenset(OptimizationType(t) for t in record["types"]),
         )
-    return out
+
+    return [ann for _, ann in read_jsonl(path, ("pair_id", "annotator", "types"), parse)]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import OptimizationType
-from .ndjson import RecordFormatError, read_jsonl
+from .ndjson import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -404,33 +404,31 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
     """
     likert: dict[str, dict[tuple[str, str], int]] = {}
     rankings: list[RankAnnotation] = []
-    for line_no, rec in read_jsonl(path, required=("item", "worker")):
+
+    def parse(rec: dict) -> None:
+        item, worker = str(rec["item"]), str(rec["worker"])
         if "ranking" in rec:
             if not isinstance(rec["ranking"], list):
-                raise RecordFormatError(line_no, "ranking must be a list")
-            rankings.append(
-                RankAnnotation(
-                    item=str(rec["item"]),
-                    worker=str(rec["worker"]),
-                    ranking=tuple(str(s) for s in rec["ranking"]),
-                )
-            )
-            continue
+                raise ValueError("ranking must be a list")
+            ranking = tuple(str(s) for s in rec["ranking"])
+            rankings.append(RankAnnotation(item=item, worker=worker, ranking=ranking))
+            return
         for key in ("field", "value"):
             if key not in rec:
-                raise RecordFormatError(line_no, f"missing key {key!r}")
-        fld = rec["field"]
-        if fld not in FIELD_SCALES:
-            raise RecordFormatError(line_no, f"unknown field {fld!r}")
-        key_pair = (str(rec["item"]), str(rec["worker"]))
+                raise ValueError(f"missing key {key!r}")
+        fld, value = rec["field"], rec["value"]
+        if not isinstance(fld, str) or fld not in FIELD_SCALES:
+            raise ValueError(f"unknown field {fld!r}")
         bucket = likert.setdefault(fld, {})
-        if key_pair in bucket:
-            raise RecordFormatError(line_no, f"duplicate {fld} annotation for {key_pair}")
-        value = rec["value"]
+        if (item, worker) in bucket:
+            raise ValueError(f"duplicate {fld} annotation for {(item, worker)}")
         lo, hi = FIELD_SCALES[fld].bounds  # type: ignore[misc]
-        if not isinstance(value, int) or not lo <= value <= hi:
-            raise RecordFormatError(line_no, f"{fld} value {value!r} outside [{lo}, {hi}]")
-        bucket[key_pair] = value
+        if type(value) is not int or not lo <= value <= hi:
+            raise ValueError(f"{fld} value {value!r} outside [{lo}, {hi}]")
+        bucket[item, worker] = value
+
+    for _ in read_jsonl(path, ("item", "worker"), parse):
+        pass
     matrices = {
         fld: AnnotationMatrix.from_labels(labels, scale=FIELD_SCALES[fld])
         for fld, labels in likert.items()

@@ -123,10 +123,10 @@ def generate_candidates(
 ) -> CandidateSet:
     """Run every schedule step through the generator.
 
-    A failing step is skipped and logged rather than aborting the set;
-    only an entirely empty result is an error. Candidate indices follow
-    schedule order, counting skipped steps, so index i always means
-    schedule step i.
+    A failing step (it raises or returns a blank text) is skipped and
+    logged rather than aborting the set; only an empty result is an
+    error. Candidate indices follow schedule order, counting skipped
+    steps, so index i always means schedule step i.
     """
     if schedule is None:
         schedule = make_schedule(config.n_candidates)
@@ -136,6 +136,8 @@ def generate_candidates(
     for i, directive in enumerate(schedule):
         try:
             text = generator.generate(input_text, directive, config, seed)
+            if not isinstance(text, str) or not text.strip():
+                raise GenerationError(f"blank text {text!r}")
         except Exception as exc:
             log.warning("generation step %d (%s) failed: %s", i, directive, exc)
             continue
@@ -295,6 +297,7 @@ class MockGenerator:
             out = _greedy_cleanup(source)
         else:
             slot = seed + directive.k // 5
+            # the three attempts try every rule; rule 0 always succeeds
             for attempt in range(3):
                 rule = (slot + attempt) % 3
                 if rule == 0:
@@ -310,8 +313,6 @@ class MockGenerator:
                     if maybe is not None:
                         out = maybe
                         break
-            else:
-                out = self._elaborate(source, slot)
         tokens = out.split()
         if len(tokens) > config.max_length:
             out = " ".join(tokens[: config.max_length])

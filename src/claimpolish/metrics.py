@@ -210,9 +210,7 @@ def rouge_l(output: str, reference: str) -> float:
     lcs = _lcs_length(out_tokens, ref_tokens)
     precision = lcs / len(out_tokens)
     recall = lcs / len(ref_tokens)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _f1(precision, recall)
 
 
 # ---------------------------------------------------------------------------

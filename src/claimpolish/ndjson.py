@@ -1,9 +1,9 @@
 """One JSON object per line, for corpus files and child pipes alike.
 
-``read_jsonl`` yields a JSON Lines file's records with their line
-numbers, ``encode_line`` frames one record, and ``read_json`` /
-``write_json`` load and store one-object artifacts. ``open_atomic``,
-which ``write_json`` uses, writes any text artifact all or nothing.
+``read_jsonl`` / ``read_json`` parse a JSON Lines file / a one-object
+artifact with the caller's parse function and locate (``line N:`` /
+``<path>:``) whatever it rejects with ValueError. ``encode_line`` frames
+one record; ``write_json`` stores an artifact through ``open_atomic``.
 ``NdjsonChild`` speaks the format over a child's stdin and stdout for
 both stdio adapters: one request line, one response line (a result or
 ``{"error": str}``).
@@ -15,9 +15,11 @@ import contextlib
 import json
 import os
 import subprocess
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
-from typing import TextIO
+from typing import TextIO, TypeVar
+
+T = TypeVar("T")
 
 
 class RecordFormatError(ValueError):
@@ -25,7 +27,6 @@ class RecordFormatError(ValueError):
 
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
-        self.reason = reason
         super().__init__(f"line {line_no}: {reason}")
 
 
@@ -44,27 +45,34 @@ def encode_line(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple[int, dict]]:
-    """``(line_no, record)`` for each non-blank line; RecordFormatError
-    on a line that is not a JSON object or lacks a ``required`` key."""
+def _parse_record(text: str, required: Sequence[str], parse: Callable[[dict], T]) -> T:
+    record = decode_line(text)
+    for key in required:
+        if key not in record:
+            raise ValueError(f"missing key {key!r}")
+    return parse(record)
+
+
+def read_jsonl(
+    path: str | Path, required: Sequence[str], parse: Callable[[dict], T]
+) -> Iterator[tuple[int, T]]:
+    """``(line_no, parse(record))`` per non-blank line; RecordFormatError when a line
+    is no JSON object, lacks a ``required`` key, or ``parse`` raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = decode_line(line)
+                value = _parse_record(line, required, parse)
             except ValueError as exc:
                 raise RecordFormatError(line_no, str(exc)) from None
-            for key in required:
-                if key not in record:
-                    raise RecordFormatError(line_no, f"missing key {key!r}")
-            yield line_no, record
+            yield line_no, value
 
 
-def read_json(path: str | Path) -> dict:
-    """The JSON object a file holds; ValueError naming the file otherwise."""
+def read_json(path: str | Path, parse: Callable[[dict], T], required: Sequence[str] = ()) -> T:
+    """``parse(record)`` for the one JSON object a file holds; a ValueError names the file."""
     try:
-        return decode_line(Path(path).read_text(encoding="utf-8"))
+        return _parse_record(Path(path).read_text(encoding="utf-8"), required, parse)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -451,14 +451,14 @@ def save_weights(
 
 
 def load_weights(path: str | Path) -> Weights:
-    payload = read_json(path)
-    for key in ("alpha", "beta", "gamma"):
-        if key not in payload:
-            raise ValueError(f"weights file {path} missing {key!r}")
-        value = payload[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"weights file {path}: {key!r} must be a number, got {value!r}")
-    return Weights(alpha=payload["alpha"], beta=payload["beta"], gamma=payload["gamma"])
+    def parse(payload: dict) -> Weights:
+        for key in ("alpha", "beta", "gamma"):
+            value = payload[key]
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{key!r} must be a number, got {value!r}")
+        return Weights(alpha=payload["alpha"], beta=payload["beta"], gamma=payload["gamma"])
+
+    return read_json(path, parse, required=("alpha", "beta", "gamma"))
 
 
 def save_calibration(path: str | Path, result: CalibrationResult) -> None:

@@ -203,29 +203,31 @@ def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
 
 
 def load_ranker(path: str | Path) -> PairwiseRanker:
-    payload = read_json(path)
-    for key in ("embedder", "training_meta"):
-        if not isinstance(payload.get(key, {}), dict):
-            raise ValueError(f"{path}: {key!r} must be an object")
-    emb = payload.get("embedder", {})
-    if emb.get("kind") != "hashing":
-        raise ValueError(f"unsupported embedder kind {emb.get('kind')!r}")
-    for key in ("dim", "seed"):
-        if key not in emb:
-            raise ValueError(f"{path}: missing key 'embedder.{key}'")
-    if "weight_vector" not in payload:
-        raise ValueError(f"{path}: missing key 'weight_vector'")
-    if not isinstance(payload["weight_vector"], list):
-        raise ValueError(f"{path}: 'weight_vector' must be a list")
-    embedder = HashingEmbedder(dim=int(emb["dim"]), seed=int(emb["seed"]))
-    weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
-    if weight_vector.shape != (embedder.dim,):
-        raise ValueError("weight vector length does not match embedder dim")
-    return PairwiseRanker(
-        embedder=embedder,
-        weight_vector=weight_vector,
-        training_meta=dict(payload.get("training_meta", {})),
-    )
+    def parse(payload: dict) -> PairwiseRanker:
+        for key in ("embedder", "training_meta"):
+            if not isinstance(payload.get(key, {}), dict):
+                raise ValueError(f"{key!r} must be an object")
+        emb = payload.get("embedder", {})
+        if emb.get("kind") != "hashing":
+            raise ValueError(f"unsupported embedder kind {emb.get('kind')!r}")
+        for key in ("dim", "seed"):
+            if key not in emb:
+                raise ValueError(f"missing key 'embedder.{key}'")
+            if type(emb[key]) is not int:
+                raise ValueError(f"'embedder.{key}' must be an integer, got {emb[key]!r}")
+        if not isinstance(payload["weight_vector"], list):
+            raise ValueError("'weight_vector' must be a list")
+        embedder = HashingEmbedder(dim=emb["dim"], seed=emb["seed"])
+        weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
+        if weight_vector.shape != (embedder.dim,):
+            raise ValueError("weight vector length does not match embedder dim")
+        return PairwiseRanker(
+            embedder=embedder,
+            weight_vector=weight_vector,
+            training_meta=dict(payload.get("training_meta", {})),
+        )
+
+    return read_json(path, parse, required=("weight_vector",))
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,58 @@ def test_non_object_input_exits_two(tmp_path, pairs_file, capsys, argv, content,
     assert f"{named}: record must be a JSON object" in capsys.readouterr().err
 
 
+GOOD_RECORDS = {
+    "pairs": {
+        "pair_id": "c#0", "source": "a claim", "reference": "A claim.", "intent": "links"
+    },
+    "chains": {
+        "chain_id": "c",
+        "debate_id": "d",
+        "claims": [{"id": "x", "text": "one"}, {"id": "y", "text": "two"}],
+        "intents": ["links"],
+    },
+    "selections": {"strategy": "top1", "chosen": "x"},  # plus a pair id of pairs_file
+    "annotations": {"item": "a", "worker": "w", "field": "fluency", "value": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind, change, reason",
+    [
+        ("run", "pairs", {"source": 5}, "'source' must be a string, got 5"),
+        ("run", "pairs", {"source": " "}, "claim 'c#0.src' has empty text"),
+        ("run", "pairs", {"topic": 5}, "topic and previous_claim must be strings or null"),
+        ("prepare", "chains", {"intents": 5}, "claims and intents must be lists"),
+        ("prepare", "chains", {"intents": "ab"}, "claims and intents must be lists"),
+        ("report", "selections", {"chosen": 5}, "'chosen' must be a string, got 5"),
+        ("report", "selections", {"chosen": ""}, "'chosen' must not be blank"),
+        ("stats", "annotations", {"value": True}, "fluency value True outside [1, 3]"),
+        (
+            "stats", "annotations", {"ranking": ["x", "x"]},
+            "ranking ('x', 'x') is not a permutation",
+        ),
+    ],
+    ids=[
+        "pair-source-number", "pair-source-blank", "pair-topic-number", "chain-intents-number",
+        "chain-intents-string", "selection-chosen-number", "selection-chosen-blank",
+        "likert-value-bool", "ranking-repeated",
+    ],
+)
+def test_bad_field_exits_two_naming_the_line(
+    tmp_path, pairs_file, capsys, command, kind, change, reason
+):
+    record = dict(GOOD_RECORDS[kind], **change)
+    if kind == "selections":
+        record["pair_id"] = read_rows(pairs_file)[0]["pair_id"]
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    argv = [command, f"--{kind}", bad, "--out", tmp_path / "o"]
+    if kind == "selections":
+        argv += ["--pairs", pairs_file]
+    assert run_cli(*argv) == 2
+    assert f"error: line 1: {reason}" in capsys.readouterr().err
+
+
 def test_stats_non_list_ranking_exits_two(tmp_path, capsys):
     bad = tmp_path / "annotations.jsonl"
     bad.write_text('{"item": "a", "worker": "w", "ranking": 5}\n')
@@ -430,7 +482,24 @@ def test_run_ranker_bad_field_exits_two(tmp_path, pairs_file, capsys, field, val
     assert f"ranker.json: '{field}' must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["a", None, True])
+@pytest.mark.parametrize(
+    "key, value",
+    [("dim", [4]), ("dim", 4.0), ("dim", True), ("seed", 1.5), ("seed", "0")],
+)
+def test_run_ranker_non_integer_embedder_field_exits_two(tmp_path, pairs_file, capsys, key, value):
+    payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
+    payload["embedder"][key] = value
+    ranker = tmp_path / "ranker.json"
+    ranker.write_text(json.dumps(payload))
+    code = run_cli(
+        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
+        "--strategies", "pairwise_rank", "--ranker", ranker,
+    )
+    assert code == 2
+    assert f"ranker.json: 'embedder.{key}' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["a", None, True, float("nan"), float("inf")])
 def test_run_weights_non_number_exits_two(tmp_path, pairs_file, capsys, value):
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps(dict(WEIGHTS, beta=value)))
@@ -540,6 +609,37 @@ def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):
     ) == 0
     top1 = [r for r in read_rows(out / "selections.jsonl") if r["strategy"] == "top1"]
     assert all(r["chosen"].endswith("(greedy)") for r in top1)
+
+
+def test_run_skips_blank_generator_text(tmp_path, monkeypatch):
+    """Blank top-k answers are failed steps; an all-blank instance is an instance error."""
+    script = tmp_path / "blank_gen.py"
+    script.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    blank = req['directive'] != 'greedy' or 'BLANK' in req['input']\n"
+        "    print(json.dumps({'text': '' if blank else req['input'] + '.'}), flush=True)\n"
+    )
+    pairs = make_synthetic_pairs(4, seed=3)
+    pairs[1] = dataclasses.replace(
+        pairs[1], source=dataclasses.replace(pairs[1].source, text="BLANK claim here")
+    )
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, pairs_path)
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
+    out = tmp_path / "o"
+    code = run_cli(
+        "run", "--pairs", pairs_path, "--out", out, "--seed", 0,
+        "--strategies", "random,top1", "--n-candidates", 3,
+    )
+    assert code == 1
+    assert [e["pair_id"] for e in read_rows(out / "errors.jsonl")] == [pairs[1].pair_id]
+    rows = read_rows(out / "selections.jsonl")
+    assert len(rows) == 3 * 2
+    assert all(r["chosen"].endswith(".") and len(r["scores"]) == 1 for r in rows)
+    assert json.loads((out / "report.json").read_text())["metadata"]["n_instances"] == 3
+    assert (out / "manifest.json").is_file()
 
 
 @pytest.fixture()

@@ -461,6 +461,14 @@ def test_load_type_annotations(tmp_path):
     }
 
 
+def test_load_type_annotations_rejects_non_list_types(tmp_path):
+    path = tmp_path / "types.jsonl"
+    write_lines(path, [json.dumps({"pair_id": "a#0", "annotator": "w1", "types": 5})])
+    with pytest.raises(RecordFormatError) as err:
+        load_type_annotations(path)
+    assert str(err.value) == "line 1: types must be a list, got 5"
+
+
 def test_load_type_annotations_rejects_unknown_type(tmp_path):
     path = tmp_path / "types.jsonl"
     write_lines(

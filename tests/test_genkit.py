@@ -185,13 +185,14 @@ def test_max_length_truncation():
 
 
 class FlakyGenerator:
-    def __init__(self, fail_on):
+    def __init__(self, fail_on, answers=None):
         self.fail_on = fail_on
+        self.answers = answers or {}  # directive -> text returned as is
 
     def generate(self, input_text, directive, config, seed):
         if str(directive) in self.fail_on:
             raise GenerationError("backend down")
-        return f"{input_text} via {directive}"
+        return self.answers.get(str(directive), f"{input_text} via {directive}")
 
 
 def test_generate_candidates_indices_follow_schedule():
@@ -210,11 +211,20 @@ def test_generate_candidates_skips_failures_keeping_indices():
     gen = FlakyGenerator(fail_on={"topk:5"})
     cset = generate_candidates(gen, "x", CFG, make_schedule(3), 0)
     assert [c.index for c in cset.candidates] == [0, 2]
+    blank = FlakyGenerator(fail_on=set(), answers={"topk:5": "", "topk:10": " "})
+    cset = generate_candidates(blank, "x", CFG, make_schedule(4), 0)
+    assert [c.index for c in cset.candidates] == [0, 3]
 
 
 def test_generate_candidates_all_fail_raises():
     gen = FlakyGenerator(fail_on={"greedy", "topk:5"})
     with pytest.raises(GenerationError):
+        generate_candidates(gen, "x", CFG, make_schedule(2), 0)
+
+
+def test_generate_candidates_all_blank_or_non_string_raises():
+    gen = FlakyGenerator(fail_on=set(), answers={"greedy": "", "topk:5": None})
+    with pytest.raises(GenerationError, match="all 2 generation steps failed"):
         generate_candidates(gen, "x", CFG, make_schedule(2), 0)
 
 
