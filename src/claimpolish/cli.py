@@ -26,10 +26,12 @@ import os
 import shlex
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    GRANULARITIES,
     ContextMode,
     DelimiterConfig,
     IntentLabel,
@@ -64,6 +66,7 @@ from .genkit import (
 from .metrics import BLEU_MODES, SARI_VARIANTS, EvalInstance, evaluate_run, write_report_csv
 from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
 from .scoring import (
+    AGGREGATIONS,
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
     HeuristicArgumentScorer,
@@ -85,13 +88,6 @@ from .selection import (
     selection_to_record,
     train_pairwise_ranker,
 )
-
-_CONTEXT_FLAG = {
-    "none": ContextMode.CLAIM_ONLY,
-    "previous": ContextMode.WITH_PREVIOUS,
-    "topic": ContextMode.WITH_TOPIC,
-    "both": ContextMode.WITH_BOTH,
-}
 
 _ENV_ADAPTERS = {
     "generator": "CLAIMPOLISH_GENERATOR_CMD",
@@ -151,14 +147,19 @@ _SETTINGS = {
         "chains": (str, None, "chains.jsonl input"),
         "per_label_test": (int, 200, "test pairs per intent label"),
         "train_fraction": (float, 0.9, "share of the rest that goes to train"),
-        "granularity": (("chain", "pair"), "chain", "keep a chain's pairs in one split or not"),
+        "granularity": (
+            GRANULARITIES, GRANULARITIES[0], "keep a chain's pairs in one split or not"
+        ),
         "labeler": (("majority", "none"), "majority", None),
         "filter_intents": (_parse_intents, TASK_INTENTS, None),
     },
     "run": {
         **_SHARED,
         "pairs": (str, None, "test pairs.jsonl"),
-        "context": (tuple(_CONTEXT_FLAG), "none", "debate context in the generator input"),
+        "context": (
+            tuple(mode.value for mode in ContextMode), "none",
+            "debate context in the generator input",
+        ),
         "strategies": (_parse_strategies, tuple(Strategy), "comma list or 'all'"),
         "n_candidates": (int, 10, "candidates generated per pair"),
         "weights": (str, None, "weights.json from calibrate"),
@@ -178,7 +179,7 @@ _SETTINGS = {
         "grid_step": (float, 0.01, "weight grid step"),
         "range_lo": (float, 0.01, "smallest weight on the grid"),
         "range_hi": (float, 0.98, "largest weight on the grid"),
-        "aggregation": (("pooled", "per_chain"), "pooled", "correlate all steps or per chain"),
+        "aggregation": (AGGREGATIONS, AGGREGATIONS[0], "correlate all steps or per chain"),
         **_SCORERS,
         **_EMBEDDER,
     },
@@ -369,12 +370,7 @@ def _write_reports(
 ) -> list[Path]:
     """Evaluate each strategy's outputs on ``pairs``; write report.json and report.csv."""
     instances = [
-        EvalInstance(
-            source=p.source.text,
-            output=p.source.text,  # placeholder, replaced per strategy
-            references=(p.reference.text,),
-            context=p.context,
-        )
+        EvalInstance(source=p.source.text, references=(p.reference.text,), context=p.context)
         for p in pairs
     ]
     reports = evaluate_run(
@@ -382,7 +378,7 @@ def _write_reports(
     )
     payload = {
         "metadata": {**metadata, "n_instances": len(instances)},
-        "reports": {name: reports[name].to_payload() for name in sorted(reports)},
+        "reports": {name: asdict(reports[name]) for name in sorted(reports)},
     }
     write_json(out / "report.json", payload)
     write_report_csv({name: reports[name] for name in sorted(reports)}, out / "report.csv")
@@ -524,7 +520,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "pairwise_rank strategy needs either a ranker file or train_pairs"
             )
 
-    context_mode = _CONTEXT_FLAG[s["context"]]
+    context_mode = ContextMode(s["context"])
     selections_path = out / "selections.jsonl"
     checkpoint = _load_checkpoint(selections_path, strategies)
     # rewrite only the complete instances, in pairs-file order, then resume

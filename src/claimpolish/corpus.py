@@ -72,12 +72,13 @@ class OptimizationType(enum.Enum):
 
 
 class ContextMode(enum.Enum):
-    """How much debate context gets serialized alongside the source claim."""
+    """How much debate context gets serialized alongside the source claim;
+    the values are the ``--context`` words."""
 
-    CLAIM_ONLY = "claim_only"
-    WITH_PREVIOUS = "with_previous"
-    WITH_TOPIC = "with_topic"
-    WITH_BOTH = "with_both"
+    CLAIM_ONLY = "none"
+    WITH_PREVIOUS = "previous"
+    WITH_TOPIC = "topic"
+    WITH_BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -297,12 +298,16 @@ def _pair_key(pair: OptimizationPair) -> tuple[str, int]:
     return (pair.chain_id, pair.index)
 
 
+# Allowed ``split_dataset`` granularities; the first is the default.
+GRANULARITIES = ("chain", "pair")
+
+
 def split_dataset(
     pairs: Sequence[OptimizationPair],
     per_label_test: int,
     train_fraction: float = 0.9,
     seed: int = 0,
-    granularity: str = "chain",
+    granularity: str = GRANULARITIES[0],
 ) -> DatasetSplit:
     """Carve a label-balanced test set, then split the rest into train/val.
 
@@ -321,7 +326,7 @@ def split_dataset(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if per_label_test < 0:
         raise ValueError("per_label_test must be >= 0")
-    if granularity not in ("chain", "pair"):
+    if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
 
     rng = random.Random(seed)

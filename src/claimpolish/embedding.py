@@ -30,7 +30,8 @@ class HashingEmbedder:
             raise ValueError("dim must be >= 2")
         self.dim = dim
         self.seed = seed
-        self._key = seed.to_bytes(8, "little", signed=True)
+        # any int: seeds in the int64 range keep their two's-complement bytes
+        self._key = (seed % 2**64).to_bytes(8, "little")
         # token -> (slot, sign); the keyed hash is deterministic, so a
         # remembered slot is the one a fresh hash would give
         self._slots: dict[str, tuple[int, float]] = {}

@@ -22,7 +22,7 @@ import csv
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,15 +45,14 @@ SARI_VARIANTS = ("canonical", "all_f1")
 @dataclass(frozen=True)
 class EvalInstance:
     source: str
-    output: str
     references: tuple[str, ...]
     context: ContextBundle = ContextBundle()
 
     def __post_init__(self):
         if not self.references:
             raise ValueError("references must be non-empty")
-        if not self.source.strip() or not self.output.strip():
-            raise ValueError("source and output must be non-empty")
+        if not self.source.strip():
+            raise ValueError("source must be non-empty")
         if any(not r.strip() for r in self.references):
             raise ValueError("references must be non-empty strings")
 
@@ -69,19 +68,6 @@ class MetricReport:
     sim_previous: float | None
     sim_topic: float | None
     n_instances: int
-
-    def to_payload(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "sari": self.sari,
-            "no_edit_ratio": self.no_edit_ratio,
-            "exact_match_ratio": self.exact_match_ratio,
-            "sim_original": self.sim_original,
-            "sim_previous": self.sim_previous,
-            "sim_topic": self.sim_topic,
-            "n_instances": self.n_instances,
-        }
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
@@ -158,29 +144,13 @@ def sentence_bleu(output: str, references: Sequence[str]) -> float:
     return _bleu_from_counts(_bleu_counts(output, references))
 
 
-def _bleu_part(output: str, references: Sequence[str], mode: str) -> float | list[int]:
-    """One instance's share of corpus BLEU: its sentence BLEU in
-    ``"sentence"`` mode, its BLEU counts in ``"corpus"`` mode."""
-    if mode not in BLEU_MODES:
-        raise ValueError(f"unknown bleu mode {mode!r}")
-    if mode == "sentence":
-        return sentence_bleu(output, references)
-    return _bleu_counts(output, references)
-
-
 def _bleu_total(parts: Sequence, mode: str) -> float:
-    """Corpus score 0-100 from the instances' ``_bleu_part`` values."""
+    """Corpus score 0-100 from the instances' ``_Row.bleu`` values: mean
+    sentence BLEU in ``"sentence"`` mode, BLEU of the pooled counts in
+    ``"corpus"`` mode."""
     if mode == "sentence":
         return 100.0 * sum(parts) / len(parts)
     return _bleu_from_counts([sum(column) for column in zip(*parts)], scale=100.0)
-
-
-def bleu(instances: Sequence[EvalInstance], mode: str = "sentence") -> float:
-    """Corpus score 0-100: mean sentence BLEU by default, pooled corpus
-    BLEU with ``mode="corpus"``."""
-    if not instances:
-        raise ValueError("empty instance list")
-    return _bleu_total([_bleu_part(i.output, i.references, mode) for i in instances], mode)
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +268,7 @@ def sari(
 
 
 # ---------------------------------------------------------------------------
-# ratios and similarity
-
-def exact_match_ratio(instances: Sequence[EvalInstance]) -> float:
-    """Fraction whose output equals any reference after whitespace
-    normalization."""
-    if not instances:
-        raise ValueError("empty instance list")
-    return sum(1 for inst in instances if _exact_match(inst)) / len(instances)
-
-
-def _exact_match(inst: EvalInstance) -> bool:
-    output = normalize_whitespace(inst.output)
-    return any(output == normalize_whitespace(ref) for ref in inst.references)
-
-
-def no_edit_ratio(instances: Sequence[EvalInstance]) -> float:
-    """Fraction whose output equals the source byte-for-byte."""
-    if not instances:
-        raise ValueError("empty instance list")
-    return sum(1 for inst in instances if inst.output == inst.source) / len(instances)
-
+# context similarity
 
 def context_similarity(output: str, context_field: str | None, embedder: Embedder) -> float:
     """Embedding cosine between output and a context field, mapped to
@@ -337,7 +287,7 @@ class _Row:
     """Every score of one (instance, output) row; a strategy's report
     aggregates the rows of the outputs it chose."""
 
-    bleu: float | list[int]  # a _bleu_part value
+    bleu: float | list[int]  # sentence BLEU, or the _bleu_counts in corpus mode
     rouge_l: float
     sari: float
     no_edit: bool
@@ -348,18 +298,23 @@ class _Row:
 
 
 def _score_row(
-    inst: EvalInstance, embedder: Embedder, bleu_mode: str, sari_variant: str
+    inst: EvalInstance, output: str, embedder: Embedder, bleu_mode: str, sari_variant: str
 ) -> _Row:
+    if not output.strip():
+        raise ValueError("output must be non-empty")
+    refs = inst.references
     previous, topic = inst.context.previous_claim, inst.context.topic
     return _Row(
-        bleu=_bleu_part(inst.output, inst.references, bleu_mode),
-        rouge_l=max(rouge_l(inst.output, ref) for ref in inst.references),
-        sari=sari(inst.source, inst.output, inst.references, variant=sari_variant),
-        no_edit=inst.output == inst.source,
-        exact_match=_exact_match(inst),
-        sim_original=context_similarity(inst.output, inst.source, embedder),
-        sim_previous=context_similarity(inst.output, previous, embedder) if previous else None,
-        sim_topic=context_similarity(inst.output, topic, embedder) if topic else None,
+        bleu=(
+            sentence_bleu(output, refs) if bleu_mode == "sentence" else _bleu_counts(output, refs)
+        ),
+        rouge_l=max(rouge_l(output, ref) for ref in refs),
+        sari=sari(inst.source, output, refs, variant=sari_variant),
+        no_edit=output == inst.source,
+        exact_match=normalize_whitespace(output) in map(normalize_whitespace, refs),
+        sim_original=context_similarity(output, inst.source, embedder),
+        sim_previous=context_similarity(output, previous, embedder) if previous else None,
+        sim_topic=context_similarity(output, topic, embedder) if topic else None,
     )
 
 
@@ -397,6 +352,8 @@ def evaluate_run(
     Rows are scored one instance at a time, so the texts of that
     instance are tokenized and embedded once for all its rows.
     """
+    if bleu_mode not in BLEU_MODES:
+        raise ValueError(f"unknown bleu mode {bleu_mode!r}")
     if not instances:
         raise ValueError("empty instance list")
     for strategy, texts in outputs.items():
@@ -412,7 +369,7 @@ def evaluate_run(
         for texts in outputs.values():
             if (i, texts[i]) not in rows:
                 rows[i, texts[i]] = _score_row(
-                    replace(instance, output=texts[i]), instance_embedder, bleu_mode, sari_variant
+                    instance, texts[i], instance_embedder, bleu_mode, sari_variant
                 )
     return {
         strategy: _aggregate([rows[key] for key in enumerate(texts)], bleu_mode)

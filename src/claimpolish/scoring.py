@@ -357,13 +357,17 @@ def _grid_correlations(
     return rs, var
 
 
+# Allowed ``calibrate_weights`` aggregations; the first is the default.
+AGGREGATIONS = ("pooled", "per_chain")
+
+
 def calibrate_weights(
     chains: Sequence[RevisionChain],
     registry: ScorerRegistry,
     grid_step: float = 0.01,
     range_lo: float = 0.01,
     range_hi: float = 0.98,
-    aggregation: str = "pooled",
+    aggregation: str = AGGREGATIONS[0],
 ) -> CalibrationResult:
     """Grid-search the weight simplex for the best position correlation.
 
@@ -375,7 +379,7 @@ def calibrate_weights(
     skipped in that mode). Exact ties on the correlation break toward
     the lexicographically smallest (alpha, beta, gamma).
     """
-    if aggregation not in ("pooled", "per_chain"):
+    if aggregation not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {aggregation!r}")
     if not chains:
         raise CalibrationError("no chains to calibrate on")

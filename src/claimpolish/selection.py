@@ -11,6 +11,7 @@ of the decision score.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -217,6 +218,11 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
                 raise ValueError(f"'embedder.{key}' must be an integer, got {emb[key]!r}")
         if not isinstance(payload["weight_vector"], list):
             raise ValueError("'weight_vector' must be a list")
+        for value in payload["weight_vector"]:
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(
+                    f"'weight_vector' must be a list of finite numbers, got {value!r}"
+                )
         embedder = HashingEmbedder(dim=emb["dim"], seed=emb["seed"])
         weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
         if weight_vector.shape != (embedder.dim,):

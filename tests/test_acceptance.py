@@ -11,7 +11,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import make_synthetic_pairs
@@ -29,6 +28,7 @@ from claimpolish.corpus import (
     split_dataset,
     write_pairs,
 )
+from claimpolish.embedding import HashingEmbedder
 from claimpolish.evalstats import (
     AnnotationMatrix,
     cohens_kappa,
@@ -37,13 +37,7 @@ from claimpolish.evalstats import (
     wilcoxon_signed_rank,
 )
 from claimpolish.genkit import Candidate, CandidateSet
-from claimpolish.metrics import (
-    EvalInstance,
-    bleu,
-    exact_match_ratio,
-    rouge_l,
-    sari,
-)
+from claimpolish.metrics import EvalInstance, evaluate_run, rouge_l, sari
 from claimpolish.scoring import (
     ScoreVector,
     ScorerRegistry,
@@ -125,19 +119,22 @@ def test_criterion_1_identity_metrics(e2e, capsys):
     instances = [
         EvalInstance(
             source=p.source.text,
-            output=p.reference.text,
             references=(p.reference.text,),
             context=p.context,
         )
         for p in pairs
     ]
+    outputs = {"reference": [p.reference.text for p in pairs]}
+    embedder = HashingEmbedder()
+    sentence = evaluate_run(instances, outputs, embedder, bleu_mode="sentence")["reference"]
+    corpus = evaluate_run(instances, outputs, embedder, bleu_mode="corpus")["reference"]
     checks = {
-        "bleu_sentence": abs(bleu(instances, mode="sentence") - 100.0) <= 1e-6,
-        "bleu_corpus": abs(bleu(instances, mode="corpus") - 100.0) <= 1e-6,
+        "bleu_sentence": abs(sentence.bleu - 100.0) <= 1e-6,
+        "bleu_corpus": abs(corpus.bleu - 100.0) <= 1e-6,
         "rouge_identity": all(
             rouge_l(p.reference.text, p.reference.text) == 1.0 for p in pairs
         ),
-        "exact_match": exact_match_ratio(instances) == 1.0,
+        "exact_match": sentence.exact_match_ratio == 1.0,
         "unedited_noed": e2e["report"]["reports"]["unedited"]["no_edit_ratio"] == 1.0,
     }
     _announce(
@@ -368,21 +365,15 @@ def test_criterion_8_source_corpus_reproduction(capsys):
     instances = [
         EvalInstance(
             source=p.source.text,
-            output=p.source.text,
             references=(p.reference.text,),
             context=p.context,
         )
         for p in split.test
     ]
-    bleu_score = bleu(instances, mode="sentence")
-    rouge_mean = float(
-        np.mean([rouge_l(i.output, i.references[0]) for i in instances])
-    )
-    sari_mean = float(
-        np.mean(
-            [sari(i.source, i.output, list(i.references)) for i in instances]
-        )
-    )
+    unedited = evaluate_run(
+        instances, {"unedited": [p.source.text for p in split.test]}, HashingEmbedder()
+    )["unedited"]
+    bleu_score, rouge_mean, sari_mean = unedited.bleu, unedited.rouge_l, unedited.sari
     checks = {
         "chains": len(chains) == 124_312,
         "derived": len(pairs) == 210_222,
@@ -391,11 +382,11 @@ def test_criterion_8_source_corpus_reproduction(capsys):
         "bleu": abs(bleu_score - 69.4) <= 0.5,
         "rouge": abs(rouge_mean - 0.87) <= 0.01,
         "sari": abs(sari_mean - 27.9) <= 0.5,
-        "exact_match": exact_match_ratio(instances) == 0.0,
+        "exact_match": unedited.exact_match_ratio == 0.0,
     }
     _announce(
         capsys, 8, "source corpus statistics", all(checks.values()),
-        detail=str(checks),
+        detail=f"{checks} bleu={bleu_score!r} rouge={rouge_mean!r} sari={sari_mean!r}",
     )
 
 

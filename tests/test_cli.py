@@ -467,7 +467,13 @@ def test_run_ranker_missing_key_exits_two(tmp_path, pairs_file, capsys, missing)
 
 @pytest.mark.parametrize(
     "field, value",
-    [("embedder", 5), ("training_meta", 5), ("weight_vector", {"a": 1})],
+    [
+        ("embedder", 5),
+        ("training_meta", 5),
+        ("weight_vector", {"a": 1}),
+        ("weight_vector", [{}, 0.0, 0.0, 0.0]),
+        ("weight_vector", [float("nan"), 0.0, 0.0, 0.0]),
+    ],
 )
 def test_run_ranker_bad_field_exits_two(tmp_path, pairs_file, capsys, field, value):
     payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
@@ -497,6 +503,20 @@ def test_run_ranker_non_integer_embedder_field_exits_two(tmp_path, pairs_file, c
     )
     assert code == 2
     assert f"ranker.json: 'embedder.{key}' must be an integer" in capsys.readouterr().err
+
+
+def test_run_accepts_embedder_seed_outside_int64(tmp_path, pairs_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"embed_seed = {2**70}\n")
+    ranker = tmp_path / "ranker.json"
+    ranker.write_text(json.dumps(
+        {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 2**70}}
+    ))
+    code = run_cli(
+        "run", "--config", cfg, "--pairs", pairs_file, "--out", tmp_path / "o",
+        "--strategies", "top1,pairwise_rank", "--ranker", ranker,
+    )
+    assert code == 0
 
 
 @pytest.mark.parametrize("value", ["a", None, True, float("nan"), float("inf")])

@@ -33,6 +33,21 @@ def test_warm_embedder_equals_fresh_one(dim, seed):
         assert warm.embed(text).tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize(
+    "seed, key",
+    [
+        (-1, b"\xff" * 8),
+        (0, bytes(8)),
+        (2**63 - 1, b"\xff" * 7 + b"\x7f"),
+        (2**64 - 1, b"\xff" * 8),
+    ],
+)
+def test_embedder_key_is_the_seed_in_eight_little_endian_bytes(seed, key):
+    # seeds in the int64 range keep their two's-complement bytes; any
+    # other int wraps modulo 2**64
+    assert HashingEmbedder(seed=seed)._key == key
+
+
 def test_embedding_seed_changes_vectors():
     a = HashingEmbedder(dim=64, seed=0).embed("the tax helps")
     b = HashingEmbedder(dim=64, seed=1).embed("the tax helps")

@@ -11,11 +11,8 @@ from claimpolish.embedding import HashingEmbedder
 from claimpolish.metrics import (
     CSV_COLUMNS,
     EvalInstance,
-    bleu,
     context_similarity,
     evaluate_run,
-    exact_match_ratio,
-    no_edit_ratio,
     rouge_l,
     sari,
     sentence_bleu,
@@ -25,13 +22,16 @@ from claimpolish.metrics import (
 EMB = HashingEmbedder(dim=128)
 
 
-def inst(source, output, references, **ctx):
+def inst(source, references, **ctx):
     return EvalInstance(
         source=source,
-        output=output,
         references=tuple(references),
         context=ContextBundle(**ctx),
     )
+
+
+def corpus_bleu(instances, outputs, mode="sentence"):
+    return evaluate_run(instances, {"x": outputs}, EMB, bleu_mode=mode)["x"].bleu
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +80,13 @@ def test_bleu_empty_output_or_refs():
 
 
 def test_bleu_corpus_scale():
-    instances = [inst("s one", "r one", ["r one"]), inst("s two", "r two", ["r two"])]
-    assert bleu(instances) == pytest.approx(100.0, abs=1e-6)
+    instances = [inst("s one", ["r one"]), inst("s two", ["r two"])]
+    outputs = ["r one", "r two"]
+    assert corpus_bleu(instances, outputs) == pytest.approx(100.0, abs=1e-6)
     with pytest.raises(ValueError):
-        bleu([])
+        corpus_bleu([], [])
     with pytest.raises(ValueError):
-        bleu(instances, mode="document")
+        corpus_bleu(instances, outputs, mode="document")
 
 
 @pytest.mark.parametrize(
@@ -103,17 +104,15 @@ def test_bleu_corpus_scale():
     ],
 )
 def test_bleu_corpus_mode_of_one_instance_is_sentence_bleu(output, references):
-    pooled = bleu([inst("s", output, references)], mode="corpus")
+    pooled = corpus_bleu([inst("s", references)], [output], mode="corpus")
     assert pooled == pytest.approx(100 * sentence_bleu(output, references), rel=1e-12)
 
 
 def test_bleu_corpus_mode_pools_counts():
-    instances = [
-        inst("s", "the cat sat", ["the cat sat"]),
-        inst("s", "the dog ran far", ["a dog ran off quickly"]),
-    ]
-    pooled = bleu(instances, mode="corpus")
-    averaged = bleu(instances, mode="sentence")
+    instances = [inst("s", ["the cat sat"]), inst("s", ["a dog ran off quickly"])]
+    outputs = ["the cat sat", "the dog ran far"]
+    pooled = corpus_bleu(instances, outputs, mode="corpus")
+    averaged = corpus_bleu(instances, outputs, mode="sentence")
     assert pooled != averaged
     assert 0.0 < pooled <= 100.0
 
@@ -241,7 +240,7 @@ def test_repeated_calls_give_equal_results():
         lambda: sari(source, output, refs, variant="all_f1"),
         lambda: sentence_bleu(output, refs),
         lambda: rouge_l(output, refs[1]),
-        lambda: bleu([inst(source, output, refs)], mode="corpus"),
+        lambda: corpus_bleu([inst(source, refs)], [output], mode="corpus"),
     ):
         assert call() == call()
 
@@ -258,19 +257,15 @@ def test_text_analysis_cache_stays_bounded():
 
 
 def test_exact_match_normalizes_whitespace():
-    instances = [
-        inst("s", "a  b", ["a b"]),
-        inst("s", "a c", ["a b"]),
-    ]
-    assert exact_match_ratio(instances) == 0.5
+    instances = [inst("s", ["a b"]), inst("s", ["a b"])]
+    report = evaluate_run(instances, {"x": ["a  b", "a c"]}, EMB)["x"]
+    assert report.exact_match_ratio == 0.5
 
 
 def test_no_edit_is_byte_exact():
-    instances = [
-        inst("same text", "same text", ["r"]),
-        inst("same text", "same  text", ["r"]),
-    ]
-    assert no_edit_ratio(instances) == 0.5
+    instances = [inst("same text", ["r"]), inst("same text", ["r"])]
+    report = evaluate_run(instances, {"x": ["same text", "same  text"]}, EMB)["x"]
+    assert report.no_edit_ratio == 0.5
 
 
 def test_context_similarity_bounds_and_identity():
@@ -288,11 +283,19 @@ def test_context_similarity_missing_field_raises():
 
 def test_eval_instance_validation():
     with pytest.raises(ValueError):
-        EvalInstance(source="s", output="o", references=())
+        EvalInstance(source="s", references=())
     with pytest.raises(ValueError):
-        EvalInstance(source=" ", output="o", references=("r",))
+        EvalInstance(source=" ", references=("r",))
     with pytest.raises(ValueError):
-        EvalInstance(source="s", output="o", references=("r", " "))
+        EvalInstance(source="s", references=("r", " "))
+
+
+def test_evaluate_run_rejects_blank_output_and_unknown_bleu_mode():
+    instances = [inst("s", ["r"])]
+    with pytest.raises(ValueError, match="output must be non-empty"):
+        evaluate_run(instances, {"x": [" "]}, EMB)
+    with pytest.raises(ValueError, match="unknown bleu mode 'document'"):
+        evaluate_run(instances, {"x": ["o"]}, EMB, bleu_mode="document")
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +306,12 @@ def _instances():
     return [
         inst(
             "the tax helps towns",
-            "placeholder",
             ["the tax helps towns overall"],
             topic="local taxes",
             previous_claim="taxes were raised",
         ),
         inst(
             "schools need funding",
-            "placeholder",
             ["schools need more funding"],
             topic="education",
         ),
@@ -338,7 +339,7 @@ def test_evaluate_run_per_strategy_reports():
 
 
 def test_evaluate_run_sim_fields_none_without_context():
-    instances = [inst("a b", "placeholder", ["a b c"])]
+    instances = [inst("a b", ["a b c"])]
     reports = evaluate_run(instances, {"x": ["a b"]}, EMB)
     assert reports["x"].sim_previous is None
     assert reports["x"].sim_topic is None
@@ -346,7 +347,7 @@ def test_evaluate_run_sim_fields_none_without_context():
 
 
 def test_evaluate_run_rouge_uses_best_reference():
-    instances = [inst("s t", "a b c", ["x y z", "a b c"])]
+    instances = [inst("s t", ["x y z", "a b c"])]
     reports = evaluate_run(instances, {"x": ["a b c"]}, EMB)
     assert reports["x"].rouge_l == pytest.approx(1.0)
 
@@ -421,11 +422,10 @@ def test_evaluate_run_multi_reference_equals_primitives():
     instances = [
         inst(
             "the tax helps towns",
-            "placeholder",
             ["the tax helps towns overall", "a tax that helps the towns", "taxes help"],
             topic="local taxes",
         ),
-        inst("schools need funding", "placeholder", ["schools need more funding", "fund schools"]),
+        inst("schools need funding", ["schools need more funding", "fund schools"]),
     ]
     texts = ["the new tax helps towns", "schools need funding"]
     report = evaluate_run(instances, {"x": texts}, EMB)["x"]
