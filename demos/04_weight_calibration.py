@@ -19,8 +19,6 @@ from claimpolish.scoring import ScorerRegistry, calibrate_weights, save_calibrat
 class TableScorer:
     """Returns precomputed values; stands in for a trained model."""
 
-    output_range = (0.0, 1.0)
-
     def __init__(self, table):
         self.table = table
 

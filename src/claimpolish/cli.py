@@ -343,8 +343,7 @@ def _build_registry(s: dict, embedder) -> ScorerRegistry:
         if spec == "cosine" and kind == "meaning_scorer":
             return CosineMeaningScorer(embedder)
         if spec.startswith("stdio:"):
-            rng = (-1.0, 1.0) if kind == "meaning_scorer" else (0.0, 1.0)
-            return StdioScorer(shlex.split(spec[len("stdio:") :]), output_range=rng)
+            return StdioScorer(shlex.split(spec[len("stdio:") :]))
         raise ConfigError(f"unknown {kind} {spec!r}")
 
     return ScorerRegistry(
@@ -415,7 +414,8 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
         chains_path, encoding="utf-8"
     ) as src:
         for line in src:
-            if line.strip() and decode_line(line).get("chain_id") in validation_chain_ids:
+            # chain ids compared as _parse_chain stores them: str() of the raw value
+            if line.strip() and str(decode_line(line)["chain_id"]) in validation_chain_ids:
                 fh.write(line if line.endswith("\n") else line + "\n")
 
     counts = {

@@ -174,8 +174,10 @@ def _parse_chain(record: dict) -> RevisionChain:
     for entry in raw_claims:
         if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
             raise ValueError("each claim needs 'id' and 'text'")
+        if not isinstance(entry["text"], str):
+            raise ValueError(f"claim 'text' must be a string, got {entry['text']!r}")
         claims.append(
-            Claim(id=str(entry["id"]), text=str(entry["text"]), debate_id=str(record["debate_id"]))
+            Claim(id=str(entry["id"]), text=entry["text"], debate_id=str(record["debate_id"]))
         )
     intents = (IntentLabel.UNLABELED if raw is None else IntentLabel(raw) for raw in raw_intents)
     return RevisionChain(

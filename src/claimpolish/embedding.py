@@ -65,3 +65,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def unit_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity mapped from [-1, 1] onto [0, 1] by (s + 1) / 2."""
+    return (min(max(cosine(a, b), -1.0), 1.0) + 1.0) / 2.0

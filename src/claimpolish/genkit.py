@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Protocol
 
 from .ndjson import NdjsonChild
@@ -38,16 +38,6 @@ class GenerationConfig:
             raise ValueError("n_candidates must be >= 1")
         if not 0 < self.min_length <= self.max_length:
             raise ValueError("need 0 < min_length <= max_length")
-
-    def to_payload(self) -> dict:
-        return {
-            "length_penalty": self.length_penalty,
-            "temperature": self.temperature,
-            "no_repeat_ngram": self.no_repeat_ngram,
-            "min_length": self.min_length,
-            "max_length": self.max_length,
-            "n_candidates": self.n_candidates,
-        }
 
 
 @dataclass(frozen=True)
@@ -345,7 +335,7 @@ class StdioGenerator(NdjsonChild):
         request = {
             "input": input_text,
             "directive": str(directive),
-            "config": config.to_payload(),
+            "config": asdict(config),
             "seed": seed,
         }
         response = self.request(request)

@@ -28,7 +28,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .corpus import ContextBundle, MissingContextError
-from .embedding import Embedder, cosine
+from .embedding import Embedder, unit_cosine
 from .ndjson import open_atomic
 from .text import normalize_whitespace, tokenize
 
@@ -271,12 +271,10 @@ def sari(
 # context similarity
 
 def context_similarity(output: str, context_field: str | None, embedder: Embedder) -> float:
-    """Embedding cosine between output and a context field, mapped to
-    [0, 1] by (s + 1) / 2."""
+    """Embedding cosine between output and a context field, mapped onto [0, 1]."""
     if not context_field:
         raise MissingContextError("context field is missing")
-    sim = cosine(embedder.embed(output), embedder.embed(context_field))
-    return (min(max(sim, -1.0), 1.0) + 1.0) / 2.0
+    return unit_cosine(embedder.embed(output), embedder.embed(context_field))
 
 
 # ---------------------------------------------------------------------------

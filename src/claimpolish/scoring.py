@@ -8,11 +8,10 @@ grid search: pick the triple whose combined score correlates best
 (Pearson) with where a revision sits inside its chain, on the theory
 that later revisions of a claim tend to be better ones.
 
-Scorers are pluggable: anything with an ``output_range`` and a
-``score(source, candidate, context)`` method. Raw outputs outside the
-declared range fail loudly rather than being clamped; in-range outputs
-are mapped affinely onto [0, 1], which for cosine-style scorers on
-(-1, 1) is exactly ``(s + 1) / 2``.
+Scorers are pluggable: anything with a ``score(source, candidate,
+context)`` method that answers in [0, 1], stdio scorers included. An
+answer outside [0, 1] fails loudly rather than being rescaled; cosine
+similarity is mapped onto [0, 1] by ``embedding.unit_cosine``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Protocol
 import numpy as np
 
 from .corpus import ContextBundle, RevisionChain
-from .embedding import Embedder, cosine
+from .embedding import Embedder, unit_cosine
 from .ndjson import NdjsonChild, read_json, write_json
 from .text import normalize_whitespace, tokenize
 
@@ -83,8 +82,6 @@ DEFAULT_WEIGHTS = Weights(alpha=0.43, beta=0.01, gamma=0.56)
 
 
 class Scorer(Protocol):
-    output_range: tuple[float, float]
-
     def score(self, source: str, candidate: str, context: ContextBundle) -> float: ...
 
 
@@ -98,19 +95,11 @@ class ScorerRegistry:
         return (("fluency", self.fluency), ("meaning", self.meaning), ("argument", self.argument))
 
 
-def _to_unit_interval(raw: float, lo: float, hi: float, scorer_name: str) -> float:
-    if not lo - 1e-6 <= raw <= hi + 1e-6:
-        raise ScorerError(
-            f"{scorer_name} scorer returned {raw}, outside its declared range [{lo}, {hi}]"
-        )
-    clipped = min(max(raw, lo), hi)
-    return (clipped - lo) / (hi - lo)
-
-
 def score_candidate(
     registry: ScorerRegistry, source: str, candidate: str, context: ContextBundle
 ) -> ScoreVector:
-    """Run all three scorers and normalize each output onto [0, 1]."""
+    """Run all three scorers; an answer within 1e-6 of [0, 1] is clipped
+    onto it, one further out raises ScorerError."""
     values = {}
     for name, scorer in registry.items():
         try:
@@ -119,8 +108,9 @@ def score_candidate(
             raise
         except Exception as exc:
             raise ScorerError(f"{name} scorer failed: {exc}") from exc
-        lo, hi = scorer.output_range
-        values[name] = _to_unit_interval(raw, lo, hi, name)
+        if not -1e-6 <= raw <= 1.0 + 1e-6:
+            raise ScorerError(f"{name} scorer returned {raw}, outside [0, 1]")
+        values[name] = min(max(float(raw), 0.0), 1.0)
     return ScoreVector(**values)
 
 
@@ -150,8 +140,6 @@ class HeuristicFluencyScorer:
     apostrophe-dropped contraction (0.2). Floor at 0.
     """
 
-    output_range = (0.0, 1.0)
-
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
         text = candidate.strip()
         if not text:
@@ -173,8 +161,6 @@ class HeuristicFluencyScorer:
 class JaccardMeaningScorer:
     """Token-set Jaccard overlap between source and candidate."""
 
-    output_range = (0.0, 1.0)
-
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
         a, b = set(tokenize(source)), set(tokenize(candidate))
         if not a and not b:
@@ -183,15 +169,13 @@ class JaccardMeaningScorer:
 
 
 class CosineMeaningScorer:
-    """Embedding cosine between source and candidate; range (-1, 1)."""
-
-    output_range = (-1.0, 1.0)
+    """Embedding cosine between source and candidate, mapped onto [0, 1]."""
 
     def __init__(self, embedder: Embedder):
         self._embedder = embedder
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
-        return cosine(self._embedder.embed(source), self._embedder.embed(candidate))
+        return unit_cosine(self._embedder.embed(source), self._embedder.embed(candidate))
 
 
 class HeuristicArgumentScorer:
@@ -202,8 +186,6 @@ class HeuristicArgumentScorer:
     (saturating at five), 0.1 for ending in terminal punctuation and
     0.1 for a capitalized start.
     """
-
-    output_range = (0.0, 1.0)
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
         if normalize_whitespace(candidate) == normalize_whitespace(source):
@@ -235,16 +217,13 @@ class StdioScorer(NdjsonChild):
 
     One request per line on stdin: ``{"source": str, "candidate": str,
     "context": {"topic": ..., "previous_claim": ...}}``; one response
-    per line on stdout, ``{"score": float}`` or ``{"error": str}``.
-    Protocol violations and reported errors surface as ScorerError.
+    per line on stdout, ``{"score": float}`` with the float in [0, 1],
+    or ``{"error": str}``. Protocol violations and reported errors
+    surface as ScorerError.
     """
 
     error = ScorerError
     role = "scorer"
-
-    def __init__(self, command: Sequence[str], output_range: tuple[float, float] = (0.0, 1.0)):
-        super().__init__(command)
-        self.output_range = output_range
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
         request = {
@@ -349,8 +328,8 @@ def _grid_correlations(
     vt = float(tc @ tc)
     if vt == 0.0:
         return None
-    scores = weight_matrix @ values  # G x N
-    centered = scores - scores.mean(axis=1, keepdims=True)
+    centered = weight_matrix @ values  # G x N combined scores
+    centered -= centered.mean(axis=1, keepdims=True)  # in place: one G x N matrix
     var = np.einsum("ij,ij->i", centered, centered)
     with np.errstate(invalid="ignore", divide="ignore"):
         rs = (centered @ tc) / np.sqrt(var * vt)

@@ -196,8 +196,6 @@ def test_criterion_3_selection_equals_exhaustive_argmax(capsys):
 
 
 class _TableScorer:
-    output_range = (0.0, 1.0)
-
     def __init__(self, table, default=0.5):
         self.table = table
         self.default = default

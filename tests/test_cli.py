@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import make_synthetic_pairs
+from conftest import make_chain_records, make_synthetic_pairs, write_chain_records
 
 import claimpolish.cli as cli
 from claimpolish.cli import (
@@ -250,6 +250,23 @@ def test_prepare_artifacts_and_counts(tmp_path, chains_file, capsys):
     assert emitted == val_chain_ids
 
 
+def test_prepare_integer_chain_ids_keep_validation_chains(tmp_path):
+    records = make_chain_records(4, seed=7)
+    for chain_id, record in enumerate(records, start=1):
+        record["chain_id"] = chain_id
+    chains = tmp_path / "chains.jsonl"
+    write_chain_records(chains, records)
+    out = tmp_path / "prep"
+    assert run_cli(
+        "prepare", "--chains", chains, "--out", out,
+        "--per-label-test", 0, "--train-fraction", 0.5,
+    ) == 0
+    val_chain_ids = {r["pair_id"].rsplit("#", 1)[0] for r in read_rows(out / "validation.jsonl")}
+    assert val_chain_ids
+    expected = [r for r in records if str(r["chain_id"]) in val_chain_ids]
+    assert read_rows(out / "validation_chains.jsonl") == expected
+
+
 def test_prepare_is_deterministic(tmp_path, chains_file):
     outs = []
     for name in ("a", "b"):
@@ -414,6 +431,16 @@ GOOD_RECORDS = {
         ("run", "pairs", {"topic": 5}, "topic and previous_claim must be strings or null"),
         ("prepare", "chains", {"intents": 5}, "claims and intents must be lists"),
         ("prepare", "chains", {"intents": "ab"}, "claims and intents must be lists"),
+        (
+            "prepare", "chains",
+            {"claims": [{"id": "x", "text": None}, {"id": "y", "text": "two"}]},
+            "claim 'text' must be a string, got None",
+        ),
+        (
+            "prepare", "chains",
+            {"claims": [{"id": "x", "text": "one"}, {"id": "y", "text": 5}]},
+            "claim 'text' must be a string, got 5",
+        ),
         ("report", "selections", {"chosen": 5}, "'chosen' must be a string, got 5"),
         ("report", "selections", {"chosen": ""}, "'chosen' must not be blank"),
         ("stats", "annotations", {"value": True}, "fluency value True outside [1, 3]"),
@@ -424,7 +451,8 @@ GOOD_RECORDS = {
     ],
     ids=[
         "pair-source-number", "pair-source-blank", "pair-topic-number", "chain-intents-number",
-        "chain-intents-string", "selection-chosen-number", "selection-chosen-blank",
+        "chain-intents-string", "chain-claim-text-null", "chain-claim-text-number",
+        "selection-chosen-number", "selection-chosen-blank",
         "likert-value-bool", "ranking-repeated",
     ],
 )
@@ -618,6 +646,37 @@ def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["n_errors"] == 0
     assert report["metadata"]["n_instances"] == 4
+
+
+def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatch):
+    """A stdio scorer answers in [0, 1]: 0.4 is stored as 0.4, -0.2 fails its instance."""
+    script = tmp_path / "meaning.py"
+    script.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    score = -0.2 if 'OFFSCALE' in req['source'] else 0.4\n"
+        "    print(json.dumps({'score': score}), flush=True)\n"
+    )
+    pairs = make_synthetic_pairs(3, seed=3)
+    pairs[1] = dataclasses.replace(
+        pairs[1], source=dataclasses.replace(pairs[1].source, text="OFFSCALE claim here")
+    )
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, pairs_path)
+    monkeypatch.setenv("CLAIMPOLISH_MEANING_CMD", f"stdio:{sys.executable} {script}")
+    out = tmp_path / "o"
+    code = run_cli("run", "--pairs", pairs_path, "--out", out, "--strategies", "top1,max_meaning")
+    assert code == 1
+    assert "errors.jsonl" in capsys.readouterr().err
+    errors = read_rows(out / "errors.jsonl")
+    assert [e["pair_id"] for e in errors] == [pairs[1].pair_id]
+    assert errors[0]["error"] == "meaning scorer returned -0.2, outside [0, 1]"
+    rows = read_rows(out / "selections.jsonl")
+    assert len(rows) == 2 * 2
+    assert all(s["meaning"] == 0.4 for r in rows for s in r["scores"])
+    max_meaning = [s for r in rows if r["strategy"] == "max_meaning" for s in r["scores"]]
+    assert max_meaning and all(s["combined"] == 0.4 for s in max_meaning)
 
 
 def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):

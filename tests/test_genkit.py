@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -63,8 +64,12 @@ def test_generation_config_validation():
         GenerationConfig(min_length=0)
     with pytest.raises(ValueError):
         GenerationConfig(min_length=10, max_length=5)
-    payload = CFG.to_payload()
+    payload = dataclasses.asdict(CFG)  # the stdio generator's "config" request field
     assert payload["n_candidates"] == 10 and payload["max_length"] == 256
+    assert list(payload) == [
+        "length_penalty", "temperature", "no_repeat_ngram", "min_length", "max_length",
+        "n_candidates",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from claimpolish.corpus import Claim, ContextBundle, IntentLabel, RevisionChain
-from claimpolish.embedding import HashingEmbedder
+from claimpolish.embedding import HashingEmbedder, cosine
 from claimpolish.scoring import (
     CalibrationError,
     CosineMeaningScorer,
@@ -31,9 +31,8 @@ from claimpolish.scoring import (
 
 
 class FixedScorer:
-    def __init__(self, value, output_range=(0.0, 1.0)):
+    def __init__(self, value):
         self.value = value
-        self.output_range = output_range
 
     def score(self, source, candidate, context):
         return self.value
@@ -41,8 +40,6 @@ class FixedScorer:
 
 class TableScorer:
     """Looks the candidate text up in a fixed table."""
-
-    output_range = (0.0, 1.0)
 
     def __init__(self, table, default=0.5):
         self.table = table
@@ -82,14 +79,34 @@ def test_autoscore_weighted_sum():
     assert autoscore(second, DEFAULT_WEIGHTS) > autoscore(first, DEFAULT_WEIGHTS)
 
 
-def test_score_candidate_maps_declared_ranges():
+def test_score_candidate_keeps_in_range_values():
     registry = ScorerRegistry(
         fluency=FixedScorer(0.7),
-        meaning=FixedScorer(0.0, output_range=(-1.0, 1.0)),
+        meaning=FixedScorer(0.0),
         argument=FixedScorer(0.2),
     )
     vec = score_candidate(registry, "s", "c", None)
-    assert vec == ScoreVector(0.7, 0.5, 0.2)
+    assert vec == ScoreVector(0.7, 0.0, 0.2)
+
+
+def test_score_candidate_clips_values_within_tolerance():
+    registry = ScorerRegistry(
+        fluency=FixedScorer(1.0 + 5e-7),
+        meaning=FixedScorer(-5e-7),
+        argument=FixedScorer(1.0),
+    )
+    vec = score_candidate(registry, "s", "c", None)
+    assert vec == ScoreVector(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("axis", ["fluency", "meaning", "argument"])
+@pytest.mark.parametrize("value", [-2e-6, 1.0 + 2e-6, -0.2, math.nan])
+def test_score_candidate_rejects_values_outside_unit_interval(axis, value):
+    scorers = dict.fromkeys(("fluency", "meaning", "argument"), FixedScorer(0.5))
+    scorers[axis] = FixedScorer(value)
+    with pytest.raises(ScorerError) as err:
+        score_candidate(ScorerRegistry(**scorers), "s", "c", None)
+    assert str(err.value) == f"{axis} scorer returned {value}, outside [0, 1]"
 
 
 def test_score_candidate_rejects_out_of_range_output():
@@ -105,8 +122,6 @@ def test_score_candidate_rejects_out_of_range_output():
 
 def test_score_candidate_wraps_scorer_exceptions():
     class Broken:
-        output_range = (0.0, 1.0)
-
         def score(self, source, candidate, context):
             raise RuntimeError("backend down")
 
@@ -141,10 +156,14 @@ def test_jaccard_meaning_cases():
     assert scorer.score("", "", None) == 1.0
 
 
-def test_cosine_meaning_scorer_range_declared():
-    scorer = CosineMeaningScorer(HashingEmbedder())
-    assert scorer.output_range == (-1.0, 1.0)
+def test_cosine_meaning_scorer_is_unit_cosine():
+    embedder = HashingEmbedder()
+    scorer = CosineMeaningScorer(embedder)
     assert scorer.score("same text", "same text", None) == pytest.approx(1.0)
+    for source, candidate in [("a b c", "a b d"), ("a b", "c d"), ("", "a"), ("x y", "y x z")]:
+        raw = cosine(embedder.embed(source), embedder.embed(candidate))
+        assert scorer.score(source, candidate, None) == (raw + 1.0) / 2.0
+    assert scorer.score("", "a", None) == 0.5  # an empty text has cosine 0
 
 
 def test_argument_scorer_identity_floor():
@@ -184,10 +203,11 @@ def test_stdio_scorer_roundtrip(tmp_path):
         "    print(json.dumps({'score': len(req['candidate']) / 10 if hit else -1}), flush=True)\n",
     )
     context = ContextBundle(topic="taxes")
-    with StdioScorer(cmd, output_range=(-1.0, 1.0)) as scorer:
-        assert scorer.output_range == (-1.0, 1.0)
+    with StdioScorer(cmd) as scorer:
         assert scorer.score("s", "abc", context) == pytest.approx(0.3)
         assert scorer.score("s", "abcde", context) == pytest.approx(0.5)
+        # the raw answer comes back as sent; score_candidate checks its range
+        assert scorer.score("s", "abc", None) == -1.0
 
 
 def test_stdio_scorer_error_response_raises(tmp_path):
