@@ -72,6 +72,7 @@ from .scoring import (
     HeuristicArgumentScorer,
     HeuristicFluencyScorer,
     JaccardMeaningScorer,
+    ScorerError,
     ScorerRegistry,
     StdioScorer,
     calibrate_weights,
@@ -809,6 +810,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ScorerError as exc:  # from calibrate; run logs them per instance
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ File formats handled here:
 * ``chains.jsonl``  one chain per line:
   ``{"chain_id", "debate_id", "topic", "previous_claim", "claims":
   [{"id", "text"}, ...], "intents": [str, ...]}``
-  (``topic`` / ``previous_claim`` may be null or absent)
+  (``topic`` / ``previous_claim`` may be null or absent; the ids are
+  strings or integers)
 * ``pairs.jsonl``   one pair per line:
   ``{"pair_id", "source", "reference", "intent", "topic",
   "previous_claim"}``
@@ -166,10 +167,18 @@ def _context(record: dict) -> ContextBundle:
     return ContextBundle(topic=topic, previous_claim=previous)
 
 
+def _id(value: object, name: str) -> str:
+    """A chains.jsonl id: a string, or an int written as its digits."""
+    if type(value) not in (str, int):  # bool is an int subclass but not an id
+        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
 def _parse_chain(record: dict) -> RevisionChain:
     raw_claims, raw_intents = record["claims"], record["intents"]
     if not isinstance(raw_claims, list) or not isinstance(raw_intents, list):
         raise ValueError("claims and intents must be lists")
+    debate_id = _id(record["debate_id"], "'debate_id'")
     claims = []
     for entry in raw_claims:
         if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
@@ -177,11 +186,11 @@ def _parse_chain(record: dict) -> RevisionChain:
         if not isinstance(entry["text"], str):
             raise ValueError(f"claim 'text' must be a string, got {entry['text']!r}")
         claims.append(
-            Claim(id=str(entry["id"]), text=entry["text"], debate_id=str(record["debate_id"]))
+            Claim(id=_id(entry["id"], "claim 'id'"), text=entry["text"], debate_id=debate_id)
         )
     intents = (IntentLabel.UNLABELED if raw is None else IntentLabel(raw) for raw in raw_intents)
     return RevisionChain(
-        chain_id=str(record["chain_id"]),
+        chain_id=_id(record["chain_id"], "'chain_id'"),
         claims=tuple(claims),
         intents=tuple(intents),
         context=_context(record),

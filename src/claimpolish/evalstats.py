@@ -97,6 +97,16 @@ class RankAnnotation:
 # ---------------------------------------------------------------------------
 # MACE-style aggregation
 
+def _scatter_add(bins: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum each of ``values`` into its flat bin of a zero array of ``shape``.
+
+    ``np.bincount`` adds the values in array order, as ``np.add.at``
+    does, so each bin gets the same additions in the same order and the
+    result has the same bits as ``np.add.at``'s, at a fraction of its cost.
+    """
+    return np.bincount(bins, weights=values, minlength=math.prod(shape)).reshape(shape)
+
+
 def mace_aggregate(
     matrix: AnnotationMatrix,
     iterations: int = 50,
@@ -130,6 +140,14 @@ def mace_aggregate(
     n_ann = len(entries)
     arange_ann = np.arange(n_ann)
     n_per_worker = np.bincount(a_worker, minlength=n_workers).astype(np.float64)
+    # flat bins of the item_ll cells: each cell's start value, then every
+    # annotation's row of log-densities into its item's row
+    n_cells = n_items * n_labels
+    ll_bins = np.concatenate(
+        [np.arange(n_cells), (a_item[:, None] * n_labels + np.arange(n_labels)).ravel()]
+    )
+    ll_start = np.full(n_cells, -math.log(n_labels))
+    spam_bins = a_worker * n_labels + a_label
 
     def e_step(
         theta: np.ndarray, xi: np.ndarray
@@ -138,8 +156,9 @@ def mace_aggregate(
         spam_part = (1.0 - theta[a_worker]) * xi[a_worker, a_label]
         mix = np.repeat(spam_part[:, None], n_labels, axis=1)
         mix[arange_ann, a_label] += theta[a_worker]
-        item_ll = np.full((n_items, n_labels), -math.log(n_labels))
-        np.add.at(item_ll, a_item, np.log(mix))
+        item_ll = _scatter_add(
+            ll_bins, np.concatenate([ll_start, np.log(mix).ravel()]), (n_items, n_labels)
+        )
         norm = np.logaddexp.reduce(item_ll, axis=1)
         posterior = np.exp(item_ll - norm[:, None])
         log_lik = float(norm.sum())
@@ -154,8 +173,7 @@ def mace_aggregate(
             _, _, honest = e_step(theta, xi)
             honest_per_worker = np.bincount(a_worker, weights=honest, minlength=n_workers)
             theta = (honest_per_worker + smoothing) / (n_per_worker + 2.0 * smoothing)
-            spam_counts = np.zeros((n_workers, n_labels))
-            np.add.at(spam_counts, (a_worker, a_label), 1.0 - honest)
+            spam_counts = _scatter_add(spam_bins, 1.0 - honest, (n_workers, n_labels))
             xi = (spam_counts + smoothing) / (
                 spam_counts.sum(axis=1, keepdims=True) + smoothing * n_labels
             )

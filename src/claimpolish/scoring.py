@@ -307,9 +307,12 @@ def _chain_points(
             raise CalibrationError(f"chain {chain.chain_id!r} has fewer than 2 claims")
         vecs, pos = [], []
         for i in range(1, m):
-            vector = score_candidate(
-                registry, chain.claims[i - 1].text, chain.claims[i].text, chain.context
-            )
+            try:
+                vector = score_candidate(
+                    registry, chain.claims[i - 1].text, chain.claims[i].text, chain.context
+                )
+            except ScorerError as exc:
+                raise ScorerError(f"chain {chain.chain_id!r}: {exc}") from exc
             vecs.append(vector.as_tuple())
             # min-max normalized position of claim i within its chain
             pos.append(i / (m - 1))
@@ -336,8 +339,56 @@ def _grid_correlations(
     return rs, var
 
 
+# The closed form's r differs from the exact one by far less than this
+# (2.5e-14 on the analysis benchmark), so every point within it of the
+# best screened r is re-scored.
+_SCREEN_TOL = 1e-9
+# A closed-form variance at or below this share of the grid's largest
+# is too close to cancellation to screen on; such points are re-scored too.
+_SHAKY_VAR = 1e-9
+# Re-scoring holds at most this many combined scores (8 MB) at a time.
+_CHUNK_FLOATS = 1 << 20
+
+
+def _pooled_correlations(
+    weight_matrix: np.ndarray, values: np.ndarray, target: np.ndarray
+) -> np.ndarray | None:
+    """Per grid point: Pearson r of its combined scores with ``target``,
+    -inf where it cannot win or its variance is 0. None when ``target``
+    is constant.
+
+    The combined score is linear in the three rows of ``values``, so
+    each point's r is a 3 x 3 quadratic form: never a G x N matrix. That
+    form only screens; the points that can win get the exact per-point
+    arithmetic of ``_grid_correlations``, a chunk of rows at a time.
+    """
+    tc = target - target.mean()
+    vt = float(tc @ tc)
+    if vt == 0.0:
+        return None
+    xc = values - values.mean(axis=1, keepdims=True)
+    var = np.einsum("gi,ij,gj->g", weight_matrix, xc @ xc.T, weight_matrix)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        screen = (weight_matrix @ (xc @ tc)) / np.sqrt(var * vt)
+    finite = np.isfinite(var)
+    shaky = ~finite | (var <= _SHAKY_VAR * np.max(var, where=finite, initial=0.0))
+    best = np.max(screen, where=~shaky, initial=-np.inf)
+    rows = np.flatnonzero(shaky | (screen >= best - _SCREEN_TOL))
+    rs = np.full(len(weight_matrix), -np.inf)
+    step = max(1, _CHUNK_FLOATS // values.shape[1])
+    for start in range(0, rows.size, step):
+        chunk = rows[start:start + step]
+        r, chunk_var = _grid_correlations(weight_matrix[chunk], values, target)
+        rs[chunk] = np.where(chunk_var == 0.0, -np.inf, r)
+    return rs
+
+
 # Allowed ``calibrate_weights`` aggregations; the first is the default.
 AGGREGATIONS = ("pooled", "per_chain")
+
+# Correlations within this of the best count as tied: wider than the
+# rounding of one r, far narrower than what one grid step moves it.
+_TIE = 1e-12
 
 
 def calibrate_weights(
@@ -355,8 +406,9 @@ def calibrate_weights(
     chain. Default aggregation pools all steps into one correlation;
     ``aggregation="per_chain"`` computes the correlation within each
     chain and averages (chains where either side is constant are
-    skipped in that mode). Exact ties on the correlation break toward
-    the lexicographically smallest (alpha, beta, gamma).
+    skipped in that mode). Correlations within 1e-12 of the best are
+    ties, and ties break toward the lexicographically smallest
+    (alpha, beta, gamma), so last-bit rounding never picks the winner.
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -375,11 +427,9 @@ def calibrate_weights(
     weight_matrix = np.asarray(triples, dtype=np.float64)  # G x 3
 
     if aggregation == "pooled":
-        grid = _grid_correlations(weight_matrix, np.hstack(matrices), np.hstack(positions))
-        if grid is None:
+        rs = _pooled_correlations(weight_matrix, np.hstack(matrices), np.hstack(positions))
+        if rs is None:
             raise CalibrationError("revision positions have zero variance")
-        rs, var = grid
-        rs[var == 0.0] = -np.inf
     else:
         sums = np.zeros(len(triples))
         counts = np.zeros(len(triples))
@@ -396,7 +446,8 @@ def calibrate_weights(
 
     if not np.any(np.isfinite(rs)):
         raise CalibrationError("no grid point produced a defined correlation")
-    best = int(np.argmax(rs))  # first max wins: lexicographically smallest triple
+    # first tie wins: the lexicographically smallest triple
+    best = int(np.argmax(rs >= rs.max() - _TIE))
     alpha, beta, gamma = triples[best]
     weights = Weights(alpha=alpha, beta=beta, gamma=gamma)
 

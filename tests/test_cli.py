@@ -441,6 +441,28 @@ GOOD_RECORDS = {
             {"claims": [{"id": "x", "text": "one"}, {"id": "y", "text": 5}]},
             "claim 'text' must be a string, got 5",
         ),
+        (
+            "prepare", "chains",
+            {"claims": [{"id": None, "text": "one"}, {"id": "y", "text": "two"}]},
+            "claim 'id' must be a string or an integer, got None",
+        ),
+        (
+            "prepare", "chains",
+            {"claims": [{"id": "x", "text": "one"}, {"id": [1], "text": "two"}]},
+            "claim 'id' must be a string or an integer, got [1]",
+        ),
+        (
+            "prepare", "chains", {"debate_id": None},
+            "'debate_id' must be a string or an integer, got None",
+        ),
+        (
+            "prepare", "chains", {"chain_id": True},
+            "'chain_id' must be a string or an integer, got True",
+        ),
+        (
+            "prepare", "chains", {"chain_id": 1.0},
+            "'chain_id' must be a string or an integer, got 1.0",
+        ),
         ("report", "selections", {"chosen": 5}, "'chosen' must be a string, got 5"),
         ("report", "selections", {"chosen": ""}, "'chosen' must not be blank"),
         ("stats", "annotations", {"value": True}, "fluency value True outside [1, 3]"),
@@ -452,6 +474,8 @@ GOOD_RECORDS = {
     ids=[
         "pair-source-number", "pair-source-blank", "pair-topic-number", "chain-intents-number",
         "chain-intents-string", "chain-claim-text-null", "chain-claim-text-number",
+        "chain-claim-id-null", "chain-claim-id-list", "chain-debate-id-null", "chain-id-bool",
+        "chain-id-float",
         "selection-chosen-number", "selection-chosen-blank",
         "likert-value-bool", "ranking-repeated",
     ],
@@ -806,6 +830,30 @@ def test_calibrate_closes_stdio_scorer(tmp_path, chains_file, recording_adapters
     assert run_cli("calibrate", "--chains", chains_file, "--out", tmp_path / "cal") == 0
     [scorer] = recording_adapters
     assert scorer.closes == 1 and scorer._proc is None
+
+
+def test_calibrate_scorer_error_exits_one_naming_the_chain(tmp_path, capsys, monkeypatch):
+    """An off-scale stdio scorer ends calibrate with one error line and no weights."""
+    script = tmp_path / "meaning.py"
+    script.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    score = -0.2 if 'OFFSCALE' in req['candidate'] else 0.4\n"
+        "    print(json.dumps({'score': score}), flush=True)\n"
+    )
+    records = make_chain_records(4, seed=7)
+    records[2]["claims"][1]["text"] = "OFFSCALE claim here."
+    chains = tmp_path / "chains.jsonl"
+    write_chain_records(chains, records)
+    monkeypatch.setenv("CLAIMPOLISH_MEANING_CMD", f"stdio:{sys.executable} {script}")
+    out = tmp_path / "cal"
+    assert run_cli("calibrate", "--chains", chains, "--out", out) == 1
+    chain_id = records[2]["chain_id"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: chain {chain_id!r}: meaning scorer returned -0.2, outside [0, 1]"
+    ]
+    assert not any(out.glob("*.json"))
 
 
 def test_calibrate_bad_grid(tmp_path, chains_file, capsys):

@@ -11,6 +11,7 @@ from claimpolish.evalstats import (
     MaceResult,
     RankAnnotation,
     Scale,
+    _scatter_add,
     cohens_kappa,
     competent_workers,
     jaccard_types,
@@ -207,6 +208,36 @@ def _planted_matrix(n_items, n_good, n_spam, n_labels, seed):
         for s in range(n_spam):
             labels[(item, f"spam{s}")] = rng.randrange(n_labels)
     return AnnotationMatrix.from_labels(labels), truth
+
+
+def _spread(rng, n):
+    """Values over 16 decades, so the order of additions shows in the bits."""
+    return rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+
+
+def test_scatter_add_is_np_add_at_bit_for_bit():
+    rng = np.random.default_rng(5)
+    # 1-D: repeated bins; bins 0, 3 and 6 stay empty
+    bins = rng.choice([1, 2, 4, 5], size=300)
+    values = _spread(rng, bins.size)
+    expected = np.zeros(7)
+    np.add.at(expected, bins, values)
+    assert _scatter_add(bins, values, (7,)).tobytes() == expected.tobytes()
+
+    # 2-D, one (row, column) cell per value, as MACE's spam counts; row 2 stays empty
+    rows, cols = rng.choice([0, 1, 3, 4], size=500), rng.integers(0, 3, size=500)
+    values = _spread(rng, rows.size)
+    expected = np.zeros((5, 3))
+    np.add.at(expected, (rows, cols), values)
+    assert _scatter_add(rows * 3 + cols, values, (5, 3)).tobytes() == expected.tobytes()
+
+    # 2-D, a start value then one whole row per index, as MACE's item log-likelihoods
+    values = _spread(rng, rows.size * 3).reshape(rows.size, 3)
+    expected = np.full((5, 3), -np.log(3))
+    np.add.at(expected, rows, values)
+    flat_bins = np.concatenate([np.arange(15), (rows[:, None] * 3 + np.arange(3)).ravel()])
+    flat_values = np.concatenate([np.full(15, -np.log(3)), values.ravel()])
+    assert _scatter_add(flat_bins, flat_values, (5, 3)).tobytes() == expected.tobytes()
 
 
 def test_mace_recovers_planted_labels():

@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from claimpolish.corpus import Claim, ContextBundle, IntentLabel, RevisionChain
@@ -364,6 +366,133 @@ def test_calibration_tie_breaks_lexicographically():
     )
     with pytest.raises(CalibrationError):
         calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+
+
+@pytest.mark.parametrize("aggregation", ["pooled", "per_chain"])
+def test_calibration_ties_within_1e_12_go_to_the_first_triple(aggregation):
+    # two scored steps: r is exactly 1 at 2089 grid points, and last-bit
+    # rounding lifts a few others just above 1; that must not make them win
+    texts = (
+        "the tax helps small towns",
+        "The tax helps small towns.",
+        "The tax helps small towns. This matters for trust.",
+    )
+    chain = RevisionChain(
+        "setup0",
+        tuple(Claim(id=f"s{i}", text=t, debate_id="d0") for i, t in enumerate(texts)),
+        (IntentLabel.TYPO_GRAMMAR, IntentLabel.CLARIFICATION),
+        ContextBundle(topic="debate about the tax", previous_claim="someone said the tax hurts"),
+    )
+    result = calibrate_weights([chain], default_registry(), aggregation=aggregation)
+    assert result.weights == Weights(0.01, 0.01, 0.98)
+    assert result.pearson_r == 1.0
+
+
+def _oracle_pick(chains, registry, grid_step, range_lo, range_hi):
+    """Pooled calibration as one G x N matrix and an argmax: the best
+    triple, its r from pearson(), and the gap to the second-best r.
+    None when no grid point has a defined r."""
+    vectors, positions = [], []
+    for chain in chains:
+        m = len(chain.claims)
+        for i in range(1, m):
+            before, after = chain.claims[i - 1].text, chain.claims[i].text
+            vectors.append(score_candidate(registry, before, after, chain.context).as_tuple())
+            positions.append(i / (m - 1))
+    values, target = np.asarray(vectors).T, np.asarray(positions)
+    triples = simplex_grid(grid_step, range_lo, range_hi)
+    combined = np.asarray(triples) @ values
+    centered = combined - combined.mean(axis=1, keepdims=True)
+    tc = target - target.mean()
+    var = np.einsum("ij,ij->i", centered, centered)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rs = (centered @ tc) / np.sqrt(var * (tc @ tc))
+    rs[var == 0.0] = -np.inf
+    if not np.isfinite(rs).any():
+        return None
+    best = int(np.argmax(rs))
+    top_two = np.sort(rs)[-2:]
+    best_r = pearson(list(Weights(*triples[best]).as_array() @ values), list(target))
+    return triples[best], best_r, top_two[1] - top_two[0], rs
+
+
+def _table_chains(rng, lengths, prefix):
+    """One chain per entry of ``lengths``, its claim count; three random
+    lookup tables score every step."""
+    tables = ({}, {}, {})
+    chains = []
+    for c, m in enumerate(lengths):
+        texts = [f"{prefix} c{c} v{i}" for i in range(m)]
+        for text in texts[1:]:
+            for table in tables:
+                table[text] = rng.random()
+        claims = tuple(Claim(id=t, text=t, debate_id="d") for t in texts)
+        intents = (IntentLabel.CLARIFICATION,) * (m - 1)
+        chains.append(RevisionChain(f"{prefix}c{c}", claims, intents, ContextBundle()))
+    return chains, tables
+
+
+def _oracle_case(kind, seed):
+    """Random table-scored chains of 2-8 claims, bent into ``kind``."""
+    rng = random.Random(seed)
+    if kind == "one_chain":
+        lengths = [3]
+    else:
+        lengths = [rng.randint(2, 8) for _ in range(rng.randint(3, 25))]
+    chains, tables = _table_chains(rng, lengths, f"s{seed}")
+    fluency, meaning, argument = (TableScorer(t) for t in tables)
+    if kind == "constant_axis":
+        fluency = FixedScorer(0.5)
+    elif kind == "identical_axes":
+        argument = meaning
+    elif kind == "complementary_axes":  # every (a, a, 0) gives a constant score
+        meaning = TableScorer({text: 1.0 - value for text, value in tables[0].items()})
+    registry = ScorerRegistry(fluency=fluency, meaning=meaning, argument=argument)
+    grid_step = (0.05, 0.1)[seed % 2]
+    range_lo = (0.0, 0.05)[seed // 2 % 2]
+    return chains, registry, grid_step, range_lo, 1.0 - 2 * range_lo
+
+
+@pytest.mark.parametrize(
+    "kind, n_cases",
+    [
+        ("random", 36), ("constant_axis", 6), ("identical_axes", 6), ("one_chain", 6),
+        ("complementary_axes", 6),
+    ],
+)
+def test_pooled_calibration_matches_grid_matrix_oracle(kind, n_cases):
+    strict = 0
+    for seed in range(n_cases):
+        chains, registry, step, lo, hi = _oracle_case(kind, seed)
+        oracle = _oracle_pick(chains, registry, step, lo, hi)
+        if oracle is None:
+            with pytest.raises(CalibrationError):
+                calibrate_weights(chains, registry, grid_step=step, range_lo=lo, range_hi=hi)
+            continue
+        triple, oracle_r, gap, rs = oracle
+        result = calibrate_weights(chains, registry, grid_step=step, range_lo=lo, range_hi=hi)
+        weights = result.weights
+        picked = simplex_grid(step, lo, hi).index((weights.alpha, weights.beta, weights.gamma))
+        assert rs[picked] >= rs.max() - 1e-9, (kind, seed)
+        if gap > 1e-9:
+            strict += 1
+            assert (weights.alpha, weights.beta, weights.gamma) == triple, (kind, seed)
+            assert result.pearson_r == oracle_r, (kind, seed)
+    if kind == "random":  # the other kinds tie by construction
+        assert strict == n_cases
+
+
+def test_pooled_calibration_memory_stays_small():
+    """2000 chains on the default 4851-point grid: no G x N matrix (150 MiB)."""
+    chains, tables = _table_chains(random.Random(4), [3] * 2000, "m")
+    registry = ScorerRegistry(*(TableScorer(t) for t in tables))
+    tracemalloc.start()
+    try:
+        calibrate_weights(chains, registry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_calibration_rejects_half_step_grid():
