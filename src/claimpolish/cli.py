@@ -356,13 +356,14 @@ def _build_registry(s: dict, embedder) -> ScorerRegistry:
 
 @contextlib.contextmanager
 def _closing_adapters(registry: ScorerRegistry, generator=None):
-    """On the way out, close the generator and scorers that have ``close()``."""
-    try:
-        yield
-    finally:
-        for adapter in (generator, *(scorer for _, scorer in registry.items())):
+    """On the way out, close the generator and scorers that have ``close()``:
+    each of them, in that order, even when an earlier one fails."""
+    adapters = [generator, *(scorer for _, scorer in registry.items())]
+    with contextlib.ExitStack() as stack:
+        for adapter in reversed(adapters):  # the stack closes the last one pushed first
             if hasattr(adapter, "close"):
-                adapter.close()
+                stack.callback(adapter.close)
+        yield
 
 
 def _write_reports(
@@ -465,9 +466,17 @@ def _read_selections(path: Path) -> dict[str, dict[str, dict]]:
 def _load_checkpoint(
     selections_path: Path, strategies: tuple[Strategy, ...]
 ) -> dict[str, dict[str, dict]]:
-    """Records of complete instances from an interrupted run, keyed by pair."""
+    """Records of complete instances from an interrupted run, keyed by pair.
+
+    ``encode_line`` ends every row with a newline, so a last line without
+    one is a row torn by the interruption. It is cut off before reading:
+    the resumed run rewrites the file anyway.
+    """
     if not selections_path.is_file():
         return {}
+    data = selections_path.read_bytes()
+    if not data.endswith(b"\n"):
+        os.truncate(selections_path, data.rfind(b"\n") + 1)
     wanted = {s.value for s in strategies}
     by_pair = _read_selections(selections_path)
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}

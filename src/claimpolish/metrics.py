@@ -93,23 +93,40 @@ def _analyse(text: str) -> tuple[tuple[str, ...], tuple[Counter, ...]]:
 # ---------------------------------------------------------------------------
 # BLEU
 
+# Reference sets, and (source, reference set) pairs, whose tables
+# ``_bleu_refs`` and ``_sari_tables`` keep: ``evaluate_run`` scores one
+# instance's rows together, so a few suffice.
+_TABLE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _bleu_refs(references: tuple[str, ...]) -> tuple[tuple[Counter, ...], tuple[int, ...]]:
+    """Per order 1-4, each gram's largest count in any reference; then the
+    reference lengths. Every caller gets the same objects, so none may
+    mutate them."""
+    refs = [_analyse(ref) for ref in references]
+    tables = []
+    for n in range(4):
+        max_ref: Counter = Counter()
+        for _, ref_grams in refs:
+            max_ref |= ref_grams[n]
+        tables.append(max_ref)
+    return tuple(tables), tuple(len(tokens) for tokens, _ in refs)
+
+
 def _bleu_counts(output: str, references: Sequence[str]) -> list[int]:
     """Clipped matches and hypothesis n-gram totals for orders 1-4, then
     the hypothesis length c and the closest reference length r: the
     counts that corpus BLEU sums over instances."""
     hyp, hyp_grams = _analyse(output)
-    refs = [_analyse(ref) for ref in references]
-    clipped, totals = [], []
-    for n in range(4):
-        max_ref: Counter = Counter()
-        for _, ref_grams in refs:
-            for gram, count in ref_grams[n].items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped.append(sum(min(count, max_ref[gram]) for gram, count in hyp_grams[n].items()))
-        totals.append(sum(hyp_grams[n].values()))
+    tables, ref_lengths = _bleu_refs(tuple(references))
+    clipped = [
+        sum(min(grams[g], table[g]) for g in grams.keys() & table.keys())
+        for grams, table in zip(hyp_grams, tables)
+    ]
+    totals = [sum(grams.values()) for grams in hyp_grams]
     c = len(hyp)
-    r = min((len(tokens) for tokens, _ in refs), key=lambda length: (abs(length - c), length))
+    r = min(ref_lengths, key=lambda length: (abs(length - c), length))
     return [*clipped, *totals, c, r]
 
 
@@ -186,48 +203,90 @@ def rouge_l(output: str, reference: str) -> float:
 # ---------------------------------------------------------------------------
 # SARI
 
-def _ratio_sum(good: Counter, denom: Counter) -> float:
-    """Sum over the denominator's distinct grams of good/denom,
-    averaged over those grams; empty denominator is a perfect 1."""
+def _ratio_sum(good: Mapping, denom: Sequence[tuple]) -> float:
+    """Mean over the denominator's (gram, count) entries, in their order,
+    of good/count; empty denominator is a perfect 1."""
     if not denom:
         return 1.0
-    return sum(good[g] / denom[g] for g in denom) / len(denom)
+    return sum(good.get(g, 0) / count for g, count in denom) / len(denom)
+
+
+@dataclass(frozen=True)
+class _SariTable:
+    """The output-independent part of one SARI order. Source counts are
+    replicated by the number of references and reference counts are
+    pooled, as in the classic implementation."""
+
+    rows: tuple  # (gram, source count, pooled reference count), in source order
+    keep_wanted: tuple  # (gram, count) of source & references, in source order
+    delete_wanted: tuple  # (gram, count) of source - references, in source order
+    n_add_wanted: int  # distinct reference grams not in the source
+    pool: frozenset  # distinct reference grams
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _sari_tables(source: str, references: tuple[str, ...]) -> tuple[_SariTable, ...]:
+    """One ``_SariTable`` per order 1-4. Every caller gets the same
+    objects, so none may mutate them."""
+    s_grams = _analyse(source)[1]
+    ref_grams = [_analyse(r)[1] for r in references]
+    numref = len(references)
+    tables = []
+    for n in range(4):
+        r_pool: Counter = Counter()
+        for grams in ref_grams:
+            r_pool.update(grams[n])
+        rows = tuple((g, c * numref, r_pool[g]) for g, c in s_grams[n].items())
+        tables.append(
+            _SariTable(
+                rows=rows,
+                keep_wanted=tuple((g, min(s, r)) for g, s, r in rows if min(s, r) > 0),
+                delete_wanted=tuple((g, s - r) for g, s, r in rows if s - r > 0),
+                n_add_wanted=len(r_pool.keys() - s_grams[n].keys()),
+                pool=frozenset(r_pool),
+            )
+        )
+    return tuple(tables)
 
 
 def _sari_order(
-    s_grams: Counter, o_grams: Counter, ref_grams: list[Counter], numref: int, variant: str
+    table: _SariTable, o_grams: Counter, numref: int, variant: str
 ) -> tuple[float, float, float]:
-    s_rep = Counter({g: c * numref for g, c in s_grams.items()})
-    o_rep = Counter({g: c * numref for g, c in o_grams.items()})
-    r_pool: Counter = Counter()
-    for grams in ref_grams:
-        r_pool.update(grams)
+    """Keep, delete and add scores of one order. One pass over the source
+    rows applies Counter's ``&`` (min, kept if > 0) and ``-`` (difference,
+    kept if > 0) to the replicated counts, so every ratio is formed and
+    summed in the order of the Counter algebra of Xu et al. (2016)."""
+    kept, kept_good, deleted, deleted_good = [], {}, [], {}
+    for g, s, r in table.rows:
+        o = o_grams.get(g, 0) * numref
+        k = min(s, o)  # kept = s_rep & o_rep
+        if k > 0:
+            kept.append((g, k))
+            if min(k, r) > 0:  # kept_good = kept & r_pool
+                kept_good[g] = min(k, r)
+        d = s - o  # deleted = s_rep - o_rep
+        if d > 0:
+            deleted.append((g, d))
+            if d - r > 0:  # deleted_good = deleted - r_pool
+                deleted_good[g] = d - r
 
     # keep: n-grams retained from the source
-    kept = s_rep & o_rep
-    kept_good = kept & r_pool
-    kept_wanted = s_rep & r_pool
-    keep_p = _ratio_sum(kept_good, kept)
-    keep_r = _ratio_sum(kept_good, kept_wanted)
-    keep = _f1(keep_p, keep_r)
+    keep = _f1(_ratio_sum(kept_good, kept), _ratio_sum(kept_good, table.keep_wanted))
 
     # delete: n-grams removed from the source
-    deleted = s_rep - o_rep
-    deleted_good = deleted - r_pool
-    deleted_wanted = s_rep - r_pool
     del_p = _ratio_sum(deleted_good, deleted)
     if variant == "canonical":
         delete = del_p
     else:
-        del_r = _ratio_sum(deleted_good, deleted_wanted)
-        delete = _f1(del_p, del_r)
+        delete = _f1(del_p, _ratio_sum(deleted_good, table.delete_wanted))
 
-    # add: n-grams introduced by the output (set semantics)
-    added = set(o_rep) - set(s_rep)
-    added_good = added & set(r_pool)
-    added_wanted = set(r_pool) - set(s_rep)
-    add_p = len(added_good) / len(added) if added else 1.0
-    add_r = len(added_good) / len(added_wanted) if added_wanted else 1.0
+    # add: n-grams introduced by the output (set semantics). The kept
+    # grams are the output's grams that the source has, and the kept
+    # good ones are those the references have too.
+    n_added = len(o_grams) - len(kept)
+    n_added_good = len(o_grams.keys() & table.pool) - len(kept_good)
+    add_p = n_added_good / n_added if n_added else 1.0
+    add_r = n_added_good / table.n_add_wanted if table.n_add_wanted else 1.0
     add = _f1(add_p, add_r)
 
     return keep, delete, add
@@ -252,15 +311,11 @@ def sari(
         raise ValueError(f"unknown sari variant {variant!r}")
     if not references:
         raise ValueError("references must be non-empty")
-    s_grams = _analyse(source)[1]
+    tables = _sari_tables(source, tuple(references))
     o_grams = _analyse(output)[1]
-    ref_grams = [_analyse(r)[1] for r in references]
-    numref = len(references)
     keep_total = delete_total = add_total = 0.0
-    for n in range(4):
-        keep, delete, add = _sari_order(
-            s_grams[n], o_grams[n], [grams[n] for grams in ref_grams], numref, variant
-        )
+    for table, grams in zip(tables, o_grams):
+        keep, delete, add = _sari_order(table, grams, len(references), variant)
         keep_total += keep
         delete_total += delete
         add_total += add

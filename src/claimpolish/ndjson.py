@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import os
 import subprocess
 from collections.abc import Callable, Iterator, Sequence
@@ -20,6 +21,12 @@ from pathlib import Path
 from typing import TextIO, TypeVar
 
 T = TypeVar("T")
+
+log = logging.getLogger(__name__)
+
+# Seconds a child may take to exit after EOF on its stdin, and again
+# after it is terminated, before it is killed.
+_CLOSE_GRACE_S = 5.0
 
 
 class RecordFormatError(ValueError):
@@ -145,14 +152,29 @@ class NdjsonChild:
         return response
 
     def close(self) -> None:
-        """Release both pipes (EOF on stdin ends the child) and wait for it."""
+        """Release both pipes (EOF on stdin ends the child) and wait for it.
+
+        A child still running ``_CLOSE_GRACE_S`` later is terminated, and
+        killed if it outlives a second grace period; either way it is
+        reaped and a warning names its role.
+        """
         proc, self._proc = self._proc, None
         if proc is None:
             return
         with contextlib.suppress(BrokenPipeError):  # a request failed writing
             proc.stdin.close()
         proc.stdout.close()
-        proc.wait(timeout=5)
+        for sent, stop in (("EOF", proc.terminate), ("SIGTERM", proc.kill)):
+            try:
+                proc.wait(timeout=_CLOSE_GRACE_S)
+                return
+            except subprocess.TimeoutExpired:
+                log.warning(
+                    "%s process still running %s s after %s; stopping it",
+                    self.role, _CLOSE_GRACE_S, sent,
+                )
+                stop()
+        proc.wait()
 
     def __enter__(self):
         return self

@@ -20,6 +20,7 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Protocol
 
@@ -132,6 +133,20 @@ _DROPPED_FORMS = frozenset(
 )
 
 
+# Texts whose analysis ``_tokens`` keeps: a pair's source and all its
+# candidates in ``run``, a chain's claims in ``calibrate``.
+_TOKENS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_TOKENS_CACHE_SIZE)
+def _tokens(text: str) -> tuple[tuple[str, ...], frozenset[str], str]:
+    """Tokens of ``text``, their set and the text with whitespace
+    normalized. Whitespace is never a token, so ``text.strip()`` has the
+    same tokens. Every caller gets the same objects."""
+    tokens = tuple(tokenize(text))
+    return tokens, frozenset(tokens), normalize_whitespace(text)
+
+
 class HeuristicFluencyScorer:
     """Rule-based well-formedness: start at 1.0 and deduct per defect.
 
@@ -150,7 +165,7 @@ class HeuristicFluencyScorer:
             penalty += 0.3
         if text[-1] not in ".!?":
             penalty += 0.3
-        words = [t for t in tokenize(text) if t.isalnum()]
+        words = [t for t in _tokens(candidate)[0] if t.isalnum()]
         if any(a == b for a, b in zip(words, words[1:])):
             penalty += 0.2
         if any(w in _DROPPED_FORMS for w in words):
@@ -162,7 +177,7 @@ class JaccardMeaningScorer:
     """Token-set Jaccard overlap between source and candidate."""
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
-        a, b = set(tokenize(source)), set(tokenize(candidate))
+        a, b = _tokens(source)[1], _tokens(candidate)[1]
         if not a and not b:
             return 1.0
         return len(a & b) / len(a | b)
@@ -188,9 +203,11 @@ class HeuristicArgumentScorer:
     """
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:
-        if normalize_whitespace(candidate) == normalize_whitespace(source):
+        _, candidate_set, candidate_text = _tokens(candidate)
+        _, source_set, source_text = _tokens(source)
+        if candidate_text == source_text:
             return 0.2
-        new_tokens = set(tokenize(candidate)) - set(tokenize(source))
+        new_tokens = candidate_set - source_set
         value = 0.5 + 0.3 * min(1.0, len(new_tokens) / 5.0)
         text = candidate.strip()
         if text and text[-1] in ".!?":

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import make_chain_records, make_synthetic_pairs, write_chain_records
 
 import claimpolish.cli as cli
+from claimpolish import ndjson
 from claimpolish.cli import (
     ConfigError,
     _config_hash,
@@ -351,14 +353,45 @@ def test_run_resumes_from_checkpoint(tmp_path, pairs_file, run_dir):
         partial = [r for r in rows if r["pair_id"] == second_pair][:3]
         for rec in partial:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    # same recipe as run_dir, including the weights path, so hashes match
-    assert run_cli(
+    assert _rerun_run_dir(tmp_path, pairs_file, out) == 0
+    for name in ("selections.jsonl", "report.json", "report.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def _rerun_run_dir(tmp_path, pairs_file, out):
+    """run_dir's recipe into ``out``, the weights path included, so the config hashes match."""
+    return run_cli(
         "run", "--pairs", pairs_file, "--out", out, "--seed", 11,
         "--context", "both", "--n-candidates", 10,
         "--weights", tmp_path / "weights.json", "--train-pairs", pairs_file,
-    ) == 0
+    )
+
+
+@pytest.mark.parametrize("cut", [1, 0.3, 5000, 0.75, -2])
+def test_run_resumes_after_a_torn_last_line(tmp_path, pairs_file, run_dir, cut):
+    # a run killed while writing leaves a last row without its newline
+    clean = (run_dir / "selections.jsonl").read_bytes()
+    offset = int(cut * len(clean)) if isinstance(cut, float) else cut % len(clean)
+    assert clean[offset - 1 : offset + 1].count(b"\n") == 0  # mid-line
+    out = tmp_path / "torn"
+    out.mkdir()
+    (out / "selections.jsonl").write_bytes(clean[:offset])
+    assert _rerun_run_dir(tmp_path, pairs_file, out) == 0
     for name in ("selections.jsonl", "report.json", "report.csv"):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_run_malformed_checkpoint_line_exits_two_naming_it(
+    tmp_path, pairs_file, run_dir, capsys
+):
+    lines = (run_dir / "selections.jsonl").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:40] + b"\n"
+    out = tmp_path / "bad"
+    out.mkdir()
+    (out / "selections.jsonl").write_bytes(b"".join(lines))
+    assert _rerun_run_dir(tmp_path, pairs_file, out) == 2
+    assert "error: line 3: malformed JSON" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_run_missing_pairs_file(tmp_path, capsys):
@@ -797,6 +830,48 @@ def test_run_closes_stdio_adapters(tmp_path, recording_adapters, broken, expecte
         "RecordingScorer",
     ]
     assert all(a.closes == 1 and a._proc is None for a in recording_adapters)
+
+
+def test_run_survives_a_generator_that_ignores_eof(tmp_path, monkeypatch, caplog):
+    script = tmp_path / "stuck_gen.py"
+    script.write_text(
+        "import json, sys, time\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps({'text': json.loads(line)['input'] + ' ok'}), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    monkeypatch.setattr(ndjson, "_CLOSE_GRACE_S", 0.2)
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(2, seed=3), pairs_path)
+    out = tmp_path / "o"
+    with caplog.at_level(logging.WARNING, logger="claimpolish.ndjson"):
+        code = run_cli("run", "--pairs", pairs_path, "--out", out, "--strategies", "top1")
+    assert code == 0
+    for name in ("report.json", "report.csv", "manifest.json"):
+        assert (out / name).is_file(), name
+    assert "generator process still running" in caplog.text
+
+
+def test_closing_adapters_closes_every_adapter_when_one_fails():
+    closed = []
+
+    class Adapter:
+        def __init__(self, name, fails=False):
+            self.name, self.fails = name, fails
+
+        def close(self):
+            closed.append(self.name)
+            if self.fails:
+                raise OSError(f"{self.name} did not close")
+
+    registry = cli.ScorerRegistry(
+        fluency=Adapter("fluency", fails=True), meaning=object(), argument=Adapter("argument")
+    )
+    with pytest.raises(OSError, match="fluency did not close"):
+        with cli._closing_adapters(registry, Adapter("generator", fails=True)):
+            pass
+    assert closed == ["generator", "fluency", "argument"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 import random
@@ -5,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
-from claimpolish import metrics
+from claimpolish import metrics, scoring
 from claimpolish.corpus import ContextBundle, MissingContextError
 from claimpolish.embedding import HashingEmbedder
 from claimpolish.metrics import (
@@ -18,6 +19,7 @@ from claimpolish.metrics import (
     sentence_bleu,
     write_report_csv,
 )
+from claimpolish.scoring import default_registry, score_candidate
 
 EMB = HashingEmbedder(dim=128)
 
@@ -231,18 +233,36 @@ def test_sari_multi_reference_replication_changes_score():
 
 
 def test_repeated_calls_give_equal_results():
-    # the primitives share cached n-gram Counters; a caller that mutated
-    # one would change the second result
+    # the primitives and the heuristic scorers share cached n-gram
+    # Counters, tables and token sets; a caller that mutated one would
+    # change the second result and the cached object
     source, output = "the tax helps the towns", "the new tax helps towns a lot"
     refs = ["the tax helps towns", "a new tax helps the towns"]
+    registry = default_registry()
+
+    def cached():
+        return [
+            *(metrics._analyse(text) for text in (source, output, *refs)),
+            metrics._sari_tables(source, tuple(refs)),
+            metrics._bleu_refs(tuple(refs)),
+            scoring._tokens(source),
+            scoring._tokens(output),
+        ]
+
     for call in (
         lambda: sari(source, output, refs),
         lambda: sari(source, output, refs, variant="all_f1"),
         lambda: sentence_bleu(output, refs),
         lambda: rouge_l(output, refs[1]),
         lambda: corpus_bleu([inst(source, refs)], [output], mode="corpus"),
+        lambda: score_candidate(registry, source, output, ContextBundle()),
     ):
-        assert call() == call()
+        first = call()
+        tables = cached()
+        snapshot = copy.deepcopy(tables)
+        assert call() == first
+        assert all(a is b for a, b in zip(cached(), tables))  # still the cached objects
+        assert tables == snapshot
 
 
 def test_text_analysis_cache_stays_bounded():
@@ -250,6 +270,26 @@ def test_text_analysis_cache_stays_bounded():
         sari(f"source {k}", f"output {k} words", [f"reference {k}"])
     info = metrics._analyse.cache_info()
     assert info.currsize <= info.maxsize == metrics._ANALYSE_CACHE_SIZE
+
+
+@pytest.mark.parametrize(
+    "cached, size",
+    [
+        (metrics._sari_tables, metrics._TABLE_CACHE_SIZE),
+        (metrics._bleu_refs, metrics._TABLE_CACHE_SIZE),
+        (scoring._tokens, scoring._TOKENS_CACHE_SIZE),
+    ],
+    ids=["sari_tables", "bleu_refs", "tokens"],
+)
+def test_instance_table_caches_stay_bounded(cached, size):
+    registry = default_registry()
+    for k in range(1000):
+        refs = [f"reference {k}", f"another reference {k}"]
+        sari(f"source {k}", f"output {k} words", refs)
+        sentence_bleu(f"output {k} words", refs)
+        score_candidate(registry, f"source {k}", f"output {k} words", ContextBundle())
+    info = cached.cache_info()
+    assert info.currsize <= info.maxsize == size
 
 
 # ---------------------------------------------------------------------------

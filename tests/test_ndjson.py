@@ -1,7 +1,10 @@
+import logging
+import signal
 import sys
 
 import pytest
 
+from claimpolish import ndjson
 from claimpolish.ndjson import NdjsonChild, RecordFormatError, read_jsonl, write_json
 
 
@@ -68,3 +71,35 @@ def test_child_that_stopped_reading_raises_the_error_type(tmp_path):
         child.request({})
     child._proc.kill()
     child.close()
+
+
+def _eof_ignoring_child(tmp_path, ignore_sigterm):
+    """Answers every request, then sleeps on after EOF; optionally ignores SIGTERM."""
+    script = tmp_path / "stuck.py"
+    script.write_text(
+        "import json, signal, sys, time\n"
+        + ("signal.signal(signal.SIGTERM, signal.SIG_IGN)\n" if ignore_sigterm else "")
+        + "for line in sys.stdin:\n"
+        "    print(json.dumps({'ok': True}), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    return [sys.executable, str(script)]
+
+
+@pytest.mark.parametrize(
+    "ignore_sigterm, returncode", [(False, -signal.SIGTERM), (True, -signal.SIGKILL)]
+)
+def test_close_stops_and_reaps_a_child_that_ignores_eof(
+    tmp_path, monkeypatch, caplog, ignore_sigterm, returncode
+):
+    monkeypatch.setattr(ndjson, "_CLOSE_GRACE_S", 0.2)
+    child = NdjsonChild(_eof_ignoring_child(tmp_path, ignore_sigterm))
+    assert child.request({}) == {"ok": True}  # the SIGTERM handler is set by now
+    proc = child._proc
+    with caplog.at_level(logging.WARNING, logger="claimpolish.ndjson"):
+        child.close()
+    assert proc.returncode == returncode
+    assert child._proc is None
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings[0] == "child process still running 0.2 s after EOF; stopping it"
+    assert len(warnings) == (2 if ignore_sigterm else 1)
