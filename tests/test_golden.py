@@ -1,4 +1,4 @@
-"""Pinned artifact bytes for ``calibrate``, ``run`` and ``report``.
+"""Pinned artifact bytes for ``prepare``, ``calibrate``, ``run`` and ``report``.
 
 The commands run in process through ``cli.main`` on the ``conftest``
 generators, from one working directory with relative paths, so the
@@ -8,11 +8,18 @@ a command leaves in its output directory, except ``manifest.json``
 ``golden_digests.json``. A change that moves one last bit of a score,
 a selection or a metric fails here.
 
-The cases:
+The cases, in the order they run:
 
+- ``prepare_chain`` and ``prepare_pair``: the 300 chains split with
+  ``granularity`` ``chain`` and ``pair``;
 - ``calibrate``: pooled, heuristic scorers, default grid;
 - ``run``: all 8 strategies, ``--context both``, the calibrated weights
   and a ranker trained on separate pairs;
+- ``run_none``: ``--context none``, the default weights, three
+  strategies in a non-canonical order and ``run``'s ranker file, which
+  pins the row order and each strategy's ``combined`` column;
+- ``run_resumed``: ``run`` again, resumed from the first half of its
+  ``selections.jsonl`` (cut mid-line); it must give ``run``'s bytes;
 - ``report``: the run's selections under ``bleu_mode = corpus`` and
   ``sari_variant = all_f1``.
 
@@ -47,18 +54,46 @@ from claimpolish.metrics import rouge_l, sari, sentence_bleu
 
 DIGESTS_PATH = Path(__file__).with_name("golden_digests.json")
 
-# command -> the argv after the command name; paths are relative to the work directory
+_RUN = [
+    "run", "--pairs", "pairs.jsonl", "--seed", "3", "--context", "both",
+    "--weights", "calibrate/weights.json", "--train-pairs", "train.jsonl",
+]
+
+# case -> argv, output directory included; paths are relative to the work directory
 CASES = {
-    "calibrate": ["--chains", "chains.jsonl", "--out", "calibrate"],
-    "run": [
-        "--pairs", "pairs.jsonl", "--out", "run", "--seed", "3", "--context", "both",
-        "--weights", "calibrate/weights.json", "--train-pairs", "train.jsonl",
+    **{
+        f"prepare_{granularity}": [
+            "prepare", "--chains", "chains.jsonl", "--out", f"prepare_{granularity}",
+            "--granularity", granularity, "--per-label-test", "10", "--seed", "3",
+        ]
+        for granularity in ("chain", "pair")
+    },
+    "calibrate": ["calibrate", "--chains", "chains.jsonl", "--out", "calibrate"],
+    "run": [*_RUN, "--out", "run"],
+    "run_none": [
+        "run", "--pairs", "pairs.jsonl", "--out", "run_none", "--seed", "3",
+        "--context", "none", "--strategies", "max_meaning,pairwise_rank,unedited",
+        "--ranker", "run/ranker.json",
     ],
+    "run_resumed": [*_RUN, "--out", "run_resumed"],
     "report": [
-        "--config", "report.conf", "--selections", "run/selections.jsonl",
+        "report", "--config", "report.conf", "--selections", "run/selections.jsonl",
         "--pairs", "pairs.jsonl", "--out", "report",
     ],
 }
+
+
+def _cut_run_in_half() -> None:
+    """The first half of ``run``'s selections, as a run killed mid-row leaves them."""
+    clean = Path("run/selections.jsonl").read_bytes()
+    half = len(clean) // 2
+    assert b"\n" not in clean[half - 1 : half + 1], "the cut must fall inside a row"
+    Path("run_resumed").mkdir()
+    Path("run_resumed/selections.jsonl").write_bytes(clean[:half])
+
+
+# case -> what runs in the work directory before it
+SETUP = {"run_resumed": _cut_run_in_half}
 
 
 def _write_inputs(work: Path) -> None:
@@ -83,12 +118,14 @@ def compute_digests(work: Path) -> dict[str, dict[str, str]]:
     _write_inputs(work)
     digests = {}
     with _cwd(work):
-        for command, argv in CASES.items():
-            code = main([command, *argv])
+        for case, argv in CASES.items():
+            if case in SETUP:
+                SETUP[case]()
+            code = main(argv)
             if code != 0:
-                raise RuntimeError(f"{command} exited {code}")
+                raise RuntimeError(f"{case} exited {code}")
             out = work / argv[argv.index("--out") + 1]
-            digests[command] = {
+            digests[case] = {
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(out.iterdir())
                 if p.name != "manifest.json"
@@ -123,14 +160,18 @@ def digests(tmp_path_factory):
     return compute_digests(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("command", [*CASES, "row_metrics"])
-def test_artifact_bytes_match_golden_digests(digests, command):
-    expected = json.loads(DIGESTS_PATH.read_text())[command]
+@pytest.mark.parametrize("case", [*CASES, "row_metrics"])
+def test_artifact_bytes_match_golden_digests(digests, case):
+    expected = json.loads(DIGESTS_PATH.read_text())[case]
     changed = sorted(
-        name for name in set(expected) | set(digests[command])
-        if expected.get(name) != digests[command].get(name)
+        name for name in set(expected) | set(digests[case])
+        if expected.get(name) != digests[case].get(name)
     )
-    assert not changed, f"{command}: artifacts differ from {DIGESTS_PATH.name}: {changed}"
+    assert not changed, f"{case}: artifacts differ from {DIGESTS_PATH.name}: {changed}"
+
+
+def test_resumed_run_reproduces_the_clean_run(digests):
+    assert digests["run_resumed"] == digests["run"]
 
 
 if __name__ == "__main__":
