@@ -27,8 +27,7 @@ def main():
     cset = generate_candidates(generator, source, config, schedule, seed=3)
     print(f"\n{len(cset.candidates)} raw candidates for {source!r}:")
     for cand in cset.candidates:
-        origin = str(cand.origin) if cand.origin else "unedited"
-        print(f"  [{cand.index}] {origin:<10} {cand.text!r}")
+        print(f"  [{cand.index}] {str(cand.origin):<10} {cand.text!r}")
 
     unique = dedup(cset)
     print(f"\nafter dedup: {len(unique.candidates)} distinct texts")

@@ -2,18 +2,21 @@
 
 Every candidate gets a three-axis quality vector (fluency, meaning
 preservation, argument quality), each in [0, 1]. The combined score is
-a weighted sum; selection strategies range from "never edit" baselines
-to the combined-score argmax and a learned pairwise ranker.
+a weighted sum. ``score_columns`` lays the scores out as one column per
+decision score; each selection strategy, from "never edit" baselines to
+the combined-score argmax and a learned pairwise ranker, picks a
+position from those columns (-1 keeps the source).
 
 Run: python3 demos/03_scoring_and_selection.py
 """
 
 from claimpolish.embedding import HashingEmbedder
 from claimpolish.genkit import GenerationConfig, MockGenerator, dedup, generate_candidates, make_schedule
-from claimpolish.scoring import DEFAULT_WEIGHTS, autoscore, default_registry, score_candidate
+from claimpolish.scoring import DEFAULT_WEIGHTS, default_registry, score_candidate
 from claimpolish.selection import (
     RankerHyperparams,
     Strategy,
+    score_columns,
     select,
     train_pairwise_ranker,
 )
@@ -22,22 +25,14 @@ from claimpolish.selection import (
 def main():
     source = "its good that the tax passed, we think"
     config = GenerationConfig(n_candidates=10)
-    cset = dedup(
+    candidates = dedup(
         generate_candidates(
             MockGenerator(), source, config, make_schedule(config.n_candidates), seed=3
         )
-    )
+    ).candidates
 
     registry = default_registry()
-    scores = [score_candidate(registry, source, c.text, None) for c in cset.candidates]
-
-    print(f"weights: alpha={DEFAULT_WEIGHTS.alpha} beta={DEFAULT_WEIGHTS.beta} "
-          f"gamma={DEFAULT_WEIGHTS.gamma}")
-    print(f"{'combined':>8}  {'flu':>5} {'mean':>5} {'arg':>5}  text")
-    for cand, vec in zip(cset.candidates, scores):
-        print(f"{autoscore(vec, DEFAULT_WEIGHTS):8.3f}  "
-              f"{vec.fluency:5.2f} {vec.meaning:5.2f} {vec.argument:5.2f}  "
-              f"{cand.text[:60]!r}")
+    scores = [score_candidate(registry, source, c.text, None) for c in candidates]
 
     # a tiny ranker trained on (worse, better) rewrite pairs
     training = [
@@ -47,15 +42,22 @@ def main():
     ]
     embedder = HashingEmbedder(dim=256, seed=0)
     ranker = train_pairwise_ranker(training, embedder, RankerHyperparams(seed=0))
+    columns = score_columns(candidates, scores, DEFAULT_WEIGHTS, ranker=ranker)
+
+    print(f"weights: alpha={DEFAULT_WEIGHTS.alpha} beta={DEFAULT_WEIGHTS.beta} "
+          f"gamma={DEFAULT_WEIGHTS.gamma}")
+    print(f"{'combined':>8}  {'flu':>5} {'mean':>5} {'arg':>5}  text")
+    for i, cand in enumerate(candidates):
+        print(f"{columns['autoscore'][i]:8.3f}  {columns['fluency'][i]:5.2f} "
+              f"{columns['meaning'][i]:5.2f} {columns['argument'][i]:5.2f}  "
+              f"{cand.text[:60]!r}")
 
     print("\nstrategy choices:")
     for strategy in Strategy:
-        result = select(
-            strategy, source, cset, scores,
-            weights=DEFAULT_WEIGHTS, ranker=ranker, seed=11,
-        )
-        flag = "edited" if result.edited else "kept  "
-        print(f"  {strategy.value:<14} {flag} {result.chosen.text[:58]!r}")
+        position = select(strategy, candidates, columns, seed=11)
+        chosen = source if position < 0 else candidates[position].text
+        flag = "edited" if chosen != source else "kept  "
+        print(f"  {strategy.value:<14} {flag} {chosen[:58]!r}")
 
 
 if __name__ == "__main__":

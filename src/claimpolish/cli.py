@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -81,12 +82,13 @@ from .scoring import (
     score_candidate,
 )
 from .selection import (
+    COLUMNS,
     RankerHyperparams,
     Strategy,
     load_ranker,
     save_ranker,
+    score_columns,
     select,
-    selection_to_record,
     train_pairwise_ranker,
 )
 
@@ -412,7 +414,7 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
 
     # chains whose pairs ended up in validation, for weight calibration
     validation_chain_ids = {p.chain_id for p in split.validation}
-    with open(out / "validation_chains.jsonl", "w", encoding="utf-8") as fh, open(
+    with open_atomic(out / "validation_chains.jsonl") as fh, open(
         chains_path, encoding="utf-8"
     ) as src:
         for line in src:
@@ -482,6 +484,50 @@ def _load_checkpoint(
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
+def _run_instance(
+    pair, seed: int, *, context_mode, delimiters, generator, gen_config, schedule,
+    registry, weights, ranker, strategies,
+):
+    """One pair through serialize -> generate -> dedup -> score -> select.
+
+    Returns the deduped candidates, their ``score_columns`` and each
+    strategy's pick (a position in the candidates, -1 for unedited).
+    """
+    input_text = serialize_input(pair, context_mode, delimiters)
+    candidates = dedup(
+        generate_candidates(generator, input_text, gen_config, schedule, seed)
+    ).candidates
+    scores = [
+        score_candidate(registry, pair.source.text, c.text, pair.context) for c in candidates
+    ]
+    columns = score_columns(candidates, scores, weights, ranker)
+    picks = {strategy: select(strategy, candidates, columns, seed=seed) for strategy in strategies}
+    return candidates, columns, picks
+
+
+def _instance_records(pair, candidates, columns, picks) -> dict[str, dict]:
+    """One instance's selections.jsonl records, by strategy name in ``picks``
+    order. A record's ``combined`` is its strategy's column; ``unedited``,
+    ``top1`` and ``random`` record ``autoscore``."""
+    source = pair.source.text
+    table = list(zip(candidates, columns["fluency"], columns["meaning"], columns["argument"]))
+    records = {}
+    for strategy, position in picks.items():
+        chosen = source if position < 0 else candidates[position].text
+        combined = columns[COLUMNS.get(strategy, "autoscore")]
+        records[strategy.value] = {
+            "pair_id": pair.pair_id,
+            "strategy": strategy.value,
+            "chosen": chosen,
+            "edited": chosen != source,
+            "scores": [
+                {"text": c.text, "fluency": f, "meaning": m, "argument": a, "combined": x}
+                for (c, f, m, a), x in zip(table, combined)
+            ],
+        }
+    return records
+
+
 def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
     pairs_path = _require_file(s["pairs"], "pairs file")
     out = _out_dir(s["out"])
@@ -495,8 +541,6 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
 
     generator = _build_generator(s, delimiters)
     registry = _build_registry(s, embedder)
-    gen_config = GenerationConfig(n_candidates=s["n_candidates"])
-    schedule = make_schedule(s["n_candidates"])
 
     if s["weights"]:
         weights = load_weights(_require_file(s["weights"], "weights file"))
@@ -530,7 +574,12 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "pairwise_rank strategy needs either a ranker file or train_pairs"
             )
 
-    context_mode = ContextMode(s["context"])
+    run_instance = functools.partial(
+        _run_instance, context_mode=ContextMode(s["context"]), delimiters=delimiters,
+        generator=generator, gen_config=GenerationConfig(n_candidates=s["n_candidates"]),
+        schedule=make_schedule(s["n_candidates"]), registry=registry, weights=weights,
+        ranker=ranker, strategies=strategies,
+    )
     selections_path = out / "selections.jsonl"
     checkpoint = _load_checkpoint(selections_path, strategies)
     # rewrite only the complete instances, in pairs-file order, then resume
@@ -542,48 +591,17 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         selections_path, "w", encoding="utf-8"
     ) as sel_fh:
         for i, pair in enumerate(pairs):
-            if pair.pair_id in checkpoint:
-                for strategy in strategies:
-                    # rows were written by encode_line, so they round-trip
-                    rec = checkpoint[pair.pair_id][strategy.value]
-                    sel_fh.write(encode_line(rec))
-                    outputs[strategy.value].append(rec["chosen"])
-                done_instances.append(i)
-                continue
-            instance_seed = seed + i
-            # buffer the whole instance so a failure never leaves partial rows
-            rows: list[str] = []
-            chosen: dict[str, str] = {}
-            try:
-                input_text = serialize_input(pair, context_mode, delimiters)
-                cset = dedup(
-                    generate_candidates(
-                        generator, input_text, gen_config, schedule, instance_seed
-                    )
-                )
-                scores = [
-                    score_candidate(registry, pair.source.text, c.text, pair.context)
-                    for c in cset.candidates
-                ]
-                for strategy in strategies:
-                    result = select(
-                        strategy,
-                        pair.source.text,
-                        cset,
-                        scores,
-                        weights=weights,
-                        ranker=ranker,
-                        seed=instance_seed,
-                    )
-                    record = selection_to_record(pair.pair_id, result)
-                    rows.append(encode_line(record))
-                    chosen[strategy.value] = result.chosen.text
-            except Exception as exc:
-                errors.append({"pair_id": pair.pair_id, "error": str(exc)})
-                continue
-            sel_fh.writelines(rows)
-            for name, text in chosen.items():
-                outputs[name].append(text)
+            records = checkpoint.get(pair.pair_id)
+            if records is None:
+                try:
+                    records = _instance_records(pair, *run_instance(pair, seed + i))
+                except Exception as exc:
+                    errors.append({"pair_id": pair.pair_id, "error": str(exc)})
+                    continue
+            # a checkpoint's rows were written by encode_line, so they round-trip
+            for strategy in strategies:
+                sel_fh.write(encode_line(records[strategy.value]))
+                outputs[strategy.value].append(records[strategy.value]["chosen"])
             sel_fh.flush()
             done_instances.append(i)
 

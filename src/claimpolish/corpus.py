@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ndjson import encode_line, read_jsonl
+from .ndjson import encode_line, open_atomic, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -421,7 +421,7 @@ def pair_to_record(pair: OptimizationPair) -> dict:
 
 
 def write_pairs(pairs: Iterable[OptimizationPair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         fh.writelines(encode_line(pair_to_record(pair)) for pair in pairs)
 
 

@@ -88,7 +88,7 @@ def make_schedule(n: int) -> list[Directive]:
 @dataclass(frozen=True)
 class Candidate:
     text: str
-    origin: Directive | None  # None only for the synthetic unedited candidate
+    origin: Directive
     index: int
 
 

@@ -2,10 +2,11 @@
 
 Strategies range from trivial baselines (keep the source, take the
 greedy decode, pick at random) through per-component argmaxes to the
-weighted combined score and a trained pairwise ranker. All argmax
-strategies break ties toward the lowest candidate index, so results
-are deterministic and invariant under strictly increasing transforms
-of the decision score.
+weighted combined score and a trained pairwise ranker. ``score_columns``
+computes each instance's decision columns once; ``select`` only picks.
+All argmax strategies break ties toward the lowest candidate position,
+so results are deterministic and invariant under strictly increasing
+transforms of the decision score.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Embedder, HashingEmbedder
-from .genkit import Candidate, CandidateSet
+from .genkit import Candidate
 from .ndjson import read_json, write_json
 from .scoring import ScoreVector, Weights, autoscore
 
@@ -34,14 +35,6 @@ class Strategy(enum.Enum):
     MAX_MEANING = "max_meaning"
     AUTOSCORE = "autoscore"
     PAIRWISE_RANK = "pairwise_rank"
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    chosen: Candidate
-    strategy: Strategy
-    per_candidate_scores: tuple[tuple[Candidate, ScoreVector, float | None], ...]
-    edited: bool
 
 
 @dataclass(frozen=True)
@@ -63,12 +56,36 @@ class PairwiseRanker:
         return float(self.weight_vector @ self.embedder.embed(text))
 
 
-# score-vector component that each per-axis strategy maximizes
-_AXES = {
+# the column of score_columns that each argmax strategy maximizes
+COLUMNS = {
     Strategy.MAX_FLUENCY: "fluency",
     Strategy.MAX_MEANING: "meaning",
     Strategy.MAX_ARGUMENT: "argument",
+    Strategy.AUTOSCORE: "autoscore",
+    Strategy.PAIRWISE_RANK: "ranker",
 }
+
+
+def score_columns(
+    candidates: Sequence[Candidate],
+    scores: Sequence[ScoreVector],
+    weights: Weights,
+    ranker: PairwiseRanker | None = None,
+) -> dict[str, list[float]]:
+    """One instance's decision columns, each aligned with ``candidates``:
+    the three score axes, their ``autoscore`` and, given a ranker, its
+    ``ranker`` scores. ``scores`` must align one-to-one with ``candidates``."""
+    if len(scores) != len(candidates):
+        raise ValueError(f"{len(scores)} scores for {len(candidates)} candidates")
+    columns = {
+        "fluency": [v.fluency for v in scores],
+        "meaning": [v.meaning for v in scores],
+        "argument": [v.argument for v in scores],
+        "autoscore": [autoscore(v, weights) for v in scores],
+    }
+    if ranker is not None:
+        columns["ranker"] = [ranker.score_text(c.text) for c in candidates]
+    return columns
 
 
 def _argmax(values: Sequence[float]) -> int:
@@ -82,61 +99,36 @@ def _argmax(values: Sequence[float]) -> int:
 
 def select(
     strategy: Strategy,
-    source: str,
-    candidate_set: CandidateSet,
-    scores: Sequence[ScoreVector],
-    weights: Weights | None = None,
-    ranker: PairwiseRanker | None = None,
+    candidates: Sequence[Candidate],
+    columns: dict[str, list[float]],
     seed: int | None = None,
-) -> SelectionResult:
-    """Apply one selection strategy to a scored candidate set.
+) -> int:
+    """The candidate one strategy picks, as a position in ``candidates``.
 
-    ``scores`` must align one-to-one with the set's candidates. The
-    unedited strategy returns a synthetic candidate wrapping the source
-    text; every other strategy returns a member of the set.
+    The position counts the (deduped) candidates as given; it is not
+    ``Candidate.index``, the schedule step. ``unedited`` keeps the
+    source and returns -1. The argmax strategies read their column of
+    ``columns`` (see ``COLUMNS`` and ``score_columns``).
     """
-    candidates = candidate_set.candidates
     if not candidates:
         raise ValueError("empty candidate set")
-    if len(scores) != len(candidates):
-        raise ValueError(f"{len(scores)} scores for {len(candidates)} candidates")
     if not isinstance(strategy, Strategy):
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    # decision scores: what an argmax strategy ranks by; the other
-    # strategies record the weighted score when weights are given
-    combined: list[float | None]
-    if strategy is Strategy.PAIRWISE_RANK:
-        if ranker is None:
-            raise ValueError("pairwise_rank strategy needs a trained ranker")
-        combined = [ranker.score_text(c.text) for c in candidates]
-    elif strategy in _AXES:
-        combined = [getattr(v, _AXES[strategy]) for v in scores]
-    elif strategy is Strategy.AUTOSCORE and weights is None:
-        raise ValueError("autoscore strategy needs weights")
-    else:
-        combined = [autoscore(v, weights) for v in scores] if weights else [None] * len(scores)
-
+    if strategy is Strategy.UNEDITED:
+        return -1
     if strategy is Strategy.RANDOM:
         if seed is None:
             raise ValueError("random strategy needs a seed")
-        chosen = candidates[random.Random(seed).randrange(len(candidates))]
-    elif strategy is Strategy.TOP1:
-        greedy = [c for c in candidates if c.origin is not None and c.origin.kind == "greedy"]
-        if not greedy:
-            raise ValueError("no greedy-origin candidate in the set")
-        chosen = greedy[0]
-    elif strategy is Strategy.UNEDITED:
-        chosen = Candidate(text=source, origin=None, index=-1)
-    else:
-        chosen = candidates[_argmax(combined)]
-
-    return SelectionResult(
-        chosen=chosen,
-        strategy=strategy,
-        per_candidate_scores=tuple(zip(candidates, scores, combined)),
-        edited=chosen.text != source,
-    )
+        return random.Random(seed).randrange(len(candidates))
+    if strategy is Strategy.TOP1:
+        for position, candidate in enumerate(candidates):
+            if candidate.origin.kind == "greedy":
+                return position
+        raise ValueError("no greedy-origin candidate in the set")
+    name = COLUMNS[strategy]
+    if name not in columns:
+        raise ValueError(f"{strategy.value} strategy needs the {name!r} column")
+    return _argmax(columns[name])
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +227,3 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
 
     return read_json(path, parse, required=("weight_vector",))
 
-
-# ---------------------------------------------------------------------------
-# persistence of selection rows
-
-def selection_to_record(pair_id: str, result: SelectionResult) -> dict:
-    return {
-        "pair_id": pair_id,
-        "strategy": result.strategy.value,
-        "chosen": result.chosen.text,
-        "edited": result.edited,
-        "scores": [
-            {
-                "text": cand.text,
-                "fluency": vec.fluency,
-                "meaning": vec.meaning,
-                "argument": vec.argument,
-                "combined": comb,
-            }
-            for cand, vec, comb in result.per_candidate_scores
-        ],
-    }

@@ -36,7 +36,7 @@ from claimpolish.evalstats import (
     mace_aggregate,
     wilcoxon_signed_rank,
 )
-from claimpolish.genkit import Candidate, CandidateSet
+from claimpolish.genkit import Candidate, TOPK
 from claimpolish.metrics import EvalInstance, evaluate_run, rouge_l, sari
 from claimpolish.scoring import (
     ScoreVector,
@@ -46,7 +46,7 @@ from claimpolish.scoring import (
     calibrate_weights,
     pearson,
 )
-from claimpolish.selection import Strategy, select
+from claimpolish.selection import Strategy, score_columns, select
 
 from test_sari_oracle import FIXTURES, oracle_sari
 
@@ -165,10 +165,9 @@ def test_criterion_3_selection_equals_exhaustive_argmax(capsys):
     for case in range(trials):
         n = rng.randint(1, 10)
         candidates = tuple(
-            Candidate(text=f"cand {case} {j}", origin=None, index=j)
+            Candidate(text=f"cand {case} {j}", origin=TOPK(5 * (j + 1)), index=j)
             for j in range(n)
         )
-        cset = CandidateSet(source=f"src {case}", candidates=candidates)
         # one-decimal quantization makes exact ties common
         scores = [
             ScoreVector(
@@ -185,10 +184,8 @@ def test_criterion_3_selection_equals_exhaustive_argmax(capsys):
         for j in range(1, n):
             if combined[j] > combined[best]:
                 best = j
-        result = select(
-            Strategy.AUTOSCORE, f"src {case}", cset, scores, weights=weights
-        )
-        matches += result.chosen is candidates[best]
+        columns = score_columns(candidates, scores, weights)
+        matches += select(Strategy.AUTOSCORE, candidates, columns) == best
     _announce(
         capsys, 3, "autoscore selection matches exhaustive argmax on 1000 sets",
         matches == trials, detail=f"{matches}/{trials}",

@@ -17,7 +17,10 @@ from claimpolish.cli import (
     main,
     read_config_file,
 )
-from claimpolish.corpus import write_pairs
+from claimpolish.corpus import load_pairs, write_pairs
+from claimpolish.genkit import GREEDY, TOPK, Candidate
+from claimpolish.scoring import DEFAULT_WEIGHTS, ScoreVector, Weights, autoscore
+from claimpolish.selection import COLUMNS, Strategy, load_ranker, score_columns, select
 
 WEIGHTS = {
     "alpha": 0.43,
@@ -282,6 +285,29 @@ def test_prepare_is_deterministic(tmp_path, chains_file):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_prepare_failing_part_way_keeps_the_old_validation_chains(
+    tmp_path, chains_file, monkeypatch
+):
+    out = tmp_path / "prep"
+    argv = ("prepare", "--chains", chains_file, "--out", out, "--seed", 5, "--per-label-test", 2)
+    assert run_cli(*argv) == 0
+    old = (out / "validation_chains.jsonl").read_bytes()
+    assert old
+    lines_read = []
+
+    def failing_decode(line):
+        lines_read.append(line)
+        if len(lines_read) > 20:
+            raise OSError("disk gone")
+        return ndjson.decode_line(line)
+
+    monkeypatch.setattr(cli, "decode_line", failing_decode)
+    with pytest.raises(OSError, match="disk gone"):
+        run_cli(*argv)
+    assert (out / "validation_chains.jsonl").read_bytes() == old
+    assert not list(out.glob("*.tmp"))
+
+
 def test_prepare_missing_chains(tmp_path, capsys):
     code = run_cli("prepare", "--chains", tmp_path / "nope.jsonl", "--out", tmp_path / "o")
     assert code == 2
@@ -392,6 +418,55 @@ def test_run_malformed_checkpoint_line_exits_two_naming_it(
     assert _rerun_run_dir(tmp_path, pairs_file, out) == 2
     assert "error: line 3: malformed JSON" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_selection_record_schema(run_dir, pairs_file):
+    rows = read_rows(run_dir / "selections.jsonl")
+    sources = {p.pair_id: p.source.text for p in load_pairs(pairs_file)}
+    ranker = load_ranker(run_dir / "ranker.json")
+    weights = Weights(WEIGHTS["alpha"], WEIGHTS["beta"], WEIGHTS["gamma"])
+    # each pair's rows in --strategies order, pairs in file order
+    assert [(r["pair_id"], r["strategy"]) for r in rows] == [
+        (pair_id, strategy.value) for pair_id in sources for strategy in Strategy
+    ]
+    for record in rows:
+        assert list(record) == ["pair_id", "strategy", "chosen", "edited", "scores"]
+        texts = [score["text"] for score in record["scores"]]
+        assert len(texts) == len(set(texts)) > 0
+        source = sources[record["pair_id"]]
+        if record["strategy"] == "unedited":
+            assert record["chosen"] == source
+        else:
+            assert record["chosen"] in texts
+        assert record["edited"] is (record["chosen"] != source)
+        strategy = Strategy(record["strategy"])
+        for score in record["scores"]:
+            assert list(score) == ["text", "fluency", "meaning", "argument", "combined"]
+            vector = ScoreVector(score["fluency"], score["meaning"], score["argument"])
+            column = {
+                "fluency": vector.fluency,
+                "meaning": vector.meaning,
+                "argument": vector.argument,
+                "autoscore": autoscore(vector, weights),
+                "ranker": ranker.score_text(score["text"]),
+            }
+            assert score["combined"] == column[COLUMNS.get(strategy, "autoscore")]
+
+
+def test_edited_flag_tracks_text_equality():
+    pair = make_synthetic_pairs(1, seed=3)[0]
+    source = pair.source.text
+    candidates = (Candidate(source, GREEDY, 0), Candidate("changed text", TOPK(5), 2))
+    scores = [ScoreVector(0.5, 0.5, 0.5), ScoreVector(0.9, 0.5, 0.5)]
+    columns = score_columns(candidates, scores, DEFAULT_WEIGHTS)
+    strategies = (Strategy.UNEDITED, Strategy.TOP1, Strategy.MAX_FLUENCY)
+    picks = {strategy: select(strategy, candidates, columns) for strategy in strategies}
+    records = cli._instance_records(pair, candidates, columns, picks)
+    assert list(records) == ["unedited", "top1", "max_fluency"]
+    # the greedy candidate repeats the source, so top1 counts as unedited
+    assert [(r["chosen"], r["edited"]) for r in records.values()] == [
+        (source, False), (source, False), ("changed text", True)
+    ]
 
 
 def test_run_missing_pairs_file(tmp_path, capsys):

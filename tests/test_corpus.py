@@ -432,6 +432,21 @@ def test_pairs_roundtrip(tmp_path):
         assert back.context == orig.context
 
 
+def test_write_pairs_failing_part_way_keeps_the_old_file(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(4, seed=2), path)
+    old = path.read_bytes()
+
+    def failing_pairs():
+        yield from make_synthetic_pairs(3, seed=9)
+        raise OSError("disk gone")
+
+    with pytest.raises(OSError, match="disk gone"):
+        write_pairs(failing_pairs(), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
+
 def test_load_pairs_rejects_missing_keys(tmp_path):
     path = tmp_path / "pairs.jsonl"
     write_lines(path, [json.dumps({"pair_id": "a#0", "source": "s"})])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from claimpolish.embedding import HashingEmbedder
-from claimpolish.genkit import Candidate, CandidateSet, GREEDY, TOPK
+from claimpolish.genkit import Candidate, GREEDY, TOPK
 from claimpolish.scoring import DEFAULT_WEIGHTS, ScoreVector, Weights
 from claimpolish.selection import (
     PairwiseRanker,
@@ -13,12 +13,10 @@ from claimpolish.selection import (
     Strategy,
     load_ranker,
     save_ranker,
+    score_columns,
     select,
-    selection_to_record,
     train_pairwise_ranker,
 )
-
-SOURCE = "the original claim"
 
 
 def build_set(texts, first_greedy=True):
@@ -26,15 +24,16 @@ def build_set(texts, first_greedy=True):
     for i, text in enumerate(texts):
         origin = GREEDY if (i == 0 and first_greedy) else TOPK(5 * max(i, 1))
         cands.append(Candidate(text=text, origin=origin, index=i))
-    return CandidateSet(source=SOURCE, candidates=tuple(cands))
+    return tuple(cands)
 
 
 def vectors(*triples):
     return [ScoreVector(*t) for t in triples]
 
 
-CSET = build_set(["alpha text", "bravo text", "charlie text"])
+CANDS = build_set(["alpha text", "bravo text", "charlie text"])
 SCORES = vectors((0.9, 0.2, 0.1), (0.3, 0.8, 0.5), (0.5, 0.5, 0.9))
+COLUMNS = score_columns(CANDS, SCORES, DEFAULT_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -42,100 +41,85 @@ SCORES = vectors((0.9, 0.2, 0.1), (0.3, 0.8, 0.5), (0.5, 0.5, 0.9))
 
 
 def test_unedited_returns_source_unmodified():
-    result = select(Strategy.UNEDITED, SOURCE, CSET, SCORES)
-    assert result.chosen.text == SOURCE
-    assert result.chosen.origin is None
-    assert result.chosen.index == -1
-    assert result.edited is False
+    # -1 stands for the source itself; no candidate is chosen
+    assert select(Strategy.UNEDITED, CANDS, COLUMNS) == -1
 
 
 def test_top1_returns_first_greedy_candidate():
-    result = select(Strategy.TOP1, SOURCE, CSET, SCORES)
-    assert result.chosen is CSET.candidates[0]
-    assert result.edited is True
+    assert select(Strategy.TOP1, CANDS, COLUMNS) == 0
+    # the first greedy candidate, wherever it stands
+    cands = (Candidate("x", TOPK(5), 0), Candidate("y", GREEDY, 1), Candidate("z", GREEDY, 2))
+    assert select(Strategy.TOP1, cands, {}) == 1
 
 
 def test_top1_without_greedy_candidate_raises():
-    cset = build_set(["a", "b"], first_greedy=False)
+    cands = build_set(["a", "b"], first_greedy=False)
     with pytest.raises(ValueError):
-        select(Strategy.TOP1, SOURCE, cset, SCORES[:2])
+        select(Strategy.TOP1, cands, score_columns(cands, SCORES[:2], DEFAULT_WEIGHTS))
 
 
 def test_component_argmaxes():
-    assert (
-        select(Strategy.MAX_FLUENCY, SOURCE, CSET, SCORES).chosen.text == "alpha text"
-    )
-    assert (
-        select(Strategy.MAX_MEANING, SOURCE, CSET, SCORES).chosen.text == "bravo text"
-    )
-    assert (
-        select(Strategy.MAX_ARGUMENT, SOURCE, CSET, SCORES).chosen.text
-        == "charlie text"
-    )
+    assert CANDS[select(Strategy.MAX_FLUENCY, CANDS, COLUMNS)].text == "alpha text"
+    assert CANDS[select(Strategy.MAX_MEANING, CANDS, COLUMNS)].text == "bravo text"
+    assert CANDS[select(Strategy.MAX_ARGUMENT, CANDS, COLUMNS)].text == "charlie text"
 
 
 def test_autoscore_picks_weighted_argmax():
-    result = select(Strategy.AUTOSCORE, SOURCE, CSET, SCORES, weights=DEFAULT_WEIGHTS)
     combos = [
         0.43 * v.fluency + 0.01 * v.meaning + 0.56 * v.argument for v in SCORES
     ]
-    assert result.chosen is CSET.candidates[combos.index(max(combos))]
-    recorded = [c for _, _, c in result.per_candidate_scores]
-    assert recorded == pytest.approx(combos)
+    assert select(Strategy.AUTOSCORE, CANDS, COLUMNS) == combos.index(max(combos))
+    assert COLUMNS["autoscore"] == pytest.approx(combos)
 
 
 def test_autoscore_requires_weights():
+    # without the weighted column there is nothing to maximize
+    axes = {name: COLUMNS[name] for name in ("fluency", "meaning", "argument")}
     with pytest.raises(ValueError):
-        select(Strategy.AUTOSCORE, SOURCE, CSET, SCORES)
+        select(Strategy.AUTOSCORE, CANDS, axes)
 
 
 def test_argmax_tie_breaks_to_lowest_index():
     scores = vectors((0.5, 0.1, 0.9), (0.5, 0.2, 0.9), (0.5, 0.3, 0.9))
-    w = Weights(1.0, 0.0, 0.0)
-    result = select(Strategy.AUTOSCORE, SOURCE, CSET, scores, weights=w)
-    assert result.chosen.index == 0
-    assert select(Strategy.MAX_FLUENCY, SOURCE, CSET, scores).chosen.index == 0
+    columns = score_columns(CANDS, scores, Weights(1.0, 0.0, 0.0))
+    assert select(Strategy.AUTOSCORE, CANDS, columns) == 0
+    assert select(Strategy.MAX_FLUENCY, CANDS, columns) == 0
 
 
 def test_random_is_seeded_and_in_set():
-    a = select(Strategy.RANDOM, SOURCE, CSET, SCORES, seed=13)
-    b = select(Strategy.RANDOM, SOURCE, CSET, SCORES, seed=13)
-    assert a.chosen == b.chosen
-    assert a.chosen in CSET.candidates
+    a = select(Strategy.RANDOM, CANDS, COLUMNS, seed=13)
+    b = select(Strategy.RANDOM, CANDS, COLUMNS, seed=13)
+    assert a == b
+    assert 0 <= a < len(CANDS)
     # matches the documented draw: randrange over the set size
-    assert a.chosen is CSET.candidates[random.Random(13).randrange(3)]
+    assert a == random.Random(13).randrange(3)
 
 
 def test_random_requires_seed():
     with pytest.raises(ValueError):
-        select(Strategy.RANDOM, SOURCE, CSET, SCORES)
+        select(Strategy.RANDOM, CANDS, COLUMNS)
 
 
 def test_pairwise_requires_ranker():
+    assert "ranker" not in COLUMNS
     with pytest.raises(ValueError):
-        select(Strategy.PAIRWISE_RANK, SOURCE, CSET, SCORES)
+        select(Strategy.PAIRWISE_RANK, CANDS, COLUMNS)
 
 
 def test_select_validates_alignment_and_emptiness():
     with pytest.raises(ValueError):
-        select(Strategy.TOP1, SOURCE, CSET, SCORES[:2])
-    empty = CandidateSet(source=SOURCE, candidates=())
+        score_columns(CANDS, SCORES[:2], DEFAULT_WEIGHTS)
     with pytest.raises(ValueError):
-        select(Strategy.TOP1, SOURCE, empty, [])
+        select(Strategy.TOP1, (), score_columns((), [], DEFAULT_WEIGHTS))
+    with pytest.raises(ValueError):
+        select("top1", CANDS, COLUMNS)
 
 
-def test_edited_flag_tracks_text_equality():
-    cset = build_set([SOURCE, "changed text"])
-    scores = vectors((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
-    result = select(Strategy.TOP1, SOURCE, cset, scores)
-    assert result.edited is False
-
-
-def test_combined_column_none_without_weights():
-    result = select(Strategy.UNEDITED, SOURCE, CSET, SCORES)
-    assert all(c is None for _, _, c in result.per_candidate_scores)
-    with_w = select(Strategy.UNEDITED, SOURCE, CSET, SCORES, weights=DEFAULT_WEIGHTS)
-    assert all(c is not None for _, _, c in with_w.per_candidate_scores)
+def test_positions_count_deduped_candidates_not_schedule_steps():
+    # dedup keeps schedule indices, so a position differs from Candidate.index
+    cands = (Candidate("a", GREEDY, 0), Candidate("b", TOPK(10), 2), Candidate("c", TOPK(15), 3))
+    columns = score_columns(cands, vectors((0.1, 0, 0), (0.9, 0, 0), (0.5, 0, 0)), DEFAULT_WEIGHTS)
+    assert select(Strategy.MAX_FLUENCY, cands, columns) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +165,12 @@ def test_ranker_rejects_zero_margin_pairs():
 def test_pairwise_selection_uses_ranker_scores():
     emb = HashingEmbedder(dim=64, seed=0)
     ranker = train_pairwise_ranker(_training_pairs(), emb)
-    cset = build_set(["tax school", "tax school therefore improved"])
+    cands = build_set(["tax school", "tax school therefore improved"])
     scores = vectors((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
-    result = select(Strategy.PAIRWISE_RANK, SOURCE, cset, scores, ranker=ranker)
-    assert result.chosen.text == "tax school therefore improved"
+    columns = score_columns(cands, scores, DEFAULT_WEIGHTS, ranker=ranker)
+    assert columns["ranker"] == [ranker.score_text(c.text) for c in cands]
+    position = select(Strategy.PAIRWISE_RANK, cands, columns)
+    assert cands[position].text == "tax school therefore improved"
 
 
 def test_ranker_roundtrip(tmp_path):
@@ -217,24 +203,3 @@ def test_load_ranker_rejects_bad_payloads(tmp_path):
     with pytest.raises(ValueError):
         load_ranker(path)
 
-
-# ---------------------------------------------------------------------------
-# records
-
-
-def test_selection_record_schema():
-    result = select(Strategy.AUTOSCORE, SOURCE, CSET, SCORES, weights=DEFAULT_WEIGHTS)
-    record = selection_to_record("p#0", result)
-    json.dumps(record)
-    assert record["pair_id"] == "p#0"
-    assert record["strategy"] == "autoscore"
-    assert record["chosen"] == result.chosen.text
-    assert record["edited"] is True
-    assert len(record["scores"]) == 3
-    assert set(record["scores"][0]) == {
-        "text",
-        "fluency",
-        "meaning",
-        "argument",
-        "combined",
-    }
