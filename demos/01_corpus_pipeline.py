@@ -17,7 +17,7 @@ from claimpolish.corpus import (
     derive_pairs,
     filter_by_intent,
     load_chains,
-    majority_labeler,
+    majority_intent,
     relabel_pairs,
     split_dataset,
 )
@@ -56,7 +56,7 @@ def main():
         unlabeled = sum(p.intent.value == "unlabeled" for p in pairs)
         print(f"  {unlabeled} pairs came without an intent label")
 
-        pairs = relabel_pairs(pairs, majority_labeler(pairs))
+        pairs = relabel_pairs(pairs, majority_intent(pairs))
         unlabeled = sum(p.intent.value == "unlabeled" for p in pairs)
         print(f"after majority relabeling: {unlabeled} unlabeled left")
 

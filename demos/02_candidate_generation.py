@@ -20,11 +20,10 @@ from claimpolish.genkit import (
 def main():
     source = "its good that the tax passed, we think"
     config = GenerationConfig(n_candidates=10)
-    schedule = make_schedule(config.n_candidates)
-    print("decode schedule:", [str(d) for d in schedule])
+    print("decode schedule:", [str(d) for d in make_schedule(config.n_candidates)])
 
     generator = MockGenerator()
-    cset = generate_candidates(generator, source, config, schedule, seed=3)
+    cset = generate_candidates(generator, source, config, seed=3)
     print(f"\n{len(cset.candidates)} raw candidates for {source!r}:")
     for cand in cset.candidates:
         print(f"  [{cand.index}] {str(cand.origin):<10} {cand.text!r}")
@@ -35,8 +34,8 @@ def main():
         print(f"  [{cand.index}] {cand.text!r}")
 
     # same seed, same pool; different seed, different sampling choices
-    again = dedup(generate_candidates(generator, source, config, schedule, seed=3))
-    other = dedup(generate_candidates(generator, source, config, schedule, seed=4))
+    again = dedup(generate_candidates(generator, source, config, seed=3))
+    other = dedup(generate_candidates(generator, source, config, seed=4))
     print(f"\nseed 3 reproducible: {[c.text for c in again.candidates] == [c.text for c in unique.candidates]}")
     print(f"seed 4 differs:      {[c.text for c in other.candidates] != [c.text for c in unique.candidates]}")
 

@@ -11,7 +11,7 @@ Run: python3 demos/03_scoring_and_selection.py
 """
 
 from claimpolish.embedding import HashingEmbedder
-from claimpolish.genkit import GenerationConfig, MockGenerator, dedup, generate_candidates, make_schedule
+from claimpolish.genkit import GenerationConfig, MockGenerator, dedup, generate_candidates
 from claimpolish.scoring import DEFAULT_WEIGHTS, default_registry, score_candidate
 from claimpolish.selection import (
     RankerHyperparams,
@@ -25,11 +25,7 @@ from claimpolish.selection import (
 def main():
     source = "its good that the tax passed, we think"
     config = GenerationConfig(n_candidates=10)
-    candidates = dedup(
-        generate_candidates(
-            MockGenerator(), source, config, make_schedule(config.n_candidates), seed=3
-        )
-    ).candidates
+    candidates = dedup(generate_candidates(MockGenerator(), source, config, seed=3)).candidates
 
     registry = default_registry()
     scores = [score_candidate(registry, source, c.text, None) for c in candidates]

@@ -41,7 +41,7 @@ from .corpus import (
     filter_by_intent,
     load_chains,
     load_pairs,
-    majority_labeler,
+    majority_intent,
     relabel_pairs,
     serialize_input,
     split_dataset,
@@ -62,7 +62,6 @@ from .genkit import (
     StdioGenerator,
     dedup,
     generate_candidates,
-    make_schedule,
 )
 from .metrics import BLEU_MODES, SARI_VARIANTS, EvalInstance, evaluate_run, write_report_csv
 from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
@@ -110,6 +109,9 @@ def _parse_strategies(text: str) -> tuple[Strategy, ...]:
     strategies = tuple(Strategy(name.strip()) for name in text.split(",") if name.strip())
     if not strategies:
         raise ValueError("empty strategy list")
+    for i, strategy in enumerate(strategies):
+        if strategy in strategies[:i]:
+            raise ValueError(f"strategy {strategy.value!r} is listed twice")
     return strategies
 
 
@@ -125,6 +127,8 @@ def _parse_strategy_pairs(text: str) -> tuple[tuple[str, str], ...]:
         a, _, b = spec_pair.strip().partition(":")
         if not a or not b:
             raise ValueError(f"bad strategy pair {spec_pair!r} (want A:B)")
+        if a == b:
+            raise ValueError(f"strategy pair {spec_pair!r} compares {a!r} with itself")
         pairs.append((a, b))
     return tuple(pairs)
 
@@ -399,7 +403,7 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
     pairs = [pair for chain in chains for pair in derive_pairs(chain)]
     n_derived = len(pairs)
     if s["labeler"] == "majority":
-        pairs = relabel_pairs(pairs, majority_labeler(pairs))
+        pairs = relabel_pairs(pairs, majority_intent(pairs))
     filtered = filter_by_intent(pairs, s["filter_intents"])
 
     split = split_dataset(
@@ -485,8 +489,8 @@ def _load_checkpoint(
 
 
 def _run_instance(
-    pair, seed: int, *, context_mode, delimiters, generator, gen_config, schedule,
-    registry, weights, ranker, strategies,
+    pair, seed: int, *, context_mode, delimiters, generator, gen_config, registry, weights,
+    ranker, strategies,
 ):
     """One pair through serialize -> generate -> dedup -> score -> select.
 
@@ -494,9 +498,7 @@ def _run_instance(
     strategy's pick (a position in the candidates, -1 for unedited).
     """
     input_text = serialize_input(pair, context_mode, delimiters)
-    candidates = dedup(
-        generate_candidates(generator, input_text, gen_config, schedule, seed)
-    ).candidates
+    candidates = dedup(generate_candidates(generator, input_text, gen_config, seed)).candidates
     scores = [
         score_candidate(registry, pair.source.text, c.text, pair.context) for c in candidates
     ]
@@ -548,6 +550,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         weights = DEFAULT_WEIGHTS
 
     ranker = None
+    ranker_saved = False
     inputs: dict[str, Path] = {"pairs": pairs_path}
     if Strategy.PAIRWISE_RANK in strategies:
         if s["ranker"]:
@@ -569,6 +572,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 text_pairs, embedder, RankerHyperparams(seed=ranker_seed)
             )
             save_ranker(out / "ranker.json", ranker)
+            ranker_saved = True
         else:
             raise ConfigError(
                 "pairwise_rank strategy needs either a ranker file or train_pairs"
@@ -577,8 +581,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     run_instance = functools.partial(
         _run_instance, context_mode=ContextMode(s["context"]), delimiters=delimiters,
         generator=generator, gen_config=GenerationConfig(n_candidates=s["n_candidates"]),
-        schedule=make_schedule(s["n_candidates"]), registry=registry, weights=weights,
-        ranker=ranker, strategies=strategies,
+        registry=registry, weights=weights, ranker=ranker, strategies=strategies,
     )
     selections_path = out / "selections.jsonl"
     checkpoint = _load_checkpoint(selections_path, strategies)
@@ -628,7 +631,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "n_candidates": s["n_candidates"],
             },
         )
-        if (out / "ranker.json").is_file():
+        if ranker_saved:  # not a ranker.json an earlier run left in ``out``
             artifacts.append(out / "ranker.json")
     return inputs, artifacts, 1 if errors else 0
 
@@ -699,6 +702,12 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
     mode = s["mode"]
 
     matrices, rankings = load_annotations(annotations_path)
+    ranks = bool(rankings) and mode in ("all", "ranks")
+    if ranks:
+        ranked = {name for ann in rankings for name in ann.ranking}
+        unknown = [name for pair in s["strategy_pairs"] for name in pair if name not in ranked]
+        if unknown:
+            raise ConfigError(f"strategy {unknown[0]!r} is in no ranking")
     report: dict = {"fields": {}, "ranks": {}}
 
     for fld in sorted(matrices):
@@ -732,7 +741,7 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
             }
         report["fields"][fld] = entry
 
-    if rankings and mode in ("all", "ranks"):
+    if ranks:
         report["ranks"]["mean_rank"] = mean_rank(rankings)
         if s["strategy_pairs"]:
             per_item: dict[str, dict[str, list[float]]] = {}

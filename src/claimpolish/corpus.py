@@ -23,15 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import logging
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .ndjson import encode_line, open_atomic, read_jsonl
-
-log = logging.getLogger(__name__)
 
 
 class MissingContextError(ValueError):
@@ -54,9 +51,6 @@ class IntentLabel(enum.Enum):
 TASK_INTENTS = frozenset(
     {IntentLabel.CLARIFICATION, IntentLabel.TYPO_GRAMMAR, IntentLabel.LINKS}
 )
-
-# Labels a relabeler is allowed to emit (everything except UNLABELED).
-ASSIGNABLE_INTENTS = frozenset(label for label in IntentLabel) - {IntentLabel.UNLABELED}
 
 
 class OptimizationType(enum.Enum):
@@ -145,7 +139,6 @@ class DatasetSplit:
     train: tuple[OptimizationPair, ...]
     validation: tuple[OptimizationPair, ...]
     test: tuple[OptimizationPair, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -243,21 +236,11 @@ def derive_pairs(chain: RevisionChain) -> list[OptimizationPair]:
     return pairs
 
 
-Labeler = Callable[[str, str], IntentLabel]
+def majority_intent(pairs: Sequence[OptimizationPair]) -> IntentLabel:
+    """The most frequent labeled intent among ``pairs``.
 
-
-def constant_labeler(label: IntentLabel) -> Labeler:
-    """A labeler that assigns the same intent to every pair."""
-    if label not in ASSIGNABLE_INTENTS:
-        raise ValueError(f"cannot assign {label}")
-    return lambda source, reference: label
-
-
-def majority_labeler(pairs: Sequence[OptimizationPair]) -> Labeler:
-    """A labeler that always predicts the most frequent labeled intent.
-
-    Ties break toward the intent that sorts first by value. Useful as a
-    degenerate fallback when no trained intent classifier is configured.
+    Ties break toward the intent that sorts first by value. Under
+    ``labeler = majority``, ``prepare`` gives it to every unlabeled pair.
     """
     counts: dict[IntentLabel, int] = {}
     for pair in pairs:
@@ -265,32 +248,19 @@ def majority_labeler(pairs: Sequence[OptimizationPair]) -> Labeler:
             counts[pair.intent] = counts.get(pair.intent, 0) + 1
     if not counts:
         raise ValueError("no labeled pairs to take a majority from")
-    winner = min(counts, key=lambda lab: (-counts[lab], lab.value))
-    return constant_labeler(winner)
+    return min(counts, key=lambda lab: (-counts[lab], lab.value))
 
 
-def relabel_pairs(pairs: Sequence[OptimizationPair], labeler: Labeler) -> list[OptimizationPair]:
-    """Fill in UNLABELED intents using ``labeler``; labeled pairs pass through.
-
-    A labeler failure (exception, or a label outside the assignable set)
-    leaves that pair unlabeled and logs a warning; text fields are never
-    touched.
-    """
-    out = []
-    for pair in pairs:
-        if pair.intent is not IntentLabel.UNLABELED:
-            out.append(pair)
-            continue
-        try:
-            label = labeler(pair.source.text, pair.reference.text)
-            if label not in ASSIGNABLE_INTENTS:
-                raise ValueError(f"labeler returned {label!r}")
-        except Exception as exc:
-            log.warning("labeler failed on pair %s: %s", pair.pair_id, exc)
-            out.append(pair)
-            continue
-        out.append(dataclasses.replace(pair, intent=label))
-    return out
+def relabel_pairs(
+    pairs: Sequence[OptimizationPair], intent: IntentLabel
+) -> list[OptimizationPair]:
+    """Give every UNLABELED pair ``intent``; labeled pairs pass through."""
+    if intent is IntentLabel.UNLABELED:
+        raise ValueError(f"cannot assign {intent}")
+    return [
+        dataclasses.replace(pair, intent=intent) if pair.intent is IntentLabel.UNLABELED else pair
+        for pair in pairs
+    ]
 
 
 def filter_by_intent(
@@ -373,7 +343,6 @@ def split_dataset(
         train=tuple(sorted(train, key=_pair_key)),
         validation=tuple(sorted(validation, key=_pair_key)),
         test=tuple(sorted(test, key=_pair_key)),
-        seed=seed,
     )
 
 

@@ -72,9 +72,6 @@ class AnnotationMatrix:
                         f"label {value!r} for ({item}, {worker}) outside ordinal bounds"
                     )
 
-    def item_labels(self, item: str) -> list:
-        return [v for (it, _), v in sorted(self.labels.items()) if it == item]
-
 
 @dataclass(frozen=True)
 class MaceResult:

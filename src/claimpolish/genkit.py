@@ -11,7 +11,6 @@ external generator process over stdin/stdout.
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Protocol
 
@@ -105,23 +104,17 @@ class Generator(Protocol):
 
 
 def generate_candidates(
-    generator: Generator,
-    input_text: str,
-    config: GenerationConfig,
-    schedule: Sequence[Directive] | None = None,
-    seed: int = 0,
+    generator: Generator, input_text: str, config: GenerationConfig, seed: int = 0
 ) -> CandidateSet:
-    """Run every schedule step through the generator.
+    """Run every step of ``make_schedule(config.n_candidates)`` through the
+    generator.
 
     A failing step (it raises or returns a blank text) is skipped and
     logged rather than aborting the set; only an empty result is an
     error. Candidate indices follow schedule order, counting skipped
     steps, so index i always means schedule step i.
     """
-    if schedule is None:
-        schedule = make_schedule(config.n_candidates)
-    if not schedule:
-        raise GenerationError("empty schedule")
+    schedule = make_schedule(config.n_candidates)
     candidates = []
     for i, directive in enumerate(schedule):
         try:

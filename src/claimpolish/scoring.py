@@ -487,20 +487,6 @@ def calibrate_weights(
 # ---------------------------------------------------------------------------
 # weight persistence
 
-def save_weights(
-    path: str | Path,
-    weights: Weights,
-    pearson_r: float | None = None,
-    grid_step: float | None = None,
-) -> None:
-    payload: dict = {"alpha": weights.alpha, "beta": weights.beta, "gamma": weights.gamma}
-    if pearson_r is not None:
-        payload["pearson_r"] = pearson_r
-    if grid_step is not None:
-        payload["grid_step"] = grid_step
-    write_json(path, payload)
-
-
 def load_weights(path: str | Path) -> Weights:
     def parse(payload: dict) -> Weights:
         for key in ("alpha", "beta", "gamma"):
@@ -513,4 +499,15 @@ def load_weights(path: str | Path) -> Weights:
 
 
 def save_calibration(path: str | Path, result: CalibrationResult) -> None:
-    save_weights(path, result.weights, pearson_r=result.pearson_r, grid_step=result.grid_step)
+    """Write ``result`` as the weights.json that :func:`load_weights` reads."""
+    weights = result.weights
+    write_json(
+        path,
+        {
+            "alpha": weights.alpha,
+            "beta": weights.beta,
+            "gamma": weights.gamma,
+            "pearson_r": result.pearson_r,
+            "grid_step": result.grid_step,
+        },
+    )

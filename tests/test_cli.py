@@ -173,6 +173,11 @@ def test_flags_are_the_settings_keys_with_help():
         ("prepare", "filter_intents = bogus", "filter_intents: "),
         ("stats", "mode = x", "unknown mode 'x' (choose from all, aggregate, agreement, ranks)"),
         ("calibrate", "aggregation = x", "unknown aggregation 'x' (choose from pooled, per_chain)"),
+        ("run", "strategies = top1,top1,unedited", "strategies: strategy 'top1' is listed twice"),
+        (
+            "stats", "strategy_pairs = autoscore:autoscore",
+            "strategy_pairs: strategy pair 'autoscore:autoscore' compares 'autoscore' with itself",
+        ),
     ],
 )
 def test_config_key_error_exits_two_before_any_output(
@@ -482,6 +487,15 @@ def test_run_unknown_strategy(tmp_path, pairs_file, capsys):
     )
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_run_manifest_lists_only_a_ranker_this_run_saved(pairs_file, run_dir):
+    assert "ranker.json" in json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+    # a second run into the same directory trains no ranker; the first one's file stays
+    code = run_cli("run", "--pairs", pairs_file, "--out", run_dir, "--strategies", "top1")
+    assert code == 0
+    assert (run_dir / "ranker.json").is_file()
+    assert "ranker.json" not in json.loads((run_dir / "manifest.json").read_text())["artifacts"]
 
 
 def test_run_pairwise_needs_ranker_source(tmp_path, pairs_file, capsys):
@@ -1089,6 +1103,22 @@ def test_stats_bad_strategy_pair(tmp_path, capsys):
     )
     assert code == 2
     assert "A:B" in capsys.readouterr().err
+
+
+def test_stats_strategy_in_no_ranking_exits_two_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a MACE fit ran")
+
+    monkeypatch.setattr(cli, "mace_aggregate", no_fit)
+    ann = tmp_path / "ann.jsonl"
+    _write_annotations(ann)
+    out = tmp_path / "o"
+    code = run_cli(
+        "stats", "--annotations", ann, "--out", out, "--strategy-pairs", "autoscore:autoscroe",
+    )
+    assert code == 2
+    assert "error: strategy 'autoscroe' is in no ranking" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from claimpolish.corpus import (
-    ASSIGNABLE_INTENTS,
     Claim,
     ContextBundle,
     ContextMode,
@@ -14,13 +13,12 @@ from claimpolish.corpus import (
     OptimizationType,
     RevisionChain,
     TASK_INTENTS,
-    constant_labeler,
     derive_pairs,
     filter_by_intent,
     load_chains,
     load_pairs,
     load_type_annotations,
-    majority_labeler,
+    majority_intent,
     relabel_pairs,
     serialize_input,
     split_dataset,
@@ -187,41 +185,23 @@ def test_derive_pairs_single_claim_chain_yields_nothing():
     assert derive_pairs(chain(texts=("only",), intents=())) == []
 
 
-def test_constant_labeler_rejects_unlabeled():
-    with pytest.raises(ValueError):
-        constant_labeler(IntentLabel.UNLABELED)
-
-
 def test_relabel_fills_only_unlabeled():
     c = chain(
         texts=("a", "b", "c"),
         intents=(IntentLabel.LINKS, IntentLabel.UNLABELED),
     )
     pairs = derive_pairs(c)
-    relabeled = relabel_pairs(pairs, constant_labeler(IntentLabel.TYPO_GRAMMAR))
+    relabeled = relabel_pairs(pairs, IntentLabel.TYPO_GRAMMAR)
     assert relabeled[0].intent is IntentLabel.LINKS
     assert relabeled[1].intent is IntentLabel.TYPO_GRAMMAR
     # inputs are untouched
     assert pairs[1].intent is IntentLabel.UNLABELED
 
 
-def test_relabel_labeler_failure_keeps_pair_unlabeled(caplog):
-    c = chain(texts=("a", "b"), intents=(IntentLabel.UNLABELED,))
-
-    def broken(source, reference):
-        raise RuntimeError("no model")
-
-    with caplog.at_level("WARNING"):
-        relabeled = relabel_pairs(derive_pairs(c), broken)
-    assert relabeled[0].intent is IntentLabel.UNLABELED
-    assert "labeler failed" in caplog.text
-
-
-def test_relabel_rejects_unassignable_label(caplog):
-    c = chain(texts=("a", "b"), intents=(IntentLabel.UNLABELED,))
-    with caplog.at_level("WARNING"):
-        relabeled = relabel_pairs(derive_pairs(c), lambda s, r: IntentLabel.UNLABELED)
-    assert relabeled[0].intent is IntentLabel.UNLABELED
+def test_relabel_rejects_unlabeled():
+    pairs = derive_pairs(chain(texts=("a", "b"), intents=(IntentLabel.UNLABELED,)))
+    with pytest.raises(ValueError, match="cannot assign"):
+        relabel_pairs(pairs, IntentLabel.UNLABELED)
 
 
 def test_majority_labeler_prefers_most_frequent():
@@ -235,14 +215,13 @@ def test_majority_labeler_prefers_most_frequent():
             ),
         )
     )
-    labeler = majority_labeler(pairs)
-    assert labeler("x", "y") is IntentLabel.TYPO_GRAMMAR
+    assert majority_intent(pairs) is IntentLabel.TYPO_GRAMMAR
 
 
 def test_majority_labeler_needs_labeled_pairs():
     pairs = derive_pairs(chain(texts=("a", "b"), intents=(IntentLabel.UNLABELED,)))
     with pytest.raises(ValueError):
-        majority_labeler(pairs)
+        majority_intent(pairs)
 
 
 def test_filter_by_intent_keeps_task_intents():
@@ -264,7 +243,6 @@ def test_task_intents_membership():
         IntentLabel.TYPO_GRAMMAR,
         IntentLabel.LINKS,
     }
-    assert IntentLabel.UNLABELED not in ASSIGNABLE_INTENTS
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +263,7 @@ def _pairs_for_split(n_chains=40, seed=11):
         )
         chains.append(RevisionChain(rec["chain_id"], claims, intents))
     pairs = [p for c in chains for p in derive_pairs(c)]
-    return relabel_pairs(pairs, constant_labeler(IntentLabel.CLARIFICATION))
+    return relabel_pairs(pairs, IntentLabel.CLARIFICATION)
 
 
 def test_split_is_deterministic_and_sorted():

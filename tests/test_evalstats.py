@@ -43,7 +43,6 @@ def test_matrix_from_labels_sorts_axes():
     m = matrix_from({"i2": {"w2": 1, "w1": 2}, "i1": {"w1": 1}})
     assert m.items == ("i1", "i2")
     assert m.workers == ("w1", "w2")
-    assert m.item_labels("i2") == [2, 1]  # sorted by worker
 
 
 def test_matrix_rejects_empty_and_unannotated_items():

@@ -201,7 +201,7 @@ class FlakyGenerator:
 
 
 def test_generate_candidates_indices_follow_schedule():
-    cset = generate_candidates(MockGenerator(), "its good", CFG, make_schedule(4), 0)
+    cset = generate_candidates(MockGenerator(), "its good", GenerationConfig(n_candidates=4), 0)
     assert [c.index for c in cset.candidates] == [0, 1, 2, 3]
     assert [str(c.origin) for c in cset.candidates] == [
         "greedy",
@@ -214,28 +214,28 @@ def test_generate_candidates_indices_follow_schedule():
 
 def test_generate_candidates_skips_failures_keeping_indices():
     gen = FlakyGenerator(fail_on={"topk:5"})
-    cset = generate_candidates(gen, "x", CFG, make_schedule(3), 0)
+    cset = generate_candidates(gen, "x", GenerationConfig(n_candidates=3), 0)
     assert [c.index for c in cset.candidates] == [0, 2]
     blank = FlakyGenerator(fail_on=set(), answers={"topk:5": "", "topk:10": " "})
-    cset = generate_candidates(blank, "x", CFG, make_schedule(4), 0)
+    cset = generate_candidates(blank, "x", GenerationConfig(n_candidates=4), 0)
     assert [c.index for c in cset.candidates] == [0, 3]
 
 
 def test_generate_candidates_all_fail_raises():
     gen = FlakyGenerator(fail_on={"greedy", "topk:5"})
     with pytest.raises(GenerationError):
-        generate_candidates(gen, "x", CFG, make_schedule(2), 0)
+        generate_candidates(gen, "x", GenerationConfig(n_candidates=2), 0)
 
 
 def test_generate_candidates_all_blank_or_non_string_raises():
     gen = FlakyGenerator(fail_on=set(), answers={"greedy": "", "topk:5": None})
     with pytest.raises(GenerationError, match="all 2 generation steps failed"):
-        generate_candidates(gen, "x", CFG, make_schedule(2), 0)
+        generate_candidates(gen, "x", GenerationConfig(n_candidates=2), 0)
 
 
 def test_generate_candidates_default_schedule_from_config():
     cfg = GenerationConfig(n_candidates=3)
-    cset = generate_candidates(MockGenerator(), "its good", cfg, None, 0)
+    cset = generate_candidates(MockGenerator(), "its good", cfg, 0)
     assert len(cset.candidates) == 3
 
 

@@ -1,4 +1,4 @@
-"""Pinned artifact bytes for ``prepare``, ``calibrate``, ``run`` and ``report``.
+"""Pinned artifact bytes for ``prepare``, ``calibrate``, ``run``, ``report`` and ``stats``.
 
 The commands run in process through ``cli.main`` on the ``conftest``
 generators, from one working directory with relative paths, so the
@@ -13,6 +13,8 @@ The cases, in the order they run:
 - ``prepare_chain`` and ``prepare_pair``: the 300 chains split with
   ``granularity`` ``chain`` and ``pair``;
 - ``calibrate``: pooled, heuristic scorers, default grid;
+- ``calibrate_per_chain``: ``per_chain`` aggregation with the cosine
+  meaning scorer;
 - ``run``: all 8 strategies, ``--context both``, the calibrated weights
   and a ranker trained on separate pairs;
 - ``run_none``: ``--context none``, the default weights, three
@@ -21,7 +23,9 @@ The cases, in the order they run:
 - ``run_resumed``: ``run`` again, resumed from the first half of its
   ``selections.jsonl`` (cut mid-line); it must give ``run``'s bytes;
 - ``report``: the run's selections under ``bleu_mode = corpus`` and
-  ``sari_variant = all_f1``.
+  ``sari_variant = all_f1``;
+- ``stats``: ``--mode all`` with one Wilcoxon pair, on a seeded
+  annotations file of Likert and ranking records.
 
 A report averages its rows, and the mean can absorb a one-ulp change in
 one row. So ``row_metrics`` also pins, as ``float.hex``, both SARI
@@ -40,6 +44,7 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +74,10 @@ CASES = {
         for granularity in ("chain", "pair")
     },
     "calibrate": ["calibrate", "--chains", "chains.jsonl", "--out", "calibrate"],
+    "calibrate_per_chain": [
+        "calibrate", "--config", "cosine.conf", "--chains", "chains.jsonl",
+        "--out", "calibrate_per_chain", "--aggregation", "per_chain",
+    ],
     "run": [*_RUN, "--out", "run"],
     "run_none": [
         "run", "--pairs", "pairs.jsonl", "--out", "run_none", "--seed", "3",
@@ -79,6 +88,10 @@ CASES = {
     "report": [
         "report", "--config", "report.conf", "--selections", "run/selections.jsonl",
         "--pairs", "pairs.jsonl", "--out", "report",
+    ],
+    "stats": [
+        "stats", "--config", "stats.conf", "--annotations", "annotations.jsonl",
+        "--out", "stats", "--mode", "all", "--strategy-pairs", "autoscore:top1",
     ],
 }
 
@@ -96,11 +109,37 @@ def _cut_run_in_half() -> None:
 SETUP = {"run_resumed": _cut_run_in_half}
 
 
+def _annotation_records(n_items: int = 12, seed: int = 11) -> list[dict]:
+    """Likert records for three strategies' outputs of each item, from four
+    workers, and each worker's ranking of the three strategies."""
+    rng = random.Random(seed)
+    strategies = ["top1", "autoscore", "random"]
+    records = []
+    for i in range(n_items):
+        for strategy in strategies:
+            for worker in ("w1", "w2", "w3", "w4"):
+                for fld, hi in (("fluency", 3), ("meaning", 5), ("argument", 5)):
+                    records.append({
+                        "item": f"p{i:02d}::{strategy}", "worker": worker,
+                        "field": fld, "value": rng.randint(1, hi),
+                    })
+        for worker in ("w1", "w2", "w3"):
+            records.append(
+                {"item": f"p{i:02d}", "worker": worker, "ranking": rng.sample(strategies, 3)}
+            )
+    return records
+
+
 def _write_inputs(work: Path) -> None:
     write_chain_records(work / "chains.jsonl", make_chain_records(300, seed=7))
     write_pairs(make_synthetic_pairs(40, seed=5), work / "pairs.jsonl")
     write_pairs(make_synthetic_pairs(40, seed=6), work / "train.jsonl")
     (work / "report.conf").write_text("bleu_mode = corpus\nsari_variant = all_f1\n")
+    (work / "cosine.conf").write_text("meaning_scorer = cosine\n")
+    (work / "stats.conf").write_text("mace_iterations = 10\nmace_restarts = 2\n")
+    (work / "annotations.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in _annotation_records())
+    )
 
 
 @contextlib.contextmanager

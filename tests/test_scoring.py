@@ -10,6 +10,7 @@ from claimpolish.corpus import Claim, ContextBundle, IntentLabel, RevisionChain
 from claimpolish.embedding import HashingEmbedder, cosine
 from claimpolish.scoring import (
     CalibrationError,
+    CalibrationResult,
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
     HeuristicArgumentScorer,
@@ -26,7 +27,6 @@ from claimpolish.scoring import (
     load_weights,
     pearson,
     save_calibration,
-    save_weights,
     score_candidate,
     simplex_grid,
 )
@@ -527,7 +527,7 @@ def test_calibration_rejects_empty_and_unknown_aggregation():
 
 def test_weights_roundtrip(tmp_path):
     path = tmp_path / "weights.json"
-    save_weights(path, DEFAULT_WEIGHTS, pearson_r=0.35, grid_step=0.01)
+    save_calibration(path, CalibrationResult(DEFAULT_WEIGHTS, 0.35, 0.01, evaluated_points=1))
     assert load_weights(path) == DEFAULT_WEIGHTS
 
 
