@@ -27,6 +27,7 @@ import os
 import shlex
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -124,7 +125,8 @@ def _parse_intents(text: str) -> frozenset[IntentLabel]:
 def _parse_strategy_pairs(text: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for spec_pair in text.split(",") if text else ():
-        a, _, b = spec_pair.strip().partition(":")
+        a, _, b = spec_pair.partition(":")
+        a, b = a.strip(), b.strip()
         if not a or not b:
             raise ValueError(f"bad strategy pair {spec_pair!r} (want A:B)")
         if a == b:
@@ -677,15 +679,11 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
 
 def _percent_agreement(labels: dict[tuple[str, str], object]) -> float | None:
     """Fraction of agreeing unordered annotation pairs within items."""
-    by_item: dict[str, list] = {}
-    for (item, _), value in sorted(labels.items()):
-        by_item.setdefault(item, []).append(value)
-    agree = total = 0
-    for values in by_item.values():
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                total += 1
-                agree += values[i] == values[j]
+    by_item: dict[str, Counter] = {}
+    for (item, _), value in labels.items():
+        by_item.setdefault(item, Counter())[value] += 1
+    agree = sum(c * (c - 1) for counts in by_item.values() for c in counts.values()) // 2
+    total = sum(m * (m - 1) for m in map(Counter.total, by_item.values())) // 2
     return agree / total if total else None
 
 

@@ -8,8 +8,19 @@ EM fits competences and spam distributions; several random restarts
 guard against local optima, and the best restart by log-likelihood
 wins (ties broken by restart index, so results are reproducible).
 
+Each E-step works on flat per-annotation arrays. An annotation's
+density is its spam part (1 - theta) * xi under every candidate true
+label, plus theta under its own label only, so the step takes two logs
+per annotation. It writes them, as each annotation's row of
+log-densities, into one buffer behind the fixed -log(L) start values
+of the items x labels table, and one bincount sums the buffer into the
+table. The normaliser is ``np.logaddexp`` over the label columns, left
+to right, and each annotation's weight is read at its own cell; the
+full posterior is formed once per restart, after the last E-step.
+
 Also here: Cohen's kappa, Krippendorff's alpha in the pairable-values
-formulation, an exact/approximate Wilcoxon signed-rank test, mean
+formulation (coincidences from one bincount over each unit's ordered
+value pairs), an exact/approximate Wilcoxon signed-rank test, mean
 ranks over ranking annotations, and Jaccard overlap of type sets.
 """
 
@@ -134,8 +145,6 @@ def mace_aggregate(
     a_label = np.array([label_index[v] for _, v in entries], dtype=np.int64)
 
     n_items, n_workers, n_labels = len(items), len(workers), len(label_values)
-    n_ann = len(entries)
-    arange_ann = np.arange(n_ann)
     n_per_worker = np.bincount(a_worker, minlength=n_workers).astype(np.float64)
     # flat bins of the item_ll cells: each cell's start value, then every
     # annotation's row of log-densities into its item's row
@@ -143,27 +152,27 @@ def mace_aggregate(
     ll_bins = np.concatenate(
         [np.arange(n_cells), (a_item[:, None] * n_labels + np.arange(n_labels)).ravel()]
     )
-    ll_start = np.full(n_cells, -math.log(n_labels))
+    values = np.full(ll_bins.size, -math.log(n_labels))  # the first n_cells never change
+    own_value = n_cells + np.arange(len(entries)) * n_labels + a_label
+    own_cell = a_item * n_labels + a_label
     spam_bins = a_worker * n_labels + a_label
 
-    def e_step(
-        theta: np.ndarray, xi: np.ndarray
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        # per-annotation mixture density for each candidate true label
-        spam_part = (1.0 - theta[a_worker]) * xi[a_worker, a_label]
-        mix = np.repeat(spam_part[:, None], n_labels, axis=1)
-        mix[arange_ann, a_label] += theta[a_worker]
-        item_ll = _scatter_add(
-            ll_bins, np.concatenate([ll_start, np.log(mix).ravel()]), (n_items, n_labels)
-        )
-        norm = np.logaddexp.reduce(item_ll, axis=1)
-        posterior = np.exp(item_ll - norm[:, None])
-        log_lik = float(norm.sum())
-        if not math.isfinite(log_lik):
+    def e_step(theta: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # an annotation's density is spam_part under every other label, hit under its own
+        theta_a = theta[a_worker]
+        spam_part = (1.0 - theta_a) * xi.ravel()[spam_bins]
+        hit = spam_part + theta_a
+        values[n_cells:] = np.repeat(np.log(spam_part), n_labels)
+        values[own_value] = np.log(hit)
+        item_ll = _scatter_add(ll_bins, values, (n_items, n_labels))
+        norm = item_ll[:, 0]
+        for column in item_ll.T[1:]:
+            norm = np.logaddexp(norm, column)
+        if not math.isfinite(float(norm.sum())):
             raise ValueError("non-finite likelihood during EM")
         # expected probability each annotation copied the true label
-        honest = posterior[a_item, a_label] * theta[a_worker] / mix[arange_ann, a_label]
-        return posterior, log_lik, honest
+        honest = np.exp(item_ll.ravel()[own_cell] - norm[a_item]) * theta_a / hit
+        return item_ll, norm, honest
 
     def run_em(theta: np.ndarray, xi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         for _ in range(iterations):
@@ -174,8 +183,8 @@ def mace_aggregate(
             xi = (spam_counts + smoothing) / (
                 spam_counts.sum(axis=1, keepdims=True) + smoothing * n_labels
             )
-        posterior, log_lik, _ = e_step(theta, xi)
-        return log_lik, posterior, theta
+        item_ll, norm, _ = e_step(theta, xi)
+        return float(norm.sum()), np.exp(item_ll - norm[:, None]), theta
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for restart in range(restarts):
@@ -266,14 +275,18 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
             coords = np.array([float(v) for v in values], dtype=np.float64)
         dist = (coords[:, None] - coords[None, :]) ** 2
 
-    coincidence = np.zeros((k, k))
-    for vals in units:
-        m = len(vals)
-        idx = [index[v] for v in vals]
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    coincidence[idx[a], idx[b]] += 1.0 / (m - 1)
+    # each unit's ordered value pairs (a, b), a != b, weighing 1 / (m - 1), in
+    # unit, then a, then b order: the order a pair loop adds them to each cell
+    codes = np.array([index[v] for vals in units for v in vals], dtype=np.int64)
+    sizes = np.array([len(vals) for vals in units])
+    m = np.repeat(sizes, sizes)  # each value's unit size
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each value's unit's first position
+    a = np.repeat(np.arange(codes.size), m)
+    b = np.repeat(start - (np.cumsum(m) - m), m) + np.arange(a.size)
+    pair = a != b
+    coincidence = _scatter_add(
+        codes[a[pair]] * k + codes[b[pair]], np.repeat(1.0 / (m - 1), m)[pair], (k, k)
+    )
 
     n_c = coincidence.sum(axis=1)
     n = n_c.sum()
@@ -319,49 +332,34 @@ def _exact_p_leq(scaled_ranks: Sequence[int], threshold: int) -> float:
     return float(counts[: limit + 1].sum() / 2.0 ** len(scaled_ranks))
 
 
-def wilcoxon_signed_rank(
-    x: Sequence[float], y: Sequence[float], zero_policy: str = "drop"
-) -> tuple[float, float]:
+def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     The statistic is min(W+, W-) over the ranks of |x - y| with
     average ranks for ties. Zero differences are discarded before
-    ranking under ``"drop"`` (the classic treatment); under
-    ``"pratt"`` they participate in the ranking and are discarded
-    from the rank sums afterwards. The p-value uses the exact
-    sign-flip distribution for n <= 25 retained differences and a
+    ranking (the classic treatment). The p-value uses the exact
+    sign-flip distribution for n <= 25 nonzero differences and a
     normal approximation with continuity correction beyond that.
     """
-    if zero_policy not in ("drop", "pratt"):
-        raise ValueError(f"unknown zero_policy {zero_policy!r}")
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    if zero_policy == "drop":
-        d = d[d != 0.0]
-        if d.size == 0:
-            raise ValueError("all differences are zero")
-        ranks = _average_ranks(np.abs(d))
-        retained = ranks
-    else:
-        if np.all(d == 0.0):
-            raise ValueError("all differences are zero")
-        ranks = _average_ranks(np.abs(d))
-        nonzero = d != 0.0
-        retained = ranks[nonzero]
-        d = d[nonzero]
+    d = d[d != 0.0]
+    if d.size == 0:
+        raise ValueError("all differences are zero")
+    ranks = _average_ranks(np.abs(d))
 
-    w_plus = float(retained[d > 0.0].sum())
-    w_minus = float(retained[d < 0.0].sum())
+    w_plus = float(ranks[d > 0.0].sum())
+    w_minus = float(ranks[d < 0.0].sum())
     statistic = min(w_plus, w_minus)
 
     n = d.size
     if n <= 25:
-        scaled = [int(round(2.0 * r)) for r in retained]
+        scaled = [int(round(2.0 * r)) for r in ranks]
         p = 2.0 * _exact_p_leq(scaled, int(round(2.0 * statistic)))
     else:
-        mu = float(retained.sum()) / 2.0
-        sigma = math.sqrt(float((retained**2).sum()) / 4.0)
+        mu = float(ranks.sum()) / 2.0
+        sigma = math.sqrt(float((ranks**2).sum()) / 4.0)
         if sigma == 0.0:
             raise ValueError("degenerate rank distribution")
         z = (statistic - mu + 0.5) / sigma

@@ -178,6 +178,10 @@ def test_flags_are_the_settings_keys_with_help():
             "stats", "strategy_pairs = autoscore:autoscore",
             "strategy_pairs: strategy pair 'autoscore:autoscore' compares 'autoscore' with itself",
         ),
+        (
+            "stats", "strategy_pairs = autoscore: autoscore",
+            "strategy_pairs: strategy pair 'autoscore: autoscore' compares 'autoscore' with itself",
+        ),
     ],
 )
 def test_config_key_error_exits_two_before_any_output(
@@ -1103,6 +1107,21 @@ def test_stats_bad_strategy_pair(tmp_path, capsys):
     )
     assert code == 2
     assert "A:B" in capsys.readouterr().err
+
+
+def test_stats_strips_the_names_around_the_colon(tmp_path):
+    ann = tmp_path / "ann.jsonl"
+    _write_annotations(ann)
+    reports = []
+    for i, spec in enumerate(("autoscore:top1", "autoscore: top1", " autoscore :top1 ")):
+        out = tmp_path / f"o{i}"
+        assert run_cli(
+            "stats", "--annotations", ann, "--out", out, "--mode", "ranks",
+            "--strategy-pairs", spec,
+        ) == 0
+        reports.append((out / "stats_report.json").read_bytes())
+    assert reports[1] == reports[2] == reports[0]
+    assert b"autoscore_vs_top1" in reports[0]
 
 
 def test_stats_strategy_in_no_ranking_exits_two_before_any_fit(tmp_path, capsys, monkeypatch):

@@ -340,30 +340,6 @@ def test_wilcoxon_normal_approximation_matches_scipy():
     assert p == pytest.approx(expect.pvalue, rel=1e-10)
 
 
-def test_wilcoxon_pratt_policy():
-    x = [0.0, 1.0, -2.0, 3.0]
-    y = [0.0] * 4
-    statistic, p = wilcoxon_signed_rank(x, y, zero_policy="pratt")
-    # zero takes rank 1; retained ranks are 2, 3, 4
-    assert statistic == 3.0
-    assert p == pytest.approx(0.75, abs=1e-12)
-    dropped_stat, _ = wilcoxon_signed_rank(x, y)
-    assert dropped_stat == 2.0
-
-
-def test_wilcoxon_pratt_approx_matches_scipy():
-    rng = np.random.default_rng(5)
-    x = rng.normal(0, 1, 40)
-    y = x.copy()
-    y[: 30] += rng.normal(0.4, 1.0, 30)  # ten exact zeros
-    statistic, p = wilcoxon_signed_rank(list(x), list(y), zero_policy="pratt")
-    expect = scipy_stats.wilcoxon(
-        x, y, zero_method="pratt", method="approx", correction=True
-    )
-    assert statistic == pytest.approx(expect.statistic)
-    assert p == pytest.approx(expect.pvalue, rel=1e-10)
-
-
 def test_wilcoxon_is_symmetric():
     x = [1.3, 2.1, 0.4, 5.5, 1.1, 0.2]
     y = [0.9, 2.9, 0.1, 4.0, 2.2, 0.3]
@@ -375,8 +351,6 @@ def test_wilcoxon_errors():
         wilcoxon_signed_rank([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])  # all zeros
-    with pytest.raises(ValueError):
-        wilcoxon_signed_rank([1.0], [0.0], zero_policy="split")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ The cases, in the order they run:
   ``selections.jsonl`` (cut mid-line); it must give ``run``'s bytes;
 - ``report``: the run's selections under ``bleu_mode = corpus`` and
   ``sari_variant = all_f1``;
+- ``run_corpus``: ``run`` itself under the same two settings, with
+  ``--context topic``, the calibrated weights and four strategies;
 - ``stats``: ``--mode all`` with one Wilcoxon pair, on a seeded
   annotations file of Likert and ranking records.
 
@@ -88,6 +90,11 @@ CASES = {
     "report": [
         "report", "--config", "report.conf", "--selections", "run/selections.jsonl",
         "--pairs", "pairs.jsonl", "--out", "report",
+    ],
+    "run_corpus": [
+        "run", "--config", "report.conf", "--pairs", "pairs.jsonl", "--out", "run_corpus",
+        "--seed", "3", "--context", "topic", "--strategies", "autoscore,top1,random,unedited",
+        "--weights", "calibrate/weights.json",
     ],
     "stats": [
         "stats", "--config", "stats.conf", "--annotations", "annotations.jsonl",
