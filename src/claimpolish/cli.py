@@ -620,7 +620,11 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         errors_path.unlink(missing_ok=True)
 
     artifacts = [selections_path]
-    if done_instances:
+    if not done_instances:
+        # an earlier run's report would describe outputs this run did not produce
+        for name in ("report.json", "report.csv"):
+            (out / name).unlink(missing_ok=True)
+    else:
         artifacts += _write_reports(
             out, s, embedder, [pairs[i] for i in done_instances], outputs,
             {

@@ -15,8 +15,6 @@ File formats handled here:
 * ``pairs.jsonl``   one pair per line:
   ``{"pair_id", "source", "reference", "intent", "topic",
   "previous_claim"}``
-* ``types.jsonl``   one annotation per line:
-  ``{"pair_id", "annotator", "types": [str, ...]}``
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ndjson import encode_line, open_atomic, read_jsonl
+from .ndjson import encode_line, open_atomic, parse_id, read_jsonl
 
 
 class MissingContextError(ValueError):
@@ -51,19 +49,6 @@ class IntentLabel(enum.Enum):
 TASK_INTENTS = frozenset(
     {IntentLabel.CLARIFICATION, IntentLabel.TYPO_GRAMMAR, IntentLabel.LINKS}
 )
-
-
-class OptimizationType(enum.Enum):
-    """Fine-grained categories of how a rewrite improves a claim."""
-
-    SPECIFICATION = "specification"
-    SIMPLIFICATION = "simplification"
-    REFRAMING = "reframing"
-    ELABORATION = "elaboration"
-    CORROBORATION = "corroboration"
-    NEUTRALIZATION = "neutralization"
-    DISAMBIGUATION = "disambiguation"
-    COPY_EDITING = "copy_editing"
 
 
 class ContextMode(enum.Enum):
@@ -126,15 +111,6 @@ class OptimizationPair:
 
 
 @dataclass(frozen=True)
-class TypeAnnotation:
-    """One annotator's optimization-type judgment for one pair."""
-
-    pair_id: str
-    annotator: str
-    types: frozenset[OptimizationType]
-
-
-@dataclass(frozen=True)
 class DatasetSplit:
     train: tuple[OptimizationPair, ...]
     validation: tuple[OptimizationPair, ...]
@@ -160,18 +136,11 @@ def _context(record: dict) -> ContextBundle:
     return ContextBundle(topic=topic, previous_claim=previous)
 
 
-def _id(value: object, name: str) -> str:
-    """A chains.jsonl id: a string, or an int written as its digits."""
-    if type(value) not in (str, int):  # bool is an int subclass but not an id
-        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
-    return str(value)
-
-
 def _parse_chain(record: dict) -> RevisionChain:
     raw_claims, raw_intents = record["claims"], record["intents"]
     if not isinstance(raw_claims, list) or not isinstance(raw_intents, list):
         raise ValueError("claims and intents must be lists")
-    debate_id = _id(record["debate_id"], "'debate_id'")
+    debate_id = parse_id(record["debate_id"], "'debate_id'")
     claims = []
     for entry in raw_claims:
         if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
@@ -179,11 +148,11 @@ def _parse_chain(record: dict) -> RevisionChain:
         if not isinstance(entry["text"], str):
             raise ValueError(f"claim 'text' must be a string, got {entry['text']!r}")
         claims.append(
-            Claim(id=_id(entry["id"], "claim 'id'"), text=entry["text"], debate_id=debate_id)
+            Claim(id=parse_id(entry["id"], "claim 'id'"), text=entry["text"], debate_id=debate_id)
         )
     intents = (IntentLabel.UNLABELED if raw is None else IntentLabel(raw) for raw in raw_intents)
     return RevisionChain(
-        chain_id=_id(record["chain_id"], "'chain_id'"),
+        chain_id=parse_id(record["chain_id"], "'chain_id'"),
         claims=tuple(claims),
         intents=tuple(intents),
         context=_context(record),
@@ -375,7 +344,7 @@ def serialize_input(
 
 
 # ---------------------------------------------------------------------------
-# pair and type-annotation files
+# pair files
 
 
 def pair_to_record(pair: OptimizationPair) -> dict:
@@ -403,7 +372,7 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
     """
 
     def parse(record: dict) -> OptimizationPair:
-        pair_id = str(record["pair_id"])
+        pair_id = parse_id(record["pair_id"], "'pair_id'")
         if "#" in pair_id:
             chain_id, _, idx_text = pair_id.rpartition("#")
             index = int(idx_text) if idx_text.isdigit() else 0
@@ -424,18 +393,3 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
 
     required = ("pair_id", "source", "reference", "intent")
     return [pair for _, pair in read_jsonl(path, required, parse)]
-
-
-def load_type_annotations(path: str | Path) -> list[TypeAnnotation]:
-    """Read a types.jsonl sidecar of per-annotator optimization types."""
-
-    def parse(record: dict) -> TypeAnnotation:
-        if not isinstance(record["types"], list):
-            raise ValueError(f"types must be a list, got {record['types']!r}")
-        return TypeAnnotation(
-            pair_id=str(record["pair_id"]),
-            annotator=str(record["annotator"]),
-            types=frozenset(OptimizationType(t) for t in record["types"]),
-        )
-
-    return [ann for _, ann in read_jsonl(path, ("pair_id", "annotator", "types"), parse)]

@@ -20,8 +20,8 @@ full posterior is formed once per restart, after the last E-step.
 
 Also here: Cohen's kappa, Krippendorff's alpha in the pairable-values
 formulation (coincidences from one bincount over each unit's ordered
-value pairs), an exact/approximate Wilcoxon signed-rank test, mean
-ranks over ranking annotations, and Jaccard overlap of type sets.
+value pairs), an exact/approximate Wilcoxon signed-rank test, and mean
+ranks over ranking annotations.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import OptimizationType
-from .ndjson import read_jsonl
+from .ndjson import parse_id, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,11 @@ class Scale:
 
 @dataclass(frozen=True)
 class AnnotationMatrix:
-    """Sparse item x worker label matrix with scale metadata."""
+    """Sparse item x worker label matrix with scale metadata.
+
+    ``from_labels`` stores the labels sorted by (item, worker), so every
+    statistic over them is independent of the order they were read in.
+    """
 
     items: tuple[str, ...]
     workers: tuple[str, ...]
@@ -66,7 +69,7 @@ class AnnotationMatrix:
     ) -> "AnnotationMatrix":
         items = tuple(sorted({item for item, _ in labels}))
         workers = tuple(sorted({worker for _, worker in labels}))
-        return cls(items=items, workers=workers, labels=dict(labels), scale=scale)
+        return cls(items=items, workers=workers, labels=dict(sorted(labels.items())), scale=scale)
 
     def __post_init__(self):
         if not self.labels:
@@ -368,7 +371,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# ranks and type overlap
+# ranks
 
 def mean_rank(annotations: Sequence[RankAnnotation]) -> dict[str, float]:
     """Per strategy, the mean 1-based rank across all annotations."""
@@ -384,16 +387,6 @@ def mean_rank(annotations: Sequence[RankAnnotation]) -> dict[str, float]:
         for position, name in enumerate(ann.ranking, start=1):
             sums[name] += position
     return {name: sums[name] / len(annotations) for name in sorted(universe)}
-
-
-def jaccard_types(
-    set_a: frozenset[OptimizationType] | set, set_b: frozenset[OptimizationType] | set
-) -> float:
-    """|intersection| / |union|; 1.0 when both sets are empty."""
-    a, b = set(set_a), set(set_b)
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
     rankings: list[RankAnnotation] = []
 
     def parse(rec: dict) -> None:
-        item, worker = str(rec["item"]), str(rec["worker"])
+        item, worker = parse_id(rec["item"], "'item'"), parse_id(rec["worker"], "'worker'")
         if "ranking" in rec:
             if not isinstance(rec["ranking"], list):
                 raise ValueError("ranking must be a list")

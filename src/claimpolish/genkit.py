@@ -93,7 +93,6 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    source: str  # the serialized input the generator saw
     candidates: tuple[Candidate, ...]
 
 
@@ -127,7 +126,7 @@ def generate_candidates(
         candidates.append(Candidate(text=text, origin=directive, index=i))
     if not candidates:
         raise GenerationError(f"all {len(schedule)} generation steps failed")
-    return CandidateSet(source=input_text, candidates=tuple(candidates))
+    return CandidateSet(candidates=tuple(candidates))
 
 
 def dedup(candidate_set: CandidateSet) -> CandidateSet:
@@ -139,7 +138,7 @@ def dedup(candidate_set: CandidateSet) -> CandidateSet:
             continue
         seen.add(cand.text)
         kept.append(cand)
-    return CandidateSet(source=candidate_set.source, candidates=tuple(kept))
+    return CandidateSet(candidates=tuple(kept))
 
 
 # ---------------------------------------------------------------------------

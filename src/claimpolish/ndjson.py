@@ -76,6 +76,13 @@ def read_jsonl(
             yield line_no, value
 
 
+def parse_id(value: object, name: str) -> str:
+    """A record id: a string, or an int written as its digits."""
+    if type(value) not in (str, int):  # bool is an int subclass but not an id
+        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
 def read_json(path: str | Path, parse: Callable[[dict], T], required: Sequence[str] = ()) -> T:
     """``parse(record)`` for the one JSON object a file holds; a ValueError names the file."""
     try:

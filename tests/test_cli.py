@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import random
 import sys
 
 import pytest
@@ -555,6 +556,11 @@ GOOD_RECORDS = {
         ("run", "pairs", {"source": 5}, "'source' must be a string, got 5"),
         ("run", "pairs", {"source": " "}, "claim 'c#0.src' has empty text"),
         ("run", "pairs", {"topic": 5}, "topic and previous_claim must be strings or null"),
+        ("run", "pairs", {"pair_id": None}, "'pair_id' must be a string or an integer, got None"),
+        (
+            "run", "pairs", {"pair_id": {"x": 1}},
+            "'pair_id' must be a string or an integer, got {'x': 1}",
+        ),
         ("prepare", "chains", {"intents": 5}, "claims and intents must be lists"),
         ("prepare", "chains", {"intents": "ab"}, "claims and intents must be lists"),
         (
@@ -593,17 +599,31 @@ GOOD_RECORDS = {
         ("report", "selections", {"chosen": ""}, "'chosen' must not be blank"),
         ("stats", "annotations", {"value": True}, "fluency value True outside [1, 3]"),
         (
+            "stats", "annotations", {"item": None},
+            "'item' must be a string or an integer, got None",
+        ),
+        (
+            "stats", "annotations", {"worker": True},
+            "'worker' must be a string or an integer, got True",
+        ),
+        (
+            "stats", "annotations", {"worker": 1.5, "ranking": ["x", "y"]},
+            "'worker' must be a string or an integer, got 1.5",
+        ),
+        (
             "stats", "annotations", {"ranking": ["x", "x"]},
             "ranking ('x', 'x') is not a permutation",
         ),
     ],
     ids=[
-        "pair-source-number", "pair-source-blank", "pair-topic-number", "chain-intents-number",
+        "pair-source-number", "pair-source-blank", "pair-topic-number", "pair-id-null",
+        "pair-id-object", "chain-intents-number",
         "chain-intents-string", "chain-claim-text-null", "chain-claim-text-number",
         "chain-claim-id-null", "chain-claim-id-list", "chain-debate-id-null", "chain-id-bool",
         "chain-id-float",
         "selection-chosen-number", "selection-chosen-blank",
-        "likert-value-bool", "ranking-repeated",
+        "likert-value-bool", "likert-item-null", "likert-worker-bool", "ranking-worker-float",
+        "ranking-repeated",
     ],
 )
 def test_bad_field_exits_two_naming_the_line(
@@ -796,6 +816,24 @@ def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["n_errors"] == 0
     assert report["metadata"]["n_instances"] == 4
+
+
+def test_run_with_no_finished_instance_removes_stale_reports(tmp_path, monkeypatch):
+    pairs = make_synthetic_pairs(3, seed=3)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_pairs(pairs, first)
+    write_pairs([dataclasses.replace(p, pair_id=f"other#{p.index}") for p in pairs], second)
+    out = tmp_path / "o"
+    argv = ("--out", out, "--seed", 1, "--strategies", "unedited,top1", "--n-candidates", 2)
+    assert run_cli("run", "--pairs", first, *argv) == 0
+    assert (out / "report.json").is_file() and (out / "report.csv").is_file()
+    # a child that exits at once fails every generation step
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} -c pass")
+    assert run_cli("run", "--pairs", second, *argv) == 1
+    assert len(read_rows(out / "errors.jsonl")) == 3
+    assert (out / "selections.jsonl").read_text() == ""
+    assert not (out / "report.json").exists()
+    assert not (out / "report.csv").exists()
 
 
 def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatch):
@@ -1096,6 +1134,27 @@ def test_stats_agreement_mode_skips_mace(tmp_path):
     report = json.loads((out / "stats_report.json").read_text())
     assert "mace" not in report["fields"]["fluency"]
     assert "mean_rank" not in report["ranks"]
+
+
+def test_stats_fields_do_not_depend_on_the_line_order(tmp_path):
+    # units of 1 to 7 labels add different weights to a coincidence cell
+    rng = random.Random(5)
+    records = [
+        {"item": f"p{i:02d}", "worker": f"w{w}", "field": fld, "value": rng.randint(1, hi)}
+        for i in range(60)
+        for w in range(1 + i % 7)
+        for fld, hi in (("fluency", 3), ("meaning", 5))
+    ]
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text("mace_iterations = 5\nmace_restarts = 2\n")
+    fields = []
+    for name, order in (("forwards", records), ("reversed", records[::-1])):
+        ann = tmp_path / f"{name}.jsonl"
+        ann.write_text("".join(json.dumps(r) + "\n" for r in order))
+        out = tmp_path / name
+        assert run_cli("stats", "--annotations", ann, "--out", out, "--config", cfg) == 0
+        fields.append(json.loads((out / "stats_report.json").read_text())["fields"])
+    assert fields[0] == fields[1]
 
 
 def test_stats_bad_strategy_pair(tmp_path, capsys):

@@ -10,14 +10,12 @@ from claimpolish.corpus import (
     IntentLabel,
     MissingContextError,
     OptimizationPair,
-    OptimizationType,
     RevisionChain,
     TASK_INTENTS,
     derive_pairs,
     filter_by_intent,
     load_chains,
     load_pairs,
-    load_type_annotations,
     majority_intent,
     relabel_pairs,
     serialize_input,
@@ -433,40 +431,9 @@ def test_load_pairs_rejects_missing_keys(tmp_path):
     assert "reference" in str(err.value)
 
 
-def test_load_type_annotations(tmp_path):
-    path = tmp_path / "types.jsonl"
-    write_lines(
-        path,
-        [
-            json.dumps(
-                {
-                    "pair_id": "a#0",
-                    "annotator": "w1",
-                    "types": ["specification", "copy_editing"],
-                }
-            )
-        ],
-    )
-    anns = load_type_annotations(path)
-    assert anns[0].types == {
-        OptimizationType.SPECIFICATION,
-        OptimizationType.COPY_EDITING,
-    }
-
-
-def test_load_type_annotations_rejects_non_list_types(tmp_path):
-    path = tmp_path / "types.jsonl"
-    write_lines(path, [json.dumps({"pair_id": "a#0", "annotator": "w1", "types": 5})])
-    with pytest.raises(RecordFormatError) as err:
-        load_type_annotations(path)
-    assert str(err.value) == "line 1: types must be a list, got 5"
-
-
-def test_load_type_annotations_rejects_unknown_type(tmp_path):
-    path = tmp_path / "types.jsonl"
-    write_lines(
-        path,
-        [json.dumps({"pair_id": "a#0", "annotator": "w1", "types": ["beautify"]})],
-    )
-    with pytest.raises(RecordFormatError):
-        load_type_annotations(path)
+def test_load_pairs_keeps_an_integer_pair_id_as_its_digits(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    record = {"pair_id": 7, "source": "s", "reference": "r", "intent": "links"}
+    write_lines(path, [json.dumps(record)])
+    (pair,) = load_pairs(path)
+    assert (pair.pair_id, pair.chain_id, pair.source.id) == ("7", "7", "7.src")

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from claimpolish.corpus import OptimizationType
 from claimpolish.evalstats import (
     AnnotationMatrix,
     FIELD_SCALES,
@@ -14,7 +13,6 @@ from claimpolish.evalstats import (
     _scatter_add,
     cohens_kappa,
     competent_workers,
-    jaccard_types,
     krippendorff_alpha,
     load_annotations,
     mace_aggregate,
@@ -382,14 +380,6 @@ def test_mean_rank_universe_mismatch():
         mean_rank([])
 
 
-def test_jaccard_types():
-    a = {OptimizationType.SPECIFICATION, OptimizationType.COPY_EDITING}
-    b = {OptimizationType.SPECIFICATION, OptimizationType.REFRAMING}
-    assert jaccard_types(a, b) == pytest.approx(1 / 3)
-    assert jaccard_types(set(), set()) == 1.0
-    assert jaccard_types(a, a) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # annotation files
 
@@ -414,6 +404,20 @@ def test_load_annotations_mixed_file(tmp_path):
     assert matrices["fluency"].labels[("p1", "w2")] == 2
     assert matrices["fluency"].scale == FIELD_SCALES["fluency"]
     assert rankings == [RankAnnotation("p1", "w1", ("autoscore", "top1"))]
+
+
+def test_load_annotations_keeps_integer_ids_as_their_digits(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    _write(
+        path,
+        [
+            {"item": 3, "worker": 4, "field": "fluency", "value": 1},
+            {"item": 3, "worker": 5, "ranking": ["autoscore", "top1"]},
+        ],
+    )
+    matrices, rankings = load_annotations(path)
+    assert matrices["fluency"].labels == {("3", "4"): 1}
+    assert (rankings[0].item, rankings[0].worker) == ("3", "5")
 
 
 def test_load_annotations_rejects_duplicates(tmp_path):

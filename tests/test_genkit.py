@@ -209,7 +209,6 @@ def test_generate_candidates_indices_follow_schedule():
         "topk:10",
         "topk:15",
     ]
-    assert cset.source == "its good"
 
 
 def test_generate_candidates_skips_failures_keeping_indices():
@@ -241,7 +240,6 @@ def test_generate_candidates_default_schedule_from_config():
 
 def test_dedup_keeps_first_occurrence():
     cset = CandidateSet(
-        source="s",
         candidates=(
             Candidate("a", GREEDY, 0),
             Candidate("b", TOPK(5), 1),

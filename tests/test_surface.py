@@ -1,0 +1,62 @@
+"""Every top-level name of the package is read somewhere a user can reach.
+
+A name counts as read when its word appears outside its own definition
+in the package modules (``__init__.py`` aside: re-exporting is not
+use), a demo or a benchmark script. Tests do not count as readers, so
+code that only its own tests call is flagged for deletion.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "claimpolish"
+WORD = re.compile(r"\w+")
+
+
+def _modules() -> list[Path]:
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _readers() -> list[Path]:
+    scripts = [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return _modules() + sorted(p for p in scripts if not p.name.startswith("test_"))
+
+
+def _definitions(tree: ast.Module):
+    """``(name, first line, last line)`` of each top-level def, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        for name in names:
+            yield name, first, node.end_lineno
+
+
+def _words(lines: list[str]) -> Counter:
+    return Counter(word for line in lines for word in WORD.findall(line))
+
+
+def unreached_names() -> list[str]:
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in _readers()}
+    everywhere = sum((_words(lines) for lines in texts.values()), Counter())
+    unreached = []
+    for module in _modules():
+        lines = texts[module]
+        for name, first, last in _definitions(ast.parse("\n".join(lines))):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if everywhere[name] == _words(lines[first - 1 : last])[name]:
+                unreached.append(f"{module.stem}.{name}")
+    return unreached
+
+
+def test_every_top_level_name_is_read_outside_tests():
+    assert unreached_names() == []
