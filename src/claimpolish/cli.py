@@ -64,19 +64,25 @@ from .genkit import (
     dedup,
     generate_candidates,
 )
-from .metrics import BLEU_MODES, SARI_VARIANTS, EvalInstance, evaluate_run, write_report_csv
+from .metrics import (
+    BLEU_MODES,
+    SARI_VARIANTS,
+    EvalInstance,
+    evaluate_run,
+    left_sum,
+    write_report_csv,
+)
 from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
 from .scoring import (
     AGGREGATIONS,
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
-    HeuristicArgumentScorer,
-    HeuristicFluencyScorer,
     JaccardMeaningScorer,
     ScorerError,
     ScorerRegistry,
     StdioScorer,
     calibrate_weights,
+    default_registry,
     load_weights,
     save_calibration,
     score_candidate,
@@ -343,6 +349,8 @@ def _build_generator(s: dict, delimiters: DelimiterConfig):
 
 
 def _build_registry(s: dict, embedder) -> ScorerRegistry:
+    defaults = default_registry()
+
     def scorer_for(kind: str, default):
         spec = s[kind]
         if spec == "heuristic":
@@ -356,9 +364,9 @@ def _build_registry(s: dict, embedder) -> ScorerRegistry:
         raise ConfigError(f"unknown {kind} {spec!r}")
 
     return ScorerRegistry(
-        fluency=scorer_for("fluency_scorer", HeuristicFluencyScorer()),
-        meaning=scorer_for("meaning_scorer", JaccardMeaningScorer()),
-        argument=scorer_for("argument_scorer", HeuristicArgumentScorer()),
+        fluency=scorer_for("fluency_scorer", defaults.fluency),
+        meaning=scorer_for("meaning_scorer", defaults.meaning),
+        argument=scorer_for("argument_scorer", defaults.argument),
     )
 
 
@@ -610,16 +618,17 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             sel_fh.flush()
             done_instances.append(i)
 
+    artifacts = [selections_path]
     errors_path = out / "errors.jsonl"
     if errors:
         with open_atomic(errors_path) as fh:
             fh.writelines(encode_line(rec) for rec in errors)
         print(f"{len(errors)} instance(s) failed; see errors.jsonl", file=sys.stderr)
+        artifacts.append(errors_path)
     else:
         # an earlier run's failures would contradict this run's report
         errors_path.unlink(missing_ok=True)
 
-    artifacts = [selections_path]
     if not done_instances:
         # an earlier run's report would describe outputs this run did not produce
         for name in ("report.json", "report.csv"):
@@ -732,13 +741,13 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
                     per_strategy.setdefault(strategy, []).append(float(label))
             entry["mace"] = {
                 "log_likelihood": mace.log_likelihood,
-                "mean_competence": sum(mace.competence.values()) / len(mace.competence),
+                "mean_competence": left_sum(mace.competence.values()) / len(mace.competence),
                 "competent_workers": competent,
                 "competent_fraction": len(competent) / len(mace.competence),
-                "mean_posterior": sum(float(v) for v in mace.posterior_labels.values())
+                "mean_posterior": left_sum(float(v) for v in mace.posterior_labels.values())
                 / len(mace.posterior_labels),
                 "per_strategy_mean": {
-                    name: sum(vals) / len(vals) for name, vals in sorted(per_strategy.items())
+                    name: left_sum(vals) / len(vals) for name, vals in sorted(per_strategy.items())
                 },
             }
         report["fields"][fld] = entry

@@ -52,16 +52,22 @@ class HashingEmbedder:
             if slot is None:
                 slot = slots[token] = self._slot(token)
             vec[slot[0]] += slot[1]
-        norm = np.linalg.norm(vec)
+        norm = _norm(vec)
         if norm > 0:
             vec /= norm
         return vec
 
 
+def _norm(v: np.ndarray) -> np.floating:
+    """The L2 norm of a 1-D float vector: ``np.linalg.norm``'s own path for
+    one, ``sqrt(v . v)``, without its argument checks, so the same bits."""
+    return np.sqrt(v.dot(v))
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, defined as 0.0 when either vector is all zeros."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))

@@ -416,7 +416,10 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
         if "ranking" in rec:
             if not isinstance(rec["ranking"], list):
                 raise ValueError("ranking must be a list")
-            ranking = tuple(str(s) for s in rec["ranking"])
+            for name in rec["ranking"]:
+                if not isinstance(name, str) or not name.strip():
+                    raise ValueError(f"ranking entry {name!r} is not a strategy name")
+            ranking = tuple(rec["ranking"])
             rankings.append(RankAnnotation(item=item, worker=worker, ranking=ranking))
             return
         for key in ("field", "value"):

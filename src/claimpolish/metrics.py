@@ -14,6 +14,13 @@ convention: a component ratio whose denominator set is empty counts
 as 1 — having nothing to add and adding nothing is a success, not a
 failure. The default variant scores deletion by precision alone; the
 ``all_f1`` variant scores all three edit operations by F1.
+
+Scores keep their bits on every supported interpreter: each float sum,
+SARI's per-gram ratio sums and the report means included, adds left to
+right from the integer 0, as the builtin ``sum()`` does up to CPython
+3.11 (``left_sum``). The output-independent work of a row (reference
+n-gram tables, SARI's source rows, ROUGE-L's reference bit masks) is
+built once per instance and kept in small bounded caches.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -70,10 +78,6 @@ class MetricReport:
     n_instances: int
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 # Texts whose analysis ``_analyse`` keeps: more than one instance's source,
 # references and distinct outputs, so every row of the instance being
 # scored reuses them, and few enough that the cache stays small.
@@ -82,12 +86,26 @@ _ANALYSE_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_ANALYSE_CACHE_SIZE)
 def _analyse(text: str) -> tuple[tuple[str, ...], tuple[Counter, ...]]:
-    """Tokens of ``text`` and its order-1 to order-4 n-gram Counters.
+    """Tokens of ``text`` and its order-1 to order-4 n-gram Counters, each
+    keyed by token tuples in order of first occurrence.
 
     Every caller gets the same objects, so none may mutate the Counters.
     """
     tokens = tuple(tokenize(text))
-    return tokens, tuple(Counter(_ngrams(tokens, n)) for n in range(1, 5))
+    shifted = [tokens[i:] for i in range(4)]
+    return tokens, tuple(Counter(zip(*shifted[:n])) for n in range(1, 5))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, starting from the integer 0.
+
+    These are the bits of the builtin ``sum()`` up to CPython 3.11. From
+    3.12 on, ``sum()`` compensates the rounding of float additions
+    (Neumaier), so the same values can give other last bits. Every float
+    accumulation in this package goes through here; integer sums keep
+    ``sum()``, which is exact.
+    """
+    return reduce(add, values, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +118,20 @@ _TABLE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _bleu_refs(references: tuple[str, ...]) -> tuple[tuple[Counter, ...], tuple[int, ...]]:
+def _bleu_refs(references: tuple[str, ...]) -> tuple[tuple[Mapping, ...], tuple[int, ...]]:
     """Per order 1-4, each gram's largest count in any reference; then the
-    reference lengths. Every caller gets the same objects, so none may
-    mutate them."""
+    reference lengths. With one reference, its own Counters are the
+    tables. Every caller gets the same objects, so none may mutate them."""
     refs = [_analyse(ref) for ref in references]
-    tables = []
-    for n in range(4):
-        max_ref: Counter = Counter()
-        for _, ref_grams in refs:
-            max_ref |= ref_grams[n]
-        tables.append(max_ref)
-    return tuple(tables), tuple(len(tokens) for tokens, _ in refs)
+    tables = refs[0][1]
+    if len(refs) > 1:
+        tables = tuple(dict(grams) for grams in tables)
+        for _, ref_grams in refs[1:]:
+            for table, grams in zip(tables, ref_grams):
+                for g, count in grams.items():
+                    if count > table.get(g, 0):
+                        table[g] = count
+    return tables, tuple(len(tokens) for tokens, _ in refs)
 
 
 def _bleu_counts(output: str, references: Sequence[str]) -> list[int]:
@@ -120,12 +140,18 @@ def _bleu_counts(output: str, references: Sequence[str]) -> list[int]:
     counts that corpus BLEU sums over instances."""
     hyp, hyp_grams = _analyse(output)
     tables, ref_lengths = _bleu_refs(tuple(references))
-    clipped = [
-        sum(min(grams[g], table[g]) for g in grams.keys() & table.keys())
-        for grams, table in zip(hyp_grams, tables)
-    ]
-    totals = [sum(grams.values()) for grams in hyp_grams]
+    clipped = []
+    for grams, table in zip(hyp_grams, tables):
+        # one lookup per hypothesis gram: a tuple key is hashed on every lookup
+        most = table.get
+        matched = 0
+        for g, count in grams.items():
+            limit = most(g)
+            if limit:
+                matched += count if count < limit else limit
+        clipped.append(matched)
     c = len(hyp)
+    totals = [max(c - n, 0) for n in range(4)]  # c - n grams of order n + 1
     r = min(ref_lengths, key=lambda length: (abs(length - c), length))
     return [*clipped, *totals, c, r]
 
@@ -166,24 +192,34 @@ def _bleu_total(parts: Sequence, mode: str) -> float:
     sentence BLEU in ``"sentence"`` mode, BLEU of the pooled counts in
     ``"corpus"`` mode."""
     if mode == "sentence":
-        return 100.0 * sum(parts) / len(parts)
+        return 100.0 * left_sum(parts) / len(parts)
     return _bleu_from_counts([sum(column) for column in zip(*parts)], scale=100.0)
 
 
 # ---------------------------------------------------------------------------
 # ROUGE-L
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _lcs_masks(b: tuple[str, ...]) -> dict[str, int]:
+    """Per token of ``b``, the bit mask of its positions. ``rouge_l`` scores
+    an instance's outputs against the same references, so each reference's
+    masks are built once. Every caller gets the same dict, so none may
+    mutate it."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | 1 << j
+    return masks
+
+
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence, bit-parallel (Allison and
     Dix 1986; Hyyrö 2004): bit j of ``row`` is 0 where the DP row steps
     up at b[j], so the LCS is the count of zero bits after the last token."""
-    matches: dict[str, int] = {}
-    for j, token in enumerate(b):
-        matches[token] = matches.get(token, 0) | 1 << j
+    matches = _lcs_masks(tuple(b)).get
     full = (1 << len(b)) - 1
     row = full
     for token in a:
-        hit = row & matches.get(token, 0)
+        hit = row & matches(token, 0)
         row = ((row + hit) | (row - hit)) & full
     return len(b) - row.bit_count()
 
@@ -203,14 +239,6 @@ def rouge_l(output: str, reference: str) -> float:
 # ---------------------------------------------------------------------------
 # SARI
 
-def _ratio_sum(good: Mapping, denom: Sequence[tuple]) -> float:
-    """Mean over the denominator's (gram, count) entries, in their order,
-    of good/count; empty denominator is a perfect 1."""
-    if not denom:
-        return 1.0
-    return sum(good.get(g, 0) / count for g, count in denom) / len(denom)
-
-
 @dataclass(frozen=True)
 class _SariTable:
     """The output-independent part of one SARI order. Source counts are
@@ -218,10 +246,9 @@ class _SariTable:
     pooled, as in the classic implementation."""
 
     rows: tuple  # (gram, source count, pooled reference count), in source order
-    keep_wanted: tuple  # (gram, count) of source & references, in source order
-    delete_wanted: tuple  # (gram, count) of source - references, in source order
-    n_add_wanted: int  # distinct reference grams not in the source
-    pool: frozenset  # distinct reference grams
+    n_keep_wanted: int  # distinct grams of source & references
+    n_delete_wanted: int  # distinct grams of source - references
+    add_wanted: frozenset  # distinct reference grams not in the source
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -236,14 +263,13 @@ def _sari_tables(source: str, references: tuple[str, ...]) -> tuple[_SariTable, 
         r_pool: Counter = Counter()
         for grams in ref_grams:
             r_pool.update(grams[n])
-        rows = tuple((g, c * numref, r_pool[g]) for g, c in s_grams[n].items())
+        rows = tuple((g, c * numref, r_pool.get(g, 0)) for g, c in s_grams[n].items())
         tables.append(
             _SariTable(
                 rows=rows,
-                keep_wanted=tuple((g, min(s, r)) for g, s, r in rows if min(s, r) > 0),
-                delete_wanted=tuple((g, s - r) for g, s, r in rows if s - r > 0),
-                n_add_wanted=len(r_pool.keys() - s_grams[n].keys()),
-                pool=frozenset(r_pool),
+                n_keep_wanted=sum(1 for _, _, r in rows if r > 0),
+                n_delete_wanted=sum(1 for _, s, r in rows if s > r),
+                add_wanted=frozenset(r_pool.keys() - s_grams[n].keys()),
             )
         )
     return tuple(tables)
@@ -252,41 +278,56 @@ def _sari_tables(source: str, references: tuple[str, ...]) -> tuple[_SariTable, 
 def _sari_order(
     table: _SariTable, o_grams: Counter, numref: int, variant: str
 ) -> tuple[float, float, float]:
-    """Keep, delete and add scores of one order. One pass over the source
-    rows applies Counter's ``&`` (min, kept if > 0) and ``-`` (difference,
-    kept if > 0) to the replicated counts, so every ratio is formed and
-    summed in the order of the Counter algebra of Xu et al. (2016)."""
-    kept, kept_good, deleted, deleted_good = [], {}, [], {}
-    for g, s, r in table.rows:
-        o = o_grams.get(g, 0) * numref
-        k = min(s, o)  # kept = s_rep & o_rep
-        if k > 0:
-            kept.append((g, k))
-            if min(k, r) > 0:  # kept_good = kept & r_pool
-                kept_good[g] = min(k, r)
-        d = s - o  # deleted = s_rep - o_rep
-        if d > 0:
-            deleted.append((g, d))
-            if d - r > 0:  # deleted_good = deleted - r_pool
-                deleted_good[g] = d - r
+    """Keep, delete and add scores of one order.
 
-    # keep: n-grams retained from the source
-    keep = _f1(_ratio_sum(kept_good, kept), _ratio_sum(kept_good, table.keep_wanted))
+    With replicated counts s (source), o (output) and r (pooled
+    references), Xu et al. (2016) keep min(s, o) of a gram, of which
+    min(s, o, r) are good, and delete s - o, of which s - o - r are good
+    (each only where positive). Each precision or recall is the mean of
+    good/count over its grams, in source order. One pass over the source
+    rows adds those ratios left to right from the integer 0, in the order
+    and with the bits of ``sum()`` on CPython 3.11. A zero ratio is not
+    added: all ratios are >= 0, and adding 0.0 leaves such a sum's bits
+    as they are.
+    """
+    keep_p = keep_r = del_p = del_r = 0
+    n_kept = n_deleted = 0
+    get = o_grams.get
+    for g, s, r in table.rows:
+        o = get(g, 0) * numref
+        if o:
+            n_kept += 1
+            if r:
+                kept = s if s < o else o
+                good = kept if kept < r else r
+                keep_p += good / kept
+                keep_r += good / (s if s < r else r)
+        d = s - o
+        if d > 0:
+            n_deleted += 1
+            if d > r:
+                del_p += (d - r) / d
+                del_r += (d - r) / (s - r)
+
+    # keep: n-grams retained from the source; an empty denominator is a perfect 1
+    keep = _f1(
+        keep_p / n_kept if n_kept else 1.0,
+        keep_r / table.n_keep_wanted if table.n_keep_wanted else 1.0,
+    )
 
     # delete: n-grams removed from the source
-    del_p = _ratio_sum(deleted_good, deleted)
+    del_p = del_p / n_deleted if n_deleted else 1.0
     if variant == "canonical":
         delete = del_p
     else:
-        delete = _f1(del_p, _ratio_sum(deleted_good, table.delete_wanted))
+        delete = _f1(del_p, del_r / table.n_delete_wanted if table.n_delete_wanted else 1.0)
 
-    # add: n-grams introduced by the output (set semantics). The kept
-    # grams are the output's grams that the source has, and the kept
-    # good ones are those the references have too.
-    n_added = len(o_grams) - len(kept)
-    n_added_good = len(o_grams.keys() & table.pool) - len(kept_good)
+    # add: n-grams introduced by the output (set semantics). The output's
+    # grams that the source lacks are its grams less the kept ones.
+    n_added = len(o_grams) - n_kept
+    n_added_good = len(o_grams.keys() & table.add_wanted)
     add_p = n_added_good / n_added if n_added else 1.0
-    add_r = n_added_good / table.n_add_wanted if table.n_add_wanted else 1.0
+    add_r = n_added_good / len(table.add_wanted) if table.add_wanted else 1.0
     add = _f1(add_p, add_r)
 
     return keep, delete, add
@@ -351,8 +392,15 @@ class _Row:
 
 
 def _score_row(
-    inst: EvalInstance, output: str, embedder: Embedder, bleu_mode: str, sari_variant: str
+    inst: EvalInstance,
+    normalized_refs: tuple[str, ...],
+    output: str,
+    embedder: Embedder,
+    bleu_mode: str,
+    sari_variant: str,
 ) -> _Row:
+    """Every score of ``output`` for ``inst``, whose references with
+    normalized whitespace are ``normalized_refs``."""
     if not output.strip():
         raise ValueError("output must be non-empty")
     refs = inst.references
@@ -364,7 +412,7 @@ def _score_row(
         rouge_l=max(rouge_l(output, ref) for ref in refs),
         sari=sari(inst.source, output, refs, variant=sari_variant),
         no_edit=output == inst.source,
-        exact_match=normalize_whitespace(output) in map(normalize_whitespace, refs),
+        exact_match=normalize_whitespace(output) in normalized_refs,
         sim_original=context_similarity(output, inst.source, embedder),
         sim_previous=context_similarity(output, previous, embedder) if previous else None,
         sim_topic=context_similarity(output, topic, embedder) if topic else None,
@@ -379,13 +427,13 @@ def _aggregate(rows: Sequence[_Row], bleu_mode: str) -> MetricReport:
     topic_vals = [row.sim_topic for row in rows if row.sim_topic is not None]
     return MetricReport(
         bleu=_bleu_total([row.bleu for row in rows], bleu_mode),
-        rouge_l=sum(row.rouge_l for row in rows) / n,
-        sari=sum(row.sari for row in rows) / n,
+        rouge_l=left_sum(row.rouge_l for row in rows) / n,
+        sari=left_sum(row.sari for row in rows) / n,
         no_edit_ratio=sum(1 for row in rows if row.no_edit) / n,
         exact_match_ratio=sum(1 for row in rows if row.exact_match) / n,
-        sim_original=sum(row.sim_original for row in rows) / n,
-        sim_previous=sum(prev_vals) / len(prev_vals) if prev_vals else None,
-        sim_topic=sum(topic_vals) / len(topic_vals) if topic_vals else None,
+        sim_original=left_sum(row.sim_original for row in rows) / n,
+        sim_previous=left_sum(prev_vals) / len(prev_vals) if prev_vals else None,
+        sim_topic=left_sum(topic_vals) / len(topic_vals) if topic_vals else None,
         n_instances=n,
     )
 
@@ -419,10 +467,12 @@ def evaluate_run(
         # keyed on the text alone, so any embedder works, hashable or not;
         # dropped after the instance, so it holds only that instance's texts
         instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
+        normalized_refs = tuple(map(normalize_whitespace, instance.references))
         for texts in outputs.values():
             if (i, texts[i]) not in rows:
                 rows[i, texts[i]] = _score_row(
-                    instance, texts[i], instance_embedder, bleu_mode, sari_variant
+                    instance, normalized_refs, texts[i], instance_embedder, bleu_mode,
+                    sari_variant,
                 )
     return {
         strategy: _aggregate([rows[key] for key in enumerate(texts)], bleu_mode)

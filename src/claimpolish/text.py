@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+_SPACE_RE = re.compile(r"\s+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -23,4 +24,4 @@ def tokenize(text: str) -> list[str]:
 
 def normalize_whitespace(text: str) -> str:
     """Collapse runs of whitespace to single spaces and trim the ends."""
-    return re.sub(r"\s+", " ", text).strip()
+    return _SPACE_RE.sub(" ", text).strip()

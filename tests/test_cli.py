@@ -614,6 +614,18 @@ GOOD_RECORDS = {
             "stats", "annotations", {"ranking": ["x", "x"]},
             "ranking ('x', 'x') is not a permutation",
         ),
+        (
+            "stats", "annotations", {"ranking": [None, 1]},
+            "ranking entry None is not a strategy name",
+        ),
+        (
+            "stats", "annotations", {"ranking": ["x", 1]},
+            "ranking entry 1 is not a strategy name",
+        ),
+        (
+            "stats", "annotations", {"ranking": ["x", " "]},
+            "ranking entry ' ' is not a strategy name",
+        ),
     ],
     ids=[
         "pair-source-number", "pair-source-blank", "pair-topic-number", "pair-id-null",
@@ -623,7 +635,7 @@ GOOD_RECORDS = {
         "chain-id-float",
         "selection-chosen-number", "selection-chosen-blank",
         "likert-value-bool", "likert-item-null", "likert-worker-bool", "ranking-worker-float",
-        "ranking-repeated",
+        "ranking-repeated", "ranking-entry-null", "ranking-entry-number", "ranking-entry-blank",
     ],
 )
 def test_bad_field_exits_two_naming_the_line(
@@ -834,6 +846,19 @@ def test_run_with_no_finished_instance_removes_stale_reports(tmp_path, monkeypat
     assert (out / "selections.jsonl").read_text() == ""
     assert not (out / "report.json").exists()
     assert not (out / "report.csv").exists()
+
+
+def test_run_manifest_lists_errors_jsonl(tmp_path, monkeypatch):
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(2, seed=3), pairs_path)
+    out = tmp_path / "o"
+    # a child that exits at once fails every generation step
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} -c pass")
+    argv = ("--pairs", pairs_path, "--out", out, "--strategies", "top1", "--n-candidates", 1)
+    assert run_cli("run", *argv) == 1
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert sorted(artifacts) == ["errors.jsonl", "selections.jsonl"]
+    assert artifacts["errors.jsonl"]["sha256"] == cli._sha256_file(out / "errors.jsonl")
 
 
 def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatch):

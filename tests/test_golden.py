@@ -34,6 +34,11 @@ one row. So ``row_metrics`` also pins, as ``float.hex``, both SARI
 variants, sentence BLEU and ROUGE-L of every candidate the run scored
 against its pair's source and reference.
 
+CPython 3.12 changed the builtin ``sum()`` of floats to a compensated
+(Neumaier) sum, which can give other last bits than 3.11's plain one.
+The package adds floats through ``metrics.left_sum`` instead, so the
+digests must also hold with ``sum()`` replaced by an emulation of 3.12's.
+
 Digests change only when artifact bytes change on purpose. Regenerate
 them from the repository root with::
 
@@ -42,9 +47,11 @@ them from the repository root with::
 and name each changed artifact in CHANGES.md.
 """
 
+import builtins
 import contextlib
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -57,7 +64,7 @@ from conftest import make_chain_records, make_synthetic_pairs, write_chain_recor
 
 from claimpolish.cli import main
 from claimpolish.corpus import load_pairs, write_pairs
-from claimpolish.metrics import rouge_l, sari, sentence_bleu
+from claimpolish.metrics import left_sum, rouge_l, sari, sentence_bleu
 
 DIGESTS_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -218,6 +225,43 @@ def test_artifact_bytes_match_golden_digests(digests, case):
 
 def test_resumed_run_reproduces_the_clean_run(digests):
     assert digests["run_resumed"] == digests["run"]
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The builtin ``sum()`` of CPython 3.12 and later: exact floats are
+    added with Neumaier's compensation, ints into a float total as floats,
+    and anything else, after the compensation, with ``+``."""
+    total, compensation = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            if abs(total) >= abs(x):
+                compensation += (total - t) + x
+            else:
+                compensation += (x - t) + total
+            total = t
+        elif type(total) is float and type(x) is int:
+            total += x
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            compensation = 0.0
+            total = total + x
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_digests_hold_under_a_compensated_sum(tmp_path, monkeypatch):
+    tenths = [0.1] * 10
+    assert _compensated_sum(tenths).hex() == "0x1.0000000000000p+0"
+    assert left_sum(tenths).hex() == "0x1.fffffffffffffp-1"  # sum() on 3.11
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    fresh = compute_digests(tmp_path)
+    monkeypatch.undo()
+    expected = json.loads(DIGESTS_PATH.read_text())
+    changed = sorted(case for case in expected if fresh[case] != expected[case])
+    assert not changed, f"cases whose bytes depend on sum(): {changed}"
 
 
 if __name__ == "__main__":

@@ -245,6 +245,7 @@ def test_repeated_calls_give_equal_results():
             *(metrics._analyse(text) for text in (source, output, *refs)),
             metrics._sari_tables(source, tuple(refs)),
             metrics._bleu_refs(tuple(refs)),
+            metrics._lcs_masks(metrics._analyse(refs[1])[0]),
             scoring._tokens(source),
             scoring._tokens(output),
         ]
@@ -277,9 +278,10 @@ def test_text_analysis_cache_stays_bounded():
     [
         (metrics._sari_tables, metrics._TABLE_CACHE_SIZE),
         (metrics._bleu_refs, metrics._TABLE_CACHE_SIZE),
+        (metrics._lcs_masks, metrics._TABLE_CACHE_SIZE),
         (scoring._tokens, scoring._TOKENS_CACHE_SIZE),
     ],
-    ids=["sari_tables", "bleu_refs", "tokens"],
+    ids=["sari_tables", "bleu_refs", "lcs_masks", "tokens"],
 )
 def test_instance_table_caches_stay_bounded(cached, size):
     registry = default_registry()
@@ -287,6 +289,7 @@ def test_instance_table_caches_stay_bounded(cached, size):
         refs = [f"reference {k}", f"another reference {k}"]
         sari(f"source {k}", f"output {k} words", refs)
         sentence_bleu(f"output {k} words", refs)
+        rouge_l(f"output {k} words", refs[1])
         score_candidate(registry, f"source {k}", f"output {k} words", ContextBundle())
     info = cached.cache_info()
     assert info.currsize <= info.maxsize == size
