@@ -13,13 +13,7 @@ Run: python3 demos/03_scoring_and_selection.py
 from claimpolish.embedding import HashingEmbedder
 from claimpolish.genkit import GenerationConfig, MockGenerator, dedup, generate_candidates
 from claimpolish.scoring import DEFAULT_WEIGHTS, default_registry, score_candidate
-from claimpolish.selection import (
-    RankerHyperparams,
-    Strategy,
-    score_columns,
-    select,
-    train_pairwise_ranker,
-)
+from claimpolish.selection import Strategy, score_columns, select, train_pairwise_ranker
 
 
 def main():
@@ -37,7 +31,7 @@ def main():
         ("we should act", "We should act. Waiting only raises the eventual cost."),
     ]
     embedder = HashingEmbedder(dim=256, seed=0)
-    ranker = train_pairwise_ranker(training, embedder, RankerHyperparams(seed=0))
+    ranker = train_pairwise_ranker(training, embedder, seed=0)
     columns = score_columns(candidates, scores, DEFAULT_WEIGHTS, ranker=ranker)
 
     print(f"weights: alpha={DEFAULT_WEIGHTS.alpha} beta={DEFAULT_WEIGHTS.beta} "

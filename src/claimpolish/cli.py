@@ -77,7 +77,6 @@ from .scoring import (
     AGGREGATIONS,
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
-    JaccardMeaningScorer,
     ScorerError,
     ScorerRegistry,
     StdioScorer,
@@ -89,7 +88,6 @@ from .scoring import (
 )
 from .selection import (
     COLUMNS,
-    RankerHyperparams,
     Strategy,
     load_ranker,
     save_ranker,
@@ -180,7 +178,6 @@ _SETTINGS = {
         "weights": (str, None, "weights.json from calibrate"),
         "train_pairs": (str, None, "pairs for ranker training"),
         "ranker": (str, None, "previously trained ranker.json"),
-        "ranker_seed": (int, None, None),  # None: the run's seed
         "generator": (str, "mock", None),
         "prev_delimiter": (str, "<PREV>", None),
         "topic_delimiter": (str, "<TOPIC>", None),
@@ -355,8 +352,6 @@ def _build_registry(s: dict, embedder) -> ScorerRegistry:
         spec = s[kind]
         if spec == "heuristic":
             return default
-        if spec == "jaccard" and kind == "meaning_scorer":
-            return JaccardMeaningScorer()
         if spec == "cosine" and kind == "meaning_scorer":
             return CosineMeaningScorer(embedder)
         if spec.startswith("stdio:"):
@@ -577,10 +572,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             ]
             if not text_pairs:
                 raise ConfigError(f"no usable ranker training pairs in {train_path}")
-            ranker_seed = seed if s["ranker_seed"] is None else s["ranker_seed"]
-            ranker = train_pairwise_ranker(
-                text_pairs, embedder, RankerHyperparams(seed=ranker_seed)
-            )
+            ranker = train_pairwise_ranker(text_pairs, embedder, seed)
             save_ranker(out / "ranker.json", ranker)
             ranker_saved = True
         else:

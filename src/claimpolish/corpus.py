@@ -368,11 +368,16 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
 
     The flat format stores no claim ids, so synthetic ones are minted
     from the pair id; the chain id is recovered from the ``chain#index``
-    pair-id convention when present.
+    pair-id convention when present. A repeated pair id is rejected:
+    resume and ``report`` key records by it.
     """
+    seen_pair_ids: set[str] = set()
 
     def parse(record: dict) -> OptimizationPair:
         pair_id = parse_id(record["pair_id"], "'pair_id'")
+        if pair_id in seen_pair_ids:
+            raise ValueError(f"duplicate pair_id {pair_id!r}")
+        seen_pair_ids.add(pair_id)
         if "#" in pair_id:
             chain_id, _, idx_text = pair_id.rpartition("#")
             index = int(idx_text) if idx_text.isdigit() else 0

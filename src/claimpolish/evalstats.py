@@ -38,16 +38,16 @@ from .ndjson import parse_id, read_jsonl
 
 @dataclass(frozen=True)
 class Scale:
-    kind: str  # "categorical" | "ordinal"
+    """A label scale: ``bounds`` (lo, hi) makes every label a number in
+    [lo, hi]; ``None`` leaves labels unchecked."""
+
     bounds: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("categorical", "ordinal"):
-            raise ValueError(f"unknown scale kind {self.kind!r}")
-        if self.kind == "ordinal" and self.bounds is not None:
+        if self.bounds is not None:
             lo, hi = self.bounds
             if lo >= hi:
-                raise ValueError(f"bad ordinal bounds {self.bounds}")
+                raise ValueError(f"bad scale bounds {self.bounds}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ class AnnotationMatrix:
     items: tuple[str, ...]
     workers: tuple[str, ...]
     labels: Mapping[tuple[str, str], object]
-    scale: Scale = Scale("categorical")
+    scale: Scale = Scale()
 
     @classmethod
     def from_labels(
-        cls, labels: Mapping[tuple[str, str], object], scale: Scale = Scale("categorical")
+        cls, labels: Mapping[tuple[str, str], object], scale: Scale = Scale()
     ) -> "AnnotationMatrix":
         items = tuple(sorted({item for item, _ in labels}))
         workers = tuple(sorted({worker for _, worker in labels}))
@@ -78,12 +78,12 @@ class AnnotationMatrix:
         for item in self.items:
             if item not in annotated:
                 raise ValueError(f"item {item!r} has zero labels")
-        if self.scale.kind == "ordinal" and self.scale.bounds is not None:
+        if self.scale.bounds is not None:
             lo, hi = self.scale.bounds
             for (item, worker), value in self.labels.items():
                 if not isinstance(value, (int, float)) or not lo <= value <= hi:
                     raise ValueError(
-                        f"label {value!r} for ({item}, {worker}) outside ordinal bounds"
+                        f"label {value!r} for ({item}, {worker}) outside scale bounds"
                     )
 
 
@@ -392,11 +392,11 @@ def mean_rank(annotations: Sequence[RankAnnotation]) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # annotation file loading
 
-# Likert fields and their ordinal bounds.
+# Likert fields and their bounds.
 FIELD_SCALES: dict[str, Scale] = {
-    "fluency": Scale("ordinal", (1, 3)),
-    "meaning": Scale("ordinal", (1, 5)),
-    "argument": Scale("ordinal", (1, 5)),
+    "fluency": Scale((1, 3)),
+    "meaning": Scale((1, 5)),
+    "argument": Scale((1, 5)),
 }
 
 

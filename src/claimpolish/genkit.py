@@ -25,18 +25,14 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    length_penalty: float = 1.0
-    temperature: float = 0.7
-    no_repeat_ngram: int = 3
-    min_length: int = 7
     max_length: int = 256
     n_candidates: int = 10
 
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
-        if not 0 < self.min_length <= self.max_length:
-            raise ValueError("need 0 < min_length <= max_length")
+        if self.max_length < 1:
+            raise ValueError("max_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -308,10 +304,11 @@ class StdioGenerator(NdjsonChild):
     """Drive an external generator process over the NDJSON protocol.
 
     One request per line on stdin:
-    ``{"input": str, "directive": "greedy"|"topk:K", "config": {...},
-    "seed": int}``; one response per line on stdout, either
-    ``{"text": str}`` or ``{"error": str}``. Protocol violations and
-    reported errors surface as GenerationError.
+    ``{"input": str, "directive": "greedy"|"topk:K",
+    "config": {"max_length": int, "n_candidates": int}, "seed": int}``;
+    one response per line on stdout, either ``{"text": str}`` or
+    ``{"error": str}``. Protocol violations and reported errors surface
+    as GenerationError.
     """
 
     error = GenerationError

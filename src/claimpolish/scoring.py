@@ -252,7 +252,7 @@ class StdioScorer(NdjsonChild):
             },
         }
         response = self.request(request)
-        if not isinstance(response.get("score"), (int, float)):
+        if type(response.get("score")) not in (int, float):  # a JSON bool is no score
             raise ScorerError(f"scorer response missing 'score': {response!r}")
         return float(response["score"])
 
@@ -294,6 +294,8 @@ def simplex_grid(
     within ``grid_step / 2`` of 1. Triples come back in lexicographic
     order, which the calibration tie-break relies on.
     """
+    if not all(map(math.isfinite, (grid_step, range_lo, range_hi))):
+        raise CalibrationError("grid_step, range_lo and range_hi must be finite")
     if grid_step <= 0:
         raise CalibrationError("grid_step must be positive")
     if not 0 <= range_lo <= range_hi:

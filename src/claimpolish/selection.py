@@ -37,15 +37,6 @@ class Strategy(enum.Enum):
     PAIRWISE_RANK = "pairwise_rank"
 
 
-@dataclass(frozen=True)
-class RankerHyperparams:
-    epochs: int = 20
-    learning_rate: float = 0.1
-    l2: float = 1e-4
-    margin: float = 1.0
-    seed: int = 0
-
-
 @dataclass(eq=False)
 class PairwiseRanker:
     embedder: Embedder
@@ -134,10 +125,15 @@ def select(
 # ---------------------------------------------------------------------------
 # pairwise ranker
 
+# the ranker's training settings; training_meta records them in ranker.json
+EPOCHS = 20
+LEARNING_RATE = 0.1
+L2 = 1e-4
+MARGIN = 1.0
+
+
 def train_pairwise_ranker(
-    training_pairs: Sequence[tuple[str, str]],
-    embedder: Embedder,
-    hyperparams: RankerHyperparams = RankerHyperparams(),
+    training_pairs: Sequence[tuple[str, str]], embedder: Embedder, seed: int = 0
 ) -> PairwiseRanker:
     """Fit a linear scoring function from (worse, better) text pairs.
 
@@ -156,24 +152,24 @@ def train_pairwise_ranker(
     diffs = np.stack(
         [embedder.embed(better) - embedder.embed(worse) for worse, better in training_pairs]
     )
-    rng = np.random.default_rng(hyperparams.seed)
+    rng = np.random.default_rng(seed)
     w = np.zeros(embedder.dim, dtype=np.float64)
     order = np.arange(len(diffs))
-    for _ in range(hyperparams.epochs):
+    for _ in range(EPOCHS):
         rng.shuffle(order)
         for idx in order:
             d = diffs[idx]
-            if hyperparams.margin - float(w @ d) > 0.0:
-                w = w + hyperparams.learning_rate * d
-            w = w - hyperparams.learning_rate * 2.0 * hyperparams.l2 * w
+            if MARGIN - float(w @ d) > 0.0:
+                w = w + LEARNING_RATE * d
+            w = w - LEARNING_RATE * 2.0 * L2 * w
 
     violations = int(np.sum(diffs @ w < 0.0))
     meta = {
-        "epochs": hyperparams.epochs,
-        "learning_rate": hyperparams.learning_rate,
-        "l2": hyperparams.l2,
-        "margin": hyperparams.margin,
-        "seed": hyperparams.seed,
+        "epochs": EPOCHS,
+        "learning_rate": LEARNING_RATE,
+        "l2": L2,
+        "margin": MARGIN,
+        "seed": seed,
         "n_pairs": len(training_pairs),
         "train_violations": violations,
     }

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import logging
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,10 +168,30 @@ def test_flags_are_the_settings_keys_with_help():
                 assert default == parse[0]
 
 
+def test_readme_config_table_matches_the_settings_tables():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Key | Commands | Also set by | Type | Default | Allowed values |")
+    documented = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        keys, commands = (cell.strip() for cell in line.split("|")[1:3])
+        for key in re.findall(r"`(\w+)`", keys):
+            documented[key] = set(cli._SETTINGS) if commands == "all" else set(commands.split(", "))
+    held = {key for table in cli._SETTINGS.values() for key in table}
+    assert set(documented) == held
+    for key, commands in documented.items():
+        assert commands == {c for c, table in cli._SETTINGS.items() if key in table}, key
+
+
 @pytest.mark.parametrize(
     "command, line, named",
     [
         ("run", "n_candidate = 5", "unknown config key 'n_candidate'"),
+        ("run", "ranker_seed = 3", "unknown config key 'ranker_seed'"),
+        ("run", "meaning_scorer = jaccard", "unknown meaning_scorer 'jaccard'"),
+        ("calibrate", "meaning_scorer = jaccard", "unknown meaning_scorer 'jaccard'"),
         ("run", "seed = x", "seed: "),
         ("prepare", "filter_intents = bogus", "filter_intents: "),
         ("stats", "mode = x", "unknown mode 'x' (choose from all, aggregate, agreement, ranks)"),
@@ -653,6 +675,20 @@ def test_bad_field_exits_two_naming_the_line(
     assert f"error: line 1: {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_duplicate_pair_id_exits_two(tmp_path, capsys, command):
+    pairs = tmp_path / "pairs.jsonl"
+    record = dict(GOOD_RECORDS["pairs"], pair_id="p")
+    pairs.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, source="b claim")) + "\n")
+    argv = [command, "--pairs", pairs, "--out", tmp_path / "o"]
+    if command == "report":
+        sel = tmp_path / "selections.jsonl"
+        sel.write_text(json.dumps({"pair_id": "p", "strategy": "top1", "chosen": "x"}) + "\n")
+        argv += ["--selections", sel]
+    assert run_cli(*argv) == 2
+    assert "error: line 2: duplicate pair_id 'p'" in capsys.readouterr().err
+
+
 def test_stats_non_list_ranking_exits_two(tmp_path, capsys):
     bad = tmp_path / "annotations.jsonl"
     bad.write_text('{"item": "a", "worker": "w", "ranking": 5}\n')
@@ -834,7 +870,7 @@ def test_run_with_no_finished_instance_removes_stale_reports(tmp_path, monkeypat
     pairs = make_synthetic_pairs(3, seed=3)
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     write_pairs(pairs, first)
-    write_pairs([dataclasses.replace(p, pair_id=f"other#{p.index}") for p in pairs], second)
+    write_pairs([dataclasses.replace(p, pair_id=f"other-{p.pair_id}") for p in pairs], second)
     out = tmp_path / "o"
     argv = ("--out", out, "--seed", 1, "--strategies", "unedited,top1", "--n-candidates", 2)
     assert run_cli("run", "--pairs", first, *argv) == 0

@@ -431,6 +431,18 @@ def test_load_pairs_rejects_missing_keys(tmp_path):
     assert "reference" in str(err.value)
 
 
+def test_load_pairs_rejects_duplicate_pair_id(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    record = {"pair_id": "p", "source": "s", "reference": "r", "intent": "links"}
+    write_lines(path, [json.dumps(record), json.dumps(dict(record, source="t"))])
+    with pytest.raises(RecordFormatError, match=r"line 2: duplicate pair_id 'p'"):
+        load_pairs(path)
+    # an integer id is its digits, so 7 and "7" are the same pair
+    write_lines(path, [json.dumps(dict(record, pair_id=7)), json.dumps(dict(record, pair_id="7"))])
+    with pytest.raises(RecordFormatError, match=r"line 2: duplicate pair_id '7'"):
+        load_pairs(path)
+
+
 def test_load_pairs_keeps_an_integer_pair_id_as_its_digits(tmp_path):
     path = tmp_path / "pairs.jsonl"
     record = {"pair_id": 7, "source": "s", "reference": "r", "intent": "links"}

@@ -23,7 +23,7 @@ from claimpolish.evalstats import (
 scipy_stats = pytest.importorskip("scipy.stats")
 
 
-def matrix_from(rows, scale=Scale("categorical")):
+def matrix_from(rows, scale=Scale()):
     """rows: {item: {worker: label}}"""
     labels = {
         (item, worker): value
@@ -56,15 +56,15 @@ def test_matrix_rejects_empty_and_unannotated_items():
 
 def test_matrix_enforces_ordinal_bounds():
     with pytest.raises(ValueError):
-        matrix_from({"i1": {"w1": 9}}, scale=Scale("ordinal", (1, 5)))
-    matrix_from({"i1": {"w1": 5}}, scale=Scale("ordinal", (1, 5)))
+        matrix_from({"i1": {"w1": 9}}, scale=Scale((1, 5)))
+    matrix_from({"i1": {"w1": 5}}, scale=Scale((1, 5)))
 
 
 def test_scale_validation():
     with pytest.raises(ValueError):
-        Scale("ratio")
+        Scale((3, 3))
     with pytest.raises(ValueError):
-        Scale("ordinal", (5, 1))
+        Scale((5, 1))
 
 
 def test_rank_annotation_must_be_permutation():
@@ -162,7 +162,7 @@ def test_alpha_ordinal_with_bounds_equals_interval():
         "i2": {"w1": 4, "w2": 5},
         "i3": {"w1": 1, "w2": 1},
     }
-    m = matrix_from(rows, scale=Scale("ordinal", (1, 5)))
+    m = matrix_from(rows, scale=Scale((1, 5)))
     assert krippendorff_alpha(m, "ordinal") == pytest.approx(
         krippendorff_alpha(m, "interval")
     )
@@ -176,7 +176,7 @@ def test_alpha_ordinal_without_bounds_uses_observed_positions():
         "i3": {"w1": 9, "w2": 9},
         "i4": {"w1": 1, "w2": 1},
     }
-    m = matrix_from(rows, scale=Scale("ordinal"))
+    m = matrix_from(rows, scale=Scale())
     ordinal = krippendorff_alpha(m, "ordinal")
     interval = krippendorff_alpha(m, "interval")
     assert ordinal != pytest.approx(interval)

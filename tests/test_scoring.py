@@ -237,11 +237,12 @@ def test_stdio_scorer_dead_process_raises(tmp_path):
 
 
 def test_stdio_scorer_missing_score_raises(tmp_path):
-    cmd = _stdio_script(tmp_path, "    print(json.dumps({'score': 'high'}), flush=True)\n")
-    with StdioScorer(cmd) as scorer:
-        with pytest.raises(ScorerError) as err:
-            scorer.score("s", "c", None)
-    assert "missing 'score'" in str(err.value)
+    for score in ("'high'", "True"):  # True is sent as the JSON boolean true
+        cmd = _stdio_script(tmp_path, f"    print(json.dumps({{'score': {score}}}), flush=True)\n")
+        with StdioScorer(cmd) as scorer:
+            with pytest.raises(ScorerError) as err:
+                scorer.score("s", "c", None)
+        assert "missing 'score'" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +295,11 @@ def test_simplex_grid_validation():
         simplex_grid(0.0, 0.0, 1.0)
     with pytest.raises(CalibrationError):
         simplex_grid(0.1, 0.5, 0.2)
+    inf, nan = float("inf"), float("nan")
+    for args in [(inf, 0.0, 1.0), (nan, 0.0, 1.0), (0.1, 0.0, inf), (0.1, inf, inf),
+                 (0.1, nan, 1.0), (0.1, 0.0, nan), (0.1, -inf, 1.0)]:
+        with pytest.raises(CalibrationError):
+            simplex_grid(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from claimpolish.genkit import Candidate, GREEDY, TOPK
 from claimpolish.scoring import DEFAULT_WEIGHTS, ScoreVector, Weights
 from claimpolish.selection import (
     PairwiseRanker,
-    RankerHyperparams,
     Strategy,
     load_ranker,
     save_ranker,

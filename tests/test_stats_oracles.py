@@ -210,9 +210,9 @@ def test_krippendorff_matches_the_replaced_pair_loop_bit_for_bit(n_labels, strin
     levels = ("nominal", "ordinal") if strings else ("nominal", "ordinal", "interval")
     for seed in range(4):
         labels = _ragged_labels(seed, n_labels, strings)
-        scales = [Scale("ordinal")]
+        scales = [Scale()]
         if not strings and n_labels > 1:
-            scales.append(Scale("ordinal", (1, n_labels)))
+            scales.append(Scale((1, n_labels)))
         for scale in scales:
             matrix = AnnotationMatrix.from_labels(labels, scale=scale)
             for level in levels:
