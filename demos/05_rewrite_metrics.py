@@ -12,32 +12,25 @@ Run: python3 demos/05_rewrite_metrics.py
 from claimpolish.metrics import rouge_l, sari, sentence_bleu
 
 
-def show(label, source, output, references):
-    b = sentence_bleu(output, references) * 100
-    r = max(rouge_l(output, ref) for ref in references)
-    s = sari(source, output, references)
+def show(label, source, output, reference):
+    b = sentence_bleu(output, reference) * 100
+    r = rouge_l(output, reference)
+    s = sari(source, output, reference)
     print(f"  {label:<22} BLEU {b:6.1f}  RougeL {r:.3f}  SARI {s:6.1f}")
     print(f"    output: {output!r}")
 
 
 def main():
     source = "the the tax proposal it is good for towns"
-    references = ["the tax proposal is good for towns"]
+    reference = "the tax proposal is good for towns"
     print(f"source:    {source!r}")
-    print(f"reference: {references[0]!r}\n")
+    print(f"reference: {reference!r}\n")
 
-    show("reference itself", source, references[0], references)
-    show("unedited source", source, source, references)
-    show("good rewrite", source, "the tax proposal is good for most towns", references)
-    show("over-deletion", source, "the tax proposal", references)
-    show("unrelated output", source, "cats are nice", references)
-
-    print("\nmulti-reference: SARI credits an addition any reference wanted")
-    source2 = "the plan works"
-    refs2 = ["the plan works well", "the plan works today"]
-    show("adds 'well'", source2, "the plan works well", refs2)
-    show("adds 'today'", source2, "the plan works today", refs2)
-    show("adds both", source2, "the plan works well today", refs2)
+    show("reference itself", source, reference, reference)
+    show("unedited source", source, source, reference)
+    show("good rewrite", source, "the tax proposal is good for most towns", reference)
+    show("over-deletion", source, "the tax proposal", reference)
+    show("unrelated output", source, "cats are nice", reference)
 
 
 if __name__ == "__main__":

@@ -50,10 +50,10 @@ from .corpus import (
 )
 from .embedding import HashingEmbedder
 from .evalstats import (
-    competent_workers,
     krippendorff_alpha,
     load_annotations,
     mace_aggregate,
+    mace_summary,
     mean_rank,
     wilcoxon_signed_rank,
 )
@@ -69,7 +69,6 @@ from .metrics import (
     SARI_VARIANTS,
     EvalInstance,
     evaluate_run,
-    left_sum,
     write_report_csv,
 )
 from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
@@ -139,12 +138,24 @@ def _parse_strategy_pairs(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
+# argparse type of each parse that has one: a flag's config string (and the
+# config hash) is the converted value's str
+_FLAG_TYPES = {int: int, float: float, _non_negative_int: int}
+
 # Each command's config keys: key -> (parse, default, flag help). A tuple
 # parse lists the allowed values, the default first. A key whose help is
-# None is read from the config file only. Flags keep argparse's int and
-# float types, so a flag's config string (and the config hash) is the
-# converted value's str.
-_SHARED = {"seed": (int, 0, "random seed"), "out": (str, None, "output directory")}
+# None is read from the config file only.
+_SHARED = {
+    "seed": (_non_negative_int, 0, "random seed"),
+    "out": (str, None, "output directory"),
+}
 _EMBEDDER = {"embed_dim": (int, 256, None), "embed_seed": (int, 0, None)}
 _METRICS = {
     "bleu_mode": (BLEU_MODES, BLEU_MODES[0], None),
@@ -382,7 +393,7 @@ def _write_reports(
 ) -> list[Path]:
     """Evaluate each strategy's outputs on ``pairs``; write report.json and report.csv."""
     instances = [
-        EvalInstance(source=p.source.text, references=(p.reference.text,), context=p.context)
+        EvalInstance(source=p.source.text, reference=p.reference.text, context=p.context)
         for p in pairs
     ]
     reports = evaluate_run(
@@ -553,9 +564,10 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         weights = load_weights(_require_file(s["weights"], "weights file"))
     else:
         weights = DEFAULT_WEIGHTS
+    gen_config = GenerationConfig(n_candidates=s["n_candidates"])
 
     ranker = None
-    ranker_saved = False
+    text_pairs: list[tuple[str, str]] = []  # ranker training pairs, if this run trains
     inputs: dict[str, Path] = {"pairs": pairs_path}
     if Strategy.PAIRWISE_RANK in strategies:
         if s["ranker"]:
@@ -572,21 +584,22 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             ]
             if not text_pairs:
                 raise ConfigError(f"no usable ranker training pairs in {train_path}")
-            ranker = train_pairwise_ranker(text_pairs, embedder, seed)
-            save_ranker(out / "ranker.json", ranker)
-            ranker_saved = True
         else:
             raise ConfigError(
                 "pairwise_rank strategy needs either a ranker file or train_pairs"
             )
+    selections_path = out / "selections.jsonl"
+    checkpoint = _load_checkpoint(selections_path, strategies)
+    if text_pairs:
+        # after every input check, so a run that exits 2 leaves ranker.json alone
+        ranker = train_pairwise_ranker(text_pairs, embedder, seed)
+        save_ranker(out / "ranker.json", ranker)
 
     run_instance = functools.partial(
         _run_instance, context_mode=ContextMode(s["context"]), delimiters=delimiters,
-        generator=generator, gen_config=GenerationConfig(n_candidates=s["n_candidates"]),
-        registry=registry, weights=weights, ranker=ranker, strategies=strategies,
+        generator=generator, gen_config=gen_config, registry=registry, weights=weights,
+        ranker=ranker, strategies=strategies,
     )
-    selections_path = out / "selections.jsonl"
-    checkpoint = _load_checkpoint(selections_path, strategies)
     # rewrite only the complete instances, in pairs-file order, then resume
     outputs: dict[str, list[str]] = {strategy.value: [] for strategy in strategies}
     done_instances: list[int] = []
@@ -638,7 +651,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "n_candidates": s["n_candidates"],
             },
         )
-        if ranker_saved:  # not a ranker.json an earlier run left in ``out``
+        if text_pairs:  # not a ranker.json an earlier run left in ``out``
             artifacts.append(out / "ranker.json")
     return inputs, artifacts, 1 if errors else 0
 
@@ -692,25 +705,18 @@ def _percent_agreement(labels: dict[tuple[str, str], object]) -> float | None:
     return agree / total if total else None
 
 
-def _strategy_of(item_id: str) -> str | None:
-    # item ids may carry the judged strategy as "<pair>::<strategy>"
-    if "::" in item_id:
-        return item_id.rsplit("::", 1)[1]
-    return None
-
-
 def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
     annotations_path = _require_file(s["annotations"], "annotations file")
     out = _out_dir(s["out"])
     mode = s["mode"]
 
     matrices, rankings = load_annotations(annotations_path)
-    ranks = bool(rankings) and mode in ("all", "ranks")
-    if ranks:
+    if mode in ("all", "ranks"):
         ranked = {name for ann in rankings for name in ann.ranking}
         unknown = [name for pair in s["strategy_pairs"] for name in pair if name not in ranked]
         if unknown:
             raise ConfigError(f"strategy {unknown[0]!r} is in no ranking")
+    ranks = bool(rankings) and mode in ("all", "ranks")
     report: dict = {"fields": {}, "ranks": {}}
 
     for fld in sorted(matrices):
@@ -725,23 +731,7 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
                 matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"],
                 smoothing=s["mace_smoothing"], seed=s["seed"],
             )
-            competent = competent_workers(mace, s["competence_threshold"])
-            per_strategy: dict[str, list[float]] = {}
-            for item, label in mace.posterior_labels.items():
-                strategy = _strategy_of(item)
-                if strategy is not None:
-                    per_strategy.setdefault(strategy, []).append(float(label))
-            entry["mace"] = {
-                "log_likelihood": mace.log_likelihood,
-                "mean_competence": left_sum(mace.competence.values()) / len(mace.competence),
-                "competent_workers": competent,
-                "competent_fraction": len(competent) / len(mace.competence),
-                "mean_posterior": left_sum(float(v) for v in mace.posterior_labels.values())
-                / len(mace.posterior_labels),
-                "per_strategy_mean": {
-                    name: left_sum(vals) / len(vals) for name, vals in sorted(per_strategy.items())
-                },
-            }
+            entry["mace"] = mace_summary(mace, s["competence_threshold"])
         report["fields"][fld] = entry
 
     if ranks:
@@ -782,6 +772,8 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
     out = _out_dir(s["out"])
     pairs = load_pairs(pairs_path)
     by_pair = _read_selections(selections_path)
+    if not by_pair:
+        raise ConfigError(f"no selections in {selections_path}")
     strategies = sorted({name for by_s in by_pair.values() for name in by_s})
     usable = [p for p in pairs if sorted(by_pair.get(p.pair_id, {})) == strategies]
     if not usable:
@@ -830,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
             if flag_help is not None:
                 p.add_argument(
                     "--" + key.replace("_", "-"),
-                    type=parse if parse in (int, float) else None,
+                    type=_FLAG_TYPES.get(parse),
                     choices=parse if isinstance(parse, tuple) else None,
                     help=flag_help,
                 )

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import left_sum
 from .ndjson import parse_id, read_jsonl
 
 
@@ -213,6 +214,30 @@ def mace_aggregate(
 def competent_workers(result: MaceResult, threshold: float = 0.3) -> list[str]:
     """Workers whose fitted competence strictly exceeds ``threshold``."""
     return sorted(w for w, c in result.competence.items() if c > threshold)
+
+
+def mace_summary(result: MaceResult, threshold: float) -> dict:
+    """A fit as the ``stats`` report shows it: the log-likelihood, the mean
+    competence, the workers above ``threshold`` and their share, the mean
+    posterior label, and the mean posterior label per strategy over the
+    items whose id names the judged strategy as ``<pair>::<strategy>``."""
+    competent = competent_workers(result, threshold)
+    per_strategy: dict[str, list[float]] = {}
+    for item, label in result.posterior_labels.items():
+        _, judged, strategy = item.rpartition("::")
+        if judged:
+            per_strategy.setdefault(strategy, []).append(float(label))
+    return {
+        "log_likelihood": result.log_likelihood,
+        "mean_competence": left_sum(result.competence.values()) / len(result.competence),
+        "competent_workers": competent,
+        "competent_fraction": len(competent) / len(result.competence),
+        "mean_posterior": left_sum(float(v) for v in result.posterior_labels.values())
+        / len(result.posterior_labels),
+        "per_strategy_mean": {
+            name: left_sum(vals) / len(vals) for name, vals in sorted(per_strategy.items())
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,25 @@
 The report for a strategy bundles: smoothed sentence-level BLEU-4
 (scaled to 0-100), ROUGE-L F-measure over token LCS, SARI (0-100),
 the byte-exact no-edit ratio against the source, the exact-match
-ratio against the references (after whitespace normalization), and
-embedding-based similarity of the output to its context.
+ratio against the reference (after whitespace normalization), and
+embedding-based similarity of the output to its context. Each instance
+has one reference: the next version of the claim in its revision chain.
 
 Every n-gram metric tokenizes identically: lowercase, punctuation as
 separate tokens, whitespace split. SARI follows the component
 definitions of the classic implementation (fractional per-distinct-
-n-gram averaging with reference-count replication) with one fixed
-convention: a component ratio whose denominator set is empty counts
-as 1 — having nothing to add and adding nothing is a success, not a
-failure. The default variant scores deletion by precision alone; the
-``all_f1`` variant scores all three edit operations by F1.
+n-gram averaging) with one fixed convention: a component ratio whose
+denominator set is empty counts as 1 — having nothing to add and
+adding nothing is a success, not a failure. The default variant scores
+deletion by precision alone; the ``all_f1`` variant scores all three
+edit operations by F1.
 
 Scores keep their bits on every supported interpreter: each float sum,
 SARI's per-gram ratio sums and the report means included, adds left to
 right from the integer 0, as the builtin ``sum()`` does up to CPython
-3.11 (``left_sum``). The output-independent work of a row (reference
-n-gram tables, SARI's source rows, ROUGE-L's reference bit masks) is
-built once per instance and kept in small bounded caches.
+3.11 (``left_sum``). The output-independent work of a row (the
+reference's n-grams, SARI's source rows, ROUGE-L's reference bit masks)
+is built once per instance and kept in small bounded caches.
 """
 
 from __future__ import annotations
@@ -53,16 +54,14 @@ SARI_VARIANTS = ("canonical", "all_f1")
 @dataclass(frozen=True)
 class EvalInstance:
     source: str
-    references: tuple[str, ...]
+    reference: str
     context: ContextBundle = ContextBundle()
 
     def __post_init__(self):
-        if not self.references:
-            raise ValueError("references must be non-empty")
         if not self.source.strip():
             raise ValueError("source must be non-empty")
-        if any(not r.strip() for r in self.references):
-            raise ValueError("references must be non-empty strings")
+        if not self.reference.strip():
+            raise ValueError("reference must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class MetricReport:
 
 
 # Texts whose analysis ``_analyse`` keeps: more than one instance's source,
-# references and distinct outputs, so every row of the instance being
+# reference and distinct outputs, so every row of the instance being
 # scored reuses them, and few enough that the cache stays small.
 _ANALYSE_CACHE_SIZE = 64
 
@@ -111,37 +110,14 @@ def left_sum(values: Iterable[float]) -> float:
 # ---------------------------------------------------------------------------
 # BLEU
 
-# Reference sets, and (source, reference set) pairs, whose tables
-# ``_bleu_refs`` and ``_sari_tables`` keep: ``evaluate_run`` scores one
-# instance's rows together, so a few suffice.
-_TABLE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _bleu_refs(references: tuple[str, ...]) -> tuple[tuple[Mapping, ...], tuple[int, ...]]:
-    """Per order 1-4, each gram's largest count in any reference; then the
-    reference lengths. With one reference, its own Counters are the
-    tables. Every caller gets the same objects, so none may mutate them."""
-    refs = [_analyse(ref) for ref in references]
-    tables = refs[0][1]
-    if len(refs) > 1:
-        tables = tuple(dict(grams) for grams in tables)
-        for _, ref_grams in refs[1:]:
-            for table, grams in zip(tables, ref_grams):
-                for g, count in grams.items():
-                    if count > table.get(g, 0):
-                        table[g] = count
-    return tables, tuple(len(tokens) for tokens, _ in refs)
-
-
-def _bleu_counts(output: str, references: Sequence[str]) -> list[int]:
+def _bleu_counts(output: str, reference: str) -> list[int]:
     """Clipped matches and hypothesis n-gram totals for orders 1-4, then
-    the hypothesis length c and the closest reference length r: the
-    counts that corpus BLEU sums over instances."""
+    the hypothesis length c and the reference length r: the counts that
+    corpus BLEU sums over instances."""
     hyp, hyp_grams = _analyse(output)
-    tables, ref_lengths = _bleu_refs(tuple(references))
+    ref, ref_grams = _analyse(reference)
     clipped = []
-    for grams, table in zip(hyp_grams, tables):
+    for grams, table in zip(hyp_grams, ref_grams):
         # one lookup per hypothesis gram: a tuple key is hashed on every lookup
         most = table.get
         matched = 0
@@ -152,8 +128,7 @@ def _bleu_counts(output: str, references: Sequence[str]) -> list[int]:
         clipped.append(matched)
     c = len(hyp)
     totals = [max(c - n, 0) for n in range(4)]  # c - n grams of order n + 1
-    r = min(ref_lengths, key=lambda length: (abs(length - c), length))
-    return [*clipped, *totals, c, r]
+    return [*clipped, *totals, c, len(ref)]
 
 
 def _bleu_from_counts(counts: Sequence[int], scale: float = 1.0) -> float:
@@ -172,19 +147,18 @@ def _bleu_from_counts(counts: Sequence[int], scale: float = 1.0) -> float:
     return scale * bp * math.exp(log_sum / orders)
 
 
-def sentence_bleu(output: str, references: Sequence[str]) -> float:
+def sentence_bleu(output: str, reference: str) -> float:
     """Smoothed sentence-level BLEU-4 on the 0-1 scale.
 
-    Modified n-gram precision clipped against the per-gram maximum
-    across references; orders the hypothesis is too short to have are
-    skipped entirely, so an exact copy of a two-token reference still
-    scores 1.0. Zero numerators are smoothed to a small epsilon.
-    Brevity penalty uses the reference length closest to the
-    hypothesis length (ties toward the shorter reference).
+    Modified n-gram precision clipped against the reference's counts;
+    orders the hypothesis is too short to have are skipped entirely, so
+    an exact copy of a two-token reference still scores 1.0. Zero
+    numerators are smoothed to a small epsilon. The brevity penalty
+    compares the hypothesis length with the reference length.
     """
-    if not references or not _analyse(output)[0]:
+    if not _analyse(output)[0]:
         return 0.0
-    return _bleu_from_counts(_bleu_counts(output, references))
+    return _bleu_from_counts(_bleu_counts(output, reference))
 
 
 def _bleu_total(parts: Sequence, mode: str) -> float:
@@ -199,11 +173,17 @@ def _bleu_total(parts: Sequence, mode: str) -> float:
 # ---------------------------------------------------------------------------
 # ROUGE-L
 
+# References, and (source, reference) pairs, whose tables ``_lcs_masks``
+# and ``_sari_tables`` keep: ``evaluate_run`` scores one instance's rows
+# together, so a few suffice.
+_TABLE_CACHE_SIZE = 8
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _lcs_masks(b: tuple[str, ...]) -> dict[str, int]:
     """Per token of ``b``, the bit mask of its positions. ``rouge_l`` scores
-    an instance's outputs against the same references, so each reference's
-    masks are built once. Every caller gets the same dict, so none may
+    an instance's outputs against the same reference, so its masks are
+    built once. Every caller gets the same dict, so none may
     mutate it."""
     masks: dict[str, int] = {}
     for j, token in enumerate(b):
@@ -241,60 +221,50 @@ def rouge_l(output: str, reference: str) -> float:
 
 @dataclass(frozen=True)
 class _SariTable:
-    """The output-independent part of one SARI order. Source counts are
-    replicated by the number of references and reference counts are
-    pooled, as in the classic implementation."""
+    """The output-independent part of one SARI order."""
 
-    rows: tuple  # (gram, source count, pooled reference count), in source order
-    n_keep_wanted: int  # distinct grams of source & references
-    n_delete_wanted: int  # distinct grams of source - references
+    rows: tuple  # (gram, source count, reference count), in source order
+    n_keep_wanted: int  # distinct grams of source & reference
+    n_delete_wanted: int  # distinct grams of source - reference
     add_wanted: frozenset  # distinct reference grams not in the source
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _sari_tables(source: str, references: tuple[str, ...]) -> tuple[_SariTable, ...]:
+def _sari_tables(source: str, reference: str) -> tuple[_SariTable, ...]:
     """One ``_SariTable`` per order 1-4. Every caller gets the same
     objects, so none may mutate them."""
     s_grams = _analyse(source)[1]
-    ref_grams = [_analyse(r)[1] for r in references]
-    numref = len(references)
     tables = []
-    for n in range(4):
-        r_pool: Counter = Counter()
-        for grams in ref_grams:
-            r_pool.update(grams[n])
-        rows = tuple((g, c * numref, r_pool.get(g, 0)) for g, c in s_grams[n].items())
+    for s_counts, r_counts in zip(s_grams, _analyse(reference)[1]):
+        rows = tuple((g, c, r_counts.get(g, 0)) for g, c in s_counts.items())
         tables.append(
             _SariTable(
                 rows=rows,
                 n_keep_wanted=sum(1 for _, _, r in rows if r > 0),
                 n_delete_wanted=sum(1 for _, s, r in rows if s > r),
-                add_wanted=frozenset(r_pool.keys() - s_grams[n].keys()),
+                add_wanted=frozenset(r_counts.keys() - s_counts.keys()),
             )
         )
     return tuple(tables)
 
 
-def _sari_order(
-    table: _SariTable, o_grams: Counter, numref: int, variant: str
-) -> tuple[float, float, float]:
+def _sari_order(table: _SariTable, o_grams: Counter, variant: str) -> tuple[float, float, float]:
     """Keep, delete and add scores of one order.
 
-    With replicated counts s (source), o (output) and r (pooled
-    references), Xu et al. (2016) keep min(s, o) of a gram, of which
-    min(s, o, r) are good, and delete s - o, of which s - o - r are good
-    (each only where positive). Each precision or recall is the mean of
-    good/count over its grams, in source order. One pass over the source
-    rows adds those ratios left to right from the integer 0, in the order
-    and with the bits of ``sum()`` on CPython 3.11. A zero ratio is not
-    added: all ratios are >= 0, and adding 0.0 leaves such a sum's bits
-    as they are.
+    With counts s (source), o (output) and r (reference), Xu et al.
+    (2016) keep min(s, o) of a gram, of which min(s, o, r) are good, and
+    delete s - o, of which s - o - r are good (each only where positive).
+    Each precision or recall is the mean of good/count over its grams, in
+    source order. One pass over the source rows adds those ratios left to
+    right from the integer 0, in the order and with the bits of ``sum()``
+    on CPython 3.11. A zero ratio is not added: all ratios are >= 0, and
+    adding 0.0 leaves such a sum's bits as they are.
     """
     keep_p = keep_r = del_p = del_r = 0
     n_kept = n_deleted = 0
     get = o_grams.get
     for g, s, r in table.rows:
-        o = get(g, 0) * numref
+        o = get(g, 0)
         if o:
             n_kept += 1
             if r:
@@ -339,9 +309,7 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def sari(
-    source: str, output: str, references: Sequence[str], variant: str = "canonical"
-) -> float:
+def sari(source: str, output: str, reference: str, variant: str = "canonical") -> float:
     """SARI on the 0-100 scale over n-gram orders 1-4.
 
     ``variant="canonical"`` scores keep and add by F1 and delete by
@@ -350,13 +318,11 @@ def sari(
     """
     if variant not in SARI_VARIANTS:
         raise ValueError(f"unknown sari variant {variant!r}")
-    if not references:
-        raise ValueError("references must be non-empty")
-    tables = _sari_tables(source, tuple(references))
+    tables = _sari_tables(source, reference)
     o_grams = _analyse(output)[1]
     keep_total = delete_total = add_total = 0.0
     for table, grams in zip(tables, o_grams):
-        keep, delete, add = _sari_order(table, grams, len(references), variant)
+        keep, delete, add = _sari_order(table, grams, variant)
         keep_total += keep
         delete_total += delete
         add_total += add
@@ -393,26 +359,24 @@ class _Row:
 
 def _score_row(
     inst: EvalInstance,
-    normalized_refs: tuple[str, ...],
+    normalized_ref: str,
     output: str,
     embedder: Embedder,
     bleu_mode: str,
     sari_variant: str,
 ) -> _Row:
-    """Every score of ``output`` for ``inst``, whose references with
-    normalized whitespace are ``normalized_refs``."""
+    """Every score of ``output`` for ``inst``, whose reference with
+    normalized whitespace is ``normalized_ref``."""
     if not output.strip():
         raise ValueError("output must be non-empty")
-    refs = inst.references
+    ref = inst.reference
     previous, topic = inst.context.previous_claim, inst.context.topic
     return _Row(
-        bleu=(
-            sentence_bleu(output, refs) if bleu_mode == "sentence" else _bleu_counts(output, refs)
-        ),
-        rouge_l=max(rouge_l(output, ref) for ref in refs),
-        sari=sari(inst.source, output, refs, variant=sari_variant),
+        bleu=sentence_bleu(output, ref) if bleu_mode == "sentence" else _bleu_counts(output, ref),
+        rouge_l=rouge_l(output, ref),
+        sari=sari(inst.source, output, ref, variant=sari_variant),
         no_edit=output == inst.source,
-        exact_match=normalize_whitespace(output) in normalized_refs,
+        exact_match=normalize_whitespace(output) == normalized_ref,
         sim_original=context_similarity(output, inst.source, embedder),
         sim_previous=context_similarity(output, previous, embedder) if previous else None,
         sim_topic=context_similarity(output, topic, embedder) if topic else None,
@@ -467,11 +431,11 @@ def evaluate_run(
         # keyed on the text alone, so any embedder works, hashable or not;
         # dropped after the instance, so it holds only that instance's texts
         instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
-        normalized_refs = tuple(map(normalize_whitespace, instance.references))
+        normalized_ref = normalize_whitespace(instance.reference)
         for texts in outputs.values():
             if (i, texts[i]) not in rows:
                 rows[i, texts[i]] = _score_row(
-                    instance, normalized_refs, texts[i], instance_embedder, bleu_mode,
+                    instance, normalized_ref, texts[i], instance_embedder, bleu_mode,
                     sari_variant,
                 )
     return {

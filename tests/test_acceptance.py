@@ -119,7 +119,7 @@ def test_criterion_1_identity_metrics(e2e, capsys):
     instances = [
         EvalInstance(
             source=p.source.text,
-            references=(p.reference.text,),
+            reference=p.reference.text,
             context=p.context,
         )
         for p in pairs
@@ -146,11 +146,12 @@ def test_criterion_1_identity_metrics(e2e, capsys):
 def test_criterion_2_sari_matches_oracle(capsys):
     failures = []
     for source, output, references in FIXTURES:
-        for variant in ("canonical", "all_f1"):
-            got = sari(source, output, references, variant=variant)
-            want = oracle_sari(source, output, references, variant=variant)
-            if abs(got - want) > 1e-9:
-                failures.append((source, output, variant, got, want))
+        for reference in references:
+            for variant in ("canonical", "all_f1"):
+                got = sari(source, output, reference, variant=variant)
+                want = oracle_sari(source, output, [reference], variant=variant)
+                if abs(got - want) > 1e-9:
+                    failures.append((source, output, reference, variant, got, want))
     ok = len(FIXTURES) >= 20 and not failures
     _announce(
         capsys, 2, f"SARI equals oracle on {len(FIXTURES)} fixtures x 2 variants",
@@ -360,7 +361,7 @@ def test_criterion_8_source_corpus_reproduction(capsys):
     instances = [
         EvalInstance(
             source=p.source.text,
-            references=(p.reference.text,),
+            reference=p.reference.text,
             context=p.context,
         )
         for p in split.test

@@ -193,6 +193,10 @@ def test_readme_config_table_matches_the_settings_tables():
         ("run", "meaning_scorer = jaccard", "unknown meaning_scorer 'jaccard'"),
         ("calibrate", "meaning_scorer = jaccard", "unknown meaning_scorer 'jaccard'"),
         ("run", "seed = x", "seed: "),
+        ("prepare", "seed = -1", "seed: must be >= 0, got -1"),
+        ("run", "seed = -1", "seed: must be >= 0, got -1"),
+        ("calibrate", "seed = -1", "seed: must be >= 0, got -1"),
+        ("stats", "seed = -2", "seed: must be >= 0, got -2"),
         ("prepare", "filter_intents = bogus", "filter_intents: "),
         ("stats", "mode = x", "unknown mode 'x' (choose from all, aggregate, agreement, ranks)"),
         ("calibrate", "aggregation = x", "unknown aggregation 'x' (choose from pooled, per_chain)"),
@@ -450,6 +454,27 @@ def test_run_malformed_checkpoint_line_exits_two_naming_it(
     assert _rerun_run_dir(tmp_path, pairs_file, out) == 2
     assert "error: line 3: malformed JSON" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad_input", ["n_candidates", "checkpoint"])
+def test_run_failing_an_input_check_leaves_ranker_json_alone(
+    tmp_path, pairs_file, capsys, bad_input
+):
+    out = tmp_path / "o"
+    out.mkdir()
+    earlier = b'{"written by": "an earlier run"}\n'
+    (out / "ranker.json").write_bytes(earlier)
+    argv = ["run", "--pairs", pairs_file, "--train-pairs", pairs_file, "--out", out]
+    if bad_input == "n_candidates":
+        argv += ["--n-candidates", 0]
+        named = "n_candidates must be >= 1"
+    else:
+        record = json.dumps({"pair_id": "p", "strategy": "top1", "chosen": "x"})
+        (out / "selections.jsonl").write_text(f"{record}\n{{bad\n{record}\n")
+        named = "line 2: malformed JSON"
+    assert run_cli(*argv) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert (out / "ranker.json").read_bytes() == earlier
 
 
 def test_selection_record_schema(run_dir, pairs_file):
@@ -1260,6 +1285,22 @@ def test_stats_strategy_in_no_ranking_exits_two_before_any_fit(tmp_path, capsys,
     assert not (out / "stats_report.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["all", "ranks"])
+def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, mode):
+    ann = tmp_path / "ann.jsonl"
+    _write_annotations(ann)
+    lines = ann.read_text().splitlines(keepends=True)
+    ann.write_text("".join(line for line in lines if '"ranking"' not in line))
+    out = tmp_path / "o"
+    code = run_cli(
+        "stats", "--annotations", ann, "--out", out, "--mode", mode,
+        "--strategy-pairs", "bogus:top1",
+    )
+    assert code == 2
+    assert "error: strategy 'bogus' is in no ranking" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -1287,6 +1328,16 @@ def test_report_rejects_empty_overlap(tmp_path, pairs_file, capsys):
     code = run_cli("report", "--selections", sel, "--pairs", pairs_file, "--out", tmp_path / "o")
     assert code == 2
     assert "every strategy" in capsys.readouterr().err
+
+
+def test_report_on_empty_selections_exits_two_naming_it(tmp_path, pairs_file, capsys):
+    sel = tmp_path / "selections.jsonl"
+    sel.write_text("")
+    out = tmp_path / "o"
+    code = run_cli("report", "--selections", sel, "--pairs", pairs_file, "--out", out)
+    assert code == 2
+    assert f"error: no selections in {sel}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_report_rejects_selection_missing_key(tmp_path, pairs_file, capsys):

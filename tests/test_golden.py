@@ -196,13 +196,13 @@ def _row_metrics_digest() -> str:
             candidates[record["pair_id"]] = [score["text"] for score in record["scores"]]
     digest = hashlib.sha256()
     for pair in load_pairs("pairs.jsonl"):
-        source, refs = pair.source.text, (pair.reference.text,)
+        source, ref = pair.source.text, pair.reference.text
         for text in candidates[pair.pair_id]:
             values = (
-                sari(source, text, refs),
-                sari(source, text, refs, variant="all_f1"),
-                sentence_bleu(text, refs),
-                rouge_l(text, refs[0]),
+                sari(source, text, ref),
+                sari(source, text, ref, variant="all_f1"),
+                sentence_bleu(text, ref),
+                rouge_l(text, ref),
             )
             digest.update((" ".join(v.hex() for v in values) + "\n").encode())
     return digest.hexdigest()

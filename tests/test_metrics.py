@@ -1,5 +1,7 @@
 import copy
 import csv
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -24,12 +26,8 @@ from claimpolish.scoring import default_registry, score_candidate
 EMB = HashingEmbedder(dim=128)
 
 
-def inst(source, references, **ctx):
-    return EvalInstance(
-        source=source,
-        references=tuple(references),
-        context=ContextBundle(**ctx),
-    )
+def inst(source, reference, **ctx):
+    return EvalInstance(source=source, reference=reference, context=ContextBundle(**ctx))
 
 
 def corpus_bleu(instances, outputs, mode="sentence"):
@@ -41,48 +39,37 @@ def corpus_bleu(instances, outputs, mode="sentence"):
 
 
 def test_bleu_identity_is_exactly_one():
-    assert sentence_bleu("the cat sat", ["the cat sat"]) == 1.0
+    assert sentence_bleu("the cat sat", "the cat sat") == 1.0
     # short identity: missing orders are skipped, not zero-smoothed
-    assert sentence_bleu("so true", ["so true"]) == 1.0
-    assert sentence_bleu("yes", ["yes"]) == 1.0
+    assert sentence_bleu("so true", "so true") == 1.0
+    assert sentence_bleu("yes", "yes") == 1.0
 
 
 def test_bleu_disjoint_is_small_but_positive():
-    value = sentence_bleu("x y z", ["a b c"])
+    value = sentence_bleu("x y z", "a b c")
     assert 0.0 < value < 0.05
 
 
 def test_bleu_partial_overlap_between_extremes():
-    partial = sentence_bleu("the cat sat", ["the dog sat"])
-    disjoint = sentence_bleu("x y z", ["a b c"])
+    partial = sentence_bleu("the cat sat", "the dog sat")
+    disjoint = sentence_bleu("x y z", "a b c")
     assert disjoint < partial < 1.0
 
 
 def test_bleu_brevity_penalty():
     # perfect precision, half the reference length: BP = exp(1 - r/c)
-    assert sentence_bleu("the cat", ["the cat sat on"]) == pytest.approx(
+    assert sentence_bleu("the cat", "the cat sat on") == pytest.approx(
         math.exp(1.0 - 4.0 / 2.0)
     )
 
 
-def test_bleu_closest_reference_length_ties_to_shorter():
-    # lengths 2 and 4 are equally close to 3; the shorter wins, so no penalty
-    assert sentence_bleu("a b c", ["a b", "a b c d"]) == pytest.approx(1.0)
-
-
-def test_bleu_multi_reference_clipping():
-    # each token covered by some reference
-    value = sentence_bleu("a b", ["a x", "y b"])
-    assert value > sentence_bleu("a b", ["a x"])
-
-
 def test_bleu_empty_output_or_refs():
-    assert sentence_bleu("", ["a"]) == 0.0
-    assert sentence_bleu("a", []) == 0.0
+    assert sentence_bleu("", "a") == 0.0
+    assert sentence_bleu(" \t", "a") == 0.0
 
 
 def test_bleu_corpus_scale():
-    instances = [inst("s one", ["r one"]), inst("s two", ["r two"])]
+    instances = [inst("s one", "r one"), inst("s two", "r two")]
     outputs = ["r one", "r two"]
     assert corpus_bleu(instances, outputs) == pytest.approx(100.0, abs=1e-6)
     with pytest.raises(ValueError):
@@ -106,12 +93,13 @@ def test_bleu_corpus_scale():
     ],
 )
 def test_bleu_corpus_mode_of_one_instance_is_sentence_bleu(output, references):
-    pooled = corpus_bleu([inst("s", references)], [output], mode="corpus")
-    assert pooled == pytest.approx(100 * sentence_bleu(output, references), rel=1e-12)
+    for reference in references:
+        pooled = corpus_bleu([inst("s", reference)], [output], mode="corpus")
+        assert pooled == pytest.approx(100 * sentence_bleu(output, reference), rel=1e-12)
 
 
 def test_bleu_corpus_mode_pools_counts():
-    instances = [inst("s", ["the cat sat"]), inst("s", ["a dog ran off quickly"])]
+    instances = [inst("s", "the cat sat"), inst("s", "a dog ran off quickly")]
     outputs = ["the cat sat", "the dog ran far"]
     pooled = corpus_bleu(instances, outputs, mode="corpus")
     averaged = corpus_bleu(instances, outputs, mode="sentence")
@@ -185,51 +173,50 @@ def test_lcs_length_matches_dynamic_program():
 
 
 def test_sari_identity_is_perfect():
-    assert sari("a b c", "a b c", ["a b c"]) == pytest.approx(100.0, abs=1e-9)
+    assert sari("a b c", "a b c", "a b c") == pytest.approx(100.0, abs=1e-9)
 
 
 def test_sari_perfect_deletion():
-    assert sari("a b c d", "a b", ["a b"]) == pytest.approx(100.0, abs=1e-9)
+    assert sari("a b c d", "a b", "a b") == pytest.approx(100.0, abs=1e-9)
 
 
 def test_sari_perfect_addition():
-    assert sari("a b", "a b c", ["a b c"]) == pytest.approx(100.0, abs=1e-9)
+    assert sari("a b", "a b c", "a b c") == pytest.approx(100.0, abs=1e-9)
 
 
 def test_sari_spurious_addition_hand_value():
     # keep and delete stay perfect; add earns credit only at order 4,
     # where output and reference both have nothing to add
-    assert sari("a b", "a b z", ["a b"]) == pytest.approx(75.0, abs=1e-9)
+    assert sari("a b", "a b z", "a b") == pytest.approx(75.0, abs=1e-9)
 
 
 def test_sari_missed_deletion_hand_value():
     # identity output, but the reference dropped the last token
     keep_total = 0.8 + 2 / 3 + 0.0 + 1.0
     expected = 100.0 * (keep_total / 4 + 1.0 + 1.0) / 3.0
-    assert sari("a b c", "a b c", ["a b"]) == pytest.approx(expected, abs=1e-9)
+    assert sari("a b c", "a b c", "a b") == pytest.approx(expected, abs=1e-9)
 
 
 def test_sari_variants_differ_on_partial_deletion():
     # output deletes one of the two tokens the reference deletes:
     # delete precision is 1 but recall is 1/2
-    canonical = sari("a b c d", "a b c", ["a b"], variant="canonical")
-    all_f1 = sari("a b c d", "a b c", ["a b"], variant="all_f1")
+    canonical = sari("a b c d", "a b c", "a b", variant="canonical")
+    all_f1 = sari("a b c d", "a b c", "a b", variant="all_f1")
     assert canonical > all_f1
     assert 0.0 < all_f1 < canonical <= 100.0
 
 
 def test_sari_validation():
     with pytest.raises(ValueError):
-        sari("a", "b", [])
-    with pytest.raises(ValueError):
-        sari("a", "b", ["c"], variant="macro")
+        sari("a", "b", "c", variant="macro")
 
 
 def test_sari_multi_reference_replication_changes_score():
-    one_ref = sari("a b", "a c", ["a c"])
-    two_refs = sari("a b", "a c", ["a c", "a b"])
-    assert one_ref == pytest.approx(100.0, abs=1e-9)
-    assert two_refs < one_ref
+    # the same output against each of two references
+    wanted = sari("a b", "a c", "a c")
+    unwanted = sari("a b", "a c", "a b")
+    assert wanted == pytest.approx(100.0, abs=1e-9)
+    assert unwanted < wanted
 
 
 def test_repeated_calls_give_equal_results():
@@ -243,21 +230,22 @@ def test_repeated_calls_give_equal_results():
     def cached():
         return [
             *(metrics._analyse(text) for text in (source, output, *refs)),
-            metrics._sari_tables(source, tuple(refs)),
-            metrics._bleu_refs(tuple(refs)),
-            metrics._lcs_masks(metrics._analyse(refs[1])[0]),
+            *(metrics._sari_tables(source, ref) for ref in refs),
+            *(metrics._lcs_masks(metrics._analyse(ref)[0]) for ref in refs),
             scoring._tokens(source),
             scoring._tokens(output),
         ]
 
-    for call in (
-        lambda: sari(source, output, refs),
-        lambda: sari(source, output, refs, variant="all_f1"),
-        lambda: sentence_bleu(output, refs),
-        lambda: rouge_l(output, refs[1]),
-        lambda: corpus_bleu([inst(source, refs)], [output], mode="corpus"),
-        lambda: score_candidate(registry, source, output, ContextBundle()),
-    ):
+    calls = [lambda: score_candidate(registry, source, output, ContextBundle())]
+    for ref in refs:
+        calls += [
+            functools.partial(sari, source, output, ref),
+            functools.partial(sari, source, output, ref, variant="all_f1"),
+            functools.partial(sentence_bleu, output, ref),
+            functools.partial(rouge_l, output, ref),
+            functools.partial(corpus_bleu, [inst(source, ref)], [output], mode="corpus"),
+        ]
+    for call in calls:
         first = call()
         tables = cached()
         snapshot = copy.deepcopy(tables)
@@ -268,7 +256,7 @@ def test_repeated_calls_give_equal_results():
 
 def test_text_analysis_cache_stays_bounded():
     for k in range(1000):
-        sari(f"source {k}", f"output {k} words", [f"reference {k}"])
+        sari(f"source {k}", f"output {k} words", f"reference {k}")
     info = metrics._analyse.cache_info()
     assert info.currsize <= info.maxsize == metrics._ANALYSE_CACHE_SIZE
 
@@ -277,19 +265,19 @@ def test_text_analysis_cache_stays_bounded():
     "cached, size",
     [
         (metrics._sari_tables, metrics._TABLE_CACHE_SIZE),
-        (metrics._bleu_refs, metrics._TABLE_CACHE_SIZE),
+        (metrics._analyse, metrics._ANALYSE_CACHE_SIZE),
         (metrics._lcs_masks, metrics._TABLE_CACHE_SIZE),
         (scoring._tokens, scoring._TOKENS_CACHE_SIZE),
     ],
-    ids=["sari_tables", "bleu_refs", "lcs_masks", "tokens"],
+    ids=["sari_tables", "analyse", "lcs_masks", "tokens"],
 )
 def test_instance_table_caches_stay_bounded(cached, size):
     registry = default_registry()
     for k in range(1000):
-        refs = [f"reference {k}", f"another reference {k}"]
-        sari(f"source {k}", f"output {k} words", refs)
-        sentence_bleu(f"output {k} words", refs)
-        rouge_l(f"output {k} words", refs[1])
+        for ref in (f"reference {k}", f"another reference {k}"):
+            sari(f"source {k}", f"output {k} words", ref)
+            sentence_bleu(f"output {k} words", ref)
+            rouge_l(f"output {k} words", ref)
         score_candidate(registry, f"source {k}", f"output {k} words", ContextBundle())
     info = cached.cache_info()
     assert info.currsize <= info.maxsize == size
@@ -300,13 +288,13 @@ def test_instance_table_caches_stay_bounded(cached, size):
 
 
 def test_exact_match_normalizes_whitespace():
-    instances = [inst("s", ["a b"]), inst("s", ["a b"])]
+    instances = [inst("s", "a b"), inst("s", "a b")]
     report = evaluate_run(instances, {"x": ["a  b", "a c"]}, EMB)["x"]
     assert report.exact_match_ratio == 0.5
 
 
 def test_no_edit_is_byte_exact():
-    instances = [inst("same text", ["r"]), inst("same text", ["r"])]
+    instances = [inst("same text", "r"), inst("same text", "r")]
     report = evaluate_run(instances, {"x": ["same text", "same  text"]}, EMB)["x"]
     assert report.no_edit_ratio == 0.5
 
@@ -325,16 +313,14 @@ def test_context_similarity_missing_field_raises():
 
 
 def test_eval_instance_validation():
-    with pytest.raises(ValueError):
-        EvalInstance(source="s", references=())
-    with pytest.raises(ValueError):
-        EvalInstance(source=" ", references=("r",))
-    with pytest.raises(ValueError):
-        EvalInstance(source="s", references=("r", " "))
+    with pytest.raises(ValueError, match="source must be non-empty"):
+        EvalInstance(source=" ", reference="r")
+    with pytest.raises(ValueError, match="reference must be non-empty"):
+        EvalInstance(source="s", reference=" ")
 
 
 def test_evaluate_run_rejects_blank_output_and_unknown_bleu_mode():
-    instances = [inst("s", ["r"])]
+    instances = [inst("s", "r")]
     with pytest.raises(ValueError, match="output must be non-empty"):
         evaluate_run(instances, {"x": [" "]}, EMB)
     with pytest.raises(ValueError, match="unknown bleu mode 'document'"):
@@ -349,13 +335,13 @@ def _instances():
     return [
         inst(
             "the tax helps towns",
-            ["the tax helps towns overall"],
+            "the tax helps towns overall",
             topic="local taxes",
             previous_claim="taxes were raised",
         ),
         inst(
             "schools need funding",
-            ["schools need more funding"],
+            "schools need more funding",
             topic="education",
         ),
     ]
@@ -365,7 +351,7 @@ def test_evaluate_run_per_strategy_reports():
     instances = _instances()
     outputs = {
         "unedited": [i.source for i in instances],
-        "oracle": [i.references[0] for i in instances],
+        "oracle": [i.reference for i in instances],
     }
     reports = evaluate_run(instances, outputs, EMB)
     assert set(reports) == {"unedited", "oracle"}
@@ -382,26 +368,26 @@ def test_evaluate_run_per_strategy_reports():
 
 
 def test_evaluate_run_sim_fields_none_without_context():
-    instances = [inst("a b", ["a b c"])]
+    instances = [inst("a b", "a b c")]
     reports = evaluate_run(instances, {"x": ["a b"]}, EMB)
     assert reports["x"].sim_previous is None
     assert reports["x"].sim_topic is None
     assert reports["x"].sim_original == pytest.approx(1.0)
 
 
-def test_evaluate_run_rouge_uses_best_reference():
-    instances = [inst("s t", ["x y z", "a b c"])]
-    reports = evaluate_run(instances, {"x": ["a b c"]}, EMB)
-    assert reports["x"].rouge_l == pytest.approx(1.0)
+def test_evaluate_run_rouge_uses_the_reference():
+    for reference, expected in (("x y z", 0.0), ("a b c", 1.0)):
+        reports = evaluate_run([inst("s t", reference)], {"x": ["a b c"]}, EMB)
+        assert reports["x"].rouge_l == pytest.approx(expected)
 
 
 def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
     calls = []
     real_sari = metrics.sari
 
-    def counting_sari(source, output, references, variant="canonical"):
+    def counting_sari(source, output, reference, variant="canonical"):
         calls.append((source, output))
-        return real_sari(source, output, references, variant=variant)
+        return real_sari(source, output, reference, variant=variant)
 
     monkeypatch.setattr(metrics, "sari", counting_sari)
     instances = _instances()
@@ -409,7 +395,7 @@ def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
     outputs = {
         "unedited": sources,
         "copy": list(sources),
-        "oracle": [instances[0].references[0], instances[1].source],
+        "oracle": [instances[0].reference, instances[1].source],
         # one text for both instances: still two rows, one per instance
         "same": ["the same words", "the same words"],
     }
@@ -418,7 +404,7 @@ def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
         [
             (sources[0], sources[0]),
             (sources[1], sources[1]),
-            (sources[0], instances[0].references[0]),
+            (sources[0], instances[0].reference),
             (sources[0], "the same words"),
             (sources[1], "the same words"),
         ]
@@ -445,8 +431,8 @@ def test_evaluate_run_accepts_unhashable_embedder():
     instances = _instances()
     outputs = {
         "unedited": [i.source for i in instances],
-        "oracle": [i.references[0] for i in instances],
-        "again": [i.references[0] for i in instances],
+        "oracle": [i.reference for i in instances],
+        "again": [i.reference for i in instances],
     }
     custom = _ListEmbedder(HashingEmbedder(dim=128))
     with pytest.raises(TypeError):
@@ -456,29 +442,31 @@ def test_evaluate_run_accepts_unhashable_embedder():
     # and the distinct outputs that are not the source
     first, second = instances
     assert custom.calls == [
-        first.source, first.context.previous_claim, first.context.topic, first.references[0],
-        second.source, second.context.topic, second.references[0],
+        first.source, first.context.previous_claim, first.context.topic, first.reference,
+        second.source, second.context.topic, second.reference,
     ]
 
 
 def test_evaluate_run_multi_reference_equals_primitives():
-    instances = [
-        inst(
-            "the tax helps towns",
-            ["the tax helps towns overall", "a tax that helps the towns", "taxes help"],
-            topic="local taxes",
-        ),
-        inst("schools need funding", ["schools need more funding", "fund schools"]),
-    ]
+    # each reference of a claim is scored as its own single-reference instance
+    first = ["the tax helps towns overall", "a tax that helps the towns", "taxes help"]
+    second = ["schools need more funding", "fund schools"]
     texts = ["the new tax helps towns", "schools need funding"]
-    report = evaluate_run(instances, {"x": texts}, EMB)["x"]
-    rows = [(i, text) for i, text in zip(instances, texts)]
-    assert report.bleu == 100.0 * sum(sentence_bleu(t, i.references) for i, t in rows) / 2
-    assert report.rouge_l == sum(max(rouge_l(t, r) for r in i.references) for i, t in rows) / 2
-    assert report.sari == sum(sari(i.source, t, i.references) for i, t in rows) / 2
-    assert report.sim_original == sum(context_similarity(t, i.source, EMB) for i, t in rows) / 2
-    assert report.sim_topic == context_similarity(texts[0], "local taxes", EMB)
-    assert report.sim_previous is None
+    for ref_a, ref_b in itertools.product(first, second):
+        instances = [
+            inst("the tax helps towns", ref_a, topic="local taxes"),
+            inst("schools need funding", ref_b),
+        ]
+        report = evaluate_run(instances, {"x": texts}, EMB)["x"]
+        rows = [(i, text) for i, text in zip(instances, texts)]
+        assert report.bleu == 100.0 * sum(sentence_bleu(t, i.reference) for i, t in rows) / 2
+        assert report.rouge_l == sum(rouge_l(t, i.reference) for i, t in rows) / 2
+        assert report.sari == sum(sari(i.source, t, i.reference) for i, t in rows) / 2
+        assert report.sim_original == sum(
+            context_similarity(t, i.source, EMB) for i, t in rows
+        ) / 2
+        assert report.sim_topic == context_similarity(texts[0], "local taxes", EMB)
+        assert report.sim_previous is None
 
 
 def test_evaluate_run_rejects_misaligned_outputs():

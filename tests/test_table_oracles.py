@@ -3,7 +3,7 @@ the heuristic scorers and the one-pass evaluation hot path, checked bit
 for bit against the code they replaced.
 
 ``sari`` and ``_bleu_counts`` read output-independent tables that are
-built once per (source, references), and the heuristic scorers read
+built once per (source, reference), and the heuristic scorers read
 each text's tokens from one cache. Below are verbatim copies of the
 per-row Counter algebra and of the three scorers as they were before
 that change. Then come verbatim copies of the table-based code as it was
@@ -13,7 +13,9 @@ build per reference and the embedding norms ``sqrt(v . v)``. Seeded rows
 go through both, and every float is compared by ``float.hex``, every
 count by ``==`` and every vector by its bytes. The rows are grouped by
 instance, as ``evaluate_run`` scores them, so the cached tables are both
-built and reused.
+built and reused. The copies take a list of references; an instance of
+the seeded rows may draw several, and each is checked as its own
+single-reference instance, passed to the copies as a one-item list.
 """
 
 import random
@@ -422,23 +424,25 @@ def test_sari_is_the_counter_algebra_bit_for_bit(variant, seed):
     # the Counter algebra is slow, so each variant takes half of 10000 rows
     rows = 0
     for source, references, outputs in instances(N_INSTANCES // 2, OUTPUTS_PER_INSTANCE, seed):
-        for output in outputs:
-            assert sari(source, output, references, variant=variant).hex() == oracle_sari(
-                source, output, references, variant
-            ).hex(), (source, output, references)
-            rows += 1
+        for reference in references:
+            for output in outputs:
+                assert sari(source, output, reference, variant=variant).hex() == oracle_sari(
+                    source, output, [reference], variant
+                ).hex(), (source, output, reference)
+                rows += 1
     assert rows >= 5_000
 
 
 def test_bleu_counts_and_sentence_bleu_match_the_max_ref_loop():
     rows = 0
     for source, references, outputs in instances(N_INSTANCES, OUTPUTS_PER_INSTANCE, seed=12):
-        for output in outputs:
-            counts = oracle_bleu_counts(output, references)
-            assert _bleu_counts(output, references) == counts, (output, references)
-            expected = _bleu_from_counts(counts) if _analyse(output)[0] else 0.0
-            assert sentence_bleu(output, references).hex() == expected.hex()
-            rows += 1
+        for reference in references:
+            for output in outputs:
+                counts = oracle_bleu_counts(output, [reference])
+                assert _bleu_counts(output, reference) == counts, (output, reference)
+                expected = _bleu_from_counts(counts) if _analyse(output)[0] else 0.0
+                assert sentence_bleu(output, reference).hex() == expected.hex()
+                rows += 1
     assert rows >= 10_000
 
 
@@ -520,12 +524,12 @@ def test_hot_path_matches_its_table_based_version_bit_for_bit(words, punct, seed
             # the same keys in the same order: SARI sums its ratios in source gram order
             assert [list(c.items()) for c in grams] == [list(c.items()) for c in head_grams]
 
-            assert _bleu_counts(output, references) == head_bleu_counts(output, references)
-            for variant in ("canonical", "all_f1"):
-                assert sari(source, output, references, variant=variant).hex() == head_sari(
-                    source, output, references, variant
-                ).hex(), (source, output, references, variant)
             for reference in references:
+                assert _bleu_counts(output, reference) == head_bleu_counts(output, [reference])
+                for variant in ("canonical", "all_f1"):
+                    assert sari(source, output, reference, variant=variant).hex() == head_sari(
+                        source, output, [reference], variant
+                    ).hex(), (source, output, reference, variant)
                 assert rouge_l(output, reference).hex() == head_rouge_l(output, reference).hex()
 
             vec = embedder.embed(output)
@@ -539,8 +543,12 @@ def test_hot_path_matches_its_table_based_version_bit_for_bit(words, punct, seed
 
 def test_metrics_table_cache_was_exercised():
     metrics._sari_tables.cache_clear()
+    n_references = 0
     for source, references, outputs in instances(20, OUTPUTS_PER_INSTANCE, seed=14):
-        for output in outputs:
-            sari(source, output, references)
+        for reference in references:
+            for output in outputs:
+                sari(source, output, reference)
+            n_references += 1
     info = metrics._sari_tables.cache_info()
-    assert info.misses == 20 and info.hits == 20 * (OUTPUTS_PER_INSTANCE - 1)
+    assert info.misses == n_references > 20
+    assert info.hits == n_references * (OUTPUTS_PER_INSTANCE - 1)
