@@ -19,6 +19,7 @@ the flags. A key that no command reads is an error.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import hashlib
@@ -28,7 +29,7 @@ import shlex
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +38,8 @@ from .corpus import (
     ContextMode,
     DelimiterConfig,
     IntentLabel,
+    MissingContextError,
+    OptimizationPair,
     TASK_INTENTS,
     derive_pairs,
     filter_by_intent,
@@ -59,6 +62,7 @@ from .evalstats import (
 )
 from .genkit import (
     GenerationConfig,
+    GenerationError,
     MockGenerator,
     StdioGenerator,
     dedup,
@@ -68,7 +72,9 @@ from .metrics import (
     BLEU_MODES,
     SARI_VARIANTS,
     EvalInstance,
+    aggregate_rows,
     evaluate_run,
+    score_instance,
     write_report_csv,
 )
 from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
@@ -79,6 +85,7 @@ from .scoring import (
     ScorerError,
     ScorerRegistry,
     StdioScorer,
+    Weights,
     calibrate_weights,
     default_registry,
     load_weights,
@@ -87,6 +94,7 @@ from .scoring import (
 )
 from .selection import (
     COLUMNS,
+    PairwiseRanker,
     Strategy,
     load_ranker,
     save_ranker,
@@ -388,19 +396,16 @@ def _closing_adapters(registry: ScorerRegistry, generator=None):
         yield
 
 
-def _write_reports(
-    out: Path, s: dict, embedder, pairs: list, outputs: dict, metadata: dict
-) -> list[Path]:
-    """Evaluate each strategy's outputs on ``pairs``; write report.json and report.csv."""
-    instances = [
-        EvalInstance(source=p.source.text, reference=p.reference.text, context=p.context)
-        for p in pairs
-    ]
-    reports = evaluate_run(
-        instances, outputs, embedder, bleu_mode=s["bleu_mode"], sari_variant=s["sari_variant"]
+def _eval_instance(pair: OptimizationPair) -> EvalInstance:
+    return EvalInstance(
+        source=pair.source.text, reference=pair.reference.text, context=pair.context
     )
+
+
+def _write_reports(out: Path, reports: dict, metadata: dict) -> list[Path]:
+    """Write each strategy's MetricReport to report.json and report.csv."""
     payload = {
-        "metadata": {**metadata, "n_instances": len(instances)},
+        "metadata": metadata,
         "reports": {name: asdict(reports[name]) for name in sorted(reports)},
     }
     write_json(out / "report.json", payload)
@@ -504,23 +509,20 @@ def _load_checkpoint(
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
-def _run_instance(
-    pair, seed: int, *, context_mode, delimiters, generator, gen_config, registry, weights,
-    ranker, strategies,
+def _generate_and_score(
+    pair, seed: int, *, context_mode, delimiters, generator, gen_config, registry
 ):
-    """One pair through serialize -> generate -> dedup -> score -> select.
+    """Stage A of one instance: serialize -> generate -> dedup -> score.
 
-    Returns the deduped candidates, their ``score_columns`` and each
-    strategy's pick (a position in the candidates, -1 for unedited).
+    It calls the adapters, so it runs in the process that owns them.
+    Returns the deduped candidates and their score vectors.
     """
     input_text = serialize_input(pair, context_mode, delimiters)
     candidates = dedup(generate_candidates(generator, input_text, gen_config, seed)).candidates
-    scores = [
+    scores = tuple(
         score_candidate(registry, pair.source.text, c.text, pair.context) for c in candidates
-    ]
-    columns = score_columns(candidates, scores, weights, ranker)
-    picks = {strategy: select(strategy, candidates, columns, seed=seed) for strategy in strategies}
-    return candidates, columns, picks
+    )
+    return candidates, scores
 
 
 def _instance_records(pair, candidates, columns, picks) -> dict[str, dict]:
@@ -544,6 +546,136 @@ def _instance_records(pair, candidates, columns, picks) -> dict[str, dict]:
             ],
         }
     return records
+
+
+# How a stage-A instance may fail without ending the run: its adapters fail
+# or its pair lacks a context field the generator input needs. In stage B,
+# only ``select`` may fail an instance (``top1`` with no greedy candidate).
+_STAGE_A_FAILURES = (GenerationError, ScorerError, MissingContextError)
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One instance for stage B: a resumed instance's records, a fresh
+    one's candidates and their scores, or the error that ended it in
+    stage A."""
+
+    pair: OptimizationPair
+    seed: int
+    records: dict | None = None
+    candidates: tuple = ()
+    scores: tuple = ()
+    error: str | None = None
+
+
+@dataclass(frozen=True)
+class _Finisher:
+    """Stage B of one instance: ``score_columns``, each strategy's pick,
+    the instance's selections.jsonl lines and its evaluation rows.
+
+    It calls no adapter, so it runs in a worker process or inline with
+    the same result.
+    """
+
+    weights: Weights
+    ranker: PairwiseRanker | None
+    strategies: tuple[Strategy, ...]
+    embedder: HashingEmbedder
+    bleu_mode: str
+    sari_variant: str
+
+    def __call__(self, job: _Job) -> tuple[str, dict] | dict:
+        """``(lines, {strategy: row})`` of a finished instance, or the
+        errors.jsonl record of a failed one."""
+        pair = job.pair
+        if job.error is not None:
+            return {"pair_id": pair.pair_id, "error": job.error}
+        records = job.records
+        if records is None:
+            columns = score_columns(job.candidates, job.scores, self.weights, self.ranker)
+            try:
+                picks = {
+                    strategy: select(strategy, job.candidates, columns, seed=job.seed)
+                    for strategy in self.strategies
+                }
+            except ValueError as exc:
+                return {"pair_id": pair.pair_id, "error": str(exc)}
+            records = _instance_records(pair, job.candidates, columns, picks)
+        # a checkpoint's rows were written by encode_line, so they round-trip
+        chosen = {strategy.value: records[strategy.value]["chosen"] for strategy in self.strategies}
+        lines = "".join(encode_line(records[name]) for name in chosen)
+        rows = score_instance(
+            _eval_instance(pair), chosen.values(), self.embedder, self.bleu_mode,
+            self.sari_variant,
+        )
+        return lines, {name: rows[text] for name, text in chosen.items()}
+
+
+_finisher: _Finisher | None = None  # a worker process's stage B, set by _start_worker
+
+
+def _start_worker(finisher: _Finisher) -> None:
+    global _finisher
+    _finisher = finisher
+
+
+def _finish_chunk(jobs: list[_Job]) -> list:
+    return [_finisher(job) for job in jobs]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _finishing(finisher: _Finisher, n_jobs: int):
+    """A function from an iterable of jobs to their stage-B results, in
+    job order.
+
+    With several usable CPUs, several jobs and ``fork``, one forked worker
+    process per CPU (at most one per job) runs ``finisher`` on chunks of
+    jobs, while the jobs' stage A still runs here. Otherwise ``finisher``
+    runs inline. The pool is shut down on the way out.
+    """
+    workers = min(_usable_cpus(), n_jobs)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield functools.partial(map, finisher)
+        return
+    # imported only here: they take 15-25 ms, which a one-instance run is spared
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), initializer=_start_worker,
+        initargs=(finisher,),
+    )
+    # several chunks per worker, and few instances in each: the chunks in
+    # flight hold their instances' stage-A output and results in this process
+    chunksize = max(1, min(8, n_jobs // (8 * workers)))
+
+    def finish(jobs):
+        pending: collections.deque = collections.deque()
+        chunk: list[_Job] = []
+        for job in jobs:
+            chunk.append(job)
+            if len(chunk) == chunksize:
+                pending.append(pool.submit(_finish_chunk, chunk))
+                chunk = []
+            # stage A waits once each worker has a chunk queued behind its
+            # current one, so this process holds few instances at a time
+            while pending and (pending[0].done() or len(pending) > 2 * workers):
+                yield from pending.popleft().result()
+        if chunk:
+            pending.append(pool.submit(_finish_chunk, chunk))
+        while pending:
+            yield from pending.popleft().result()
+
+    try:
+        yield finish
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
@@ -595,33 +727,48 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         ranker = train_pairwise_ranker(text_pairs, embedder, seed)
         save_ranker(out / "ranker.json", ranker)
 
-    run_instance = functools.partial(
-        _run_instance, context_mode=ContextMode(s["context"]), delimiters=delimiters,
-        generator=generator, gen_config=gen_config, registry=registry, weights=weights,
-        ranker=ranker, strategies=strategies,
+    generate_and_score = functools.partial(
+        _generate_and_score, context_mode=ContextMode(s["context"]), delimiters=delimiters,
+        generator=generator, gen_config=gen_config, registry=registry,
     )
-    # rewrite only the complete instances, in pairs-file order, then resume
-    outputs: dict[str, list[str]] = {strategy.value: [] for strategy in strategies}
-    done_instances: list[int] = []
-    errors: list[dict] = []
 
-    with _closing_adapters(registry, generator), open(
-        selections_path, "w", encoding="utf-8"
-    ) as sel_fh:
+    def jobs():
+        # stage A, here: complete instances of the checkpoint are reused
         for i, pair in enumerate(pairs):
             records = checkpoint.get(pair.pair_id)
-            if records is None:
-                try:
-                    records = _instance_records(pair, *run_instance(pair, seed + i))
-                except Exception as exc:
-                    errors.append({"pair_id": pair.pair_id, "error": str(exc)})
-                    continue
-            # a checkpoint's rows were written by encode_line, so they round-trip
-            for strategy in strategies:
-                sel_fh.write(encode_line(records[strategy.value]))
-                outputs[strategy.value].append(records[strategy.value]["chosen"])
+            if records is not None:
+                yield _Job(pair, seed + i, records=records)
+                continue
+            try:
+                candidates, scores = generate_and_score(pair, seed + i)
+            except _STAGE_A_FAILURES as exc:
+                yield _Job(pair, seed + i, error=str(exc))
+            else:
+                yield _Job(pair, seed + i, candidates=candidates, scores=scores)
+
+    finisher = _Finisher(
+        weights, ranker, strategies, embedder, s["bleu_mode"], s["sari_variant"]
+    )
+    rows: dict[str, list] = {strategy.value: [] for strategy in strategies}
+    errors: list[dict] = []
+    # rewrite only the complete instances, in pairs-file order, then resume.
+    # The pool stops before the adapters close: a worker forked after an
+    # adapter child started holds that child's pipes, so the child would not
+    # see EOF while the worker lives.
+    with (
+        _closing_adapters(registry, generator),
+        _finishing(finisher, len(pairs)) as finish,
+        open(selections_path, "w", encoding="utf-8") as sel_fh,
+    ):
+        for result in finish(jobs()):
+            if isinstance(result, dict):
+                errors.append(result)
+                continue
+            lines, chosen_rows = result
+            sel_fh.write(lines)
             sel_fh.flush()
-            done_instances.append(i)
+            for name, row in chosen_rows.items():
+                rows[name].append(row)
 
     artifacts = [selections_path]
     errors_path = out / "errors.jsonl"
@@ -634,13 +781,14 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         # an earlier run's failures would contradict this run's report
         errors_path.unlink(missing_ok=True)
 
-    if not done_instances:
+    n_done = len(pairs) - len(errors)
+    if not n_done:
         # an earlier run's report would describe outputs this run did not produce
         for name in ("report.json", "report.csv"):
             (out / name).unlink(missing_ok=True)
     else:
         artifacts += _write_reports(
-            out, s, embedder, [pairs[i] for i in done_instances], outputs,
+            out, aggregate_rows(rows, s["bleu_mode"]),
             {
                 "seed": seed,
                 "config_hash": config_hash,
@@ -649,6 +797,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "strategies": [strategy.value for strategy in strategies],
                 "context": s["context"],
                 "n_candidates": s["n_candidates"],
+                "n_instances": n_done,
             },
         )
         if text_pairs:  # not a ranker.json an earlier run left in ``out``
@@ -706,9 +855,11 @@ def _percent_agreement(labels: dict[tuple[str, str], object]) -> float | None:
 
 
 def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    mode = s["mode"]
+    if s["strategy_pairs"] and mode not in ("all", "ranks"):
+        raise ConfigError(f"strategy_pairs: mode {mode!r} runs no rank test")
     annotations_path = _require_file(s["annotations"], "annotations file")
     out = _out_dir(s["out"])
-    mode = s["mode"]
 
     matrices, rankings = load_annotations(annotations_path)
     if mode in ("all", "ranks"):
@@ -779,16 +930,18 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
     if not usable:
         raise ConfigError("no pair has selections for every strategy")
     outputs = {name: [by_pair[p.pair_id][name]["chosen"] for p in usable] for name in strategies}
+    reports = evaluate_run(
+        [_eval_instance(p) for p in usable], outputs, _embedder(s),
+        bleu_mode=s["bleu_mode"], sari_variant=s["sari_variant"],
+    )
     artifacts = _write_reports(
         out,
-        s,
-        _embedder(s),
-        usable,
-        outputs,
+        reports,
         {
             "dataset_fingerprint": _sha256_file(pairs_path),
             "selections_fingerprint": _sha256_file(selections_path),
             "strategies": strategies,
+            "n_instances": len(usable),
         },
     )
     return {"selections": selections_path, "pairs": pairs_path}, artifacts, 0

@@ -95,6 +95,15 @@ def _analyse(text: str) -> tuple[tuple[str, ...], tuple[Counter, ...]]:
     return tokens, tuple(Counter(zip(*shifted[:n])) for n in range(1, 5))
 
 
+def _analyse_reference(reference: str) -> tuple[tuple[str, ...], tuple[Counter, ...]]:
+    """``_analyse(reference)``; every metric rejects a reference without
+    tokens with the same ValueError."""
+    analysis = _analyse(reference)
+    if not analysis[0]:
+        raise ValueError("reference must be non-empty")
+    return analysis
+
+
 def left_sum(values: Iterable[float]) -> float:
     """``values`` added left to right, starting from the integer 0.
 
@@ -114,8 +123,8 @@ def _bleu_counts(output: str, reference: str) -> list[int]:
     """Clipped matches and hypothesis n-gram totals for orders 1-4, then
     the hypothesis length c and the reference length r: the counts that
     corpus BLEU sums over instances."""
+    ref, ref_grams = _analyse_reference(reference)
     hyp, hyp_grams = _analyse(output)
-    ref, ref_grams = _analyse(reference)
     clipped = []
     for grams, table in zip(hyp_grams, ref_grams):
         # one lookup per hypothesis gram: a tuple key is hashed on every lookup
@@ -154,10 +163,9 @@ def sentence_bleu(output: str, reference: str) -> float:
     orders the hypothesis is too short to have are skipped entirely, so
     an exact copy of a two-token reference still scores 1.0. Zero
     numerators are smoothed to a small epsilon. The brevity penalty
-    compares the hypothesis length with the reference length.
+    compares the hypothesis length with the reference length. An output
+    without tokens scores 0.0.
     """
-    if not _analyse(output)[0]:
-        return 0.0
     return _bleu_from_counts(_bleu_counts(output, reference))
 
 
@@ -206,10 +214,10 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 def rouge_l(output: str, reference: str) -> float:
     """LCS-based F-measure over tokens."""
+    ref_tokens = _analyse_reference(reference)[0]
     out_tokens = _analyse(output)[0]
-    ref_tokens = _analyse(reference)[0]
-    if not out_tokens or not ref_tokens:
-        raise ValueError("both texts must be non-empty")
+    if not out_tokens:
+        raise ValueError("output must be non-empty")
     lcs = _lcs_length(out_tokens, ref_tokens)
     precision = lcs / len(out_tokens)
     recall = lcs / len(ref_tokens)
@@ -235,7 +243,7 @@ def _sari_tables(source: str, reference: str) -> tuple[_SariTable, ...]:
     objects, so none may mutate them."""
     s_grams = _analyse(source)[1]
     tables = []
-    for s_counts, r_counts in zip(s_grams, _analyse(reference)[1]):
+    for s_counts, r_counts in zip(s_grams, _analyse_reference(reference)[1]):
         rows = tuple((g, c, r_counts.get(g, 0)) for g, c in s_counts.items())
         tables.append(
             _SariTable(
@@ -383,6 +391,29 @@ def _score_row(
     )
 
 
+def score_instance(
+    instance: EvalInstance,
+    outputs: Iterable[str],
+    embedder: Embedder,
+    bleu_mode: str = "sentence",
+    sari_variant: str = "canonical",
+) -> dict[str, _Row]:
+    """The ``_Row`` of each distinct output of ``instance``, keyed by the
+    output. The instance's own texts are tokenized and embedded once for
+    all its rows."""
+    # keyed on the text alone, so any embedder works, hashable or not;
+    # dropped with the instance, so it holds only that instance's texts
+    instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
+    normalized_ref = normalize_whitespace(instance.reference)
+    rows: dict[str, _Row] = {}
+    for output in outputs:
+        if output not in rows:
+            rows[output] = _score_row(
+                instance, normalized_ref, output, instance_embedder, bleu_mode, sari_variant
+            )
+    return rows
+
+
 def _aggregate(rows: Sequence[_Row], bleu_mode: str) -> MetricReport:
     """Report over ``rows`` in instance order; similarity to a context
     field averages only the rows whose instance has that field."""
@@ -402,6 +433,13 @@ def _aggregate(rows: Sequence[_Row], bleu_mode: str) -> MetricReport:
     )
 
 
+def aggregate_rows(
+    rows: Mapping[str, Sequence[_Row]], bleu_mode: str = "sentence"
+) -> dict[str, MetricReport]:
+    """One MetricReport per strategy from its rows, in instance order."""
+    return {strategy: _aggregate(chosen, bleu_mode) for strategy, chosen in rows.items()}
+
+
 def evaluate_run(
     instances: Sequence[EvalInstance],
     outputs: Mapping[str, Sequence[str]],
@@ -412,10 +450,8 @@ def evaluate_run(
     """One MetricReport per strategy; ``outputs`` maps strategy name to
     a list of output texts aligned with ``instances``.
 
-    Strategies often choose the same output for an instance, so each
-    distinct (instance index, output) row is scored once and shared.
-    Rows are scored one instance at a time, so the texts of that
-    instance are tokenized and embedded once for all its rows.
+    ``score_instance`` scores each instance's distinct outputs once, for
+    every strategy that chose them; ``aggregate_rows`` averages them.
     """
     if bleu_mode not in BLEU_MODES:
         raise ValueError(f"unknown bleu mode {bleu_mode!r}")
@@ -426,22 +462,19 @@ def evaluate_run(
             raise ValueError(
                 f"strategy {strategy!r}: {len(texts)} outputs for {len(instances)} instances"
             )
-    rows: dict[tuple[int, str], _Row] = {}
-    for i, instance in enumerate(instances):
-        # keyed on the text alone, so any embedder works, hashable or not;
-        # dropped after the instance, so it holds only that instance's texts
-        instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
-        normalized_ref = normalize_whitespace(instance.reference)
-        for texts in outputs.values():
-            if (i, texts[i]) not in rows:
-                rows[i, texts[i]] = _score_row(
-                    instance, normalized_ref, texts[i], instance_embedder, bleu_mode,
-                    sari_variant,
-                )
-    return {
-        strategy: _aggregate([rows[key] for key in enumerate(texts)], bleu_mode)
-        for strategy, texts in outputs.items()
-    }
+    rows = [
+        score_instance(
+            instance, [texts[i] for texts in outputs.values()], embedder, bleu_mode, sari_variant
+        )
+        for i, instance in enumerate(instances)
+    ]
+    return aggregate_rows(
+        {
+            strategy: [rows[i][text] for i, text in enumerate(texts)]
+            for strategy, texts in outputs.items()
+        },
+        bleu_mode,
+    )
 
 
 CSV_COLUMNS = ("strategy", "BLEU", "RougeL", "SARI", "NoEd", "ExM")

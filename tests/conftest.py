@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 import random
 
 import pytest
@@ -116,3 +118,24 @@ def pairs_file(tmp_path):
     path = tmp_path / "pairs.jsonl"
     write_pairs(make_synthetic_pairs(12, seed=3), path)
     return path
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """``force_cpus(n)`` makes ``n`` CPUs usable for ``run`` and returns
+    the list of the pool sizes it starts from then on."""
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        pools.clear()
+        return pools
+
+    return force

@@ -1301,6 +1301,23 @@ def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, mod
     assert not (out / "stats_report.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["aggregate", "agreement"])
+def test_stats_strategy_pairs_under_a_mode_without_rank_tests_exit_two(tmp_path, capsys, mode):
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text(
+        '{"item": "p1", "worker": "w1", "field": "fluency", "value": 1}\n'
+        '{"item": "p1", "worker": "w2", "field": "fluency", "value": 2}\n'
+    )
+    out = tmp_path / "o"
+    code = run_cli(
+        "stats", "--annotations", ann, "--out", out, "--mode", mode,
+        "--strategy-pairs", "bogus:top1",
+    )
+    assert code == 2
+    assert f"error: strategy_pairs: mode '{mode}' runs no rank test" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 

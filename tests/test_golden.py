@@ -39,6 +39,9 @@ CPython 3.12 changed the builtin ``sum()`` of floats to a compensated
 The package adds floats through ``metrics.left_sum`` instead, so the
 digests must also hold with ``sum()`` replaced by an emulation of 3.12's.
 
+``run`` finishes instances in one worker process per usable CPU, or
+inline on one CPU; the digests must hold on both paths.
+
 Digests change only when artifact bytes change on purpose. Regenerate
 them from the repository root with::
 
@@ -262,6 +265,19 @@ def test_digests_hold_under_a_compensated_sum(tmp_path, monkeypatch):
     expected = json.loads(DIGESTS_PATH.read_text())
     changed = sorted(case for case in expected if fresh[case] != expected[case])
     assert not changed, f"cases whose bytes depend on sum(): {changed}"
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_digests_do_not_depend_on_the_worker_count(tmp_path, force_cpus, n_cpus):
+    """``run`` finishes instances inline on one usable CPU and in one
+    worker process per CPU otherwise; every case keeps its bytes."""
+    pools = force_cpus(n_cpus)
+    fresh = compute_digests(tmp_path)
+    expected = json.loads(DIGESTS_PATH.read_text())
+    changed = sorted(case for case in expected if fresh[case] != expected[case])
+    assert not changed, f"cases whose bytes depend on the worker count: {changed}"
+    # run, run_none, run_resumed and run_corpus
+    assert pools == ([2] * 4 if n_cpus == 2 and hasattr(os, "fork") else [])
 
 
 if __name__ == "__main__":

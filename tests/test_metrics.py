@@ -117,6 +117,18 @@ def test_rouge_l_fixtures():
     assert rouge_l("x y z", "a b c") == 0.0
 
 
+@pytest.mark.parametrize("reference", ["", " \t"])
+def test_every_primitive_rejects_a_blank_reference_alike(reference):
+    calls = (
+        lambda: sentence_bleu("a b", reference),
+        lambda: rouge_l("a b", reference),
+        lambda: sari("a b", "a b", reference),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^reference must be non-empty$"):
+            call()
+
+
 def test_rouge_l_is_order_sensitive():
     assert rouge_l("a b c", "c b a") == pytest.approx(1 / 3)
 

@@ -1,0 +1,211 @@
+"""``run`` gives the same bytes on one process and on a pool of workers.
+
+Stage A of an instance (serialize, generate, dedup, score) runs in the
+main process, which owns the adapters. Stage B (select, encode, evaluate)
+runs in one forked worker per usable CPU, at most one per instance, or
+inline with one CPU or one instance. The ``force_cpus`` fixture sets the
+usable CPU count through ``os.sched_getaffinity``.
+"""
+
+import dataclasses
+import json
+import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from conftest import make_synthetic_pairs
+
+import claimpolish
+from claimpolish.cli import main
+from claimpolish.corpus import write_pairs
+
+# the source tree of the package under test, for fresh interpreters
+SRC = Path(claimpolish.__file__).resolve().parents[1]
+FORK = hasattr(os, "fork")
+
+
+def _with_source(pair, text):
+    return dataclasses.replace(pair, source=dataclasses.replace(pair.source, text=text))
+
+
+def _script(path, body, pid_log=None):
+    """A stdio child running ``body`` per request ``req``; it appends its
+    pid to ``pid_log`` when it starts."""
+    start = (
+        f"with open({str(pid_log)!r}, 'a') as log:\n    log.write(f'{{os.getpid()}}\\n')\n"
+        if pid_log else ""
+    )
+    path.write_text(
+        "import json, os, sys\n"
+        + start
+        + "for line in sys.stdin:\n"
+        + "    req = json.loads(line)\n"
+        + textwrap.indent(textwrap.dedent(body), "    ")
+    )
+    return f"stdio:{sys.executable} {path}"
+
+
+GENERATOR = """
+if 'BROKEN' in req['input'] or ('NOGREEDY' in req['input'] and req['directive'] == 'greedy'):
+    print(json.dumps({'error': 'refused'}), flush=True)
+else:
+    print(json.dumps({'text': req['input'] + ' (' + req['directive'] + ')'}), flush=True)
+"""
+SCORER = "print(json.dumps({'score': 0.5}), flush=True)\n"
+
+
+def test_failures_in_both_stages_give_the_same_bytes_on_both_paths(
+    tmp_path, monkeypatch, force_cpus
+):
+    # stage A fails on BROKEN (every step refused); stage B on NOGREEDY,
+    # where top1 finds no greedy candidate
+    pairs = make_synthetic_pairs(8, seed=3)
+    for i, word in ((1, "BROKEN"), (2, "NOGREEDY"), (4, "NOGREEDY"), (5, "BROKEN"), (7, "NOGREEDY")):
+        pairs[i] = _with_source(pairs[i], f"{word} claim number {i}")
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(pairs, pairs_path)
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _script(tmp_path / "gen.py", GENERATOR))
+    outputs = {}
+    for n_cpus in (1, 2):
+        pools = force_cpus(n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        code = main([
+            "run", "--pairs", str(pairs_path), "--out", str(out), "--seed", "1",
+            "--strategies", "unedited,top1", "--n-candidates", "3",
+        ])
+        assert code == 1
+        assert pools == ([2] if n_cpus == 2 and FORK else [])
+        outputs[n_cpus] = {
+            name: (out / name).read_bytes()
+            for name in ("selections.jsonl", "errors.jsonl", "report.json", "report.csv")
+        }
+    assert outputs[1] == outputs[2]
+    errors = [json.loads(line) for line in outputs[2]["errors.jsonl"].splitlines()]
+    assert [e["pair_id"] for e in errors] == [pairs[i].pair_id for i in (1, 2, 4, 5, 7)]
+    assert [e["error"] for e in errors] == [
+        "all 3 generation steps failed",
+        "no greedy-origin candidate in the set",
+        "no greedy-origin candidate in the set",
+        "all 3 generation steps failed",
+        "no greedy-origin candidate in the set",
+    ]
+    selections = [json.loads(line) for line in outputs[2]["selections.jsonl"].splitlines()]
+    assert [r["pair_id"] for r in selections[::2]] == [pairs[i].pair_id for i in (0, 3, 6)]
+
+
+@pytest.mark.parametrize("stage, name", [("A", "score_candidate"), ("B", "select")])
+def test_a_bug_in_either_stage_propagates(tmp_path, monkeypatch, force_cpus, stage, name):
+    """Only the named instance failures go to errors.jsonl; a TypeError
+    ends the run, raised inline or from a worker."""
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(4, seed=3), pairs_path)
+
+    def broken(*args, **kwargs):
+        raise TypeError(f"a bug in stage {stage}")
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(f"claimpolish.cli.{name}", broken)
+    for n_cpus in (1, 2):
+        force_cpus(n_cpus)
+        with pytest.raises(TypeError, match=f"a bug in stage {stage}"):
+            main(["run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"),
+                  "--strategies", "top1"])
+        assert not (tmp_path / "o" / "errors.jsonl").exists()
+
+
+def test_stdio_adapters_start_one_child_each_and_leave_none(
+    tmp_path, monkeypatch, force_cpus, caplog
+):
+    pid_log = tmp_path / "pids"
+    monkeypatch.setenv(
+        "CLAIMPOLISH_GENERATOR_CMD", _script(tmp_path / "gen.py", GENERATOR, pid_log)
+    )
+    monkeypatch.setenv(
+        "CLAIMPOLISH_FLUENCY_CMD", _script(tmp_path / "fluency.py", SCORER, pid_log)
+    )
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(6, seed=3), pairs_path)
+    pools = force_cpus(2)
+    with caplog.at_level(logging.WARNING, logger="claimpolish.ndjson"):
+        code = main([
+            "run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"),
+            "--strategies", "top1,autoscore", "--n-candidates", "3",
+        ])
+    assert code == 0
+    assert pools == ([2] if FORK else [])
+    # each child saw EOF when its adapter closed: no worker held its pipes then
+    assert "still running" not in caplog.text
+    pids = [int(line) for line in pid_log.read_text().split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_pair_run_starts_no_worker(tmp_path, force_cpus):
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(1, seed=3), pairs_path)
+    pools = force_cpus(2)
+    argv = ["run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"), "--strategies", "top1"]
+    assert main(argv) == 0
+    assert pools == []
+
+
+def _run_in_a_fresh_interpreter(tmp_path, flags, n_pairs, argv=(), epilogue=""):
+    """``run`` on ``n_pairs`` pairs with two usable CPUs, in a new Python
+    started with ``flags``; returns the finished process."""
+    write_pairs(make_synthetic_pairs(n_pairs, seed=3), tmp_path / "pairs.jsonl")
+    argv = [
+        "run", "--pairs", "pairs.jsonl", "--out", "o", "--n-candidates", "3",
+        "--strategies", "top1,autoscore", *argv,
+    ]
+    code = textwrap.dedent(f"""
+        import os, sys
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        from claimpolish.cli import main
+        code = main({argv!r})
+        {epilogue}
+        sys.exit(code)
+    """)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_a_one_pair_run_imports_no_pool_module(tmp_path):
+    result = _run_in_a_fresh_interpreter(
+        tmp_path, [], 1, epilogue="print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not FORK, reason="the pool needs fork")
+def test_pooled_run_is_clean_under_dev_mode_and_warnings_as_errors(tmp_path):
+    """A leaked pipe, file, process or an unsafe fork warns; -W error makes
+    each warning an error, and one raised where it cannot propagate is
+    still printed on stderr."""
+    config = tmp_path / "stdio.cfg"
+    config.write_text(
+        f"generator = {_script(tmp_path / 'gen.py', GENERATOR)}\n"
+        f"fluency_scorer = {_script(tmp_path / 'fluency.py', SCORER)}\n"
+    )
+    result = _run_in_a_fresh_interpreter(
+        tmp_path, ["-X", "dev", "-W", "error"], 6, ["--config", str(config)],
+        "assert 'concurrent.futures.process' in sys.modules",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
