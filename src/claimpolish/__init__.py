@@ -1,91 +1,3 @@
 """Claim rewriting: overgenerate candidates, score, select, evaluate."""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    Claim,
-    ContextBundle,
-    ContextMode,
-    DelimiterConfig,
-    IntentLabel,
-    OptimizationPair,
-    RevisionChain,
-    derive_pairs,
-    load_chains,
-    serialize_input,
-    split_dataset,
-)
-from .embedding import HashingEmbedder, cosine
-from .genkit import (
-    Candidate,
-    CandidateSet,
-    Directive,
-    GenerationConfig,
-    GREEDY,
-    MockGenerator,
-    TOPK,
-    dedup,
-    generate_candidates,
-    make_schedule,
-)
-from .metrics import EvalInstance, MetricReport, evaluate_run, rouge_l, sari, sentence_bleu
-from .scoring import (
-    DEFAULT_WEIGHTS,
-    ScoreVector,
-    ScorerRegistry,
-    Weights,
-    autoscore,
-    calibrate_weights,
-    default_registry,
-    pearson,
-)
-from .selection import PairwiseRanker, Strategy, score_columns, select, train_pairwise_ranker
-from .text import normalize_whitespace, tokenize
-
-__all__ = [
-    "__version__",
-    "Claim",
-    "ContextBundle",
-    "ContextMode",
-    "DelimiterConfig",
-    "IntentLabel",
-    "OptimizationPair",
-    "RevisionChain",
-    "derive_pairs",
-    "load_chains",
-    "serialize_input",
-    "split_dataset",
-    "HashingEmbedder",
-    "cosine",
-    "Candidate",
-    "CandidateSet",
-    "Directive",
-    "GenerationConfig",
-    "GREEDY",
-    "MockGenerator",
-    "TOPK",
-    "dedup",
-    "generate_candidates",
-    "make_schedule",
-    "EvalInstance",
-    "MetricReport",
-    "evaluate_run",
-    "rouge_l",
-    "sari",
-    "sentence_bleu",
-    "DEFAULT_WEIGHTS",
-    "ScoreVector",
-    "ScorerRegistry",
-    "Weights",
-    "autoscore",
-    "calibrate_weights",
-    "default_registry",
-    "pearson",
-    "PairwiseRanker",
-    "Strategy",
-    "score_columns",
-    "select",
-    "train_pairwise_ranker",
-    "normalize_whitespace",
-    "tokenize",
-]

@@ -28,13 +28,12 @@ import os
 import shlex
 import sys
 import time
-from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
-    GRANULARITIES,
     ContextMode,
     DelimiterConfig,
     IntentLabel,
@@ -58,6 +57,7 @@ from .evalstats import (
     mace_aggregate,
     mace_summary,
     mean_rank,
+    percent_agreement,
     wilcoxon_signed_rank,
 )
 from .genkit import (
@@ -79,7 +79,6 @@ from .metrics import (
 )
 from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
 from .scoring import (
-    AGGREGATIONS,
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
     ScorerError,
@@ -179,9 +178,6 @@ _SETTINGS = {
         "chains": (str, None, "chains.jsonl input"),
         "per_label_test": (int, 200, "test pairs per intent label"),
         "train_fraction": (float, 0.9, "share of the rest that goes to train"),
-        "granularity": (
-            GRANULARITIES, GRANULARITIES[0], "keep a chain's pairs in one split or not"
-        ),
         "labeler": (("majority", "none"), "majority", None),
         "filter_intents": (_parse_intents, TASK_INTENTS, None),
     },
@@ -210,7 +206,6 @@ _SETTINGS = {
         "grid_step": (float, 0.01, "weight grid step"),
         "range_lo": (float, 0.01, "smallest weight on the grid"),
         "range_hi": (float, 0.98, "largest weight on the grid"),
-        "aggregation": (AGGREGATIONS, AGGREGATIONS[0], "correlate all steps or per chain"),
         **_SCORERS,
         **_EMBEDDER,
     },
@@ -429,7 +424,7 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
 
     split = split_dataset(
         filtered, per_label_test=s["per_label_test"], train_fraction=s["train_fraction"],
-        seed=s["seed"], granularity=s["granularity"],
+        seed=s["seed"],
     )
 
     write_pairs(pairs, out / "pairs.jsonl")
@@ -472,40 +467,44 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
 # ---------------------------------------------------------------------------
 # run
 
-def _read_selections(path: Path) -> dict[str, dict[str, dict]]:
-    """selections.jsonl records as {pair_id: {strategy: record}}; a
-    repeated (pair, strategy) keeps its last record."""
+def _stored(record: dict) -> tuple[str, str]:
+    """A selections.jsonl record as the line that stores it and its ``chosen``."""
+    return encode_line(record), record["chosen"]
 
-    def parse(rec: dict) -> dict:
+
+def _read_selections(path: Path, keep: Callable[[dict], object]) -> dict[str, dict]:
+    """selections.jsonl as {pair_id: {strategy: keep(record)}}; a repeated
+    (pair, strategy) keeps its last record."""
+
+    def parse(rec: dict) -> tuple:
         for key in ("pair_id", "strategy", "chosen"):
             if not isinstance(rec[key], str):
                 raise ValueError(f"{key!r} must be a string, got {rec[key]!r}")
         if not rec["chosen"].strip():
             raise ValueError("'chosen' must not be blank")
-        return rec
+        return rec["pair_id"], rec["strategy"], keep(rec)
 
-    by_pair: dict[str, dict[str, dict]] = {}
-    for _, rec in read_jsonl(path, ("pair_id", "strategy", "chosen"), parse):
-        by_pair.setdefault(rec["pair_id"], {})[rec["strategy"]] = rec
+    by_pair: dict[str, dict] = {}
+    for _, (pair_id, strategy, kept) in read_jsonl(path, ("pair_id", "strategy", "chosen"), parse):
+        by_pair.setdefault(pair_id, {})[strategy] = kept
     return by_pair
 
 
 def _load_checkpoint(
     selections_path: Path, strategies: tuple[Strategy, ...]
-) -> dict[str, dict[str, dict]]:
-    """Records of complete instances from an interrupted run, keyed by pair.
+) -> dict[str, dict[str, tuple[str, str]]]:
+    """Stored rows of complete instances from an interrupted run, keyed by pair.
 
     ``encode_line`` ends every row with a newline, so a last line without
-    one is a row torn by the interruption. It is cut off before reading:
-    the resumed run rewrites the file anyway.
+    one is a row torn by the interruption. It is cut off before reading,
+    a line at a time: the resumed run rewrites the file anyway.
     """
     if not selections_path.is_file():
         return {}
-    data = selections_path.read_bytes()
-    if not data.endswith(b"\n"):
-        os.truncate(selections_path, data.rfind(b"\n") + 1)
+    with open(selections_path, "rb+") as fh:
+        fh.truncate(sum(len(line) for line in fh if line.endswith(b"\n")))
     wanted = {s.value for s in strategies}
-    by_pair = _read_selections(selections_path)
+    by_pair = _read_selections(selections_path, _stored)
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
@@ -556,13 +555,13 @@ _STAGE_A_FAILURES = (GenerationError, ScorerError, MissingContextError)
 
 @dataclass(frozen=True)
 class _Job:
-    """One instance for stage B: a resumed instance's records, a fresh
-    one's candidates and their scores, or the error that ended it in
-    stage A."""
+    """One instance for stage B: a resumed instance's stored rows by
+    strategy, a fresh one's candidates and their scores, or the error
+    that ended it in stage A."""
 
     pair: OptimizationPair
     seed: int
-    records: dict | None = None
+    stored: dict[str, tuple[str, str]] | None = None
     candidates: tuple = ()
     scores: tuple = ()
     error: str | None = None
@@ -590,8 +589,8 @@ class _Finisher:
         pair = job.pair
         if job.error is not None:
             return {"pair_id": pair.pair_id, "error": job.error}
-        records = job.records
-        if records is None:
+        by_strategy = job.stored
+        if by_strategy is None:
             columns = score_columns(job.candidates, job.scores, self.weights, self.ranker)
             try:
                 picks = {
@@ -601,9 +600,9 @@ class _Finisher:
             except ValueError as exc:
                 return {"pair_id": pair.pair_id, "error": str(exc)}
             records = _instance_records(pair, job.candidates, columns, picks)
-        # a checkpoint's rows were written by encode_line, so they round-trip
-        chosen = {strategy.value: records[strategy.value]["chosen"] for strategy in self.strategies}
-        lines = "".join(encode_line(records[name]) for name in chosen)
+            by_strategy = {name: _stored(record) for name, record in records.items()}
+        lines = "".join(by_strategy[strategy.value][0] for strategy in self.strategies)
+        chosen = {strategy.value: by_strategy[strategy.value][1] for strategy in self.strategies}
         rows = score_instance(
             _eval_instance(pair), chosen.values(), self.embedder, self.bleu_mode,
             self.sari_variant,
@@ -735,9 +734,9 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     def jobs():
         # stage A, here: complete instances of the checkpoint are reused
         for i, pair in enumerate(pairs):
-            records = checkpoint.get(pair.pair_id)
-            if records is not None:
-                yield _Job(pair, seed + i, records=records)
+            resumed = checkpoint.get(pair.pair_id)
+            if resumed is not None:
+                yield _Job(pair, seed + i, stored=resumed)
                 continue
             try:
                 candidates, scores = generate_and_score(pair, seed + i)
@@ -816,7 +815,7 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
     with _closing_adapters(registry):
         result = calibrate_weights(
             chains, registry, grid_step=s["grid_step"], range_lo=s["range_lo"],
-            range_hi=s["range_hi"], aggregation=s["aggregation"],
+            range_hi=s["range_hi"],
         )
     save_calibration(out / "weights.json", result)
     write_json(
@@ -830,7 +829,6 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
             "evaluated_points": result.evaluated_points,
             "range_lo": s["range_lo"],
             "range_hi": s["range_hi"],
-            "aggregation": s["aggregation"],
         },
     )
     print(
@@ -843,16 +841,6 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
 
 # ---------------------------------------------------------------------------
 # stats
-
-def _percent_agreement(labels: dict[tuple[str, str], object]) -> float | None:
-    """Fraction of agreeing unordered annotation pairs within items."""
-    by_item: dict[str, Counter] = {}
-    for (item, _), value in labels.items():
-        by_item.setdefault(item, Counter())[value] += 1
-    agree = sum(c * (c - 1) for counts in by_item.values() for c in counts.values()) // 2
-    total = sum(m * (m - 1) for m in map(Counter.total, by_item.values())) // 2
-    return agree / total if total else None
-
 
 def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
     mode = s["mode"]
@@ -876,7 +864,7 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
         if mode in ("all", "agreement"):
             entry["krippendorff_alpha_ordinal"] = krippendorff_alpha(matrix, "ordinal")
             entry["krippendorff_alpha_nominal"] = krippendorff_alpha(matrix, "nominal")
-            entry["percent_agreement"] = _percent_agreement(matrix.labels)
+            entry["percent_agreement"] = percent_agreement(matrix.labels)
         if mode in ("all", "aggregate"):
             mace = mace_aggregate(
                 matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"],
@@ -922,14 +910,14 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
     pairs_path = _require_file(s["pairs"], "pairs file")
     out = _out_dir(s["out"])
     pairs = load_pairs(pairs_path)
-    by_pair = _read_selections(selections_path)
+    by_pair = _read_selections(selections_path, lambda rec: rec["chosen"])
     if not by_pair:
         raise ConfigError(f"no selections in {selections_path}")
     strategies = sorted({name for by_s in by_pair.values() for name in by_s})
     usable = [p for p in pairs if sorted(by_pair.get(p.pair_id, {})) == strategies]
     if not usable:
         raise ConfigError("no pair has selections for every strategy")
-    outputs = {name: [by_pair[p.pair_id][name]["chosen"] for p in usable] for name in strategies}
+    outputs = {name: [by_pair[p.pair_id][name] for p in usable] for name in strategies}
     reports = evaluate_run(
         [_eval_instance(p) for p in usable], outputs, _embedder(s),
         bleu_mode=s["bleu_mode"], sari_variant=s["sari_variant"],

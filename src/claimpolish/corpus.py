@@ -248,26 +248,18 @@ def _pair_key(pair: OptimizationPair) -> tuple[str, int]:
     return (pair.chain_id, pair.index)
 
 
-# Allowed ``split_dataset`` granularities; the first is the default.
-GRANULARITIES = ("chain", "pair")
-
-
 def split_dataset(
     pairs: Sequence[OptimizationPair],
     per_label_test: int,
     train_fraction: float = 0.9,
     seed: int = 0,
-    granularity: str = GRANULARITIES[0],
 ) -> DatasetSplit:
     """Carve a label-balanced test set, then split the rest into train/val.
 
     The test set draws ``per_label_test`` pairs for every intent present
     in ``pairs``. Chains that contributed a test pair are then excluded
     entirely, and the remaining chains are split ``train_fraction`` /
-    ``1 - train_fraction``. With ``granularity="pair"`` the residual
-    split shuffles pairs instead of chains; that mode can place two
-    pairs of one chain on both sides of the train/validation boundary,
-    so the no-chain-overlap guarantee only holds for ``"chain"``.
+    ``1 - train_fraction``, so no chain has pairs in two partitions.
 
     The same seed always produces the same split; each partition comes
     back sorted by (chain_id, step index).
@@ -276,8 +268,6 @@ def split_dataset(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if per_label_test < 0:
         raise ValueError("per_label_test must be >= 0")
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
 
     rng = random.Random(seed)
     labels = sorted({p.intent for p in pairs}, key=lambda lab: lab.value)
@@ -294,19 +284,12 @@ def split_dataset(
     test_chains = {p.chain_id for p in test}
     residual = [p for p in pairs if p.chain_id not in test_chains]
 
-    if granularity == "chain":
-        chain_ids = sorted({p.chain_id for p in residual})
-        rng.shuffle(chain_ids)
-        n_train = int(round(train_fraction * len(chain_ids)))
-        train_chains = set(chain_ids[:n_train])
-        train = [p for p in residual if p.chain_id in train_chains]
-        validation = [p for p in residual if p.chain_id not in train_chains]
-    else:
-        shuffled = list(residual)
-        rng.shuffle(shuffled)
-        n_train = int(round(train_fraction * len(shuffled)))
-        train = shuffled[:n_train]
-        validation = shuffled[n_train:]
+    chain_ids = sorted({p.chain_id for p in residual})
+    rng.shuffle(chain_ids)
+    n_train = int(round(train_fraction * len(chain_ids)))
+    train_chains = set(chain_ids[:n_train])
+    train = [p for p in residual if p.chain_id in train_chains]
+    validation = [p for p in residual if p.chain_id not in train_chains]
 
     return DatasetSplit(
         train=tuple(sorted(train, key=_pair_key)),

@@ -18,10 +18,10 @@ table. The normaliser is ``np.logaddexp`` over the label columns, left
 to right, and each annotation's weight is read at its own cell; the
 full posterior is formed once per restart, after the last E-step.
 
-Also here: Cohen's kappa, Krippendorff's alpha in the pairable-values
-formulation (coincidences from one bincount over each unit's ordered
-value pairs), an exact/approximate Wilcoxon signed-rank test, and mean
-ranks over ranking annotations.
+Also here: Cohen's kappa, percent agreement, Krippendorff's alpha in
+the pairable-values formulation (coincidences from one bincount over
+each unit's ordered value pairs), an exact/approximate Wilcoxon
+signed-rank test, and mean ranks over ranking annotations.
 """
 
 from __future__ import annotations
@@ -257,6 +257,17 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
     if abs(1.0 - p_e) < 1e-12:
         raise ValueError("chance agreement is 1; kappa is undefined")
     return (p_o - p_e) / (1.0 - p_e)
+
+
+def percent_agreement(labels: Mapping[tuple[str, str], object]) -> float | None:
+    """Fraction of agreeing unordered annotation pairs within items; None
+    when no item has two annotations."""
+    by_item: dict[str, Counter] = {}
+    for (item, _), value in labels.items():
+        by_item.setdefault(item, Counter())[value] += 1
+    agree = sum(c * (c - 1) for counts in by_item.values() for c in counts.values()) // 2
+    total = sum(m * (m - 1) for m in map(Counter.total, by_item.values())) // 2
+    return agree / total if total else None
 
 
 def _ordinal_ranks(values: Sequence, scale: Scale) -> dict:

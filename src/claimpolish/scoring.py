@@ -317,14 +317,14 @@ def simplex_grid(
 
 def _chain_points(
     chains: Sequence[RevisionChain], registry: ScorerRegistry
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per chain: a 3xN matrix of score vectors and the N normalized positions."""
-    matrices, positions = [], []
+) -> tuple[np.ndarray, np.ndarray]:
+    """A 3xN matrix of every revision step's score vector, chain by chain,
+    and the N normalized positions."""
+    vecs, pos = [], []
     for chain in chains:
         m = len(chain.claims)
         if m < 2:
             raise CalibrationError(f"chain {chain.chain_id!r} has fewer than 2 claims")
-        vecs, pos = [], []
         for i in range(1, m):
             try:
                 vector = score_candidate(
@@ -335,21 +335,19 @@ def _chain_points(
             vecs.append(vector.as_tuple())
             # min-max normalized position of claim i within its chain
             pos.append(i / (m - 1))
-        matrices.append(np.asarray(vecs, dtype=np.float64).T)
-        positions.append(np.asarray(pos, dtype=np.float64))
-    return matrices, positions
+    # column-major, as a transposed view: the last bits of the grid arithmetic,
+    # and so the pinned weights.json, depend on the memory layout
+    return np.asarray(vecs, dtype=np.float64).T, np.asarray(pos, dtype=np.float64)
 
 
 def _grid_correlations(
     weight_matrix: np.ndarray, values: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per grid point: Pearson r of its combined scores with ``target``,
-    and the scores' variance (r is undefined where it is 0). None when
-    ``target`` is constant."""
+    and the scores' variance (r is undefined where it is 0). ``target``
+    must not be constant."""
     tc = target - target.mean()
     vt = float(tc @ tc)
-    if vt == 0.0:
-        return None
     centered = weight_matrix @ values  # G x N combined scores
     centered -= centered.mean(axis=1, keepdims=True)  # in place: one G x N matrix
     var = np.einsum("ij,ij->i", centered, centered)
@@ -402,9 +400,6 @@ def _pooled_correlations(
     return rs
 
 
-# Allowed ``calibrate_weights`` aggregations; the first is the default.
-AGGREGATIONS = ("pooled", "per_chain")
-
 # Correlations within this of the best count as tied: wider than the
 # rounding of one r, far narrower than what one grid step moves it.
 _TIE = 1e-12
@@ -416,21 +411,16 @@ def calibrate_weights(
     grid_step: float = 0.01,
     range_lo: float = 0.01,
     range_hi: float = 0.98,
-    aggregation: str = AGGREGATIONS[0],
 ) -> CalibrationResult:
     """Grid-search the weight simplex for the best position correlation.
 
     Every revision step (c_{i-1} -> c_i) in every chain is scored; the
     target signal is the revision's min-max normalized position in its
-    chain. Default aggregation pools all steps into one correlation;
-    ``aggregation="per_chain"`` computes the correlation within each
-    chain and averages (chains where either side is constant are
-    skipped in that mode). Correlations within 1e-12 of the best are
-    ties, and ties break toward the lexicographically smallest
-    (alpha, beta, gamma), so last-bit rounding never picks the winner.
+    chain, and all steps are pooled into one correlation. Correlations
+    within 1e-12 of the best are ties, and ties break toward the
+    lexicographically smallest (alpha, beta, gamma), so last-bit
+    rounding never picks the winner.
     """
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     if not chains:
         raise CalibrationError("no chains to calibrate on")
     triples = simplex_grid(grid_step, range_lo, range_hi)
@@ -438,46 +428,23 @@ def calibrate_weights(
         raise CalibrationError(
             f"no valid grid point with step {grid_step} in [{range_lo}, {range_hi}]"
         )
-    matrices, positions = _chain_points(chains, registry)
-    n_points = sum(p.size for p in positions)
-    if n_points < 2:
-        raise CalibrationError(f"only {n_points} scored points; need at least 2")
+    values, positions = _chain_points(chains, registry)
+    if positions.size < 2:
+        raise CalibrationError(f"only {positions.size} scored points; need at least 2")
 
     weight_matrix = np.asarray(triples, dtype=np.float64)  # G x 3
-
-    if aggregation == "pooled":
-        rs = _pooled_correlations(weight_matrix, np.hstack(matrices), np.hstack(positions))
-        if rs is None:
-            raise CalibrationError("revision positions have zero variance")
-    else:
-        sums = np.zeros(len(triples))
-        counts = np.zeros(len(triples))
-        for matrix, pos in zip(matrices, positions):
-            grid = _grid_correlations(weight_matrix, matrix, pos)
-            if grid is None:
-                continue
-            r, var = grid
-            valid = var > 0.0
-            sums[valid] += r[valid]
-            counts[valid] += 1
-        with np.errstate(invalid="ignore"):
-            rs = np.where(counts > 0, sums / np.maximum(counts, 1), -np.inf)
-
+    rs = _pooled_correlations(weight_matrix, values, positions)
+    if rs is None:
+        raise CalibrationError("revision positions have zero variance")
     if not np.any(np.isfinite(rs)):
         raise CalibrationError("no grid point produced a defined correlation")
     # first tie wins: the lexicographically smallest triple
     best = int(np.argmax(rs >= rs.max() - _TIE))
     alpha, beta, gamma = triples[best]
     weights = Weights(alpha=alpha, beta=beta, gamma=gamma)
-
-    if aggregation == "pooled":
-        # recompute with the scalar path so the reported r is exactly
-        # what pearson() returns for these weights
-        combined = weights.as_array() @ np.hstack(matrices)
-        best_r = pearson(list(combined), list(np.hstack(positions)))
-    else:
-        best_r = float(rs[best])
-
+    # the scalar path, so the reported r is exactly what pearson() returns
+    # for these weights
+    best_r = pearson(list(weights.as_array() @ values), list(positions))
     return CalibrationResult(
         weights=weights,
         pearson_r=best_r,

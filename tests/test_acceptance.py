@@ -355,9 +355,7 @@ def test_criterion_8_source_corpus_reproduction(capsys):
     chains = load_chains(chains_path)
     pairs = [pair for chain in chains for pair in derive_pairs(chain)]
     filtered = filter_by_intent(pairs, TASK_INTENTS)
-    split = split_dataset(
-        filtered, per_label_test=200, train_fraction=0.9, seed=0, granularity="chain"
-    )
+    split = split_dataset(filtered, per_label_test=200, train_fraction=0.9, seed=0)
     instances = [
         EvalInstance(
             source=p.source.text,

@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -132,11 +133,10 @@ ALL8 = "unedited,top1,random,max_fluency,max_argument,max_meaning,autoscore,pair
         ),
         (
             ["calibrate", "--chains", "chains.jsonl", "--out", "cal", "--seed", "2",
-             "--grid-step", "0.1", "--range-lo", "0.0", "--range-hi", "1",
-             "--aggregation", "per_chain"],
+             "--grid-step", "0.1", "--range-lo", "0.0", "--range-hi", "1"],
             {"seed": "2", "out": "cal", "chains": "chains.jsonl", "grid_step": "0.1",
-             "range_lo": "0.0", "range_hi": "1.0", "aggregation": "per_chain"},
-            "c96a5f3dbea6e5ff7318a13a2af00ec929cb291c2111d7e841f7944004031a46",
+             "range_lo": "0.0", "range_hi": "1.0"},
+            "066a6fcf51c6d00fae151a6172a743e94afde2071b06f179754efc090a418dd1",
         ),
     ],
     ids=["run", "calibrate"],
@@ -151,10 +151,10 @@ def test_merged_flags_and_config_hash_are_pinned(monkeypatch, argv, merged, dige
 
 def test_flags_are_the_settings_keys_with_help():
     flags = {
-        "prepare": {"chains", "granularity", "out", "per_label_test", "seed", "train_fraction"},
+        "prepare": {"chains", "out", "per_label_test", "seed", "train_fraction"},
         "run": {"context", "n_candidates", "out", "pairs", "ranker", "seed", "strategies",
                 "train_pairs", "weights"},
-        "calibrate": {"aggregation", "chains", "grid_step", "out", "range_hi", "range_lo", "seed"},
+        "calibrate": {"chains", "grid_step", "out", "range_hi", "range_lo", "seed"},
         "stats": {"annotations", "mode", "out", "seed", "strategy_pairs"},
         "report": {"out", "pairs", "seed", "selections"},
     }
@@ -185,11 +185,31 @@ def test_readme_config_table_matches_the_settings_tables():
         assert commands == {c for c, table in cli._SETTINGS.items() if key in table}, key
 
 
+def _readme_cli_commands() -> list[str]:
+    """Each ``claimpolish`` command of README's ``## CLI`` shell block,
+    its backslash continuations joined."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("```sh", lines.index("## CLI")) + 1
+    block = "\n".join(lines[start : lines.index("```", start)]).replace("\\\n", " ")
+    return [line for line in block.splitlines() if line.startswith("claimpolish ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) == len(cli._COMMANDS)
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])  # exits 2 on an unknown flag
+
+
 @pytest.mark.parametrize(
     "command, line, named",
     [
         ("run", "n_candidate = 5", "unknown config key 'n_candidate'"),
         ("run", "ranker_seed = 3", "unknown config key 'ranker_seed'"),
+        ("prepare", "granularity = chain", "unknown config key 'granularity'"),
+        ("calibrate", "aggregation = pooled", "unknown config key 'aggregation'"),
         ("run", "meaning_scorer = jaccard", "unknown meaning_scorer 'jaccard'"),
         ("calibrate", "meaning_scorer = jaccard", "unknown meaning_scorer 'jaccard'"),
         ("run", "seed = x", "seed: "),
@@ -199,7 +219,6 @@ def test_readme_config_table_matches_the_settings_tables():
         ("stats", "seed = -2", "seed: must be >= 0, got -2"),
         ("prepare", "filter_intents = bogus", "filter_intents: "),
         ("stats", "mode = x", "unknown mode 'x' (choose from all, aggregate, agreement, ranks)"),
-        ("calibrate", "aggregation = x", "unknown aggregation 'x' (choose from pooled, per_chain)"),
         ("run", "strategies = top1,top1,unedited", "strategies: strategy 'top1' is listed twice"),
         (
             "stats", "strategy_pairs = autoscore:autoscore",
@@ -276,7 +295,7 @@ def test_prepare_artifacts_and_counts(tmp_path, chains_file, capsys):
     counts = json.loads((out / "counts.json").read_text())
     assert counts["chains"] == 30
     assert counts["after_filter"] <= counts["derived_pairs"]
-    # chain granularity drops leftover pairs from test chains, so <=
+    # the split drops the other pairs of test chains, so <=
     assert (
         counts["train"] + counts["validation"] + counts["test"]
         <= counts["after_filter"]
@@ -415,6 +434,20 @@ def test_run_resumes_from_checkpoint(tmp_path, pairs_file, run_dir):
         partial = [r for r in rows if r["pair_id"] == second_pair][:3]
         for rec in partial:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    assert _rerun_run_dir(tmp_path, pairs_file, out) == 0
+    for name in ("selections.jsonl", "report.json", "report.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_run_resume_writes_each_instance_in_strategies_order(tmp_path, pairs_file, run_dir):
+    # the checkpoint lists the first instance's rows last strategy first
+    lines = (run_dir / "selections.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    per_instance = len(Strategy)
+    out = tmp_path / "reordered"
+    out.mkdir()
+    (out / "selections.jsonl").write_text(
+        "".join(lines[per_instance - 1 :: -1] + lines[per_instance:]), encoding="utf-8"
+    )
     assert _rerun_run_dir(tmp_path, pairs_file, out) == 0
     for name in ("selections.jsonl", "report.json", "report.csv"):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
@@ -1112,7 +1145,7 @@ def test_calibrate_artifacts(tmp_path, chains_file, capsys):
     assert weights["alpha"] + weights["beta"] + weights["gamma"] == pytest.approx(1.0)
     detail = json.loads((out / "calibration.json").read_text())
     assert detail["evaluated_points"] == 66
-    assert detail["aggregation"] == "pooled"
+    assert set(detail) == set(weights) | {"evaluated_points", "range_lo", "range_hi"}
     assert (out / "manifest.json").is_file()
     summary = capsys.readouterr().out
     assert "r=" in summary and "grid=66" in summary

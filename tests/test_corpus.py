@@ -312,17 +312,6 @@ def test_split_partitions_cover_residual_exactly():
     ) == sorted(p.pair_id for p in residual)
 
 
-def test_split_pair_granularity_counts():
-    pairs = _pairs_for_split()
-    split = split_dataset(
-        pairs, per_label_test=1, train_fraction=0.8, seed=0, granularity="pair"
-    )
-    test_chains = {p.chain_id for p in split.test}
-    n_residual = sum(1 for p in pairs if p.chain_id not in test_chains)
-    assert len(split.train) == int(round(0.8 * n_residual))
-    assert len(split.train) + len(split.validation) == n_residual
-
-
 def test_split_insufficient_label_pool_raises():
     pairs = _pairs_for_split(n_chains=4)
     with pytest.raises(ValueError) as err:
@@ -336,8 +325,6 @@ def test_split_validates_arguments():
         split_dataset(pairs, per_label_test=1, train_fraction=1.0)
     with pytest.raises(ValueError):
         split_dataset(pairs, per_label_test=-1)
-    with pytest.raises(ValueError):
-        split_dataset(pairs, per_label_test=1, granularity="debate")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,9 @@ a selection or a metric fails here.
 
 The cases, in the order they run:
 
-- ``prepare_chain`` and ``prepare_pair``: the 300 chains split with
-  ``granularity`` ``chain`` and ``pair``;
-- ``calibrate``: pooled, heuristic scorers, default grid;
-- ``calibrate_per_chain``: ``per_chain`` aggregation with the cosine
-  meaning scorer;
+- ``prepare_chain``: the 300 chains split by chain;
+- ``calibrate``: heuristic scorers, default grid;
+- ``calibrate_cosine``: the cosine meaning scorer;
 - ``run``: all 8 strategies, ``--context both``, the calibrated weights
   and a ranker trained on separate pairs;
 - ``run_none``: ``--context none``, the default weights, three
@@ -78,17 +76,14 @@ _RUN = [
 
 # case -> argv, output directory included; paths are relative to the work directory
 CASES = {
-    **{
-        f"prepare_{granularity}": [
-            "prepare", "--chains", "chains.jsonl", "--out", f"prepare_{granularity}",
-            "--granularity", granularity, "--per-label-test", "10", "--seed", "3",
-        ]
-        for granularity in ("chain", "pair")
-    },
+    "prepare_chain": [
+        "prepare", "--chains", "chains.jsonl", "--out", "prepare_chain",
+        "--per-label-test", "10", "--seed", "3",
+    ],
     "calibrate": ["calibrate", "--chains", "chains.jsonl", "--out", "calibrate"],
-    "calibrate_per_chain": [
+    "calibrate_cosine": [
         "calibrate", "--config", "cosine.conf", "--chains", "chains.jsonl",
-        "--out", "calibrate_per_chain", "--aggregation", "per_chain",
+        "--out", "calibrate_cosine",
     ],
     "run": [*_RUN, "--out", "run"],
     "run_none": [

@@ -350,19 +350,6 @@ def test_calibration_is_deterministic():
     assert a == b
 
 
-def test_calibration_per_chain_mode():
-    chains, registry = _planted_chains()
-    result = calibrate_weights(
-        chains,
-        registry,
-        grid_step=0.1,
-        range_lo=0.0,
-        range_hi=1.0,
-        aggregation="per_chain",
-    )
-    assert result.weights.gamma >= 0.8
-
-
 def test_calibration_tie_breaks_lexicographically():
     # constant scorers make every grid point equally (un)informative;
     # positions vary but scores do not, so every r is undefined
@@ -374,8 +361,7 @@ def test_calibration_tie_breaks_lexicographically():
         calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
 
 
-@pytest.mark.parametrize("aggregation", ["pooled", "per_chain"])
-def test_calibration_ties_within_1e_12_go_to_the_first_triple(aggregation):
+def test_calibration_ties_within_1e_12_go_to_the_first_triple():
     # two scored steps: r is exactly 1 at 2089 grid points, and last-bit
     # rounding lifts a few others just above 1; that must not make them win
     texts = (
@@ -389,7 +375,7 @@ def test_calibration_ties_within_1e_12_go_to_the_first_triple(aggregation):
         (IntentLabel.TYPO_GRAMMAR, IntentLabel.CLARIFICATION),
         ContextBundle(topic="debate about the tax", previous_claim="someone said the tax hurts"),
     )
-    result = calibrate_weights([chain], default_registry(), aggregation=aggregation)
+    result = calibrate_weights([chain], default_registry())
     assert result.weights == Weights(0.01, 0.01, 0.98)
     assert result.pearson_r == 1.0
 
@@ -519,12 +505,10 @@ def test_calibration_rejects_short_chain():
         calibrate_weights([chain], default_registry())
 
 
-def test_calibration_rejects_empty_and_unknown_aggregation():
-    chains, registry = _planted_chains(n_chains=2)
+def test_calibration_rejects_empty_chains():
+    _, registry = _planted_chains(n_chains=2)
     with pytest.raises(CalibrationError):
         calibrate_weights([], registry)
-    with pytest.raises(ValueError):
-        calibrate_weights(chains, registry, aggregation="median")
 
 
 # ---------------------------------------------------------------------------

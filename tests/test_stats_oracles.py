@@ -1,11 +1,11 @@
-"""MACE's E-step, Krippendorff's coincidences and ``stats``' percent
-agreement, checked bit for bit against the code they replaced.
+"""MACE's E-step, Krippendorff's coincidences and percent agreement,
+checked bit for bit against the code they replaced.
 
 Below are verbatim copies (apart from names) of ``mace_aggregate`` as it
 was when each E-step took ``np.log`` of a full annotations x labels
 matrix and normalised with ``np.logaddexp.reduce``, of
 ``krippendorff_alpha`` with its Python pair loop, and of
-``_percent_agreement`` with its pair loop. Seeded random matrices go
+``percent_agreement`` with its pair loop. Seeded random matrices go
 through old and new code, and every float is compared by ``float.hex``
 and every label by ``==``.
 
@@ -22,13 +22,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from claimpolish.cli import _percent_agreement
 from claimpolish.evalstats import (
     AnnotationMatrix,
     Scale,
     _ordinal_ranks,
     krippendorff_alpha,
     mace_aggregate,
+    percent_agreement,
 )
 
 # ---------------------------------------------------------------------------
@@ -224,9 +224,9 @@ def test_krippendorff_matches_the_replaced_pair_loop_bit_for_bit(n_labels, strin
 def test_percent_agreement_matches_the_replaced_pair_loop(strings):
     for seed in range(6):
         labels = _ragged_labels(seed, 2 + seed, strings)
-        new, old = _percent_agreement(labels), oracle_percent_agreement(labels)
+        new, old = percent_agreement(labels), oracle_percent_agreement(labels)
         assert new.hex() == old.hex()
-    assert _percent_agreement({("a", "w1"): 1}) is None
+    assert percent_agreement({("a", "w1"): 1}) is None
 
 
 # ---------------------------------------------------------------------------

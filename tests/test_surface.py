@@ -7,9 +7,14 @@ code that only its own tests call is flagged for deletion.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from claimpolish import __version__
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "claimpolish"
@@ -60,3 +65,16 @@ def unreached_names() -> list[str]:
 
 def test_every_top_level_name_is_read_outside_tests():
     assert unreached_names() == []
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys, claimpolish; "
+        "print(claimpolish.__version__); "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('claimpolish.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines() == [__version__, "[]"]
