@@ -33,7 +33,7 @@ def planted_chains(n_chains=40, length=6, seed=99):
         claims = []
         for i in range(length):
             text = f"chain {ci} version {i} ({rng.random():.6f})"
-            claims.append(Claim(id=f"c{ci}_{i}", text=text, debate_id=f"d{ci}"))
+            claims.append(Claim(id=f"c{ci}_{i}", text=text))
             if i > 0:
                 position = i / (length - 1)
                 argument[text] = 0.05 + 0.9 * position + rng.uniform(-0.05, 0.05)

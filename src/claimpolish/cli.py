@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import shlex
+import shutil
 import sys
 import time
 from collections.abc import Callable
@@ -36,7 +37,6 @@ from . import __version__
 from .corpus import (
     ContextMode,
     DelimiterConfig,
-    IntentLabel,
     MissingContextError,
     OptimizationPair,
     TASK_INTENTS,
@@ -126,12 +126,6 @@ def _parse_strategies(text: str) -> tuple[Strategy, ...]:
     return strategies
 
 
-def _parse_intents(text: str) -> frozenset[IntentLabel]:
-    if not text:
-        return TASK_INTENTS
-    return frozenset(IntentLabel(v.strip()) for v in text.split(","))
-
-
 def _parse_strategy_pairs(text: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for spec_pair in text.split(",") if text else ():
@@ -163,7 +157,6 @@ _SHARED = {
     "seed": (_non_negative_int, 0, "random seed"),
     "out": (str, None, "output directory"),
 }
-_EMBEDDER = {"embed_dim": (int, 256, None), "embed_seed": (int, 0, None)}
 _METRICS = {
     "bleu_mode": (BLEU_MODES, BLEU_MODES[0], None),
     "sari_variant": (SARI_VARIANTS, SARI_VARIANTS[0], None),
@@ -178,8 +171,6 @@ _SETTINGS = {
         "chains": (str, None, "chains.jsonl input"),
         "per_label_test": (int, 200, "test pairs per intent label"),
         "train_fraction": (float, 0.9, "share of the rest that goes to train"),
-        "labeler": (("majority", "none"), "majority", None),
-        "filter_intents": (_parse_intents, TASK_INTENTS, None),
     },
     "run": {
         **_SHARED,
@@ -197,7 +188,6 @@ _SETTINGS = {
         "prev_delimiter": (str, "<PREV>", None),
         "topic_delimiter": (str, "<TOPIC>", None),
         **_SCORERS,
-        **_EMBEDDER,
         **_METRICS,
     },
     "calibrate": {
@@ -207,23 +197,18 @@ _SETTINGS = {
         "range_lo": (float, 0.01, "smallest weight on the grid"),
         "range_hi": (float, 0.98, "largest weight on the grid"),
         **_SCORERS,
-        **_EMBEDDER,
     },
     "stats": {
         **_SHARED,
         "annotations": (str, None, "annotations.jsonl"),
-        "mode": (("all", "aggregate", "agreement", "ranks"), "all", "which analyses to run"),
         "strategy_pairs": (_parse_strategy_pairs, (), "A:B,C:D pairs to test"),
         "mace_iterations": (int, 50, None),
         "mace_restarts": (int, 10, None),
-        "mace_smoothing": (float, 0.1, None),
-        "competence_threshold": (float, 0.3, None),
     },
     "report": {
         **_SHARED,
         "selections": (str, None, "selections.jsonl from a run"),
         "pairs": (str, None, "the pairs file the run used"),
-        **_EMBEDDER,
         **_METRICS,
     },
 }
@@ -250,7 +235,7 @@ def _merge_config(args: argparse.Namespace) -> dict[str, str]:
     """
     merged: dict[str, str] = {}
     if args.config:
-        merged.update(read_config_file(args.config))
+        merged.update(read_config_file(_require_file(args.config, "config file")))
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None:
             merged[key] = str(value)
@@ -342,12 +327,25 @@ def _out_dir(out: str | None) -> Path:
     if not out:
         raise ConfigError("no output directory configured (--out)")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
     return path
 
 
-def _embedder(s: dict) -> HashingEmbedder:
-    return HashingEmbedder(dim=s["embed_dim"], seed=s["embed_seed"])
+def _stdio_command(key: str, spec: str) -> list[str]:
+    """The command of a ``stdio:CMD`` adapter spec; ConfigError names
+    ``key`` when CMD does not split, is empty or its program is not on PATH."""
+    try:
+        command = shlex.split(spec[len("stdio:") :])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if not command:
+        raise ConfigError(f"{key}: no command after 'stdio:'")
+    if shutil.which(command[0]) is None:
+        raise ConfigError(f"{key}: program {command[0]!r} not found")
+    return command
 
 
 def _build_generator(s: dict, delimiters: DelimiterConfig):
@@ -355,7 +353,7 @@ def _build_generator(s: dict, delimiters: DelimiterConfig):
     if spec == "mock":
         return MockGenerator(delimiters=(delimiters.previous, delimiters.topic))
     if spec.startswith("stdio:"):
-        return StdioGenerator(shlex.split(spec[len("stdio:") :]))
+        return StdioGenerator(_stdio_command("generator", spec))
     raise ConfigError(f"unknown generator {spec!r}")
 
 
@@ -369,7 +367,7 @@ def _build_registry(s: dict, embedder) -> ScorerRegistry:
         if spec == "cosine" and kind == "meaning_scorer":
             return CosineMeaningScorer(embedder)
         if spec.startswith("stdio:"):
-            return StdioScorer(shlex.split(spec[len("stdio:") :]))
+            return StdioScorer(_stdio_command(kind, spec))
         raise ConfigError(f"unknown {kind} {spec!r}")
 
     return ScorerRegistry(
@@ -418,9 +416,8 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
     chains = load_chains(chains_path)
     pairs = [pair for chain in chains for pair in derive_pairs(chain)]
     n_derived = len(pairs)
-    if s["labeler"] == "majority":
-        pairs = relabel_pairs(pairs, majority_intent(pairs))
-    filtered = filter_by_intent(pairs, s["filter_intents"])
+    pairs = relabel_pairs(pairs, majority_intent(pairs))
+    filtered = filter_by_intent(pairs, TASK_INTENTS)
 
     split = split_dataset(
         filtered, per_label_test=s["per_label_test"], train_fraction=s["train_fraction"],
@@ -682,7 +679,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     out = _out_dir(s["out"])
     seed, strategies = s["seed"], s["strategies"]
     delimiters = DelimiterConfig(previous=s["prev_delimiter"], topic=s["topic_delimiter"])
-    embedder = _embedder(s)
+    embedder = HashingEmbedder()
 
     pairs = load_pairs(pairs_path)
     if not pairs:
@@ -810,7 +807,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
 def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
     chains_path = _require_file(s["chains"], "chains file")
     out = _out_dir(s["out"])
-    registry = _build_registry(s, _embedder(s))
+    registry = _build_registry(s, HashingEmbedder())
     chains = load_chains(chains_path)
     with _closing_adapters(registry):
         result = calibrate_weights(
@@ -843,37 +840,29 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
 # stats
 
 def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
-    mode = s["mode"]
-    if s["strategy_pairs"] and mode not in ("all", "ranks"):
-        raise ConfigError(f"strategy_pairs: mode {mode!r} runs no rank test")
     annotations_path = _require_file(s["annotations"], "annotations file")
     out = _out_dir(s["out"])
 
     matrices, rankings = load_annotations(annotations_path)
-    if mode in ("all", "ranks"):
-        ranked = {name for ann in rankings for name in ann.ranking}
-        unknown = [name for pair in s["strategy_pairs"] for name in pair if name not in ranked]
-        if unknown:
-            raise ConfigError(f"strategy {unknown[0]!r} is in no ranking")
-    ranks = bool(rankings) and mode in ("all", "ranks")
+    ranked = {name for ann in rankings for name in ann.ranking}
+    unknown = [name for pair in s["strategy_pairs"] for name in pair if name not in ranked]
+    if unknown:
+        raise ConfigError(f"strategy {unknown[0]!r} is in no ranking")
     report: dict = {"fields": {}, "ranks": {}}
 
     for fld in sorted(matrices):
         matrix = matrices[fld]
-        entry: dict = {}
-        if mode in ("all", "agreement"):
-            entry["krippendorff_alpha_ordinal"] = krippendorff_alpha(matrix, "ordinal")
-            entry["krippendorff_alpha_nominal"] = krippendorff_alpha(matrix, "nominal")
-            entry["percent_agreement"] = percent_agreement(matrix.labels)
-        if mode in ("all", "aggregate"):
-            mace = mace_aggregate(
-                matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"],
-                smoothing=s["mace_smoothing"], seed=s["seed"],
-            )
-            entry["mace"] = mace_summary(mace, s["competence_threshold"])
-        report["fields"][fld] = entry
+        mace = mace_aggregate(
+            matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"], seed=s["seed"]
+        )
+        report["fields"][fld] = {
+            "krippendorff_alpha_ordinal": krippendorff_alpha(matrix, "ordinal"),
+            "krippendorff_alpha_nominal": krippendorff_alpha(matrix, "nominal"),
+            "percent_agreement": percent_agreement(matrix.labels),
+            "mace": mace_summary(mace),
+        }
 
-    if ranks:
+    if rankings:
         report["ranks"]["mean_rank"] = mean_rank(rankings)
         if s["strategy_pairs"]:
             per_item: dict[str, dict[str, list[float]]] = {}
@@ -919,7 +908,7 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
         raise ConfigError("no pair has selections for every strategy")
     outputs = {name: [by_pair[p.pair_id][name] for p in usable] for name in strategies}
     reports = evaluate_run(
-        [_eval_instance(p) for p in usable], outputs, _embedder(s),
+        [_eval_instance(p) for p in usable], outputs, HashingEmbedder(),
         bleu_mode=s["bleu_mode"], sari_variant=s["sari_variant"],
     )
     artifacts = _write_reports(

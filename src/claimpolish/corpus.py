@@ -65,7 +65,6 @@ class ContextMode(enum.Enum):
 class Claim:
     id: str
     text: str
-    debate_id: str
 
     def __post_init__(self):
         if not self.text.strip():
@@ -140,16 +139,14 @@ def _parse_chain(record: dict) -> RevisionChain:
     raw_claims, raw_intents = record["claims"], record["intents"]
     if not isinstance(raw_claims, list) or not isinstance(raw_intents, list):
         raise ValueError("claims and intents must be lists")
-    debate_id = parse_id(record["debate_id"], "'debate_id'")
+    parse_id(record["debate_id"], "'debate_id'")  # required and checked, not kept
     claims = []
     for entry in raw_claims:
         if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
             raise ValueError("each claim needs 'id' and 'text'")
         if not isinstance(entry["text"], str):
             raise ValueError(f"claim 'text' must be a string, got {entry['text']!r}")
-        claims.append(
-            Claim(id=parse_id(entry["id"], "claim 'id'"), text=entry["text"], debate_id=debate_id)
-        )
+        claims.append(Claim(id=parse_id(entry["id"], "claim 'id'"), text=entry["text"]))
     intents = (IntentLabel.UNLABELED if raw is None else IntentLabel(raw) for raw in raw_intents)
     return RevisionChain(
         chain_id=parse_id(record["chain_id"], "'chain_id'"),
@@ -208,8 +205,8 @@ def derive_pairs(chain: RevisionChain) -> list[OptimizationPair]:
 def majority_intent(pairs: Sequence[OptimizationPair]) -> IntentLabel:
     """The most frequent labeled intent among ``pairs``.
 
-    Ties break toward the intent that sorts first by value. Under
-    ``labeler = majority``, ``prepare`` gives it to every unlabeled pair.
+    Ties break toward the intent that sorts first by value. ``prepare``
+    gives it to every unlabeled pair.
     """
     counts: dict[IntentLabel, int] = {}
     for pair in pairs:
@@ -373,8 +370,8 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
             pair_id=pair_id,
             chain_id=chain_id,
             index=index,
-            source=Claim(id=f"{pair_id}.src", text=record["source"], debate_id=""),
-            reference=Claim(id=f"{pair_id}.ref", text=record["reference"], debate_id=""),
+            source=Claim(id=f"{pair_id}.src", text=record["source"]),
+            reference=Claim(id=f"{pair_id}.ref", text=record["reference"]),
             intent=IntentLabel(record["intent"]),
             context=_context(record),
         )

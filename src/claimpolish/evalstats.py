@@ -216,12 +216,12 @@ def competent_workers(result: MaceResult, threshold: float = 0.3) -> list[str]:
     return sorted(w for w, c in result.competence.items() if c > threshold)
 
 
-def mace_summary(result: MaceResult, threshold: float) -> dict:
+def mace_summary(result: MaceResult) -> dict:
     """A fit as the ``stats`` report shows it: the log-likelihood, the mean
-    competence, the workers above ``threshold`` and their share, the mean
+    competence, the ``competent_workers`` and their share, the mean
     posterior label, and the mean posterior label per strategy over the
     items whose id names the judged strategy as ``<pair>::<strategy>``."""
-    competent = competent_workers(result, threshold)
+    competent = competent_workers(result)
     per_strategy: dict[str, list[float]] = {}
     for item, label in result.posterior_labels.items():
         _, judged, strategy = item.rpartition("::")

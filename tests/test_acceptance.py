@@ -212,7 +212,7 @@ def test_criterion_4_calibration_recovers_planted_weight(capsys):
         claims = []
         for i in range(m):
             text = f"chain {ci} claim {i} token{rng.randint(0, 999)}"
-            claims.append(Claim(id=f"c{ci}_{i}", text=text, debate_id=f"d{ci}"))
+            claims.append(Claim(id=f"c{ci}_{i}", text=text))
             if i > 0:
                 position = i / (m - 1)
                 # uniform(-0.05, 0.05) noise: sigma = 0.05/sqrt(3) <= 0.05

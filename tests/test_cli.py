@@ -155,7 +155,7 @@ def test_flags_are_the_settings_keys_with_help():
         "run": {"context", "n_candidates", "out", "pairs", "ranker", "seed", "strategies",
                 "train_pairs", "weights"},
         "calibrate": {"chains", "grid_step", "out", "range_hi", "range_lo", "seed"},
-        "stats": {"annotations", "mode", "out", "seed", "strategy_pairs"},
+        "stats": {"annotations", "out", "seed", "strategy_pairs"},
         "report": {"out", "pairs", "seed", "selections"},
     }
     parser = build_parser()
@@ -217,8 +217,13 @@ def test_readme_cli_commands_parse():
         ("run", "seed = -1", "seed: must be >= 0, got -1"),
         ("calibrate", "seed = -1", "seed: must be >= 0, got -1"),
         ("stats", "seed = -2", "seed: must be >= 0, got -2"),
-        ("prepare", "filter_intents = bogus", "filter_intents: "),
-        ("stats", "mode = x", "unknown mode 'x' (choose from all, aggregate, agreement, ranks)"),
+        ("prepare", "filter_intents = bogus", "unknown config key 'filter_intents'"),
+        ("prepare", "labeler = none", "unknown config key 'labeler'"),
+        ("stats", "mode = all", "unknown config key 'mode'"),
+        ("stats", "mace_smoothing = 0.1", "unknown config key 'mace_smoothing'"),
+        ("stats", "competence_threshold = 0.3", "unknown config key 'competence_threshold'"),
+        ("run", "embed_dim = 256", "unknown config key 'embed_dim'"),
+        ("calibrate", "embed_seed = 0", "unknown config key 'embed_seed'"),
         ("run", "strategies = top1,top1,unedited", "strategies: strategy 'top1' is listed twice"),
         (
             "stats", "strategy_pairs = autoscore:autoscore",
@@ -233,29 +238,63 @@ def test_readme_cli_commands_parse():
 def test_config_key_error_exits_two_before_any_output(
     tmp_path, pairs_file, chains_file, capsys, command, line, named
 ):
-    annotations = tmp_path / "annotations.jsonl"
-    _write_annotations(annotations)
-    inputs = {
-        "run": ["--pairs", pairs_file],
-        "prepare": ["--chains", chains_file],
-        "stats": ["--annotations", annotations],
-        "calibrate": ["--chains", chains_file],
-    }
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "o"
-    assert run_cli(command, "--config", cfg, *inputs[command], "--out", out) == 2
+    inputs = _command_inputs(tmp_path, pairs_file, chains_file)[command]
+    assert run_cli(command, "--config", cfg, *inputs, "--out", out) == 2
     assert f"error: {named}" in capsys.readouterr().err
     assert list(out.glob("*")) == []
 
 
+def _command_inputs(tmp_path, pairs_file, chains_file) -> dict[str, list]:
+    """Each command's input flags, naming valid input files."""
+    annotations = tmp_path / "annotations.jsonl"
+    _write_annotations(annotations)
+    selections = tmp_path / "selections.jsonl"
+    pair_id = read_rows(pairs_file)[0]["pair_id"]
+    selections.write_text(
+        json.dumps({"pair_id": pair_id, "strategy": "top1", "chosen": "x"}) + "\n"
+    )
+    return {
+        "prepare": ["--chains", chains_file],
+        "run": ["--pairs", pairs_file],
+        "calibrate": ["--chains", chains_file],
+        "stats": ["--annotations", annotations],
+        "report": ["--selections", selections, "--pairs", pairs_file],
+    }
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_out_on_a_file_exits_two(tmp_path, pairs_file, chains_file, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "x" if below else taken
+    inputs = _command_inputs(tmp_path, pairs_file, chains_file)[command]
+    assert run_cli(command, *inputs, "--out", out) == 2
+    reason = "Not a directory" if below else "File exists"
+    assert capsys.readouterr().err.splitlines() == [f"error: output directory {out}: {reason}"]
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_config_on_a_directory_exits_two(tmp_path, chains_file, capsys):
+    out = tmp_path / "o"
+    code = run_cli("prepare", "--config", tmp_path, "--chains", chains_file, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: config file not found: {tmp_path}"]
+    assert not out.exists()
+
+
 def test_keys_of_other_commands_are_ignored(tmp_path, chains_file):
     cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text("per_label_test = 2\nn_candidates = x\nmode = bogus\nbleu_mode = corpus\n")
+    cfg.write_text(
+        "per_label_test = 2\nn_candidates = x\nmace_restarts = bogus\nbleu_mode = corpus\n"
+    )
     out = tmp_path / "data"
     assert run_cli("prepare", "--config", cfg, "--chains", chains_file, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["mode"] == "bogus"
+    assert manifest["config"]["mace_restarts"] == "bogus"
 
 
 def test_version_flag(capsys):
@@ -810,14 +849,12 @@ def test_run_ranker_non_integer_embedder_field_exits_two(tmp_path, pairs_file, c
 
 
 def test_run_accepts_embedder_seed_outside_int64(tmp_path, pairs_file):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"embed_seed = {2**70}\n")
     ranker = tmp_path / "ranker.json"
     ranker.write_text(json.dumps(
         {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 2**70}}
     ))
     code = run_cli(
-        "run", "--config", cfg, "--pairs", pairs_file, "--out", tmp_path / "o",
+        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
         "--strategies", "top1,pairwise_rank", "--ranker", ranker,
     )
     assert code == 0
@@ -843,18 +880,13 @@ def test_run_weights_non_number_exits_two(tmp_path, pairs_file, capsys, value):
     ],
 )
 def test_bad_config_value_exits_two_before_any_output(
-    tmp_path, pairs_file, capsys, command, key, value
+    tmp_path, pairs_file, chains_file, capsys, command, key, value
 ):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "o"
-    argv = [command, "--config", cfg, "--pairs", pairs_file, "--out", out]
-    if command == "report":
-        pair_id = read_rows(pairs_file)[0]["pair_id"]
-        sel = tmp_path / "selections.jsonl"
-        sel.write_text(json.dumps({"pair_id": pair_id, "strategy": "top1", "chosen": "x"}) + "\n")
-        argv += ["--selections", sel]
-    assert run_cli(*argv) == 2
+    inputs = _command_inputs(tmp_path, pairs_file, chains_file)[command]
+    assert run_cli(command, "--config", cfg, *inputs, "--out", out) == 2
     assert f"unknown {key} {value!r}" in capsys.readouterr().err
     assert not (out / "selections.jsonl").exists()
     assert not (out / "report.json").exists()
@@ -995,6 +1027,45 @@ def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):
     ) == 0
     top1 = [r for r in read_rows(out / "selections.jsonl") if r["strategy"] == "top1"]
     assert all(r["chosen"].endswith("(greedy)") for r in top1)
+
+
+@pytest.mark.parametrize("route", ["file", "env"])
+@pytest.mark.parametrize(
+    "spec, problem",
+    [("stdio:no-such-claimpolish-program --x", "program 'no-such-claimpolish-program' not found"),
+     ("stdio:", "no command after 'stdio:'"),
+     ("stdio:python3 'unclosed", "No closing quotation")],
+    ids=["missing", "empty", "unsplittable"],
+)
+@pytest.mark.parametrize(
+    "command, key",
+    [("run", "generator"), ("run", "argument_scorer"), ("calibrate", "fluency_scorer")],
+)
+def test_unusable_adapter_program_exits_two_before_any_instance(
+    tmp_path, pairs_file, chains_file, capsys, monkeypatch, command, key, spec, problem, route
+):
+    for env in cli._ENV_ADAPTERS.values():
+        monkeypatch.delenv(env, raising=False)
+    out = tmp_path / "o"
+    out.mkdir()
+    kept = {name: f"earlier {name}\n" for name in ("ranker.json", "selections.jsonl")}
+    for name, text in kept.items():
+        (out / name).write_text(text)
+    argv = [command, "--out", out]
+    if route == "env":
+        monkeypatch.setenv(cli._ENV_ADAPTERS[key], spec)
+    else:
+        cfg = tmp_path / "adapters.cfg"
+        cfg.write_text(f"{key} = {spec}\n")
+        argv += ["--config", cfg]
+    if command == "run":
+        argv += ["--pairs", pairs_file, "--train-pairs", pairs_file]
+    else:
+        argv += ["--chains", chains_file]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {key}: {problem}"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(kept)
+    assert all((out / name).read_text() == text for name, text in kept.items())
 
 
 def test_run_skips_blank_generator_text(tmp_path, monkeypatch):
@@ -1243,18 +1314,6 @@ def test_stats_full_report(tmp_path):
     assert report["inputs"]["annotations_sha256"]
 
 
-def test_stats_agreement_mode_skips_mace(tmp_path):
-    ann = tmp_path / "ann.jsonl"
-    _write_annotations(ann)
-    out = tmp_path / "stats"
-    assert run_cli(
-        "stats", "--annotations", ann, "--out", out, "--mode", "agreement"
-    ) == 0
-    report = json.loads((out / "stats_report.json").read_text())
-    assert "mace" not in report["fields"]["fluency"]
-    assert "mean_rank" not in report["ranks"]
-
-
 def test_stats_fields_do_not_depend_on_the_line_order(tmp_path):
     # units of 1 to 7 labels add different weights to a coincidence cell
     rng = random.Random(5)
@@ -1280,8 +1339,7 @@ def test_stats_bad_strategy_pair(tmp_path, capsys):
     ann = tmp_path / "ann.jsonl"
     _write_annotations(ann)
     code = run_cli(
-        "stats", "--annotations", ann, "--out", tmp_path / "o",
-        "--mode", "ranks", "--strategy-pairs", "autoscore",
+        "stats", "--annotations", ann, "--out", tmp_path / "o", "--strategy-pairs", "autoscore",
     )
     assert code == 2
     assert "A:B" in capsys.readouterr().err
@@ -1290,11 +1348,13 @@ def test_stats_bad_strategy_pair(tmp_path, capsys):
 def test_stats_strips_the_names_around_the_colon(tmp_path):
     ann = tmp_path / "ann.jsonl"
     _write_annotations(ann)
+    cfg = tmp_path / "stats.cfg"
+    cfg.write_text("mace_iterations = 10\nmace_restarts = 2\n")
     reports = []
     for i, spec in enumerate(("autoscore:top1", "autoscore: top1", " autoscore :top1 ")):
         out = tmp_path / f"o{i}"
         assert run_cli(
-            "stats", "--annotations", ann, "--out", out, "--mode", "ranks",
+            "stats", "--annotations", ann, "--out", out, "--config", cfg,
             "--strategy-pairs", spec,
         ) == 0
         reports.append((out / "stats_report.json").read_bytes())
@@ -1318,36 +1378,17 @@ def test_stats_strategy_in_no_ranking_exits_two_before_any_fit(tmp_path, capsys,
     assert not (out / "stats_report.json").exists()
 
 
-@pytest.mark.parametrize("mode", ["all", "ranks"])
-def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, mode):
+def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys):
     ann = tmp_path / "ann.jsonl"
     _write_annotations(ann)
     lines = ann.read_text().splitlines(keepends=True)
     ann.write_text("".join(line for line in lines if '"ranking"' not in line))
     out = tmp_path / "o"
     code = run_cli(
-        "stats", "--annotations", ann, "--out", out, "--mode", mode,
-        "--strategy-pairs", "bogus:top1",
+        "stats", "--annotations", ann, "--out", out, "--strategy-pairs", "bogus:top1",
     )
     assert code == 2
     assert "error: strategy 'bogus' is in no ranking" in capsys.readouterr().err
-    assert not (out / "stats_report.json").exists()
-
-
-@pytest.mark.parametrize("mode", ["aggregate", "agreement"])
-def test_stats_strategy_pairs_under_a_mode_without_rank_tests_exit_two(tmp_path, capsys, mode):
-    ann = tmp_path / "ann.jsonl"
-    ann.write_text(
-        '{"item": "p1", "worker": "w1", "field": "fluency", "value": 1}\n'
-        '{"item": "p1", "worker": "w2", "field": "fluency", "value": 2}\n'
-    )
-    out = tmp_path / "o"
-    code = run_cli(
-        "stats", "--annotations", ann, "--out", out, "--mode", mode,
-        "--strategy-pairs", "bogus:top1",
-    )
-    assert code == 2
-    assert f"error: strategy_pairs: mode '{mode}' runs no rank test" in capsys.readouterr().err
     assert not (out / "stats_report.json").exists()
 
 

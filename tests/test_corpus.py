@@ -29,7 +29,7 @@ from conftest import make_chain_records, make_synthetic_pairs
 
 def chain(chain_id="c1", texts=("a claim", "A claim."), intents=None, **ctx):
     claims = tuple(
-        Claim(id=f"{chain_id}_{i}", text=t, debate_id="d1") for i, t in enumerate(texts)
+        Claim(id=f"{chain_id}_{i}", text=t) for i, t in enumerate(texts)
     )
     if intents is None:
         intents = tuple([IntentLabel.CLARIFICATION] * (len(texts) - 1))
@@ -160,7 +160,7 @@ def test_chain_invariant_enforced_on_construction():
     with pytest.raises(ValueError):
         chain(texts=("a", "b", "c"), intents=(IntentLabel.LINKS,))
     with pytest.raises(ValueError):
-        Claim(id="x", text="", debate_id="d")
+        Claim(id="x", text="")
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,7 @@ def _pairs_for_split(n_chains=40, seed=11):
     records = make_chain_records(n_chains, seed=seed)
     chains = []
     for rec in records:
-        claims = tuple(
-            Claim(id=c["id"], text=c["text"], debate_id=rec["debate_id"])
-            for c in rec["claims"]
-        )
+        claims = tuple(Claim(id=c["id"], text=c["text"]) for c in rec["claims"])
         intents = tuple(
             IntentLabel(i) if i is not None else IntentLabel.UNLABELED
             for i in rec["intents"]

@@ -24,7 +24,7 @@ The cases, in the order they run:
   ``sari_variant = all_f1``;
 - ``run_corpus``: ``run`` itself under the same two settings, with
   ``--context topic``, the calibrated weights and four strategies;
-- ``stats``: ``--mode all`` with one Wilcoxon pair, on a seeded
+- ``stats``: every analysis with one Wilcoxon pair, on a seeded
   annotations file of Likert and ranking records.
 
 A report averages its rows, and the mean can absorb a one-ulp change in
@@ -103,7 +103,7 @@ CASES = {
     ],
     "stats": [
         "stats", "--config", "stats.conf", "--annotations", "annotations.jsonl",
-        "--out", "stats", "--mode", "all", "--strategy-pairs", "autoscore:top1",
+        "--out", "stats", "--strategy-pairs", "autoscore:top1",
     ],
 }
 

@@ -323,7 +323,7 @@ def _planted_chains(n_chains=30, steps=4, noise=0.05, seed=9):
             fluency_table[text] = rng.random()
             meaning_table[text] = rng.random()
         claims = tuple(
-            Claim(id=f"p{c}_{i}", text=t, debate_id="d") for i, t in enumerate(texts)
+            Claim(id=f"p{c}_{i}", text=t) for i, t in enumerate(texts)
         )
         intents = tuple([IntentLabel.CLARIFICATION] * steps)
         chains.append(RevisionChain(f"pc{c}", claims, intents, ContextBundle()))
@@ -371,7 +371,7 @@ def test_calibration_ties_within_1e_12_go_to_the_first_triple():
     )
     chain = RevisionChain(
         "setup0",
-        tuple(Claim(id=f"s{i}", text=t, debate_id="d0") for i, t in enumerate(texts)),
+        tuple(Claim(id=f"s{i}", text=t) for i, t in enumerate(texts)),
         (IntentLabel.TYPO_GRAMMAR, IntentLabel.CLARIFICATION),
         ContextBundle(topic="debate about the tax", previous_claim="someone said the tax hurts"),
     )
@@ -418,7 +418,7 @@ def _table_chains(rng, lengths, prefix):
         for text in texts[1:]:
             for table in tables:
                 table[text] = rng.random()
-        claims = tuple(Claim(id=t, text=t, debate_id="d") for t in texts)
+        claims = tuple(Claim(id=t, text=t) for t in texts)
         intents = (IntentLabel.CLARIFICATION,) * (m - 1)
         chains.append(RevisionChain(f"{prefix}c{c}", claims, intents, ContextBundle()))
     return chains, tables
@@ -497,7 +497,7 @@ def test_calibration_rejects_half_step_grid():
 def test_calibration_rejects_short_chain():
     chain = RevisionChain(
         "solo",
-        (Claim(id="x", text="only one", debate_id="d"),),
+        (Claim(id="x", text="only one"),),
         (),
         ContextBundle(),
     )
