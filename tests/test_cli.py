@@ -1378,11 +1378,16 @@ def test_stats_strategy_in_no_ranking_exits_two_before_any_fit(tmp_path, capsys,
     assert not (out / "stats_report.json").exists()
 
 
-def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys):
+# "all": the file holds no ranking at all; "ranks": it holds rankings, none naming 'bogus'.
+@pytest.mark.parametrize(
+    "drop_rankings", [pytest.param(True, id="all"), pytest.param(False, id="ranks")]
+)
+def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, drop_rankings):
     ann = tmp_path / "ann.jsonl"
     _write_annotations(ann)
-    lines = ann.read_text().splitlines(keepends=True)
-    ann.write_text("".join(line for line in lines if '"ranking"' not in line))
+    if drop_rankings:
+        lines = ann.read_text().splitlines(keepends=True)
+        ann.write_text("".join(line for line in lines if '"ranking"' not in line))
     out = tmp_path / "o"
     code = run_cli(
         "stats", "--annotations", ann, "--out", out, "--strategy-pairs", "bogus:top1",
