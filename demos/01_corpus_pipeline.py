@@ -73,8 +73,8 @@ def main():
 
         example = split.test[0]
         print("\none test pair:")
-        print(f"  source:    {example.source.text!r}")
-        print(f"  reference: {example.reference.text!r}")
+        print(f"  source:    {example.source!r}")
+        print(f"  reference: {example.reference!r}")
         print(f"  intent:    {example.intent.value}")
 
 

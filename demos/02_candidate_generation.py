@@ -26,12 +26,12 @@ def main():
     cset = generate_candidates(generator, source, config, seed=3)
     print(f"\n{len(cset.candidates)} raw candidates for {source!r}:")
     for cand in cset.candidates:
-        print(f"  [{cand.index}] {str(cand.origin):<10} {cand.text!r}")
+        print(f"  {str(cand.origin):<10} {cand.text!r}")
 
     unique = dedup(cset)
     print(f"\nafter dedup: {len(unique.candidates)} distinct texts")
     for cand in unique.candidates:
-        print(f"  [{cand.index}] {cand.text!r}")
+        print(f"  [{cand.origin}] {cand.text!r}")
 
     # same seed, same pool; different seed, different sampling choices
     again = dedup(generate_candidates(generator, source, config, seed=3))

@@ -71,7 +71,6 @@ from .genkit import (
 from .metrics import (
     BLEU_MODES,
     SARI_VARIANTS,
-    EvalInstance,
     aggregate_rows,
     evaluate_run,
     score_instance,
@@ -389,12 +388,6 @@ def _closing_adapters(registry: ScorerRegistry, generator=None):
         yield
 
 
-def _eval_instance(pair: OptimizationPair) -> EvalInstance:
-    return EvalInstance(
-        source=pair.source.text, reference=pair.reference.text, context=pair.context
-    )
-
-
 def _write_reports(out: Path, reports: dict, metadata: dict) -> list[Path]:
     """Write each strategy's MetricReport to report.json and report.csv."""
     payload = {
@@ -505,27 +498,11 @@ def _load_checkpoint(
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
-def _generate_and_score(
-    pair, seed: int, *, context_mode, delimiters, generator, gen_config, registry
-):
-    """Stage A of one instance: serialize -> generate -> dedup -> score.
-
-    It calls the adapters, so it runs in the process that owns them.
-    Returns the deduped candidates and their score vectors.
-    """
-    input_text = serialize_input(pair, context_mode, delimiters)
-    candidates = dedup(generate_candidates(generator, input_text, gen_config, seed)).candidates
-    scores = tuple(
-        score_candidate(registry, pair.source.text, c.text, pair.context) for c in candidates
-    )
-    return candidates, scores
-
-
 def _instance_records(pair, candidates, columns, picks) -> dict[str, dict]:
     """One instance's selections.jsonl records, by strategy name in ``picks``
     order. A record's ``combined`` is its strategy's column; ``unedited``,
     ``top1`` and ``random`` record ``autoscore``."""
-    source = pair.source.text
+    source = pair.source
     table = list(zip(candidates, columns["fluency"], columns["meaning"], columns["argument"]))
     records = {}
     for strategy, position in picks.items():
@@ -601,8 +578,7 @@ class _Finisher:
         lines = "".join(by_strategy[strategy.value][0] for strategy in self.strategies)
         chosen = {strategy.value: by_strategy[strategy.value][1] for strategy in self.strategies}
         rows = score_instance(
-            _eval_instance(pair), chosen.values(), self.embedder, self.bleu_mode,
-            self.sari_variant,
+            pair, chosen.values(), self.embedder, self.bleu_mode, self.sari_variant
         )
         return lines, {name: rows[text] for name, text in chosen.items()}
 
@@ -706,9 +682,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             train_path = _require_file(s["train_pairs"], "ranker training pairs")
             inputs["train_pairs"] = train_path
             text_pairs = [
-                (p.source.text, p.reference.text)
-                for p in load_pairs(train_path)
-                if p.source.text != p.reference.text
+                (p.source, p.reference) for p in load_pairs(train_path) if p.source != p.reference
             ]
             if not text_pairs:
                 raise ConfigError(f"no usable ranker training pairs in {train_path}")
@@ -723,20 +697,25 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
         ranker = train_pairwise_ranker(text_pairs, embedder, seed)
         save_ranker(out / "ranker.json", ranker)
 
-    generate_and_score = functools.partial(
-        _generate_and_score, context_mode=ContextMode(s["context"]), delimiters=delimiters,
-        generator=generator, gen_config=gen_config, registry=registry,
-    )
+    context_mode = ContextMode(s["context"])
 
     def jobs():
-        # stage A, here: complete instances of the checkpoint are reused
+        # stage A, here, in the process that owns the adapters: serialize ->
+        # generate -> dedup -> score; complete instances of the checkpoint
+        # are reused
         for i, pair in enumerate(pairs):
             resumed = checkpoint.get(pair.pair_id)
             if resumed is not None:
                 yield _Job(pair, seed + i, stored=resumed)
                 continue
             try:
-                candidates, scores = generate_and_score(pair, seed + i)
+                input_text = serialize_input(pair, context_mode, delimiters)
+                generated = generate_candidates(generator, input_text, gen_config, seed + i)
+                candidates = dedup(generated).candidates
+                scores = tuple(
+                    score_candidate(registry, pair.source, c.text, pair.context)
+                    for c in candidates
+                )
             except _STAGE_A_FAILURES as exc:
                 yield _Job(pair, seed + i, error=str(exc))
             else:
@@ -850,6 +829,22 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
         raise ConfigError(f"strategy {unknown[0]!r} is in no ranking")
     report: dict = {"fields": {}, "ranks": {}}
 
+    if rankings:
+        report["ranks"]["mean_rank"] = mean_rank(rankings)
+    if s["strategy_pairs"]:  # so there are rankings, and all rank the same strategies
+        by_item: dict[str, list] = {}
+        for ann in rankings:
+            by_item.setdefault(ann.item, []).append(ann)
+        item_ranks = [mean_rank(by_item[item]) for item in sorted(by_item)]
+        tests = report["ranks"]["wilcoxon"] = {}
+        for a, b in s["strategy_pairs"]:
+            xs, ys = [ranks[a] for ranks in item_ranks], [ranks[b] for ranks in item_ranks]
+            try:
+                statistic, p_value = wilcoxon_signed_rank(xs, ys)
+            except ValueError as exc:
+                raise ValueError(f"strategy pair {a}:{b}: {exc}") from None
+            tests[f"{a}_vs_{b}"] = {"statistic": statistic, "p_value": p_value, "n_items": len(xs)}
+
     for fld in sorted(matrices):
         matrix = matrices[fld]
         mace = mace_aggregate(
@@ -861,30 +856,6 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
             "percent_agreement": percent_agreement(matrix.labels),
             "mace": mace_summary(mace),
         }
-
-    if rankings:
-        report["ranks"]["mean_rank"] = mean_rank(rankings)
-        if s["strategy_pairs"]:
-            per_item: dict[str, dict[str, list[float]]] = {}
-            for ann in rankings:
-                slot = per_item.setdefault(ann.item, {})
-                for position, name in enumerate(ann.ranking, start=1):
-                    slot.setdefault(name, []).append(position)
-            tests = report["ranks"]["wilcoxon"] = {}
-            for a, b in s["strategy_pairs"]:
-                xs, ys = [], []
-                for item in sorted(per_item):
-                    ranks_a = per_item[item].get(a)
-                    ranks_b = per_item[item].get(b)
-                    if ranks_a and ranks_b:
-                        xs.append(sum(ranks_a) / len(ranks_a))
-                        ys.append(sum(ranks_b) / len(ranks_b))
-                statistic, p_value = wilcoxon_signed_rank(xs, ys)
-                tests[f"{a}_vs_{b}"] = {
-                    "statistic": statistic,
-                    "p_value": p_value,
-                    "n_items": len(xs),
-                }
 
     report["inputs"] = {"annotations_sha256": _sha256_file(annotations_path)}
     write_json(out / "stats_report.json", report)
@@ -908,7 +879,7 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
         raise ConfigError("no pair has selections for every strategy")
     outputs = {name: [by_pair[p.pair_id][name] for p in usable] for name in strategies}
     reports = evaluate_run(
-        [_eval_instance(p) for p in usable], outputs, HashingEmbedder(),
+        usable, outputs, HashingEmbedder(),
         bleu_mode=s["bleu_mode"], sari_variant=s["sari_variant"],
     )
     artifacts = _write_reports(

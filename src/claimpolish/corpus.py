@@ -19,6 +19,7 @@ File formats handled here:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import random
@@ -103,10 +104,17 @@ class OptimizationPair:
     pair_id: str
     chain_id: str
     index: int  # position of the step within its chain, 0-based
-    source: Claim
-    reference: Claim
+    source: str
+    reference: str
     intent: IntentLabel
     context: ContextBundle = ContextBundle()
+
+    def __post_init__(self):
+        for key, text in (("source", self.source), ("reference", self.reference)):
+            if not isinstance(text, str):
+                raise ValueError(f"{key!r} must be a string, got {text!r}")
+            if not text.strip():
+                raise ValueError(f"{key} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -193,8 +201,8 @@ def derive_pairs(chain: RevisionChain) -> list[OptimizationPair]:
                 pair_id=f"{chain.chain_id}#{i}",
                 chain_id=chain.chain_id,
                 index=i,
-                source=chain.claims[i],
-                reference=chain.claims[i + 1],
+                source=chain.claims[i].text,
+                reference=chain.claims[i + 1].text,
                 intent=chain.intents[i],
                 context=chain.context,
             )
@@ -311,7 +319,7 @@ def serialize_input(
     topic segment. Raises MissingContextError when the mode needs a
     field the pair's context does not carry.
     """
-    parts = [pair.source.text]
+    parts = [pair.source]
     if mode in (ContextMode.WITH_PREVIOUS, ContextMode.WITH_BOTH):
         if not pair.context.previous_claim:
             raise MissingContextError(f"pair {pair.pair_id}: no previous_claim in context")
@@ -330,8 +338,8 @@ def serialize_input(
 def pair_to_record(pair: OptimizationPair) -> dict:
     return {
         "pair_id": pair.pair_id,
-        "source": pair.source.text,
-        "reference": pair.reference.text,
+        "source": pair.source,
+        "reference": pair.reference,
         "intent": pair.intent.value,
         "topic": pair.context.topic,
         "previous_claim": pair.context.previous_claim,
@@ -346,10 +354,11 @@ def write_pairs(pairs: Iterable[OptimizationPair], path: str | Path) -> None:
 def load_pairs(path: str | Path) -> list[OptimizationPair]:
     """Read a pairs.jsonl file written by :func:`write_pairs`.
 
-    The flat format stores no claim ids, so synthetic ones are minted
-    from the pair id; the chain id is recovered from the ``chain#index``
-    pair-id convention when present. A repeated pair id is rejected:
-    resume and ``report`` key records by it.
+    The chain id and step index are recovered from the ``chain#index``
+    pair-id convention when the part after the last ``#`` is a decimal
+    integer; otherwise the index is 0. A blank ``source`` or
+    ``reference`` is rejected, and so is a repeated pair id: resume and
+    ``report`` key records by it.
     """
     seen_pair_ids: set[str] = set()
 
@@ -358,20 +367,17 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
         if pair_id in seen_pair_ids:
             raise ValueError(f"duplicate pair_id {pair_id!r}")
         seen_pair_ids.add(pair_id)
+        chain_id, index = pair_id, 0
         if "#" in pair_id:
             chain_id, _, idx_text = pair_id.rpartition("#")
-            index = int(idx_text) if idx_text.isdigit() else 0
-        else:
-            chain_id, index = pair_id, 0
-        for key in ("source", "reference"):
-            if not isinstance(record[key], str):
-                raise ValueError(f"{key!r} must be a string, got {record[key]!r}")
+            with contextlib.suppress(ValueError):  # int() refuses over 4300 digits
+                index = int(idx_text) if idx_text.isdecimal() else 0
         return OptimizationPair(
             pair_id=pair_id,
             chain_id=chain_id,
             index=index,
-            source=Claim(id=f"{pair_id}.src", text=record["source"]),
-            reference=Claim(id=f"{pair_id}.ref", text=record["reference"]),
+            source=record["source"],
+            reference=record["reference"],
             intent=IntentLabel(record["intent"]),
             context=_context(record),
         )

@@ -84,7 +84,6 @@ def make_schedule(n: int) -> list[Directive]:
 class Candidate:
     text: str
     origin: Directive
-    index: int
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ def generate_candidates(
 
     A failing step (it raises or returns a blank text) is skipped and
     logged rather than aborting the set; only an empty result is an
-    error. Candidate indices follow schedule order, counting skipped
-    steps, so index i always means schedule step i.
+    error.
     """
     schedule = make_schedule(config.n_candidates)
     candidates = []
@@ -119,7 +117,7 @@ def generate_candidates(
         except Exception as exc:
             log.warning("generation step %d (%s) failed: %s", i, directive, exc)
             continue
-        candidates.append(Candidate(text=text, origin=directive, index=i))
+        candidates.append(Candidate(text=text, origin=directive))
     if not candidates:
         raise GenerationError(f"all {len(schedule)} generation steps failed")
     return CandidateSet(candidates=tuple(candidates))

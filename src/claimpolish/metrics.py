@@ -5,7 +5,8 @@ The report for a strategy bundles: smoothed sentence-level BLEU-4
 the byte-exact no-edit ratio against the source, the exact-match
 ratio against the reference (after whitespace normalization), and
 embedding-based similarity of the output to its context. Each instance
-has one reference: the next version of the claim in its revision chain.
+is an ``OptimizationPair``: a source, its debate context and one
+reference, the next version of the claim in its revision chain.
 
 Every n-gram metric tokenizes identically: lowercase, punctuation as
 separate tokens, whitespace split. SARI follows the component
@@ -36,7 +37,7 @@ from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
-from .corpus import ContextBundle, MissingContextError
+from .corpus import MissingContextError, OptimizationPair
 from .embedding import Embedder, unit_cosine
 from .ndjson import open_atomic
 from .text import normalize_whitespace, tokenize
@@ -49,19 +50,6 @@ _BLEU_EPS = 0.01
 # Allowed ``bleu_mode`` and SARI ``variant`` values; the first is the default.
 BLEU_MODES = ("sentence", "corpus")
 SARI_VARIANTS = ("canonical", "all_f1")
-
-
-@dataclass(frozen=True)
-class EvalInstance:
-    source: str
-    reference: str
-    context: ContextBundle = ContextBundle()
-
-    def __post_init__(self):
-        if not self.source.strip():
-            raise ValueError("source must be non-empty")
-        if not self.reference.strip():
-            raise ValueError("reference must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -366,50 +354,50 @@ class _Row:
 
 
 def _score_row(
-    inst: EvalInstance,
+    pair: OptimizationPair,
     normalized_ref: str,
     output: str,
     embedder: Embedder,
     bleu_mode: str,
     sari_variant: str,
 ) -> _Row:
-    """Every score of ``output`` for ``inst``, whose reference with
+    """Every score of ``output`` for ``pair``, whose reference with
     normalized whitespace is ``normalized_ref``."""
     if not output.strip():
         raise ValueError("output must be non-empty")
-    ref = inst.reference
-    previous, topic = inst.context.previous_claim, inst.context.topic
+    ref = pair.reference
+    previous, topic = pair.context.previous_claim, pair.context.topic
     return _Row(
         bleu=sentence_bleu(output, ref) if bleu_mode == "sentence" else _bleu_counts(output, ref),
         rouge_l=rouge_l(output, ref),
-        sari=sari(inst.source, output, ref, variant=sari_variant),
-        no_edit=output == inst.source,
+        sari=sari(pair.source, output, ref, variant=sari_variant),
+        no_edit=output == pair.source,
         exact_match=normalize_whitespace(output) == normalized_ref,
-        sim_original=context_similarity(output, inst.source, embedder),
+        sim_original=context_similarity(output, pair.source, embedder),
         sim_previous=context_similarity(output, previous, embedder) if previous else None,
         sim_topic=context_similarity(output, topic, embedder) if topic else None,
     )
 
 
 def score_instance(
-    instance: EvalInstance,
+    pair: OptimizationPair,
     outputs: Iterable[str],
     embedder: Embedder,
     bleu_mode: str = "sentence",
     sari_variant: str = "canonical",
 ) -> dict[str, _Row]:
-    """The ``_Row`` of each distinct output of ``instance``, keyed by the
-    output. The instance's own texts are tokenized and embedded once for
-    all its rows."""
+    """The ``_Row`` of each distinct output of the evaluation instance
+    ``pair``, keyed by the output. The pair's source, reference and
+    context are tokenized and embedded once for all its rows."""
     # keyed on the text alone, so any embedder works, hashable or not;
     # dropped with the instance, so it holds only that instance's texts
     instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
-    normalized_ref = normalize_whitespace(instance.reference)
+    normalized_ref = normalize_whitespace(pair.reference)
     rows: dict[str, _Row] = {}
     for output in outputs:
         if output not in rows:
             rows[output] = _score_row(
-                instance, normalized_ref, output, instance_embedder, bleu_mode, sari_variant
+                pair, normalized_ref, output, instance_embedder, bleu_mode, sari_variant
             )
     return rows
 
@@ -441,7 +429,7 @@ def aggregate_rows(
 
 
 def evaluate_run(
-    instances: Sequence[EvalInstance],
+    instances: Sequence[OptimizationPair],
     outputs: Mapping[str, Sequence[str]],
     embedder: Embedder,
     bleu_mode: str = "sentence",

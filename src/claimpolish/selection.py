@@ -96,10 +96,9 @@ def select(
 ) -> int:
     """The candidate one strategy picks, as a position in ``candidates``.
 
-    The position counts the (deduped) candidates as given; it is not
-    ``Candidate.index``, the schedule step. ``unedited`` keeps the
-    source and returns -1. The argmax strategies read their column of
-    ``columns`` (see ``COLUMNS`` and ``score_columns``).
+    The position counts the (deduped) candidates as given. ``unedited``
+    keeps the source and returns -1. The argmax strategies read their
+    column of ``columns`` (see ``COLUMNS`` and ``score_columns``).
     """
     if not candidates:
         raise ValueError("empty candidate set")

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from claimpolish.corpus import (
-    Claim,
     ContextBundle,
     IntentLabel,
     OptimizationPair,
@@ -94,8 +93,8 @@ def make_synthetic_pairs(n: int, seed: int = 0) -> list[OptimizationPair]:
                 pair_id=f"{chain_id}#1",
                 chain_id=chain_id,
                 index=1,
-                source=Claim(id=f"{chain_id}_0", text=source),
-                reference=Claim(id=f"{chain_id}_1", text=reference),
+                source=source,
+                reference=reference,
                 intent=IntentLabel(rng.choice(["clarification", "typo_grammar", "links"])),
                 context=ContextBundle(
                     topic=f"debate about {rng.choice(OBJECTS)}",

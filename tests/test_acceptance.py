@@ -37,7 +37,7 @@ from claimpolish.evalstats import (
     wilcoxon_signed_rank,
 )
 from claimpolish.genkit import Candidate, TOPK
-from claimpolish.metrics import EvalInstance, evaluate_run, rouge_l, sari
+from claimpolish.metrics import evaluate_run, rouge_l, sari
 from claimpolish.scoring import (
     ScoreVector,
     ScorerRegistry,
@@ -116,24 +116,14 @@ def e2e(tmp_path_factory):
 
 def test_criterion_1_identity_metrics(e2e, capsys):
     pairs = make_synthetic_pairs(600, seed=0)
-    instances = [
-        EvalInstance(
-            source=p.source.text,
-            reference=p.reference.text,
-            context=p.context,
-        )
-        for p in pairs
-    ]
-    outputs = {"reference": [p.reference.text for p in pairs]}
+    outputs = {"reference": [p.reference for p in pairs]}
     embedder = HashingEmbedder()
-    sentence = evaluate_run(instances, outputs, embedder, bleu_mode="sentence")["reference"]
-    corpus = evaluate_run(instances, outputs, embedder, bleu_mode="corpus")["reference"]
+    sentence = evaluate_run(pairs, outputs, embedder, bleu_mode="sentence")["reference"]
+    corpus = evaluate_run(pairs, outputs, embedder, bleu_mode="corpus")["reference"]
     checks = {
         "bleu_sentence": abs(sentence.bleu - 100.0) <= 1e-6,
         "bleu_corpus": abs(corpus.bleu - 100.0) <= 1e-6,
-        "rouge_identity": all(
-            rouge_l(p.reference.text, p.reference.text) == 1.0 for p in pairs
-        ),
+        "rouge_identity": all(rouge_l(p.reference, p.reference) == 1.0 for p in pairs),
         "exact_match": sentence.exact_match_ratio == 1.0,
         "unedited_noed": e2e["report"]["reports"]["unedited"]["no_edit_ratio"] == 1.0,
     }
@@ -166,7 +156,7 @@ def test_criterion_3_selection_equals_exhaustive_argmax(capsys):
     for case in range(trials):
         n = rng.randint(1, 10)
         candidates = tuple(
-            Candidate(text=f"cand {case} {j}", origin=TOPK(5 * (j + 1)), index=j)
+            Candidate(text=f"cand {case} {j}", origin=TOPK(5 * (j + 1)))
             for j in range(n)
         )
         # one-decimal quantization makes exact ties common
@@ -356,16 +346,8 @@ def test_criterion_8_source_corpus_reproduction(capsys):
     pairs = [pair for chain in chains for pair in derive_pairs(chain)]
     filtered = filter_by_intent(pairs, TASK_INTENTS)
     split = split_dataset(filtered, per_label_test=200, train_fraction=0.9, seed=0)
-    instances = [
-        EvalInstance(
-            source=p.source.text,
-            reference=p.reference.text,
-            context=p.context,
-        )
-        for p in split.test
-    ]
     unedited = evaluate_run(
-        instances, {"unedited": [p.source.text for p in split.test]}, HashingEmbedder()
+        split.test, {"unedited": [p.source for p in split.test]}, HashingEmbedder()
     )["unedited"]
     bleu_score, rouge_mean, sari_mean = unedited.bleu, unedited.rouge_l, unedited.sari
     checks = {

@@ -551,7 +551,7 @@ def test_run_failing_an_input_check_leaves_ranker_json_alone(
 
 def test_selection_record_schema(run_dir, pairs_file):
     rows = read_rows(run_dir / "selections.jsonl")
-    sources = {p.pair_id: p.source.text for p in load_pairs(pairs_file)}
+    sources = {p.pair_id: p.source for p in load_pairs(pairs_file)}
     ranker = load_ranker(run_dir / "ranker.json")
     weights = Weights(WEIGHTS["alpha"], WEIGHTS["beta"], WEIGHTS["gamma"])
     # each pair's rows in --strategies order, pairs in file order
@@ -584,8 +584,8 @@ def test_selection_record_schema(run_dir, pairs_file):
 
 def test_edited_flag_tracks_text_equality():
     pair = make_synthetic_pairs(1, seed=3)[0]
-    source = pair.source.text
-    candidates = (Candidate(source, GREEDY, 0), Candidate("changed text", TOPK(5), 2))
+    source = pair.source
+    candidates = (Candidate(source, GREEDY), Candidate("changed text", TOPK(5)))
     scores = [ScoreVector(0.5, 0.5, 0.5), ScoreVector(0.9, 0.5, 0.5)]
     columns = score_columns(candidates, scores, DEFAULT_WEIGHTS)
     strategies = (Strategy.UNEDITED, Strategy.TOP1, Strategy.MAX_FLUENCY)
@@ -673,7 +673,7 @@ GOOD_RECORDS = {
     "command, kind, change, reason",
     [
         ("run", "pairs", {"source": 5}, "'source' must be a string, got 5"),
-        ("run", "pairs", {"source": " "}, "claim 'c#0.src' has empty text"),
+        ("run", "pairs", {"source": " "}, "source must be non-empty"),
         ("run", "pairs", {"topic": 5}, "topic and previous_claim must be strings or null"),
         ("run", "pairs", {"pair_id": None}, "'pair_id' must be a string or an integer, got None"),
         (
@@ -911,9 +911,7 @@ def _stdio_generator_script(tmp_path):
 
 def test_run_instance_failure_exits_one(tmp_path, pairs_file, capsys, monkeypatch):
     pairs = make_synthetic_pairs(4, seed=3)
-    broken = dataclasses.replace(
-        pairs[2], source=dataclasses.replace(pairs[2].source, text="BROKEN claim here")
-    )
+    broken = dataclasses.replace(pairs[2], source="BROKEN claim here")
     pairs[2] = broken
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
@@ -937,9 +935,7 @@ def test_run_instance_failure_exits_one(tmp_path, pairs_file, capsys, monkeypatc
 
 def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
     pairs = make_synthetic_pairs(4, seed=3)
-    pairs[2] = dataclasses.replace(
-        pairs[2], source=dataclasses.replace(pairs[2].source, text="BROKEN claim here")
-    )
+    pairs[2] = dataclasses.replace(pairs[2], source="BROKEN claim here")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
     out = tmp_path / "o"
@@ -998,9 +994,7 @@ def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatc
         "    print(json.dumps({'score': score}), flush=True)\n"
     )
     pairs = make_synthetic_pairs(3, seed=3)
-    pairs[1] = dataclasses.replace(
-        pairs[1], source=dataclasses.replace(pairs[1].source, text="OFFSCALE claim here")
-    )
+    pairs[1] = dataclasses.replace(pairs[1], source="OFFSCALE claim here")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
     monkeypatch.setenv("CLAIMPOLISH_MEANING_CMD", f"stdio:{sys.executable} {script}")
@@ -1079,9 +1073,7 @@ def test_run_skips_blank_generator_text(tmp_path, monkeypatch):
         "    print(json.dumps({'text': '' if blank else req['input'] + '.'}), flush=True)\n"
     )
     pairs = make_synthetic_pairs(4, seed=3)
-    pairs[1] = dataclasses.replace(
-        pairs[1], source=dataclasses.replace(pairs[1].source, text="BLANK claim here")
-    )
+    pairs[1] = dataclasses.replace(pairs[1], source="BLANK claim here")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
     monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
@@ -1137,9 +1129,7 @@ def recording_adapters(tmp_path, monkeypatch):
 def test_run_closes_stdio_adapters(tmp_path, recording_adapters, broken, expected_code):
     pairs = make_synthetic_pairs(3, seed=3)
     if broken:
-        pairs[1] = dataclasses.replace(
-            pairs[1], source=dataclasses.replace(pairs[1].source, text="BROKEN claim")
-        )
+        pairs[1] = dataclasses.replace(pairs[1], source="BROKEN claim")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
     code = run_cli(
@@ -1394,6 +1384,27 @@ def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, dro
     )
     assert code == 2
     assert "error: strategy 'bogus' is in no ranking" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
+
+
+def test_stats_failing_rank_test_names_its_pair_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a MACE fit ran")
+
+    monkeypatch.setattr(cli, "mace_aggregate", no_fit)
+    # the item's two rankings tie a and b at a mean rank of 1.5
+    records = [
+        {"item": "p0::a", "worker": "w1", "field": "fluency", "value": 2},
+        {"item": "p0::b", "worker": "w1", "field": "fluency", "value": 3},
+        {"item": "p0", "worker": "w1", "ranking": ["a", "b"]},
+        {"item": "p0", "worker": "w2", "ranking": ["b", "a"]},
+    ]
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "o"
+    code = run_cli("stats", "--annotations", ann, "--out", out, "--strategy-pairs", "a:b")
+    assert code == 2
+    assert "error: strategy pair a:b: all differences are zero" in capsys.readouterr().err
     assert not (out / "stats_report.json").exists()
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -156,6 +158,14 @@ def test_load_chains_rejects_duplicate_claim_id(tmp_path):
     assert "duplicate claim id" in str(err.value)
 
 
+def test_pair_rejects_blank_source_or_reference():
+    pair = derive_pairs(chain())[0]
+    with pytest.raises(ValueError, match="source must be non-empty"):
+        dataclasses.replace(pair, source=" ")
+    with pytest.raises(ValueError, match="reference must be non-empty"):
+        dataclasses.replace(pair, reference="\t")
+
+
 def test_chain_invariant_enforced_on_construction():
     with pytest.raises(ValueError):
         chain(texts=("a", "b", "c"), intents=(IntentLabel.LINKS,))
@@ -172,10 +182,7 @@ def test_derive_pairs_adjacent_steps():
     pairs = derive_pairs(c)
     assert len(pairs) == 2
     assert [p.pair_id for p in pairs] == ["c1#0", "c1#1"]
-    assert pairs[0].source.text == "v one"
-    assert pairs[0].reference.text == "v two"
-    assert pairs[1].source.text == "v two"
-    assert pairs[1].reference.text == "v three"
+    assert [(p.source, p.reference) for p in pairs] == [("v one", "v two"), ("v two", "v three")]
     assert all(p.context.topic == "t" for p in pairs)
 
 
@@ -386,8 +393,8 @@ def test_pairs_roundtrip(tmp_path):
         assert back.pair_id == orig.pair_id
         assert back.chain_id == orig.chain_id
         assert back.index == orig.index
-        assert back.source.text == orig.source.text
-        assert back.reference.text == orig.reference.text
+        assert back.source == orig.source
+        assert back.reference == orig.reference
         assert back.intent is orig.intent
         assert back.context == orig.context
 
@@ -427,9 +434,34 @@ def test_load_pairs_rejects_duplicate_pair_id(tmp_path):
         load_pairs(path)
 
 
+# the part after the last '#' is the step index only when int() reads it as
+# a decimal; int() refuses more than 4300 digits from CPython 3.10.7 / 3.11 on
+_LONG_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "pair_id, chain_id, index",
+    [
+        pytest.param("c#12", "c", 12, id="decimal"),
+        pytest.param("x#abc", "x", 0, id="word"),
+        pytest.param("c#\u00b2", "c", 0, id="superscript-digit"),
+        pytest.param(
+            "c#" + _LONG_DIGITS, "c",
+            0 if hasattr(sys, "get_int_max_str_digits") else int(_LONG_DIGITS), id="5000-digits",
+        ),
+    ],
+)
+def test_load_pairs_takes_any_string_pair_id(tmp_path, pair_id, chain_id, index):
+    path = tmp_path / "pairs.jsonl"
+    record = {"pair_id": pair_id, "source": "s", "reference": "r", "intent": "links"}
+    write_lines(path, [json.dumps(record)])
+    (pair,) = load_pairs(path)
+    assert (pair.pair_id, pair.chain_id, pair.index) == (pair_id, chain_id, index)
+
+
 def test_load_pairs_keeps_an_integer_pair_id_as_its_digits(tmp_path):
     path = tmp_path / "pairs.jsonl"
     record = {"pair_id": 7, "source": "s", "reference": "r", "intent": "links"}
     write_lines(path, [json.dumps(record)])
     (pair,) = load_pairs(path)
-    assert (pair.pair_id, pair.chain_id, pair.source.id) == ("7", "7", "7.src")
+    assert (pair.pair_id, pair.chain_id, pair.index) == ("7", "7", 0)

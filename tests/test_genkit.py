@@ -197,7 +197,6 @@ class FlakyGenerator:
 
 def test_generate_candidates_indices_follow_schedule():
     cset = generate_candidates(MockGenerator(), "its good", GenerationConfig(n_candidates=4), 0)
-    assert [c.index for c in cset.candidates] == [0, 1, 2, 3]
     assert [str(c.origin) for c in cset.candidates] == [
         "greedy",
         "topk:5",
@@ -209,10 +208,10 @@ def test_generate_candidates_indices_follow_schedule():
 def test_generate_candidates_skips_failures_keeping_indices():
     gen = FlakyGenerator(fail_on={"topk:5"})
     cset = generate_candidates(gen, "x", GenerationConfig(n_candidates=3), 0)
-    assert [c.index for c in cset.candidates] == [0, 2]
+    assert [str(c.origin) for c in cset.candidates] == ["greedy", "topk:10"]
     blank = FlakyGenerator(fail_on=set(), answers={"topk:5": "", "topk:10": " "})
     cset = generate_candidates(blank, "x", GenerationConfig(n_candidates=4), 0)
-    assert [c.index for c in cset.candidates] == [0, 3]
+    assert [str(c.origin) for c in cset.candidates] == ["greedy", "topk:15"]
 
 
 def test_generate_candidates_all_fail_raises():
@@ -236,15 +235,15 @@ def test_generate_candidates_default_schedule_from_config():
 def test_dedup_keeps_first_occurrence():
     cset = CandidateSet(
         candidates=(
-            Candidate("a", GREEDY, 0),
-            Candidate("b", TOPK(5), 1),
-            Candidate("a", TOPK(10), 2),
-            Candidate("c", TOPK(15), 3),
+            Candidate("a", GREEDY),
+            Candidate("b", TOPK(5)),
+            Candidate("a", TOPK(10)),
+            Candidate("c", TOPK(15)),
         ),
     )
     deduped = dedup(cset)
     assert [c.text for c in deduped.candidates] == ["a", "b", "c"]
-    assert [c.index for c in deduped.candidates] == [0, 1, 3]
+    assert [str(c.origin) for c in deduped.candidates] == ["greedy", "topk:5", "topk:15"]
 
 
 # ---------------------------------------------------------------------------

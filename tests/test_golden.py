@@ -40,6 +40,11 @@ digests must also hold with ``sum()`` replaced by an emulation of 3.12's.
 ``run`` finishes instances in one worker process per usable CPU, or
 inline on one CPU; the digests must hold on both paths.
 
+``prepare_chain``'s corpus path (chains to the four pair files) must
+also give the same bytes under every other CPython 3.10 or later
+installed beside the running interpreter, without loading numpy; that
+test skips when there is none.
+
 Digests change only when artifact bytes change on purpose. Regenerate
 them from the repository root with::
 
@@ -55,6 +60,8 @@ import json
 import math
 import os
 import random
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -194,7 +201,7 @@ def _row_metrics_digest() -> str:
             candidates[record["pair_id"]] = [score["text"] for score in record["scores"]]
     digest = hashlib.sha256()
     for pair in load_pairs("pairs.jsonl"):
-        source, ref = pair.source.text, pair.reference.text
+        source, ref = pair.source, pair.reference
         for text in candidates[pair.pair_id]:
             values = (
                 sari(source, text, ref),
@@ -273,6 +280,66 @@ def test_digests_do_not_depend_on_the_worker_count(tmp_path, force_cpus, n_cpus)
     assert not changed, f"cases whose bytes depend on the worker count: {changed}"
     # run, run_none, run_resumed and run_corpus
     assert pools == ([2] * 4 if n_cpus == 2 and hasattr(os, "fork") else [])
+
+
+# ``prepare``'s corpus path as library calls: it writes pairs.jsonl,
+# train.jsonl, validation.jsonl and test.jsonl into the working directory,
+# then prints whether numpy was loaded
+_PREPARE_CHAIN = """
+import sys
+from claimpolish.corpus import (
+    TASK_INTENTS, derive_pairs, filter_by_intent, load_chains, majority_intent,
+    relabel_pairs, split_dataset, write_pairs,
+)
+pairs = [pair for chain in load_chains("chains.jsonl") for pair in derive_pairs(chain)]
+pairs = relabel_pairs(pairs, majority_intent(pairs))
+split = split_dataset(filter_by_intent(pairs, TASK_INTENTS), per_label_test=10, seed=3)
+parts = {"pairs": pairs, "train": split.train, "validation": split.validation, "test": split.test}
+for name, part in parts.items():
+    write_pairs(part, name + ".jsonl")
+print("numpy" in sys.modules)
+"""
+
+_IS_CPYTHON_3_10_UP = (
+    "import platform, sys; "
+    "sys.exit(platform.python_implementation() != 'CPython' or sys.version_info < (3, 10))"
+)
+
+
+def _other_interpreters() -> list[Path]:
+    """Every CPython 3.10 or later installed beside the running one."""
+    here = Path(sys.base_prefix).resolve()
+    return [
+        python
+        for python in sorted(here.parent.glob("*/bin/python3"))
+        if python.parents[1].resolve() != here
+        and subprocess.run([python, "-c", _IS_CPYTHON_3_10_UP], capture_output=True).returncode == 0
+    ]
+
+
+def test_prepare_chain_pairs_hold_on_other_interpreters(tmp_path):
+    """``prepare_chain``'s four pair files keep their digests under every
+    other CPython 3.10 or later found beside this one, none of them
+    loading numpy."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip(f"no other CPython >= 3.10 beside {sys.base_prefix}")
+    _write_inputs(tmp_path)
+    expected = json.loads(DIGESTS_PATH.read_text())["prepare_chain"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for python in interpreters:
+        work = tmp_path / python.parents[1].name
+        work.mkdir()
+        shutil.copy(tmp_path / "chains.jsonl", work)
+        result = subprocess.run(
+            [python, "-c", _PREPARE_CHAIN], cwd=work, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert result.returncode == 0, f"{python}: {result.stderr}"
+        assert result.stdout.strip() == "False", f"{python} loaded numpy"
+        for name in ("pairs.jsonl", "train.jsonl", "validation.jsonl", "test.jsonl"):
+            digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
+            assert digest == expected[name], f"{python}: {name} differs from the golden bytes"
 
 
 if __name__ == "__main__":

@@ -9,11 +9,10 @@ from dataclasses import dataclass, field, replace
 import pytest
 
 from claimpolish import metrics, scoring
-from claimpolish.corpus import ContextBundle, MissingContextError
+from claimpolish.corpus import ContextBundle, IntentLabel, MissingContextError, OptimizationPair
 from claimpolish.embedding import HashingEmbedder
 from claimpolish.metrics import (
     CSV_COLUMNS,
-    EvalInstance,
     context_similarity,
     evaluate_run,
     rouge_l,
@@ -27,7 +26,9 @@ EMB = HashingEmbedder(dim=128)
 
 
 def inst(source, reference, **ctx):
-    return EvalInstance(source=source, reference=reference, context=ContextBundle(**ctx))
+    return OptimizationPair(
+        "p#0", "p", 0, source, reference, IntentLabel.CLARIFICATION, ContextBundle(**ctx)
+    )
 
 
 def corpus_bleu(instances, outputs, mode="sentence"):
@@ -322,13 +323,6 @@ def test_context_similarity_missing_field_raises():
         context_similarity("out", None, EMB)
     with pytest.raises(MissingContextError):
         context_similarity("out", "", EMB)
-
-
-def test_eval_instance_validation():
-    with pytest.raises(ValueError, match="source must be non-empty"):
-        EvalInstance(source=" ", reference="r")
-    with pytest.raises(ValueError, match="reference must be non-empty"):
-        EvalInstance(source="s", reference=" ")
 
 
 def test_evaluate_run_rejects_blank_output_and_unknown_bleu_mode():

@@ -31,7 +31,7 @@ FORK = hasattr(os, "fork")
 
 
 def _with_source(pair, text):
-    return dataclasses.replace(pair, source=dataclasses.replace(pair.source, text=text))
+    return dataclasses.replace(pair, source=text)
 
 
 def _script(path, body, pid_log=None):

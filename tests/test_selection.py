@@ -22,7 +22,7 @@ def build_set(texts, first_greedy=True):
     cands = []
     for i, text in enumerate(texts):
         origin = GREEDY if (i == 0 and first_greedy) else TOPK(5 * max(i, 1))
-        cands.append(Candidate(text=text, origin=origin, index=i))
+        cands.append(Candidate(text=text, origin=origin))
     return tuple(cands)
 
 
@@ -47,7 +47,7 @@ def test_unedited_returns_source_unmodified():
 def test_top1_returns_first_greedy_candidate():
     assert select(Strategy.TOP1, CANDS, COLUMNS) == 0
     # the first greedy candidate, wherever it stands
-    cands = (Candidate("x", TOPK(5), 0), Candidate("y", GREEDY, 1), Candidate("z", GREEDY, 2))
+    cands = (Candidate("x", TOPK(5)), Candidate("y", GREEDY), Candidate("z", GREEDY))
     assert select(Strategy.TOP1, cands, {}) == 1
 
 
@@ -115,8 +115,8 @@ def test_select_validates_alignment_and_emptiness():
 
 
 def test_positions_count_deduped_candidates_not_schedule_steps():
-    # dedup keeps schedule indices, so a position differs from Candidate.index
-    cands = (Candidate("a", GREEDY, 0), Candidate("b", TOPK(10), 2), Candidate("c", TOPK(15), 3))
+    # after dedup, "b" (schedule step 2, topk:10) stands at position 1
+    cands = (Candidate("a", GREEDY), Candidate("b", TOPK(10)), Candidate("c", TOPK(15)))
     columns = score_columns(cands, vectors((0.1, 0, 0), (0.9, 0, 0), (0.5, 0, 0)), DEFAULT_WEIGHTS)
     assert select(Strategy.MAX_FLUENCY, cands, columns) == 1
 
