@@ -12,7 +12,7 @@ Run: python3 demos/04_weight_calibration.py
 import random
 import time
 
-from claimpolish.corpus import Claim, IntentLabel, RevisionChain
+from claimpolish.corpus import IntentLabel, RevisionChain
 from claimpolish.scoring import ScorerRegistry, calibrate_weights, save_calibration, simplex_grid
 
 
@@ -33,7 +33,7 @@ def planted_chains(n_chains=40, length=6, seed=99):
         claims = []
         for i in range(length):
             text = f"chain {ci} version {i} ({rng.random():.6f})"
-            claims.append(Claim(id=f"c{ci}_{i}", text=text))
+            claims.append(text)
             if i > 0:
                 position = i / (length - 1)
                 argument[text] = 0.05 + 0.9 * position + rng.uniform(-0.05, 0.05)

@@ -37,7 +37,7 @@ def main():
         for w in range(3):
             jitter = rng.choice([-1, 0, 0, 1])
             labels[(f"i{i}", f"w{w}")] = min(5, max(1, true + jitter))
-    matrix = AnnotationMatrix.from_labels(labels)
+    matrix = AnnotationMatrix(labels)
     print(f"alpha (nominal):      {krippendorff_alpha(matrix, 'nominal'):.3f}")
     print(f"alpha (ordinal):      {krippendorff_alpha(matrix, 'ordinal'):.3f}")
 
@@ -49,7 +49,7 @@ def main():
             noisy[(item, f"good{g}")] = true
         for s in range(2):
             noisy[(item, f"spam{s}")] = rng.randrange(3)
-    fit = mace_aggregate(AnnotationMatrix.from_labels(noisy), seed=0)
+    fit = mace_aggregate(AnnotationMatrix(noisy), seed=0)
     accuracy = sum(fit.posterior_labels[i] == t for i, t in truth.items()) / len(truth)
     print(f"\naggregation accuracy: {accuracy:.2%}")
     for worker in sorted(fit.competence):

@@ -350,7 +350,7 @@ def _stdio_command(key: str, spec: str) -> list[str]:
 def _build_generator(s: dict, delimiters: DelimiterConfig):
     spec = s["generator"]
     if spec == "mock":
-        return MockGenerator(delimiters=(delimiters.previous, delimiters.topic))
+        return MockGenerator(delimiters)
     if spec.startswith("stdio:"):
         return StdioGenerator(_stdio_command("generator", spec))
     raise ConfigError(f"unknown generator {spec!r}")
@@ -475,7 +475,7 @@ def _read_selections(path: Path, keep: Callable[[dict], object]) -> dict[str, di
         return rec["pair_id"], rec["strategy"], keep(rec)
 
     by_pair: dict[str, dict] = {}
-    for _, (pair_id, strategy, kept) in read_jsonl(path, ("pair_id", "strategy", "chosen"), parse):
+    for pair_id, strategy, kept in read_jsonl(path, ("pair_id", "strategy", "chosen"), parse):
         by_pair.setdefault(pair_id, {})[strategy] = kept
     return by_pair
 
@@ -775,8 +775,8 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "n_instances": n_done,
             },
         )
-        if text_pairs:  # not a ranker.json an earlier run left in ``out``
-            artifacts.append(out / "ranker.json")
+    if text_pairs:  # not a ranker.json an earlier run left in ``out``
+        artifacts.append(out / "ranker.json")
     return inputs, artifacts, 1 if errors else 0
 
 

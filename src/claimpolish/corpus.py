@@ -11,7 +11,9 @@ File formats handled here:
   ``{"chain_id", "debate_id", "topic", "previous_claim", "claims":
   [{"id", "text"}, ...], "intents": [str, ...]}``
   (``topic`` / ``previous_claim`` may be null or absent; the ids are
-  strings or integers)
+  strings or integers). A chain keeps only its claim texts: claim ids
+  must be unique across the file, and ``debate_id`` must be present,
+  but neither is stored.
 * ``pairs.jsonl``   one pair per line:
   ``{"pair_id", "source", "reference", "intent", "topic",
   "previous_claim"}``
@@ -63,16 +65,6 @@ class ContextMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Claim:
-    id: str
-    text: str
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError(f"claim {self.id!r} has empty text")
-
-
-@dataclass(frozen=True)
 class ContextBundle:
     """Optional debate context shared by every pair of one chain."""
 
@@ -82,14 +74,21 @@ class ContextBundle:
 
 @dataclass(frozen=True)
 class RevisionChain:
+    """One claim's versions, oldest first, and the intent of each edit."""
+
     chain_id: str
-    claims: tuple[Claim, ...]
+    claims: tuple[str, ...]
     intents: tuple[IntentLabel, ...]
     context: ContextBundle = ContextBundle()
 
     def __post_init__(self):
         if len(self.claims) < 1:
             raise ValueError(f"chain {self.chain_id!r} has no claims")
+        for position, text in enumerate(self.claims, start=1):
+            if not isinstance(text, str):
+                raise ValueError(f"claim 'text' must be a string, got {text!r}")
+            if not text.strip():
+                raise ValueError(f"chain {self.chain_id!r}: claim {position} has empty text")
         if len(self.intents) != len(self.claims) - 1:
             raise ValueError(
                 f"chain {self.chain_id!r}: {len(self.claims)} claims need "
@@ -143,49 +142,42 @@ def _context(record: dict) -> ContextBundle:
     return ContextBundle(topic=topic, previous_claim=previous)
 
 
-def _parse_chain(record: dict) -> RevisionChain:
-    raw_claims, raw_intents = record["claims"], record["intents"]
-    if not isinstance(raw_claims, list) or not isinstance(raw_intents, list):
-        raise ValueError("claims and intents must be lists")
-    parse_id(record["debate_id"], "'debate_id'")  # required and checked, not kept
-    claims = []
-    for entry in raw_claims:
-        if not isinstance(entry, dict) or "id" not in entry or "text" not in entry:
-            raise ValueError("each claim needs 'id' and 'text'")
-        if not isinstance(entry["text"], str):
-            raise ValueError(f"claim 'text' must be a string, got {entry['text']!r}")
-        claims.append(Claim(id=parse_id(entry["id"], "claim 'id'"), text=entry["text"]))
-    intents = (IntentLabel.UNLABELED if raw is None else IntentLabel(raw) for raw in raw_intents)
-    return RevisionChain(
-        chain_id=parse_id(record["chain_id"], "'chain_id'"),
-        claims=tuple(claims),
-        intents=tuple(intents),
-        context=_context(record),
-    )
-
-
 def load_chains(path: str | Path) -> list[RevisionChain]:
     """Read a chains.jsonl file, validating every line.
 
     Raises RecordFormatError naming the offending line on malformed JSON,
-    schema violations, empty claim texts, or duplicate ids.
+    schema violations, empty claim texts, or duplicate ids. Claim ids
+    are checked for uniqueness across the file and then dropped.
     """
     seen_chain_ids: set[str] = set()
     seen_claim_ids: set[str] = set()
 
     def parse(record: dict) -> RevisionChain:
-        chain = _parse_chain(record)
+        raw_claims, raw_intents = record["claims"], record["intents"]
+        if not isinstance(raw_claims, list) or not isinstance(raw_intents, list):
+            raise ValueError("claims and intents must be lists")
+        parse_id(record["debate_id"], "'debate_id'")  # required and checked, not kept
+        if not all(isinstance(c, dict) and "id" in c and "text" in c for c in raw_claims):
+            raise ValueError("each claim needs 'id' and 'text'")
+        claim_ids = [parse_id(c["id"], "claim 'id'") for c in raw_claims]  # checked, not kept
+        intents = (IntentLabel.UNLABELED if i is None else IntentLabel(i) for i in raw_intents)
+        chain = RevisionChain(
+            chain_id=parse_id(record["chain_id"], "'chain_id'"),
+            claims=tuple(c["text"] for c in raw_claims),
+            intents=tuple(intents),
+            context=_context(record),
+        )
         if chain.chain_id in seen_chain_ids:
             raise ValueError(f"duplicate chain_id {chain.chain_id!r}")
         seen_chain_ids.add(chain.chain_id)
-        for claim in chain.claims:
-            if claim.id in seen_claim_ids:
-                raise ValueError(f"duplicate claim id {claim.id!r}")
-            seen_claim_ids.add(claim.id)
+        for claim_id in claim_ids:
+            if claim_id in seen_claim_ids:
+                raise ValueError(f"duplicate claim id {claim_id!r}")
+            seen_claim_ids.add(claim_id)
         return chain
 
     required = ("chain_id", "debate_id", "claims", "intents")
-    return [chain for _, chain in read_jsonl(path, required, parse)]
+    return list(read_jsonl(path, required, parse))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +193,8 @@ def derive_pairs(chain: RevisionChain) -> list[OptimizationPair]:
                 pair_id=f"{chain.chain_id}#{i}",
                 chain_id=chain.chain_id,
                 index=i,
-                source=chain.claims[i].text,
-                reference=chain.claims[i + 1].text,
+                source=chain.claims[i],
+                reference=chain.claims[i + 1],
                 intent=chain.intents[i],
                 context=chain.context,
             )
@@ -383,4 +375,4 @@ def load_pairs(path: str | Path) -> list[OptimizationPair]:
         )
 
     required = ("pair_id", "source", "reference", "intent")
-    return [pair for _, pair in read_jsonl(path, required, parse)]
+    return list(read_jsonl(path, required, parse))

@@ -38,54 +38,40 @@ from .ndjson import parse_id, read_jsonl
 
 
 @dataclass(frozen=True)
-class Scale:
-    """A label scale: ``bounds`` (lo, hi) makes every label a number in
-    [lo, hi]; ``None`` leaves labels unchecked."""
-
-    bounds: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if lo >= hi:
-                raise ValueError(f"bad scale bounds {self.bounds}")
-
-
-@dataclass(frozen=True)
 class AnnotationMatrix:
-    """Sparse item x worker label matrix with scale metadata.
+    """Sparse item x worker label matrix: ``labels`` maps (item, worker)
+    to a label, and ``bounds`` (lo, hi), when given, makes every label a
+    number in [lo, hi].
 
-    ``from_labels`` stores the labels sorted by (item, worker), so every
-    statistic over them is independent of the order they were read in.
+    The labels are stored sorted by (item, worker), so every statistic
+    over them is independent of the order they were given in; ``items``
+    and ``workers`` are the sorted ids the labels name.
     """
 
-    items: tuple[str, ...]
-    workers: tuple[str, ...]
     labels: Mapping[tuple[str, str], object]
-    scale: Scale = Scale()
-
-    @classmethod
-    def from_labels(
-        cls, labels: Mapping[tuple[str, str], object], scale: Scale = Scale()
-    ) -> "AnnotationMatrix":
-        items = tuple(sorted({item for item, _ in labels}))
-        workers = tuple(sorted({worker for _, worker in labels}))
-        return cls(items=items, workers=workers, labels=dict(sorted(labels.items())), scale=scale)
+    bounds: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("empty annotation matrix")
-        annotated = {item for item, _ in self.labels}
-        for item in self.items:
-            if item not in annotated:
-                raise ValueError(f"item {item!r} has zero labels")
-        if self.scale.bounds is not None:
-            lo, hi = self.scale.bounds
+        object.__setattr__(self, "labels", dict(sorted(self.labels.items())))
+        if self.bounds is not None:
+            lo, hi = self.bounds
+            if lo >= hi:
+                raise ValueError(f"bad scale bounds {self.bounds}")
             for (item, worker), value in self.labels.items():
                 if not isinstance(value, (int, float)) or not lo <= value <= hi:
                     raise ValueError(
                         f"label {value!r} for ({item}, {worker}) outside scale bounds"
                     )
+
+    @property
+    def items(self) -> tuple[str, ...]:
+        return tuple(sorted({item for item, _ in self.labels}))
+
+    @property
+    def workers(self) -> tuple[str, ...]:
+        return tuple(sorted({worker for _, worker in self.labels}))
 
 
 @dataclass(frozen=True)
@@ -143,7 +129,7 @@ def mace_aggregate(
     worker_index = {w: i for i, w in enumerate(workers)}
     label_index = {v: i for i, v in enumerate(label_values)}
 
-    entries = sorted(matrix.labels.items())
+    entries = list(matrix.labels.items())  # sorted by (item, worker)
     a_item = np.array([item_index[it] for (it, _), _ in entries], dtype=np.int64)
     a_worker = np.array([worker_index[w] for (_, w), _ in entries], dtype=np.int64)
     a_label = np.array([label_index[v] for _, v in entries], dtype=np.int64)
@@ -270,14 +256,14 @@ def percent_agreement(labels: Mapping[tuple[str, str], object]) -> float | None:
     return agree / total if total else None
 
 
-def _ordinal_ranks(values: Sequence, scale: Scale) -> dict:
+def _ordinal_ranks(values: Sequence, bounds: tuple[int, int] | None) -> dict:
     """Rank positions used by the ordinal distance.
 
     With declared bounds the rank is the value's position on the full
     scale (so unobserved scale points still count); otherwise it is
     the position among the observed distinct values.
     """
-    if scale.bounds is not None:
+    if bounds is not None:
         return {v: float(v) for v in values}
     ordered = sorted(values)
     return {v: float(i) for i, v in enumerate(ordered, start=1)}
@@ -308,7 +294,7 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
         dist = 1.0 - np.eye(k)
     else:
         if level == "ordinal":
-            pos = _ordinal_ranks(values, matrix.scale)
+            pos = _ordinal_ranks(values, matrix.bounds)
             coords = np.array([pos[v] for v in values], dtype=np.float64)
         else:
             coords = np.array([float(v) for v in values], dtype=np.float64)
@@ -429,10 +415,10 @@ def mean_rank(annotations: Sequence[RankAnnotation]) -> dict[str, float]:
 # annotation file loading
 
 # Likert fields and their bounds.
-FIELD_SCALES: dict[str, Scale] = {
-    "fluency": Scale((1, 3)),
-    "meaning": Scale((1, 5)),
-    "argument": Scale((1, 5)),
+FIELD_BOUNDS: dict[str, tuple[int, int]] = {
+    "fluency": (1, 3),
+    "meaning": (1, 5),
+    "argument": (1, 5),
 }
 
 
@@ -462,20 +448,17 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
             if key not in rec:
                 raise ValueError(f"missing key {key!r}")
         fld, value = rec["field"], rec["value"]
-        if not isinstance(fld, str) or fld not in FIELD_SCALES:
+        if not isinstance(fld, str) or fld not in FIELD_BOUNDS:
             raise ValueError(f"unknown field {fld!r}")
         bucket = likert.setdefault(fld, {})
         if (item, worker) in bucket:
             raise ValueError(f"duplicate {fld} annotation for {(item, worker)}")
-        lo, hi = FIELD_SCALES[fld].bounds  # type: ignore[misc]
+        lo, hi = FIELD_BOUNDS[fld]
         if type(value) is not int or not lo <= value <= hi:
             raise ValueError(f"{fld} value {value!r} outside [{lo}, {hi}]")
         bucket[item, worker] = value
 
     for _ in read_jsonl(path, ("item", "worker"), parse):
         pass
-    matrices = {
-        fld: AnnotationMatrix.from_labels(labels, scale=FIELD_SCALES[fld])
-        for fld, labels in likert.items()
-    }
+    matrices = {fld: AnnotationMatrix(labels, FIELD_BOUNDS[fld]) for fld, labels in likert.items()}
     return matrices, rankings

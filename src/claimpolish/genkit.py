@@ -14,6 +14,7 @@ import logging
 from dataclasses import asdict, dataclass
 from typing import Protocol
 
+from .corpus import DelimiterConfig
 from .ndjson import NdjsonChild
 
 log = logging.getLogger(__name__)
@@ -207,22 +208,24 @@ def _greedy_cleanup(text: str) -> str:
 class MockGenerator:
     """Deterministic rule-table generator for offline runs and tests.
 
-    GREEDY applies the copy-editing cascade above; the same rules run
-    under ``_greedy_cleanup``, so an already-clean input comes back
-    unchanged. TOPK(k) picks a rewrite rule from a fixed table indexed
-    by ``(seed + k // 5)``: append a templated elaboration, substitute
-    a synonym, or drop a hedge word, falling forward through the table
-    when a rule does not apply. Output is truncated to
-    ``config.max_length`` whitespace tokens. Pure function of
-    (input, directive, config, seed).
+    The input is cut at the first of ``delimiters``' markers, the same
+    ``DelimiterConfig`` that ``serialize_input`` wrote it with, so only
+    the source claim is rewritten. GREEDY applies the copy-editing
+    cascade above; the same rules run under ``_greedy_cleanup``, so an
+    already-clean input comes back unchanged. TOPK(k) picks a rewrite
+    rule from a fixed table indexed by ``(seed + k // 5)``: append a
+    templated elaboration, substitute a synonym, or drop a hedge word,
+    falling forward through the table when a rule does not apply.
+    Output is truncated to ``config.max_length`` whitespace tokens.
+    Pure function of (input, directive, config, seed).
     """
 
-    def __init__(self, delimiters: tuple[str, str] = ("<PREV>", "<TOPIC>")):
+    def __init__(self, delimiters: DelimiterConfig = DelimiterConfig()):
         self._delimiters = delimiters
 
     def _strip_context(self, input_text: str) -> str:
         text = input_text
-        for delim in self._delimiters:
+        for delim in (self._delimiters.previous, self._delimiters.topic):
             pos = text.find(delim)
             if pos != -1:
                 text = text[:pos]
@@ -273,22 +276,14 @@ class MockGenerator:
             out = _greedy_cleanup(source)
         else:
             slot = seed + directive.k // 5
-            # the three attempts try every rule; rule 0 always succeeds
-            for attempt in range(3):
-                rule = (slot + attempt) % 3
-                if rule == 0:
-                    out = self._elaborate(source, slot)
-                    break
-                if rule == 1:
-                    maybe = self._substitute_synonym(source)
-                    if maybe is not None:
-                        out = maybe
-                        break
-                else:
-                    maybe = self._drop_hedge(source)
-                    if maybe is not None:
-                        out = maybe
-                        break
+            rules = (
+                lambda text: self._elaborate(text, slot),
+                self._substitute_synonym,
+                self._drop_hedge,
+            )
+            # the first answer of the rules from slot % 3 on; rule 0 always answers
+            answers = (rules[(slot + attempt) % 3](source) for attempt in range(3))
+            out = next(answer for answer in answers if answer is not None)
         tokens = out.split()
         if len(tokens) > config.max_length:
             out = " ".join(tokens[: config.max_length])

@@ -62,9 +62,9 @@ def _parse_record(text: str, required: Sequence[str], parse: Callable[[dict], T]
 
 def read_jsonl(
     path: str | Path, required: Sequence[str], parse: Callable[[dict], T]
-) -> Iterator[tuple[int, T]]:
-    """``(line_no, parse(record))`` per non-blank line; RecordFormatError when a line
-    is no JSON object, lacks a ``required`` key, or ``parse`` raises ValueError."""
+) -> Iterator[T]:
+    """``parse(record)`` per non-blank line; RecordFormatError, naming the line, when
+    a line is no JSON object, lacks a ``required`` key, or ``parse`` raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -73,7 +73,7 @@ def read_jsonl(
                 value = _parse_record(line, required, parse)
             except ValueError as exc:
                 raise RecordFormatError(line_no, str(exc)) from None
-            yield line_no, value
+            yield value
 
 
 def parse_id(value: object, name: str) -> str:

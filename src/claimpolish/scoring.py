@@ -328,7 +328,7 @@ def _chain_points(
         for i in range(1, m):
             try:
                 vector = score_candidate(
-                    registry, chain.claims[i - 1].text, chain.claims[i].text, chain.context
+                    registry, chain.claims[i - 1], chain.claims[i], chain.context
                 )
             except ScorerError as exc:
                 raise ScorerError(f"chain {chain.chain_id!r}: {exc}") from exc

@@ -17,7 +17,6 @@ from conftest import make_synthetic_pairs
 
 from claimpolish.cli import main
 from claimpolish.corpus import (
-    Claim,
     ContextBundle,
     IntentLabel,
     RevisionChain,
@@ -202,7 +201,7 @@ def test_criterion_4_calibration_recovers_planted_weight(capsys):
         claims = []
         for i in range(m):
             text = f"chain {ci} claim {i} token{rng.randint(0, 999)}"
-            claims.append(Claim(id=f"c{ci}_{i}", text=text))
+            claims.append(text)
             if i > 0:
                 position = i / (m - 1)
                 # uniform(-0.05, 0.05) noise: sigma = 0.05/sqrt(3) <= 0.05
@@ -255,7 +254,7 @@ def test_criterion_5_agreement_statistics(capsys):
     rater_b = ["A"] * 20 + ["B"] * 5 + ["A"] * 10 + ["B"] * 15
     checks["kappa"] = abs(cohens_kappa(rater_a, rater_b) - 0.4) <= 1e-9
 
-    unanimous = AnnotationMatrix.from_labels(
+    unanimous = AnnotationMatrix(
         {(f"i{i}", f"w{w}"): i % 3 for i in range(6) for w in range(3)}
     )
     checks["alpha_unanimous"] = krippendorff_alpha(unanimous) == 1.0
@@ -267,7 +266,7 @@ def test_criterion_5_agreement_statistics(capsys):
         for w in range(4)
     }
     assert len(labels) == 10_000
-    alpha = krippendorff_alpha(AnnotationMatrix.from_labels(labels))
+    alpha = krippendorff_alpha(AnnotationMatrix(labels))
     checks["alpha_random"] = abs(alpha) <= 0.05
 
     statistic, _ = wilcoxon_signed_rank([1.0, -2.0, 3.0, 4.0, 5.0], [0.0] * 5)
@@ -294,7 +293,7 @@ def test_criterion_6_aggregation_separates_spammers(capsys):
             labels[(item, f"good{g}")] = true_label
         for s in range(5):
             labels[(item, f"spam{s}")] = data_rng.randrange(4)
-    matrix = AnnotationMatrix.from_labels(labels)
+    matrix = AnnotationMatrix(labels)
 
     results = {}
     start = time.perf_counter()

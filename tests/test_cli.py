@@ -983,6 +983,25 @@ def test_run_manifest_lists_errors_jsonl(tmp_path, monkeypatch):
     assert artifacts["errors.jsonl"]["sha256"] == cli._sha256_file(out / "errors.jsonl")
 
 
+def test_run_manifest_lists_a_trained_ranker_when_every_instance_fails(
+    tmp_path, pairs_file, monkeypatch
+):
+    script = tmp_path / "refuse.py"
+    script.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps({'error': 'refused'}), flush=True)\n"
+    )
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
+    out = tmp_path / "o"
+    argv = ("--pairs", pairs_file, "--train-pairs", pairs_file, "--out", out)
+    assert run_cli("run", *argv, "--strategies", "pairwise_rank", "--n-candidates", 1) == 1
+    assert not (out / "report.json").exists()
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert sorted(artifacts) == ["errors.jsonl", "ranker.json", "selections.jsonl"]
+    assert artifacts["ranker.json"]["sha256"] == cli._sha256_file(out / "ranker.json")
+
+
 def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatch):
     """A stdio scorer answers in [0, 1]: 0.4 is stored as 0.4, -0.2 fails its instance."""
     script = tmp_path / "meaning.py"

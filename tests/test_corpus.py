@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from claimpolish.corpus import (
-    Claim,
     ContextBundle,
     ContextMode,
     DelimiterConfig,
@@ -30,12 +29,9 @@ from conftest import make_chain_records, make_synthetic_pairs
 
 
 def chain(chain_id="c1", texts=("a claim", "A claim."), intents=None, **ctx):
-    claims = tuple(
-        Claim(id=f"{chain_id}_{i}", text=t) for i, t in enumerate(texts)
-    )
     if intents is None:
         intents = tuple([IntentLabel.CLARIFICATION] * (len(texts) - 1))
-    return RevisionChain(chain_id, claims, tuple(intents), ContextBundle(**ctx))
+    return RevisionChain(chain_id, tuple(texts), tuple(intents), ContextBundle(**ctx))
 
 
 def write_lines(path, lines):
@@ -169,8 +165,10 @@ def test_pair_rejects_blank_source_or_reference():
 def test_chain_invariant_enforced_on_construction():
     with pytest.raises(ValueError):
         chain(texts=("a", "b", "c"), intents=(IntentLabel.LINKS,))
-    with pytest.raises(ValueError):
-        Claim(id="x", text="")
+    with pytest.raises(ValueError, match="chain 'c1': claim 2 has empty text"):
+        chain(texts=("a", " "))
+    with pytest.raises(ValueError, match="claim 'text' must be a string, got 5"):
+        chain(texts=("a", 5))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,7 @@ def _pairs_for_split(n_chains=40, seed=11):
     records = make_chain_records(n_chains, seed=seed)
     chains = []
     for rec in records:
-        claims = tuple(Claim(id=c["id"], text=c["text"]) for c in rec["claims"])
+        claims = tuple(c["text"] for c in rec["claims"])
         intents = tuple(
             IntentLabel(i) if i is not None else IntentLabel.UNLABELED
             for i in rec["intents"]

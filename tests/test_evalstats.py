@@ -6,10 +6,9 @@ import pytest
 
 from claimpolish.evalstats import (
     AnnotationMatrix,
-    FIELD_SCALES,
+    FIELD_BOUNDS,
     MaceResult,
     RankAnnotation,
-    Scale,
     _scatter_add,
     cohens_kappa,
     competent_workers,
@@ -23,48 +22,54 @@ from claimpolish.evalstats import (
 scipy_stats = pytest.importorskip("scipy.stats")
 
 
-def matrix_from(rows, scale=Scale()):
+def matrix_from(rows, bounds=None):
     """rows: {item: {worker: label}}"""
     labels = {
         (item, worker): value
         for item, by_worker in rows.items()
         for worker, value in by_worker.items()
     }
-    return AnnotationMatrix.from_labels(labels, scale=scale)
+    return AnnotationMatrix(labels, bounds)
 
 
 # ---------------------------------------------------------------------------
 # annotation matrix
 
 
-def test_matrix_from_labels_sorts_axes():
+def test_matrix_sorts_axes():
     m = matrix_from({"i2": {"w2": 1, "w1": 2}, "i1": {"w1": 1}})
     assert m.items == ("i1", "i2")
     assert m.workers == ("w1", "w2")
 
 
-def test_matrix_rejects_empty_and_unannotated_items():
-    with pytest.raises(ValueError):
-        AnnotationMatrix.from_labels({})
-    with pytest.raises(ValueError):
-        AnnotationMatrix(
-            items=("i1", "ghost"),
-            workers=("w1",),
-            labels={("i1", "w1"): 1},
-        )
+def test_matrix_statistics_do_not_depend_on_label_order():
+    rng = random.Random(8)
+    labels = {(f"i{i:02d}", f"w{w}"): rng.randint(1, 3) for i in range(30) for w in range(4)}
+    ordered = AnnotationMatrix(dict(sorted(labels.items())))
+    reversed_ = AnnotationMatrix(dict(sorted(labels.items(), reverse=True)))
+    assert list(reversed_.labels.items()) == list(ordered.labels.items())
+    assert (reversed_.items, reversed_.workers) == (ordered.items, ordered.workers)
+    for level in ("nominal", "ordinal", "interval"):
+        alpha = krippendorff_alpha(reversed_, level)
+        assert alpha.hex() == krippendorff_alpha(ordered, level).hex()
+    assert mace_aggregate(reversed_, restarts=2) == mace_aggregate(ordered, restarts=2)
+
+
+def test_matrix_rejects_empty_labels():
+    with pytest.raises(ValueError, match="empty annotation matrix"):
+        AnnotationMatrix({})
 
 
 def test_matrix_enforces_ordinal_bounds():
     with pytest.raises(ValueError):
-        matrix_from({"i1": {"w1": 9}}, scale=Scale((1, 5)))
-    matrix_from({"i1": {"w1": 5}}, scale=Scale((1, 5)))
+        matrix_from({"i1": {"w1": 9}}, bounds=(1, 5))
+    matrix_from({"i1": {"w1": 5}}, bounds=(1, 5))
 
 
 def test_scale_validation():
-    with pytest.raises(ValueError):
-        Scale((3, 3))
-    with pytest.raises(ValueError):
-        Scale((5, 1))
+    for bounds in ((3, 3), (5, 1)):
+        with pytest.raises(ValueError, match="bad scale bounds"):
+            matrix_from({"i1": {"w1": 3}}, bounds=bounds)
 
 
 def test_rank_annotation_must_be_permutation():
@@ -162,7 +167,7 @@ def test_alpha_ordinal_with_bounds_equals_interval():
         "i2": {"w1": 4, "w2": 5},
         "i3": {"w1": 1, "w2": 1},
     }
-    m = matrix_from(rows, scale=Scale((1, 5)))
+    m = matrix_from(rows, bounds=(1, 5))
     assert krippendorff_alpha(m, "ordinal") == pytest.approx(
         krippendorff_alpha(m, "interval")
     )
@@ -176,7 +181,7 @@ def test_alpha_ordinal_without_bounds_uses_observed_positions():
         "i3": {"w1": 9, "w2": 9},
         "i4": {"w1": 1, "w2": 1},
     }
-    m = matrix_from(rows, scale=Scale())
+    m = matrix_from(rows, bounds=None)
     ordinal = krippendorff_alpha(m, "ordinal")
     interval = krippendorff_alpha(m, "interval")
     assert ordinal != pytest.approx(interval)
@@ -204,7 +209,7 @@ def _planted_matrix(n_items, n_good, n_spam, n_labels, seed):
             labels[(item, f"good{g}")] = true
         for s in range(n_spam):
             labels[(item, f"spam{s}")] = rng.randrange(n_labels)
-    return AnnotationMatrix.from_labels(labels), truth
+    return AnnotationMatrix(labels), truth
 
 
 def _spread(rng, n):
@@ -266,7 +271,7 @@ def test_mace_seed_changes_restart_draws():
 
 def test_mace_unanimous_data():
     labels = {(f"i{i}", f"w{w}"): i % 2 for i in range(10) for w in range(3)}
-    result = mace_aggregate(AnnotationMatrix.from_labels(labels), restarts=2)
+    result = mace_aggregate(AnnotationMatrix(labels), restarts=2)
     assert all(result.posterior_labels[f"i{i}"] == i % 2 for i in range(10))
     assert all(c > 0.9 for c in result.competence.values())
 
@@ -402,7 +407,7 @@ def test_load_annotations_mixed_file(tmp_path):
     matrices, rankings = load_annotations(path)
     assert set(matrices) == {"fluency", "meaning"}
     assert matrices["fluency"].labels[("p1", "w2")] == 2
-    assert matrices["fluency"].scale == FIELD_SCALES["fluency"]
+    assert matrices["fluency"].bounds == FIELD_BOUNDS["fluency"]
     assert rankings == [RankAnnotation("p1", "w1", ("autoscore", "top1"))]
 
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from claimpolish.corpus import DelimiterConfig
 from claimpolish.genkit import (
     Candidate,
     CandidateSet,
@@ -164,7 +165,7 @@ def test_context_is_stripped_before_rewriting():
 
 
 def test_custom_delimiters_are_stripped():
-    gen = MockGenerator(delimiters=("[P]", "[T]"))
+    gen = MockGenerator(DelimiterConfig(previous="[P]", topic="[T]"))
     assert gen.generate("its good [P] earlier", GREEDY, CFG, 0) == "It's good."
 
 

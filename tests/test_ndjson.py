@@ -12,7 +12,7 @@ def test_read_jsonl_reports_physical_line_after_blank_line(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"a": 1}\n\n[2]\n')
     records = read_jsonl(path, (), lambda record: record)
-    assert next(records) == (1, {"a": 1})
+    assert next(records) == {"a": 1}
     with pytest.raises(RecordFormatError) as err:
         next(records)
     assert err.value.line_no == 3

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from claimpolish.corpus import Claim, ContextBundle, IntentLabel, RevisionChain
+from claimpolish.corpus import ContextBundle, IntentLabel, RevisionChain
 from claimpolish.embedding import HashingEmbedder, cosine
 from claimpolish.scoring import (
     CalibrationError,
@@ -322,11 +322,8 @@ def _planted_chains(n_chains=30, steps=4, noise=0.05, seed=9):
                 argument_table[text] = 0.05 + 0.9 * pos + rng.uniform(-noise, noise)
             fluency_table[text] = rng.random()
             meaning_table[text] = rng.random()
-        claims = tuple(
-            Claim(id=f"p{c}_{i}", text=t) for i, t in enumerate(texts)
-        )
         intents = tuple([IntentLabel.CLARIFICATION] * steps)
-        chains.append(RevisionChain(f"pc{c}", claims, intents, ContextBundle()))
+        chains.append(RevisionChain(f"pc{c}", tuple(texts), intents, ContextBundle()))
     registry = ScorerRegistry(
         fluency=TableScorer(fluency_table),
         meaning=TableScorer(meaning_table),
@@ -371,7 +368,7 @@ def test_calibration_ties_within_1e_12_go_to_the_first_triple():
     )
     chain = RevisionChain(
         "setup0",
-        tuple(Claim(id=f"s{i}", text=t) for i, t in enumerate(texts)),
+        texts,
         (IntentLabel.TYPO_GRAMMAR, IntentLabel.CLARIFICATION),
         ContextBundle(topic="debate about the tax", previous_claim="someone said the tax hurts"),
     )
@@ -388,7 +385,7 @@ def _oracle_pick(chains, registry, grid_step, range_lo, range_hi):
     for chain in chains:
         m = len(chain.claims)
         for i in range(1, m):
-            before, after = chain.claims[i - 1].text, chain.claims[i].text
+            before, after = chain.claims[i - 1], chain.claims[i]
             vectors.append(score_candidate(registry, before, after, chain.context).as_tuple())
             positions.append(i / (m - 1))
     values, target = np.asarray(vectors).T, np.asarray(positions)
@@ -418,9 +415,8 @@ def _table_chains(rng, lengths, prefix):
         for text in texts[1:]:
             for table in tables:
                 table[text] = rng.random()
-        claims = tuple(Claim(id=t, text=t) for t in texts)
         intents = (IntentLabel.CLARIFICATION,) * (m - 1)
-        chains.append(RevisionChain(f"{prefix}c{c}", claims, intents, ContextBundle()))
+        chains.append(RevisionChain(f"{prefix}c{c}", tuple(texts), intents, ContextBundle()))
     return chains, tables
 
 
@@ -497,7 +493,7 @@ def test_calibration_rejects_half_step_grid():
 def test_calibration_rejects_short_chain():
     chain = RevisionChain(
         "solo",
-        (Claim(id="x", text="only one"),),
+        ("only one",),
         (),
         ContextBundle(),
     )

@@ -24,7 +24,6 @@ import pytest
 
 from claimpolish.evalstats import (
     AnnotationMatrix,
-    Scale,
     _ordinal_ranks,
     krippendorff_alpha,
     mace_aggregate,
@@ -122,7 +121,7 @@ def oracle_krippendorff_alpha(matrix, level="nominal"):
         dist = 1.0 - np.eye(k)
     else:
         if level == "ordinal":
-            pos = _ordinal_ranks(values, matrix.scale)
+            pos = _ordinal_ranks(values, matrix.bounds)
             coords = np.array([pos[v] for v in values], dtype=np.float64)
         else:
             coords = np.array([float(v) for v in values], dtype=np.float64)
@@ -193,7 +192,7 @@ def _mace_bits(competence, posterior_labels, log_lik):
 @pytest.mark.parametrize("n_labels", [1, 2, 3, 6])
 def test_mace_matches_the_replaced_e_step_bit_for_bit(n_labels, strings, smoothing):
     for seed in range(3):
-        matrix = AnnotationMatrix.from_labels(_ragged_labels(seed, n_labels, strings))
+        matrix = AnnotationMatrix(_ragged_labels(seed, n_labels, strings))
         assert min(Counter(it for it, _ in matrix.labels).values()) == 1
         assert max(Counter(it for it, _ in matrix.labels).values()) == 8
         kwargs = dict(iterations=12, restarts=3, smoothing=smoothing, seed=seed)
@@ -210,11 +209,11 @@ def test_krippendorff_matches_the_replaced_pair_loop_bit_for_bit(n_labels, strin
     levels = ("nominal", "ordinal") if strings else ("nominal", "ordinal", "interval")
     for seed in range(4):
         labels = _ragged_labels(seed, n_labels, strings)
-        scales = [Scale()]
+        bounds_cases = [None]
         if not strings and n_labels > 1:
-            scales.append(Scale((1, n_labels)))
-        for scale in scales:
-            matrix = AnnotationMatrix.from_labels(labels, scale=scale)
+            bounds_cases.append((1, n_labels))
+        for bounds in bounds_cases:
+            matrix = AnnotationMatrix(labels, bounds)
             for level in levels:
                 new = krippendorff_alpha(matrix, level)
                 assert new.hex() == oracle_krippendorff_alpha(matrix, level).hex()
