@@ -11,11 +11,13 @@ L2-normalized so identical texts always have cosine similarity 1.
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol
-
-import numpy as np
+import math
+from typing import TYPE_CHECKING, Protocol
 
 from .text import tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Embedder(Protocol):
@@ -45,6 +47,8 @@ class HashingEmbedder:
         return index, sign
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         vec = np.zeros(self.dim, dtype=np.float64)
         slots = self._slots
         for token in tokenize(text):
@@ -58,10 +62,10 @@ class HashingEmbedder:
         return vec
 
 
-def _norm(v: np.ndarray) -> np.floating:
+def _norm(v: np.ndarray) -> float:
     """The L2 norm of a 1-D float vector: ``np.linalg.norm``'s own path for
     one, ``sqrt(v . v)``, without its argument checks, so the same bits."""
-    return np.sqrt(v.dot(v))
+    return math.sqrt(v.dot(v))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,7 +74,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return float(a.dot(b)) / (na * nb)
 
 
 def unit_cosine(a: np.ndarray, b: np.ndarray) -> float:

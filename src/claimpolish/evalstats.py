@@ -30,11 +30,13 @@ import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .metrics import left_sum
 from .ndjson import parse_id, read_jsonl
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ def _scatter_add(bins: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -
     does, so each bin gets the same additions in the same order and the
     result has the same bits as ``np.add.at``'s, at a fraction of its cost.
     """
+    import numpy as np
+
     return np.bincount(bins, weights=values, minlength=math.prod(shape)).reshape(shape)
 
 
@@ -121,6 +125,8 @@ def mace_aggregate(
     """
     if iterations < 1 or restarts < 1:
         raise ValueError("iterations and restarts must be >= 1")
+
+    import numpy as np
 
     items = matrix.items
     workers = matrix.workers
@@ -290,6 +296,8 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
     index = {v: i for i, v in enumerate(values)}
     k = len(values)
 
+    import numpy as np
+
     if level == "nominal":
         dist = 1.0 - np.eye(k)
     else:
@@ -328,6 +336,8 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties getting the average of their positions."""
+    import numpy as np
+
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.float64)
     i = 0
@@ -348,6 +358,8 @@ def _exact_p_leq(scaled_ranks: Sequence[int], threshold: int) -> float:
     ``scaled_ranks`` are doubled so average ranks become integers; the
     subset-sum distribution is counted by dynamic programming.
     """
+    import numpy as np
+
     total = sum(scaled_ranks)
     counts = np.zeros(total + 1, dtype=np.float64)
     counts[0] = 1.0
@@ -368,6 +380,8 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    import numpy as np
+
     d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     d = d[d != 0.0]
     if d.size == 0:

@@ -6,7 +6,11 @@ meaning preservation, argument quality), every component normalized to
 triple on the probability simplex. The weights themselves are fit by
 grid search: pick the triple whose combined score correlates best
 (Pearson) with where a revision sits inside its chain, on the theory
-that later revisions of a claim tend to be better ones.
+that later revisions of a claim tend to be better ones. Every sum in
+that search is exactly rounded (``math.fsum``) and runs on plain
+floats, so the chosen weights and their r have the same bits on every
+CPython 3.10 or later. A closed form over the score axes' moments
+screens the grid; only the points that could win are scored exactly.
 
 Scorers are pluggable: anything with a ``score(source, candidate,
 context)`` method that answers in [0, 1], stdio scorers included. An
@@ -18,13 +22,12 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Protocol
-
-import numpy as np
 
 from .corpus import ContextBundle, RevisionChain
 from .embedding import Embedder, unit_cosine
@@ -73,9 +76,6 @@ class Weights:
         total = self.alpha + self.beta + self.gamma
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma], dtype=np.float64)
 
 
 # Default combination used when no calibration result is supplied.
@@ -260,21 +260,32 @@ class StdioScorer(NdjsonChild):
 # ---------------------------------------------------------------------------
 # correlation and calibration
 
+def _centered(values: Sequence[float]) -> list[float]:
+    """``values`` minus their mean. The rounded mean is held within
+    [min, max], so equal values center to exact zeros."""
+    mean = min(max(math.fsum(values) / len(values), min(values)), max(values))
+    return [v - mean for v in values]
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """The exactly rounded sum of the rounded products ``a[i] * b[i]``."""
+    return math.fsum(map(operator.mul, a, b))
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson correlation; errors on length mismatch or zero variance."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
+    """Pearson correlation from exactly rounded sums; errors on length
+    mismatch or zero variance."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
         raise ValueError("need at least 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
+    xc = _centered(xs)
+    yc = _centered(ys)
+    vx = _dot(xc, xc)
+    vy = _dot(yc, yc)
     if vx == 0.0 or vy == 0.0:
         raise ValueError("zero variance")
-    return float((xc @ yc) / math.sqrt(vx * vy))
+    return _dot(xc, yc) / math.sqrt(vx * vy)
 
 
 @dataclass(frozen=True)
@@ -317,10 +328,10 @@ def simplex_grid(
 
 def _chain_points(
     chains: Sequence[RevisionChain], registry: ScorerRegistry
-) -> tuple[np.ndarray, np.ndarray]:
-    """A 3xN matrix of every revision step's score vector, chain by chain,
-    and the N normalized positions."""
-    vecs, pos = [], []
+) -> tuple[list[ScoreVector], list[float]]:
+    """Every revision step's score vector, chain by chain, and its
+    normalized position."""
+    vectors, positions = [], []
     for chain in chains:
         m = len(chain.claims)
         if m < 2:
@@ -332,74 +343,66 @@ def _chain_points(
                 )
             except ScorerError as exc:
                 raise ScorerError(f"chain {chain.chain_id!r}: {exc}") from exc
-            vecs.append(vector.as_tuple())
+            vectors.append(vector)
             # min-max normalized position of claim i within its chain
-            pos.append(i / (m - 1))
-    # column-major, as a transposed view: the last bits of the grid arithmetic,
-    # and so the pinned weights.json, depend on the memory layout
-    return np.asarray(vecs, dtype=np.float64).T, np.asarray(pos, dtype=np.float64)
+            positions.append(i / (m - 1))
+    return vectors, positions
 
 
-def _grid_correlations(
-    weight_matrix: np.ndarray, values: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid point: Pearson r of its combined scores with ``target``,
-    and the scores' variance (r is undefined where it is 0). ``target``
-    must not be constant."""
-    tc = target - target.mean()
-    vt = float(tc @ tc)
-    centered = weight_matrix @ values  # G x N combined scores
-    centered -= centered.mean(axis=1, keepdims=True)  # in place: one G x N matrix
-    var = np.einsum("ij,ij->i", centered, centered)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rs = (centered @ tc) / np.sqrt(var * vt)
-    return rs, var
+def _screen(
+    triples: Sequence[tuple[float, float, float]],
+    vectors: Sequence[ScoreVector],
+    target: Sequence[float],
+    var_t: float,
+) -> tuple[list[float], list[float]]:
+    """Per grid point: a closed-form r of its combined scores with the
+    centered ``target`` (``var_t`` its sum of squares), -inf where it is
+    undefined, and the closed-form variance it divides by.
+
+    The combined score is linear in the three score axes, so each
+    point's r is (w . c) / sqrt(w'Sw * var_t), with S the axes' 3 x 3
+    centered cross products and c their cross products with the target:
+    exactly rounded sums over the steps, then plain float arithmetic per
+    point, which only has to be close, since the exact re-score decides.
+    """
+    fl = _centered([v.fluency for v in vectors])
+    me = _centered([v.meaning for v in vectors])
+    ar = _centered([v.argument for v in vectors])
+    s_ff, s_mm, s_aa = _dot(fl, fl), _dot(me, me), _dot(ar, ar)
+    s_fm, s_fa, s_ma = _dot(fl, me), _dot(fl, ar), _dot(me, ar)
+    c_f, c_m, c_a = _dot(fl, target), _dot(me, target), _dot(ar, target)
+    screen, variances = [], []
+    for a, b, g in triples:
+        var = a * a * s_ff + b * b * s_mm + g * g * s_aa + 2.0 * (
+            a * b * s_fm + a * g * s_fa + b * g * s_ma
+        )
+        variances.append(var)
+        if var > 0.0:
+            screen.append((a * c_f + b * c_m + g * c_a) / math.sqrt(var * var_t))
+        else:
+            screen.append(-math.inf)
+    return screen, variances
+
+
+def _exact_r(
+    vectors: Sequence[ScoreVector], weights: Weights, positions: Sequence[float]
+) -> float:
+    """``pearson`` of the combined scores under ``weights`` with
+    ``positions``; -inf when the combined scores are constant."""
+    combined = [autoscore(v, weights) for v in vectors]
+    try:
+        return pearson(combined, positions)
+    except ValueError:  # zero variance: ``positions`` is checked beforehand
+        return -math.inf
 
 
 # The closed form's r differs from the exact one by far less than this
-# (2.5e-14 on the analysis benchmark), so every point within it of the
+# (under 1e-14 on the analysis benchmark), so every point within it of the
 # best screened r is re-scored.
 _SCREEN_TOL = 1e-9
 # A closed-form variance at or below this share of the grid's largest
 # is too close to cancellation to screen on; such points are re-scored too.
 _SHAKY_VAR = 1e-9
-# Re-scoring holds at most this many combined scores (8 MB) at a time.
-_CHUNK_FLOATS = 1 << 20
-
-
-def _pooled_correlations(
-    weight_matrix: np.ndarray, values: np.ndarray, target: np.ndarray
-) -> np.ndarray | None:
-    """Per grid point: Pearson r of its combined scores with ``target``,
-    -inf where it cannot win or its variance is 0. None when ``target``
-    is constant.
-
-    The combined score is linear in the three rows of ``values``, so
-    each point's r is a 3 x 3 quadratic form: never a G x N matrix. That
-    form only screens; the points that can win get the exact per-point
-    arithmetic of ``_grid_correlations``, a chunk of rows at a time.
-    """
-    tc = target - target.mean()
-    vt = float(tc @ tc)
-    if vt == 0.0:
-        return None
-    xc = values - values.mean(axis=1, keepdims=True)
-    var = np.einsum("gi,ij,gj->g", weight_matrix, xc @ xc.T, weight_matrix)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        screen = (weight_matrix @ (xc @ tc)) / np.sqrt(var * vt)
-    finite = np.isfinite(var)
-    shaky = ~finite | (var <= _SHAKY_VAR * np.max(var, where=finite, initial=0.0))
-    best = np.max(screen, where=~shaky, initial=-np.inf)
-    rows = np.flatnonzero(shaky | (screen >= best - _SCREEN_TOL))
-    rs = np.full(len(weight_matrix), -np.inf)
-    step = max(1, _CHUNK_FLOATS // values.shape[1])
-    for start in range(0, rows.size, step):
-        chunk = rows[start:start + step]
-        r, chunk_var = _grid_correlations(weight_matrix[chunk], values, target)
-        rs[chunk] = np.where(chunk_var == 0.0, -np.inf, r)
-    return rs
-
-
 # Correlations within this of the best count as tied: wider than the
 # rounding of one r, far narrower than what one grid step moves it.
 _TIE = 1e-12
@@ -428,26 +431,36 @@ def calibrate_weights(
         raise CalibrationError(
             f"no valid grid point with step {grid_step} in [{range_lo}, {range_hi}]"
         )
-    values, positions = _chain_points(chains, registry)
-    if positions.size < 2:
-        raise CalibrationError(f"only {positions.size} scored points; need at least 2")
-
-    weight_matrix = np.asarray(triples, dtype=np.float64)  # G x 3
-    rs = _pooled_correlations(weight_matrix, values, positions)
-    if rs is None:
+    vectors, positions = _chain_points(chains, registry)
+    if len(positions) < 2:
+        raise CalibrationError(f"only {len(positions)} scored points; need at least 2")
+    target = _centered(positions)
+    var_t = _dot(target, target)
+    if var_t == 0.0:
         raise CalibrationError("revision positions have zero variance")
-    if not np.any(np.isfinite(rs)):
+
+    screen, variances = _screen(triples, vectors, target, var_t)
+    if not any(variances):  # every axis, so every combined score, is constant
+        raise CalibrationError("no grid point produced a defined correlation")
+    shaky_below = _SHAKY_VAR * max(0.0, *variances)
+    cutoff = max(
+        (r for r, var in zip(screen, variances) if var > shaky_below), default=-math.inf
+    ) - _SCREEN_TOL
+    # only the points that could win are re-scored exactly
+    rs = [
+        _exact_r(vectors, Weights(*triple), positions)
+        if var <= shaky_below or r >= cutoff
+        else -math.inf
+        for triple, r, var in zip(triples, screen, variances)
+    ]
+    best = max(rs)
+    if best == -math.inf:
         raise CalibrationError("no grid point produced a defined correlation")
     # first tie wins: the lexicographically smallest triple
-    best = int(np.argmax(rs >= rs.max() - _TIE))
-    alpha, beta, gamma = triples[best]
-    weights = Weights(alpha=alpha, beta=beta, gamma=gamma)
-    # the scalar path, so the reported r is exactly what pearson() returns
-    # for these weights
-    best_r = pearson(list(weights.as_array() @ values), list(positions))
+    winner = next(i for i, r in enumerate(rs) if r >= best - _TIE)
     return CalibrationResult(
-        weights=weights,
-        pearson_r=best_r,
+        weights=Weights(*triples[winner]),
+        pearson_r=rs[winner],
         grid_step=grid_step,
         evaluated_points=len(triples),
     )

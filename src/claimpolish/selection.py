@@ -17,13 +17,15 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .embedding import Embedder, HashingEmbedder
 from .genkit import Candidate
 from .ndjson import read_json, write_json
 from .scoring import ScoreVector, Weights, autoscore
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Strategy(enum.Enum):
@@ -148,6 +150,8 @@ def train_pairwise_ranker(
         if worse == better:
             raise ValueError(f"training pair {i} is a zero-margin duplicate: {worse!r}")
 
+    import numpy as np
+
     diffs = np.stack(
         [embedder.embed(better) - embedder.embed(worse) for worse, better in training_pairs]
     )
@@ -210,6 +214,8 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
                 raise ValueError(
                     f"'weight_vector' must be a list of finite numbers, got {value!r}"
                 )
+        import numpy as np
+
         embedder = HashingEmbedder(dim=emb["dim"], seed=emb["seed"])
         weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
         if weight_vector.shape != (embedder.dim,):

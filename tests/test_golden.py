@@ -40,10 +40,10 @@ digests must also hold with ``sum()`` replaced by an emulation of 3.12's.
 ``run`` finishes instances in one worker process per usable CPU, or
 inline on one CPU; the digests must hold on both paths.
 
-``prepare_chain``'s corpus path (chains to the four pair files) must
-also give the same bytes under every other CPython 3.10 or later
-installed beside the running interpreter, without loading numpy; that
-test skips when there is none.
+``prepare_chain`` and ``calibrate`` need no numpy, so both, run as
+``python -m claimpolish.cli``, must also give the same bytes under
+every other CPython 3.10 or later installed beside the running
+interpreter, with or without numpy; that test skips when there is none.
 
 Digests change only when artifact bytes change on purpose. Regenerate
 them from the repository root with::
@@ -171,6 +171,15 @@ def _cwd(path: Path):
         os.chdir(previous)
 
 
+def _artifact_digests(out: Path) -> dict[str, str]:
+    """sha256 of each file in ``out`` but ``manifest.json``."""
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+
+
 def compute_digests(work: Path) -> dict[str, dict[str, str]]:
     """Run every case in order inside ``work``; per case, each artifact's sha256."""
     _write_inputs(work)
@@ -182,12 +191,7 @@ def compute_digests(work: Path) -> dict[str, dict[str, str]]:
             code = main(argv)
             if code != 0:
                 raise RuntimeError(f"{case} exited {code}")
-            out = work / argv[argv.index("--out") + 1]
-            digests[case] = {
-                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(out.iterdir())
-                if p.name != "manifest.json"
-            }
+            digests[case] = _artifact_digests(work / argv[argv.index("--out") + 1])
         digests["row_metrics"] = {"candidates": _row_metrics_digest()}
     return digests
 
@@ -282,24 +286,6 @@ def test_digests_do_not_depend_on_the_worker_count(tmp_path, force_cpus, n_cpus)
     assert pools == ([2] * 4 if n_cpus == 2 and hasattr(os, "fork") else [])
 
 
-# ``prepare``'s corpus path as library calls: it writes pairs.jsonl,
-# train.jsonl, validation.jsonl and test.jsonl into the working directory,
-# then prints whether numpy was loaded
-_PREPARE_CHAIN = """
-import sys
-from claimpolish.corpus import (
-    TASK_INTENTS, derive_pairs, filter_by_intent, load_chains, majority_intent,
-    relabel_pairs, split_dataset, write_pairs,
-)
-pairs = [pair for chain in load_chains("chains.jsonl") for pair in derive_pairs(chain)]
-pairs = relabel_pairs(pairs, majority_intent(pairs))
-split = split_dataset(filter_by_intent(pairs, TASK_INTENTS), per_label_test=10, seed=3)
-parts = {"pairs": pairs, "train": split.train, "validation": split.validation, "test": split.test}
-for name, part in parts.items():
-    write_pairs(part, name + ".jsonl")
-print("numpy" in sys.modules)
-"""
-
 _IS_CPYTHON_3_10_UP = (
     "import platform, sys; "
     "sys.exit(platform.python_implementation() != 'CPython' or sys.version_info < (3, 10))"
@@ -317,29 +303,33 @@ def _other_interpreters() -> list[Path]:
     ]
 
 
-def test_prepare_chain_pairs_hold_on_other_interpreters(tmp_path):
-    """``prepare_chain``'s four pair files keep their digests under every
-    other CPython 3.10 or later found beside this one, none of them
-    loading numpy."""
+# the cases whose commands need no numpy; each reads only chains.jsonl
+NUMPY_FREE_CASES = ("prepare_chain", "calibrate")
+
+
+def test_prepare_and_calibrate_hold_on_other_interpreters(tmp_path):
+    """``prepare_chain`` and ``calibrate``, run as ``python -m
+    claimpolish.cli`` under every other CPython 3.10 or later found
+    beside this one, keep every artifact digest."""
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip(f"no other CPython >= 3.10 beside {sys.base_prefix}")
     _write_inputs(tmp_path)
-    expected = json.loads(DIGESTS_PATH.read_text())["prepare_chain"]
+    expected = json.loads(DIGESTS_PATH.read_text())
     src = Path(__file__).resolve().parents[1] / "src"
     for python in interpreters:
         work = tmp_path / python.parents[1].name
         work.mkdir()
         shutil.copy(tmp_path / "chains.jsonl", work)
-        result = subprocess.run(
-            [python, "-c", _PREPARE_CHAIN], cwd=work, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-        )
-        assert result.returncode == 0, f"{python}: {result.stderr}"
-        assert result.stdout.strip() == "False", f"{python} loaded numpy"
-        for name in ("pairs.jsonl", "train.jsonl", "validation.jsonl", "test.jsonl"):
-            digest = hashlib.sha256((work / name).read_bytes()).hexdigest()
-            assert digest == expected[name], f"{python}: {name} differs from the golden bytes"
+        for case in NUMPY_FREE_CASES:
+            argv = CASES[case]
+            result = subprocess.run(
+                [python, "-m", "claimpolish.cli", *argv], cwd=work, capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+            )
+            assert result.returncode == 0, f"{python} {case}: {result.stderr}"
+            out = work / argv[argv.index("--out") + 1]
+            assert _artifact_digests(out) == expected[case], f"{python}: {case} differs"
 
 
 if __name__ == "__main__":

@@ -265,6 +265,8 @@ def test_pearson_errors():
         pearson([1], [1])
     with pytest.raises(ValueError):
         pearson([1, 1, 1], [1, 2, 3])
+    with pytest.raises(ValueError):  # the rounded mean of three 0.1s is not 0.1
+        pearson([0.1, 0.1, 0.1], [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +360,17 @@ def test_calibration_tie_breaks_lexicographically():
         calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
 
 
+def test_calibration_rejects_constant_scores_whose_mean_rounds():
+    # 12 equal combined scores whose rounded mean differs from them used to
+    # center to a constant nonzero residue and correlate at exactly 0.0
+    chains, _ = _planted_chains(n_chains=3)
+    registry = ScorerRegistry(
+        fluency=FixedScorer(0.1), meaning=FixedScorer(0.1), argument=FixedScorer(0.1)
+    )
+    with pytest.raises(CalibrationError):
+        calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+
+
 def test_calibration_ties_within_1e_12_go_to_the_first_triple():
     # two scored steps: r is exactly 1 at 2089 grid points, and last-bit
     # rounding lifts a few others just above 1; that must not make them win
@@ -401,7 +414,8 @@ def _oracle_pick(chains, registry, grid_step, range_lo, range_hi):
         return None
     best = int(np.argmax(rs))
     top_two = np.sort(rs)[-2:]
-    best_r = pearson(list(Weights(*triples[best]).as_array() @ values), list(target))
+    weights = Weights(*triples[best])
+    best_r = pearson([autoscore(ScoreVector(*v), weights) for v in vectors], positions)
     return triples[best], best_r, top_two[1] - top_two[0], rs
 
 

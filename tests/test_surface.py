@@ -78,3 +78,41 @@ def test_package_import_loads_no_submodule():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.splitlines() == [__version__, "[]"]
+
+
+# ``prepare`` and heuristic ``calibrate`` on one three-claim chain, then
+# ``stats`` on two items; after each, a line saying whether numpy is loaded
+_START = """
+import json, sys
+from claimpolish import cli
+claims = ["the tax helps small towns", "The tax helps small towns.",
+          "The tax helps small towns. This matters for trust."]
+chain = {"chain_id": "c0", "debate_id": "d0",
+         "claims": [{"id": f"c0_{i}", "text": t} for i, t in enumerate(claims)],
+         "intents": ["typo_grammar", "clarification"], "topic": "debate about the tax"}
+with open("chains.jsonl", "w") as fh:
+    fh.write(json.dumps(chain) + "\\n")
+with open("ann.jsonl", "w") as fh:
+    for i, (item, worker) in enumerate([(i, w) for i in ("p0", "p1") for w in ("w1", "w2")]):
+        record = {"item": item + "::top1", "worker": worker, "field": "fluency", "value": 1 + i % 3}
+        fh.write(json.dumps(record) + "\\n")
+for argv in (
+    ["prepare", "--chains", "chains.jsonl", "--out", "data", "--per-label-test", "1"],
+    ["calibrate", "--chains", "chains.jsonl", "--out", "cal"],
+    ["stats", "--annotations", "ann.jsonl", "--out", "stats"],
+):
+    assert cli.main(argv) == 0, argv
+    print("numpy after", argv[0], "numpy" in sys.modules)
+"""
+
+
+def test_prepare_and_calibrate_start_without_numpy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _START], cwd=tmp_path, capture_output=True, text=True,
+        env=env, check=True,
+    )
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("numpy after ")]
+    assert loaded == [
+        "numpy after prepare False", "numpy after calibrate False", "numpy after stats True"
+    ]
