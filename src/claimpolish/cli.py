@@ -9,11 +9,10 @@ and seed, writes only under its output directory, and drops a
 manifest.json fingerprinting inputs and emitted artifacts.
 
 Config files are plain ``key = value`` lines (# comments). CLI flags
-override file values. Environment variables override adapter command
-paths only: CLAIMPOLISH_GENERATOR_CMD, CLAIMPOLISH_FLUENCY_CMD,
-CLAIMPOLISH_MEANING_CMD, CLAIMPOLISH_ARGUMENT_CMD. ``_SETTINGS`` holds
-each command's keys with their types and defaults; it also generates
-the flags. A key that no command reads is an error.
+override file values, and nothing else sets a key: adapters are named
+by their config keys only. ``_SETTINGS`` holds each command's keys with
+their types and defaults; it also generates the flags. A key that no
+command reads is an error.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     ContextMode,
-    DelimiterConfig,
     MissingContextError,
     OptimizationPair,
     TASK_INTENTS,
@@ -100,13 +98,6 @@ from .selection import (
     select,
     train_pairwise_ranker,
 )
-
-_ENV_ADAPTERS = {
-    "generator": "CLAIMPOLISH_GENERATOR_CMD",
-    "fluency_scorer": "CLAIMPOLISH_FLUENCY_CMD",
-    "meaning_scorer": "CLAIMPOLISH_MEANING_CMD",
-    "argument_scorer": "CLAIMPOLISH_ARGUMENT_CMD",
-}
 
 
 class ConfigError(ValueError):
@@ -184,8 +175,6 @@ _SETTINGS = {
         "train_pairs": (str, None, "pairs for ranker training"),
         "ranker": (str, None, "previously trained ranker.json"),
         "generator": (str, "mock", None),
-        "prev_delimiter": (str, "<PREV>", None),
-        "topic_delimiter": (str, "<TOPIC>", None),
         **_SCORERS,
         **_METRICS,
     },
@@ -228,7 +217,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace) -> dict[str, str]:
-    """File config, overridden by CLI flags, overridden by adapter envs.
+    """File config, overridden by CLI flags.
 
     Every option of the subcommand is a config key under its dest name.
     """
@@ -238,9 +227,6 @@ def _merge_config(args: argparse.Namespace) -> dict[str, str]:
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None:
             merged[key] = str(value)
-    for key, env in _ENV_ADAPTERS.items():
-        if os.environ.get(env):
-            merged[key] = os.environ[env]
     return merged
 
 
@@ -347,10 +333,10 @@ def _stdio_command(key: str, spec: str) -> list[str]:
     return command
 
 
-def _build_generator(s: dict, delimiters: DelimiterConfig):
+def _build_generator(s: dict):
     spec = s["generator"]
     if spec == "mock":
-        return MockGenerator(delimiters)
+        return MockGenerator()
     if spec.startswith("stdio:"):
         return StdioGenerator(_stdio_command("generator", spec))
     raise ConfigError(f"unknown generator {spec!r}")
@@ -654,14 +640,13 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     pairs_path = _require_file(s["pairs"], "pairs file")
     out = _out_dir(s["out"])
     seed, strategies = s["seed"], s["strategies"]
-    delimiters = DelimiterConfig(previous=s["prev_delimiter"], topic=s["topic_delimiter"])
     embedder = HashingEmbedder()
 
     pairs = load_pairs(pairs_path)
     if not pairs:
         raise ConfigError(f"no pairs in {pairs_path}")
 
-    generator = _build_generator(s, delimiters)
+    generator = _build_generator(s)
     registry = _build_registry(s, embedder)
 
     if s["weights"]:
@@ -709,7 +694,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 yield _Job(pair, seed + i, stored=resumed)
                 continue
             try:
-                input_text = serialize_input(pair, context_mode, delimiters)
+                input_text = serialize_input(pair, context_mode)
                 generated = generate_candidates(generator, input_text, gen_config, seed + i)
                 candidates = dedup(generated).candidates
                 scores = tuple(

@@ -123,12 +123,9 @@ class DatasetSplit:
     test: tuple[OptimizationPair, ...]
 
 
-@dataclass(frozen=True)
-class DelimiterConfig:
-    """Marker tokens that introduce context segments in serialized inputs."""
-
-    previous: str = "<PREV>"
-    topic: str = "<TOPIC>"
+# the markers that introduce the context segments of a serialized input
+PREV_DELIMITER = "<PREV>"
+TOPIC_DELIMITER = "<TOPIC>"
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +296,24 @@ def split_dataset(
 # input serialization
 
 
-def serialize_input(
-    pair: OptimizationPair,
-    mode: ContextMode = ContextMode.CLAIM_ONLY,
-    delimiters: DelimiterConfig = DelimiterConfig(),
-) -> str:
+def serialize_input(pair: OptimizationPair, mode: ContextMode = ContextMode.CLAIM_ONLY) -> str:
     """Flatten a pair into the single string a generator consumes.
 
-    Grammar: ``SOURCE (" " PREV_DELIM " " PREVIOUS)? (" " TOPIC_DELIM
-    " " TOPIC)?`` with the previous-claim segment always ahead of the
-    topic segment. Raises MissingContextError when the mode needs a
-    field the pair's context does not carry.
+    Grammar: ``SOURCE (" <PREV> " PREVIOUS)? (" <TOPIC> " TOPIC)?``,
+    the markers being ``PREV_DELIMITER`` and ``TOPIC_DELIMITER``, with
+    the previous-claim segment always ahead of the topic segment.
+    Raises MissingContextError when the mode needs a field the pair's
+    context does not carry.
     """
     parts = [pair.source]
     if mode in (ContextMode.WITH_PREVIOUS, ContextMode.WITH_BOTH):
         if not pair.context.previous_claim:
             raise MissingContextError(f"pair {pair.pair_id}: no previous_claim in context")
-        parts += [delimiters.previous, pair.context.previous_claim]
+        parts += [PREV_DELIMITER, pair.context.previous_claim]
     if mode in (ContextMode.WITH_TOPIC, ContextMode.WITH_BOTH):
         if not pair.context.topic:
             raise MissingContextError(f"pair {pair.pair_id}: no topic in context")
-        parts += [delimiters.topic, pair.context.topic]
+        parts += [TOPIC_DELIMITER, pair.context.topic]
     return " ".join(parts)
 
 

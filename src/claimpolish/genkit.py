@@ -14,7 +14,7 @@ import logging
 from dataclasses import asdict, dataclass
 from typing import Protocol
 
-from .corpus import DelimiterConfig
+from .corpus import PREV_DELIMITER, TOPIC_DELIMITER
 from .ndjson import NdjsonChild
 
 log = logging.getLogger(__name__)
@@ -208,9 +208,9 @@ def _greedy_cleanup(text: str) -> str:
 class MockGenerator:
     """Deterministic rule-table generator for offline runs and tests.
 
-    The input is cut at the first of ``delimiters``' markers, the same
-    ``DelimiterConfig`` that ``serialize_input`` wrote it with, so only
-    the source claim is rewritten. GREEDY applies the copy-editing
+    The input is cut at the first ``PREV_DELIMITER`` or
+    ``TOPIC_DELIMITER`` marker, the ones ``serialize_input`` writes, so
+    only the source claim is rewritten. GREEDY applies the copy-editing
     cascade above; the same rules run under ``_greedy_cleanup``, so an
     already-clean input comes back unchanged. TOPK(k) picks a rewrite
     rule from a fixed table indexed by ``(seed + k // 5)``: append a
@@ -220,12 +220,9 @@ class MockGenerator:
     Pure function of (input, directive, config, seed).
     """
 
-    def __init__(self, delimiters: DelimiterConfig = DelimiterConfig()):
-        self._delimiters = delimiters
-
     def _strip_context(self, input_text: str) -> str:
         text = input_text
-        for delim in (self._delimiters.previous, self._delimiters.topic):
+        for delim in (PREV_DELIMITER, TOPIC_DELIMITER):
             pos = text.find(delim)
             if pos != -1:
                 text = text[:pos]

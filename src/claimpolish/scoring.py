@@ -60,9 +60,6 @@ class ScoreVector:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} score {value} outside [0, 1]")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.fluency, self.meaning, self.argument)
-
 
 @dataclass(frozen=True)
 class Weights:

@@ -105,6 +105,14 @@ def make_synthetic_pairs(n: int, seed: int = 0) -> list[OptimizationPair]:
     return pairs
 
 
+def adapters_config(tmp_path, **specs) -> list[str]:
+    """``--config`` flags naming a file in ``tmp_path`` that sets each
+    adapter key of ``specs`` to its spec, e.g. ``generator="stdio:CMD"``."""
+    path = tmp_path / "adapters.cfg"
+    path.write_text("".join(f"{key} = {spec}\n" for key, spec in specs.items()))
+    return ["--config", str(path)]
+
+
 @pytest.fixture
 def chains_file(tmp_path):
     path = tmp_path / "chains.jsonl"

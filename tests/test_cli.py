@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_chain_records, make_synthetic_pairs, write_chain_records
+from conftest import (
+    adapters_config,
+    make_chain_records,
+    make_synthetic_pairs,
+    write_chain_records,
+)
 
 import claimpolish.cli as cli
 from claimpolish import ndjson
@@ -78,12 +83,12 @@ def test_read_config_file(tmp_path):
         "\n"
         "seed = 42\n"
         "generator=mock\n"
-        "prev_delimiter = <P>\n"
+        "context = both\n"
     )
     assert read_config_file(cfg) == {
         "seed": "42",
         "generator": "mock",
-        "prev_delimiter": "<P>",
+        "context": "both",
     }
 
 
@@ -95,17 +100,16 @@ def test_read_config_file_rejects_bare_words(tmp_path):
     assert ":1:" in str(err.value)
 
 
-def test_merge_precedence_file_flag_env(tmp_path, monkeypatch):
+def test_merge_precedence_file_flag(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 1\ngenerator = mock\nn_candidates = 5\n")
+    cfg.write_text("seed = 1\ngenerator = stdio:gen --flag\nn_candidates = 5\n")
     args = build_parser().parse_args(
         ["run", "--config", str(cfg), "--pairs", "p.jsonl", "--seed", "9"]
     )
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", "stdio:gen --flag")
     merged = _merge_config(args)
     assert merged["seed"] == "9"  # flag beats file
     assert merged["n_candidates"] == "5"  # file survives when no flag
-    assert merged["generator"] == "stdio:gen --flag"  # env beats file
+    assert merged["generator"] == "stdio:gen --flag"  # adapters come from the file
     assert merged["pairs"] == "p.jsonl"
 
 
@@ -141,9 +145,7 @@ ALL8 = "unedited,top1,random,max_fluency,max_argument,max_meaning,autoscore,pair
     ],
     ids=["run", "calibrate"],
 )
-def test_merged_flags_and_config_hash_are_pinned(monkeypatch, argv, merged, digest):
-    for env in cli._ENV_ADAPTERS.values():
-        monkeypatch.delenv(env, raising=False)
+def test_merged_flags_and_config_hash_are_pinned(argv, merged, digest):
     config = _merge_config(build_parser().parse_args(argv))
     assert config == merged
     assert _config_hash(config) == digest
@@ -176,13 +178,17 @@ def test_readme_config_table_matches_the_settings_tables():
     for line in lines[start + 2 :]:
         if not line.startswith("|"):
             break
-        keys, commands = (cell.strip() for cell in line.split("|")[1:3])
+        keys, commands, set_by = (cell.strip() for cell in line.split("|")[1:4])
+        named = set(cli._SETTINGS) if commands == "all" else set(commands.split(", "))
         for key in re.findall(r"`(\w+)`", keys):
-            documented[key] = set(cli._SETTINGS) if commands == "all" else set(commands.split(", "))
+            documented[key] = named, set_by
     held = {key for table in cli._SETTINGS.values() for key in table}
     assert set(documented) == held
-    for key, commands in documented.items():
-        assert commands == {c for c, table in cli._SETTINGS.items() if key in table}, key
+    for key, (commands, set_by) in documented.items():
+        tables = {c: table for c, table in cli._SETTINGS.items() if key in table}
+        assert commands == set(tables), key
+        has_flag = any(table[key][2] for table in tables.values())
+        assert set_by == ("flag" if has_flag else "—"), key
 
 
 def _readme_cli_commands() -> list[str]:
@@ -909,17 +915,17 @@ def _stdio_generator_script(tmp_path):
     return f"stdio:{sys.executable} {script}"
 
 
-def test_run_instance_failure_exits_one(tmp_path, pairs_file, capsys, monkeypatch):
+def test_run_instance_failure_exits_one(tmp_path, pairs_file, capsys):
     pairs = make_synthetic_pairs(4, seed=3)
     broken = dataclasses.replace(pairs[2], source="BROKEN claim here")
     pairs[2] = broken
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _stdio_generator_script(tmp_path))
     out = tmp_path / "o"
     code = run_cli(
         "run", "--pairs", pairs_path, "--out", out, "--seed", 1,
         "--strategies", "unedited,top1",
+        *adapters_config(tmp_path, generator=_stdio_generator_script(tmp_path)),
     )
     assert code == 1
     assert "errors.jsonl" in capsys.readouterr().err
@@ -933,18 +939,17 @@ def test_run_instance_failure_exits_one(tmp_path, pairs_file, capsys, monkeypatc
     assert report["metadata"]["n_errors"] == 1
 
 
-def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
+def test_clean_rerun_removes_stale_errors(tmp_path):
     pairs = make_synthetic_pairs(4, seed=3)
     pairs[2] = dataclasses.replace(pairs[2], source="BROKEN claim here")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
     out = tmp_path / "o"
     argv = ("run", "--pairs", pairs_path, "--out", out, "--seed", 1, "--strategies", "unedited,top1")
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _stdio_generator_script(tmp_path))
-    assert run_cli(*argv) == 1
+    stdio = adapters_config(tmp_path, generator=_stdio_generator_script(tmp_path))
+    assert run_cli(*argv, *stdio) == 1
     assert (out / "errors.jsonl").is_file()
     # the mock generator completes the failed instance on resume
-    monkeypatch.delenv("CLAIMPOLISH_GENERATOR_CMD")
     assert run_cli(*argv) == 0
     assert not (out / "errors.jsonl").exists()
     report = json.loads((out / "report.json").read_text())
@@ -952,7 +957,7 @@ def test_clean_rerun_removes_stale_errors(tmp_path, monkeypatch):
     assert report["metadata"]["n_instances"] == 4
 
 
-def test_run_with_no_finished_instance_removes_stale_reports(tmp_path, monkeypatch):
+def test_run_with_no_finished_instance_removes_stale_reports(tmp_path):
     pairs = make_synthetic_pairs(3, seed=3)
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     write_pairs(pairs, first)
@@ -962,47 +967,46 @@ def test_run_with_no_finished_instance_removes_stale_reports(tmp_path, monkeypat
     assert run_cli("run", "--pairs", first, *argv) == 0
     assert (out / "report.json").is_file() and (out / "report.csv").is_file()
     # a child that exits at once fails every generation step
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} -c pass")
-    assert run_cli("run", "--pairs", second, *argv) == 1
+    stdio = adapters_config(tmp_path, generator=f"stdio:{sys.executable} -c pass")
+    assert run_cli("run", "--pairs", second, *argv, *stdio) == 1
     assert len(read_rows(out / "errors.jsonl")) == 3
     assert (out / "selections.jsonl").read_text() == ""
     assert not (out / "report.json").exists()
     assert not (out / "report.csv").exists()
 
 
-def test_run_manifest_lists_errors_jsonl(tmp_path, monkeypatch):
+def test_run_manifest_lists_errors_jsonl(tmp_path):
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(make_synthetic_pairs(2, seed=3), pairs_path)
     out = tmp_path / "o"
     # a child that exits at once fails every generation step
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} -c pass")
+    stdio = adapters_config(tmp_path, generator=f"stdio:{sys.executable} -c pass")
     argv = ("--pairs", pairs_path, "--out", out, "--strategies", "top1", "--n-candidates", 1)
-    assert run_cli("run", *argv) == 1
+    assert run_cli("run", *argv, *stdio) == 1
     artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert sorted(artifacts) == ["errors.jsonl", "selections.jsonl"]
     assert artifacts["errors.jsonl"]["sha256"] == cli._sha256_file(out / "errors.jsonl")
 
 
-def test_run_manifest_lists_a_trained_ranker_when_every_instance_fails(
-    tmp_path, pairs_file, monkeypatch
-):
+def test_run_manifest_lists_a_trained_ranker_when_every_instance_fails(tmp_path, pairs_file):
     script = tmp_path / "refuse.py"
     script.write_text(
         "import json, sys\n"
         "for line in sys.stdin:\n"
         "    print(json.dumps({'error': 'refused'}), flush=True)\n"
     )
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
     out = tmp_path / "o"
-    argv = ("--pairs", pairs_file, "--train-pairs", pairs_file, "--out", out)
-    assert run_cli("run", *argv, "--strategies", "pairwise_rank", "--n-candidates", 1) == 1
+    argv = ("--pairs", pairs_file, "--train-pairs", pairs_file, "--out", out, "--strategies",
+            "pairwise_rank", "--n-candidates", 1)
+    stdio = adapters_config(tmp_path, generator=f"stdio:{sys.executable} {script}")
+    assert run_cli("run", *argv, *stdio) == 1
     assert not (out / "report.json").exists()
     artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert sorted(artifacts) == ["errors.jsonl", "ranker.json", "selections.jsonl"]
     assert artifacts["ranker.json"]["sha256"] == cli._sha256_file(out / "ranker.json")
 
 
-def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatch):
+def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys):
     """A stdio scorer answers in [0, 1]: 0.4 is stored as 0.4, -0.2 fails its instance."""
     script = tmp_path / "meaning.py"
     script.write_text(
@@ -1016,9 +1020,11 @@ def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatc
     pairs[1] = dataclasses.replace(pairs[1], source="OFFSCALE claim here")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
-    monkeypatch.setenv("CLAIMPOLISH_MEANING_CMD", f"stdio:{sys.executable} {script}")
     out = tmp_path / "o"
-    code = run_cli("run", "--pairs", pairs_path, "--out", out, "--strategies", "top1,max_meaning")
+    code = run_cli(
+        "run", "--pairs", pairs_path, "--out", out, "--strategies", "top1,max_meaning",
+        *adapters_config(tmp_path, meaning_scorer=f"stdio:{sys.executable} {script}"),
+    )
     assert code == 1
     assert "errors.jsonl" in capsys.readouterr().err
     errors = read_rows(out / "errors.jsonl")
@@ -1031,18 +1037,28 @@ def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys, monkeypatc
     assert max_meaning and all(s["combined"] == 0.4 for s in max_meaning)
 
 
-def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _stdio_generator_script(tmp_path))
+def test_run_config_generator_is_used(tmp_path, pairs_file):
     out = tmp_path / "o"
     assert run_cli(
         "run", "--pairs", pairs_file, "--out", out, "--seed", 1,
         "--strategies", "unedited,top1",
+        *adapters_config(tmp_path, generator=_stdio_generator_script(tmp_path)),
     ) == 0
     top1 = [r for r in read_rows(out / "selections.jsonl") if r["strategy"] == "top1"]
     assert all(r["chosen"].endswith("(greedy)") for r in top1)
 
 
-@pytest.mark.parametrize("route", ["file", "env"])
+def test_adapter_environment_variables_change_nothing(tmp_path, pairs_file, monkeypatch):
+    """Adapters are named by config keys only, so a run's recipe is its
+    config: an old adapter variable in the environment is not read."""
+    argv = ("run", "--pairs", pairs_file, "--seed", 1, "--strategies", "unedited,top1")
+    assert run_cli(*argv, "--out", tmp_path / "plain") == 0
+    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", "stdio:/nonexistent")
+    assert run_cli(*argv, "--out", tmp_path / "env") == 0
+    selections = [(tmp_path / d / "selections.jsonl").read_bytes() for d in ("plain", "env")]
+    assert selections[0] == selections[1]
+
+
 @pytest.mark.parametrize(
     "spec, problem",
     [("stdio:no-such-claimpolish-program --x", "program 'no-such-claimpolish-program' not found"),
@@ -1055,22 +1071,14 @@ def test_run_env_generator_is_used(tmp_path, pairs_file, monkeypatch):
     [("run", "generator"), ("run", "argument_scorer"), ("calibrate", "fluency_scorer")],
 )
 def test_unusable_adapter_program_exits_two_before_any_instance(
-    tmp_path, pairs_file, chains_file, capsys, monkeypatch, command, key, spec, problem, route
+    tmp_path, pairs_file, chains_file, capsys, command, key, spec, problem
 ):
-    for env in cli._ENV_ADAPTERS.values():
-        monkeypatch.delenv(env, raising=False)
     out = tmp_path / "o"
     out.mkdir()
     kept = {name: f"earlier {name}\n" for name in ("ranker.json", "selections.jsonl")}
     for name, text in kept.items():
         (out / name).write_text(text)
-    argv = [command, "--out", out]
-    if route == "env":
-        monkeypatch.setenv(cli._ENV_ADAPTERS[key], spec)
-    else:
-        cfg = tmp_path / "adapters.cfg"
-        cfg.write_text(f"{key} = {spec}\n")
-        argv += ["--config", cfg]
+    argv = [command, "--out", out, *adapters_config(tmp_path, **{key: spec})]
     if command == "run":
         argv += ["--pairs", pairs_file, "--train-pairs", pairs_file]
     else:
@@ -1081,7 +1089,7 @@ def test_unusable_adapter_program_exits_two_before_any_instance(
     assert all((out / name).read_text() == text for name, text in kept.items())
 
 
-def test_run_skips_blank_generator_text(tmp_path, monkeypatch):
+def test_run_skips_blank_generator_text(tmp_path):
     """Blank top-k answers are failed steps; an all-blank instance is an instance error."""
     script = tmp_path / "blank_gen.py"
     script.write_text(
@@ -1095,11 +1103,11 @@ def test_run_skips_blank_generator_text(tmp_path, monkeypatch):
     pairs[1] = dataclasses.replace(pairs[1], source="BLANK claim here")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
     out = tmp_path / "o"
     code = run_cli(
         "run", "--pairs", pairs_path, "--out", out, "--seed", 0,
         "--strategies", "random,top1", "--n-candidates", 3,
+        *adapters_config(tmp_path, generator=f"stdio:{sys.executable} {script}"),
     )
     assert code == 1
     assert [e["pair_id"] for e in read_rows(out / "errors.jsonl")] == [pairs[1].pair_id]
@@ -1112,7 +1120,8 @@ def test_run_skips_blank_generator_text(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def recording_adapters(tmp_path, monkeypatch):
-    """Stdio generator and fluency scorer that remember each instance and close."""
+    """Stdio generator and fluency scorer that remember each instance and
+    close: ``(instances, --config flags naming both)``."""
     opened = []
 
     class Recording:
@@ -1139,9 +1148,11 @@ def recording_adapters(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(cli, "StdioGenerator", RecordingGenerator)
     monkeypatch.setattr(cli, "StdioScorer", RecordingScorer)
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _stdio_generator_script(tmp_path))
-    monkeypatch.setenv("CLAIMPOLISH_FLUENCY_CMD", f"stdio:{sys.executable} {script}")
-    return opened
+    return opened, adapters_config(
+        tmp_path,
+        generator=_stdio_generator_script(tmp_path),
+        fluency_scorer=f"stdio:{sys.executable} {script}",
+    )
 
 
 @pytest.mark.parametrize("broken, expected_code", [(False, 0), (True, 1)])
@@ -1151,15 +1162,13 @@ def test_run_closes_stdio_adapters(tmp_path, recording_adapters, broken, expecte
         pairs[1] = dataclasses.replace(pairs[1], source="BROKEN claim")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
+    opened, stdio = recording_adapters
     code = run_cli(
-        "run", "--pairs", pairs_path, "--out", tmp_path / "o", "--strategies", "top1"
+        "run", "--pairs", pairs_path, "--out", tmp_path / "o", "--strategies", "top1", *stdio
     )
     assert code == expected_code
-    assert [type(a).__name__ for a in recording_adapters] == [
-        "RecordingGenerator",
-        "RecordingScorer",
-    ]
-    assert all(a.closes == 1 and a._proc is None for a in recording_adapters)
+    assert [type(a).__name__ for a in opened] == ["RecordingGenerator", "RecordingScorer"]
+    assert all(a.closes == 1 and a._proc is None for a in opened)
 
 
 def test_run_survives_a_generator_that_ignores_eof(tmp_path, monkeypatch, caplog):
@@ -1171,12 +1180,12 @@ def test_run_survives_a_generator_that_ignores_eof(tmp_path, monkeypatch, caplog
         "time.sleep(60)\n"
     )
     monkeypatch.setattr(ndjson, "_CLOSE_GRACE_S", 0.2)
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", f"stdio:{sys.executable} {script}")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(make_synthetic_pairs(2, seed=3), pairs_path)
     out = tmp_path / "o"
+    stdio = adapters_config(tmp_path, generator=f"stdio:{sys.executable} {script}")
     with caplog.at_level(logging.WARNING, logger="claimpolish.ndjson"):
-        code = run_cli("run", "--pairs", pairs_path, "--out", out, "--strategies", "top1")
+        code = run_cli("run", "--pairs", pairs_path, "--out", out, "--strategies", "top1", *stdio)
     assert code == 0
     for name in ("report.json", "report.csv", "manifest.json"):
         assert (out / name).is_file(), name
@@ -1232,12 +1241,13 @@ def test_calibrate_artifacts(tmp_path, chains_file, capsys):
 
 
 def test_calibrate_closes_stdio_scorer(tmp_path, chains_file, recording_adapters):
-    assert run_cli("calibrate", "--chains", chains_file, "--out", tmp_path / "cal") == 0
-    [scorer] = recording_adapters
+    opened, stdio = recording_adapters
+    assert run_cli("calibrate", "--chains", chains_file, "--out", tmp_path / "cal", *stdio) == 0
+    [scorer] = opened
     assert scorer.closes == 1 and scorer._proc is None
 
 
-def test_calibrate_scorer_error_exits_one_naming_the_chain(tmp_path, capsys, monkeypatch):
+def test_calibrate_scorer_error_exits_one_naming_the_chain(tmp_path, capsys):
     """An off-scale stdio scorer ends calibrate with one error line and no weights."""
     script = tmp_path / "meaning.py"
     script.write_text(
@@ -1251,9 +1261,9 @@ def test_calibrate_scorer_error_exits_one_naming_the_chain(tmp_path, capsys, mon
     records[2]["claims"][1]["text"] = "OFFSCALE claim here."
     chains = tmp_path / "chains.jsonl"
     write_chain_records(chains, records)
-    monkeypatch.setenv("CLAIMPOLISH_MEANING_CMD", f"stdio:{sys.executable} {script}")
     out = tmp_path / "cal"
-    assert run_cli("calibrate", "--chains", chains, "--out", out) == 1
+    stdio = adapters_config(tmp_path, meaning_scorer=f"stdio:{sys.executable} {script}")
+    assert run_cli("calibrate", "--chains", chains, "--out", out, *stdio) == 1
     chain_id = records[2]["chain_id"]
     assert capsys.readouterr().err.splitlines() == [
         f"error: chain {chain_id!r}: meaning scorer returned -0.2, outside [0, 1]"

@@ -7,7 +7,6 @@ import pytest
 from claimpolish.corpus import (
     ContextBundle,
     ContextMode,
-    DelimiterConfig,
     IntentLabel,
     MissingContextError,
     OptimizationPair,
@@ -360,14 +359,6 @@ def test_serialize_with_both_orders_previous_first():
         serialize_input(p, ContextMode.WITH_BOTH)
         == "src text <PREV> earlier <TOPIC> the topic"
     )
-
-
-def test_serialize_custom_delimiters():
-    p = _pair(previous_claim="earlier", topic="t")
-    out = serialize_input(
-        p, ContextMode.WITH_BOTH, DelimiterConfig(previous="[P]", topic="[T]")
-    )
-    assert out == "src text [P] earlier [T] t"
 
 
 def test_serialize_missing_context_raises():

@@ -3,7 +3,13 @@ import sys
 
 import pytest
 
-from claimpolish.corpus import DelimiterConfig
+from claimpolish.corpus import (
+    ContextBundle,
+    ContextMode,
+    IntentLabel,
+    OptimizationPair,
+    serialize_input,
+)
 from claimpolish.genkit import (
     Candidate,
     CandidateSet,
@@ -164,9 +170,16 @@ def test_context_is_stripped_before_rewriting():
     assert "<PREV>" not in out and "<TOPIC>" not in out
 
 
-def test_custom_delimiters_are_stripped():
-    gen = MockGenerator(DelimiterConfig(previous="[P]", topic="[T]"))
-    assert gen.generate("its good [P] earlier", GREEDY, CFG, 0) == "It's good."
+@pytest.mark.parametrize("mode", list(ContextMode))
+def test_mock_rewrites_only_the_source_that_serialize_input_wrote(mode):
+    # one input format: the mock cuts at the markers serialize_input writes
+    pair = OptimizationPair(
+        "p0", "c0", 0, "its good", "It is good.", IntentLabel.CLARIFICATION,
+        ContextBundle(topic="its the tax", previous_claim="dont ban it"),
+    )
+    gen = MockGenerator()
+    alone = gen.generate(pair.source, GREEDY)
+    assert gen.generate(serialize_input(pair, mode), GREEDY) == alone == "It's good."
 
 
 def test_empty_after_stripping_raises():

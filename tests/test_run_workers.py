@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_synthetic_pairs
+from conftest import adapters_config, make_synthetic_pairs
 
 import claimpolish
 from claimpolish.cli import main
@@ -60,9 +60,7 @@ else:
 SCORER = "print(json.dumps({'score': 0.5}), flush=True)\n"
 
 
-def test_failures_in_both_stages_give_the_same_bytes_on_both_paths(
-    tmp_path, monkeypatch, force_cpus
-):
+def test_failures_in_both_stages_give_the_same_bytes_on_both_paths(tmp_path, force_cpus):
     # stage A fails on BROKEN (every step refused); stage B on NOGREEDY,
     # where top1 finds no greedy candidate
     pairs = make_synthetic_pairs(8, seed=3)
@@ -70,14 +68,14 @@ def test_failures_in_both_stages_give_the_same_bytes_on_both_paths(
         pairs[i] = _with_source(pairs[i], f"{word} claim number {i}")
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, pairs_path)
-    monkeypatch.setenv("CLAIMPOLISH_GENERATOR_CMD", _script(tmp_path / "gen.py", GENERATOR))
+    stdio = adapters_config(tmp_path, generator=_script(tmp_path / "gen.py", GENERATOR))
     outputs = {}
     for n_cpus in (1, 2):
         pools = force_cpus(n_cpus)
         out = tmp_path / f"cpus{n_cpus}"
         code = main([
             "run", "--pairs", str(pairs_path), "--out", str(out), "--seed", "1",
-            "--strategies", "unedited,top1", "--n-candidates", "3",
+            "--strategies", "unedited,top1", "--n-candidates", "3", *stdio,
         ])
         assert code == 1
         assert pools == ([2] if n_cpus == 2 and FORK else [])
@@ -119,15 +117,12 @@ def test_a_bug_in_either_stage_propagates(tmp_path, monkeypatch, force_cpus, sta
         assert not (tmp_path / "o" / "errors.jsonl").exists()
 
 
-def test_stdio_adapters_start_one_child_each_and_leave_none(
-    tmp_path, monkeypatch, force_cpus, caplog
-):
+def test_stdio_adapters_start_one_child_each_and_leave_none(tmp_path, force_cpus, caplog):
     pid_log = tmp_path / "pids"
-    monkeypatch.setenv(
-        "CLAIMPOLISH_GENERATOR_CMD", _script(tmp_path / "gen.py", GENERATOR, pid_log)
-    )
-    monkeypatch.setenv(
-        "CLAIMPOLISH_FLUENCY_CMD", _script(tmp_path / "fluency.py", SCORER, pid_log)
+    stdio = adapters_config(
+        tmp_path,
+        generator=_script(tmp_path / "gen.py", GENERATOR, pid_log),
+        fluency_scorer=_script(tmp_path / "fluency.py", SCORER, pid_log),
     )
     pairs_path = tmp_path / "pairs.jsonl"
     write_pairs(make_synthetic_pairs(6, seed=3), pairs_path)
@@ -135,7 +130,7 @@ def test_stdio_adapters_start_one_child_each_and_leave_none(
     with caplog.at_level(logging.WARNING, logger="claimpolish.ndjson"):
         code = main([
             "run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"),
-            "--strategies", "top1,autoscore", "--n-candidates", "3",
+            "--strategies", "top1,autoscore", "--n-candidates", "3", *stdio,
         ])
     assert code == 0
     assert pools == ([2] if FORK else [])

@@ -399,7 +399,8 @@ def _oracle_pick(chains, registry, grid_step, range_lo, range_hi):
         m = len(chain.claims)
         for i in range(1, m):
             before, after = chain.claims[i - 1], chain.claims[i]
-            vectors.append(score_candidate(registry, before, after, chain.context).as_tuple())
+            v = score_candidate(registry, before, after, chain.context)
+            vectors.append((v.fluency, v.meaning, v.argument))
             positions.append(i / (m - 1))
     values, target = np.asarray(vectors).T, np.asarray(positions)
     triples = simplex_grid(grid_step, range_lo, range_hi)

@@ -1,5 +1,7 @@
-"""Every top-level name of the package is read somewhere a user can reach.
+"""Every name the package defines is read somewhere a user can reach.
 
+The names are the top-level defs, classes and assignments of each
+module and the functions defined in its classes (``Class.method``).
 A name counts as read when its word appears outside its own definition
 in the package modules (``__init__.py`` aside: re-exporting is not
 use), a demo or a benchmark script. Tests do not count as readers, so
@@ -30,8 +32,14 @@ def _readers() -> list[Path]:
     return _modules() + sorted(p for p in scripts if not p.name.startswith("test_"))
 
 
+def _span(node: ast.stmt) -> tuple[int, int]:
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return first, node.end_lineno
+
+
 def _definitions(tree: ast.Module):
-    """``(name, first line, last line)`` of each top-level def, class and assignment."""
+    """``(qualified name, first line, last line)`` of each top-level def,
+    class and assignment, and of each function defined in a class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -40,9 +48,12 @@ def _definitions(tree: ast.Module):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         for name in names:
-            yield name, first, node.end_lineno
+            yield (name, *_span(node))
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield (f"{node.name}.{method.name}", *_span(method))
 
 
 def _words(lines: list[str]) -> Counter:
@@ -55,11 +66,12 @@ def unreached_names() -> list[str]:
     unreached = []
     for module in _modules():
         lines = texts[module]
-        for name, first, last in _definitions(ast.parse("\n".join(lines))):
+        for qualname, first, last in _definitions(ast.parse("\n".join(lines))):
+            name = qualname.rpartition(".")[2]
             if name.startswith("__") and name.endswith("__"):
                 continue
             if everywhere[name] == _words(lines[first - 1 : last])[name]:
-                unreached.append(f"{module.stem}.{name}")
+                unreached.append(f"{module.stem}.{qualname}")
     return unreached
 
 
