@@ -69,7 +69,7 @@ from .genkit import (
 from .metrics import (
     BLEU_MODES,
     SARI_VARIANTS,
-    aggregate_rows,
+    ReportTotals,
     evaluate_run,
     score_instance,
     write_report_csv,
@@ -709,7 +709,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     finisher = _Finisher(
         weights, ranker, strategies, embedder, s["bleu_mode"], s["sari_variant"]
     )
-    rows: dict[str, list] = {strategy.value: [] for strategy in strategies}
+    totals = ReportTotals()
     errors: list[dict] = []
     # rewrite only the complete instances, in pairs-file order, then resume.
     # The pool stops before the adapters close: a worker forked after an
@@ -727,8 +727,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             lines, chosen_rows = result
             sel_fh.write(lines)
             sel_fh.flush()
-            for name, row in chosen_rows.items():
-                rows[name].append(row)
+            totals.add(chosen_rows)
 
     artifacts = [selections_path]
     errors_path = out / "errors.jsonl"
@@ -748,7 +747,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             (out / name).unlink(missing_ok=True)
     else:
         artifacts += _write_reports(
-            out, aggregate_rows(rows, s["bleu_mode"]),
+            out, totals.reports(),
             {
                 "seed": seed,
                 "config_hash": config_hash,

@@ -83,7 +83,7 @@ class MaceResult:
     log_likelihood: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankAnnotation:
     item: str
     worker: str
@@ -309,16 +309,20 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
         dist = (coords[:, None] - coords[None, :]) ** 2
 
     # each unit's ordered value pairs (a, b), a != b, weighing 1 / (m - 1), in
-    # unit, then a, then b order: the order a pair loop adds them to each cell
+    # unit, then a, then b order: the order a pair loop adds them to each cell.
+    # No array holds the pairs of a value with itself.
     codes = np.array([index[v] for vals in units for v in vals], dtype=np.int64)
     sizes = np.array([len(vals) for vals in units])
-    m = np.repeat(sizes, sizes)  # each value's unit size
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each value's unit's first position
-    a = np.repeat(np.arange(codes.size), m)
-    b = np.repeat(start - (np.cumsum(m) - m), m) + np.arange(a.size)
-    pair = a != b
+    partners = np.repeat(sizes - 1, sizes)  # each value pairs with the rest of its unit
+    firsts = np.repeat(np.cumsum(sizes) - sizes, sizes)  # its unit's first position
+    # a's pairs take b = its unit's first position, the next, ..., skipping a
+    b = np.repeat(firsts - (np.cumsum(partners) - partners), partners)
+    b += np.arange(b.size)
+    b += b >= np.repeat(np.arange(codes.size), partners)
+    bins = np.repeat(codes * k, partners)
+    bins += codes[b]
     coincidence = _scatter_add(
-        codes[a[pair]] * k + codes[b[pair]], np.repeat(1.0 / (m - 1), m)[pair], (k, k)
+        bins, np.repeat(1.0 / (sizes - 1), sizes * (sizes - 1)), (k, k)
     )
 
     n_c = coincidence.sum(axis=1)
@@ -442,21 +446,29 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
     Likert records: ``{"item", "worker", "field", "value"}`` with field
     one of fluency/meaning/argument. Ranking records: ``{"item",
     "worker", "ranking": [...]}``. Returns one AnnotationMatrix per
-    field plus the list of rank annotations.
+    field plus the list of rank annotations. An (item, worker) gives at
+    most one label per field and one ranking.
     """
     likert: dict[str, dict[tuple[str, str], int]] = {}
-    rankings: list[RankAnnotation] = []
+    rankings: dict[tuple[str, str], RankAnnotation] = {}
+    # one string per distinct item id, worker id and strategy name, however
+    # many records repeat it
+    strings: dict[str, str] = {}
+    one = strings.setdefault
 
     def parse(rec: dict) -> None:
         item, worker = parse_id(rec["item"], "'item'"), parse_id(rec["worker"], "'worker'")
+        item, worker = one(item, item), one(worker, worker)
         if "ranking" in rec:
             if not isinstance(rec["ranking"], list):
                 raise ValueError("ranking must be a list")
             for name in rec["ranking"]:
                 if not isinstance(name, str) or not name.strip():
                     raise ValueError(f"ranking entry {name!r} is not a strategy name")
-            ranking = tuple(rec["ranking"])
-            rankings.append(RankAnnotation(item=item, worker=worker, ranking=ranking))
+            if (item, worker) in rankings:
+                raise ValueError(f"duplicate ranking for {(item, worker)}")
+            ranking = tuple(one(name, name) for name in rec["ranking"])
+            rankings[item, worker] = RankAnnotation(item=item, worker=worker, ranking=ranking)
             return
         for key in ("field", "value"):
             if key not in rec:
@@ -475,4 +487,4 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
     for _ in read_jsonl(path, ("item", "worker"), parse):
         pass
     matrices = {fld: AnnotationMatrix(labels, FIELD_BOUNDS[fld]) for fld, labels in likert.items()}
-    return matrices, rankings
+    return matrices, list(rankings.values())

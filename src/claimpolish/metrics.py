@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
@@ -155,15 +155,6 @@ def sentence_bleu(output: str, reference: str) -> float:
     without tokens scores 0.0.
     """
     return _bleu_from_counts(_bleu_counts(output, reference))
-
-
-def _bleu_total(parts: Sequence, mode: str) -> float:
-    """Corpus score 0-100 from the instances' ``_Row.bleu`` values: mean
-    sentence BLEU in ``"sentence"`` mode, BLEU of the pooled counts in
-    ``"corpus"`` mode."""
-    if mode == "sentence":
-        return 100.0 * left_sum(parts) / len(parts)
-    return _bleu_from_counts([sum(column) for column in zip(*parts)], scale=100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,30 +393,80 @@ def score_instance(
     return rows
 
 
-def _aggregate(rows: Sequence[_Row], bleu_mode: str) -> MetricReport:
-    """Report over ``rows`` in instance order; similarity to a context
-    field averages only the rows whose instance has that field."""
-    n = len(rows)
-    prev_vals = [row.sim_previous for row in rows if row.sim_previous is not None]
-    topic_vals = [row.sim_topic for row in rows if row.sim_topic is not None]
-    return MetricReport(
-        bleu=_bleu_total([row.bleu for row in rows], bleu_mode),
-        rouge_l=left_sum(row.rouge_l for row in rows) / n,
-        sari=left_sum(row.sari for row in rows) / n,
-        no_edit_ratio=sum(1 for row in rows if row.no_edit) / n,
-        exact_match_ratio=sum(1 for row in rows if row.exact_match) / n,
-        sim_original=left_sum(row.sim_original for row in rows) / n,
-        sim_previous=left_sum(prev_vals) / len(prev_vals) if prev_vals else None,
-        sim_topic=left_sum(topic_vals) / len(topic_vals) if topic_vals else None,
-        n_instances=n,
-    )
+@dataclass(slots=True)
+class _Sums:
+    """Running sums of one strategy's rows, in instance order. Each float
+    sum starts at the integer 0 and adds left to right, so its report
+    figure has ``left_sum``'s bits; in corpus mode ``bleu`` holds the
+    summed ``_bleu_counts``, which are integers."""
+
+    n: int = 0
+    bleu: float | list[int] = 0
+    rouge_l: float = 0
+    sari: float = 0
+    no_edit: int = 0
+    exact_match: int = 0
+    sim_original: float = 0
+    sim_previous: float = 0
+    n_previous: int = 0
+    sim_topic: float = 0
+    n_topic: int = 0
+
+    def add(self, row: _Row) -> None:
+        if isinstance(row.bleu, list):
+            self.bleu = [*map(add, self.bleu, row.bleu)] if self.n else row.bleu
+        else:
+            self.bleu += row.bleu
+        self.n += 1
+        self.rouge_l += row.rouge_l
+        self.sari += row.sari
+        self.no_edit += row.no_edit
+        self.exact_match += row.exact_match
+        self.sim_original += row.sim_original
+        if row.sim_previous is not None:
+            self.sim_previous += row.sim_previous
+            self.n_previous += 1
+        if row.sim_topic is not None:
+            self.sim_topic += row.sim_topic
+            self.n_topic += 1
+
+    def report(self) -> MetricReport:
+        """The strategy's report: mean sentence BLEU or the BLEU of the
+        summed counts, and means over the rows; similarity to a context
+        field averages only the rows whose instance has that field."""
+        n = self.n
+        return MetricReport(
+            bleu=(
+                _bleu_from_counts(self.bleu, scale=100.0)
+                if isinstance(self.bleu, list)
+                else 100.0 * self.bleu / n
+            ),
+            rouge_l=self.rouge_l / n,
+            sari=self.sari / n,
+            no_edit_ratio=self.no_edit / n,
+            exact_match_ratio=self.exact_match / n,
+            sim_original=self.sim_original / n,
+            sim_previous=self.sim_previous / self.n_previous if self.n_previous else None,
+            sim_topic=self.sim_topic / self.n_topic if self.n_topic else None,
+            n_instances=n,
+        )
 
 
-def aggregate_rows(
-    rows: Mapping[str, Sequence[_Row]], bleu_mode: str = "sentence"
-) -> dict[str, MetricReport]:
-    """One MetricReport per strategy from its rows, in instance order."""
-    return {strategy: _aggregate(chosen, bleu_mode) for strategy, chosen in rows.items()}
+class ReportTotals:
+    """Each strategy's running sums, fed one instance's chosen rows at a
+    time in instance order, so no row is kept once it is added."""
+
+    def __init__(self):
+        self._sums: defaultdict[str, _Sums] = defaultdict(_Sums)
+
+    def add(self, chosen: Mapping[str, _Row]) -> None:
+        """Add one instance's row of each strategy, keyed by strategy name."""
+        for strategy, row in chosen.items():
+            self._sums[strategy].add(row)
+
+    def reports(self) -> dict[str, MetricReport]:
+        """One MetricReport per strategy, in the order they were first added."""
+        return {strategy: sums.report() for strategy, sums in self._sums.items()}
 
 
 def evaluate_run(
@@ -439,7 +480,7 @@ def evaluate_run(
     a list of output texts aligned with ``instances``.
 
     ``score_instance`` scores each instance's distinct outputs once, for
-    every strategy that chose them; ``aggregate_rows`` averages them.
+    every strategy that chose them, and ``ReportTotals`` adds them up.
     """
     if bleu_mode not in BLEU_MODES:
         raise ValueError(f"unknown bleu mode {bleu_mode!r}")
@@ -450,19 +491,13 @@ def evaluate_run(
             raise ValueError(
                 f"strategy {strategy!r}: {len(texts)} outputs for {len(instances)} instances"
             )
-    rows = [
-        score_instance(
+    totals = ReportTotals()
+    for i, instance in enumerate(instances):
+        rows = score_instance(
             instance, [texts[i] for texts in outputs.values()], embedder, bleu_mode, sari_variant
         )
-        for i, instance in enumerate(instances)
-    ]
-    return aggregate_rows(
-        {
-            strategy: [rows[i][text] for i, text in enumerate(texts)]
-            for strategy, texts in outputs.items()
-        },
-        bleu_mode,
-    )
+        totals.add({strategy: rows[texts[i]] for strategy, texts in outputs.items()})
+    return totals.reports()
 
 
 CSV_COLUMNS = ("strategy", "BLEU", "RougeL", "SARI", "NoEd", "ExM")

@@ -1416,6 +1416,21 @@ def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, dro
     assert not (out / "stats_report.json").exists()
 
 
+def test_stats_duplicate_ranking_exits_two_before_any_output(tmp_path, capsys):
+    # the integer item 3 and the string item "3" are one id
+    records = [
+        {"item": 3, "worker": "w1", "ranking": ["a", "b"]},
+        {"item": 3, "worker": "w2", "ranking": ["b", "a"]},
+        {"item": "3", "worker": "w1", "ranking": ["a", "b"]},
+    ]
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "o"
+    assert run_cli("stats", "--annotations", ann, "--out", out) == 2
+    assert "error: line 3: duplicate ranking for ('3', 'w1')" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
+
+
 def test_stats_failing_rank_test_names_its_pair_before_any_fit(tmp_path, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a MACE fit ran")

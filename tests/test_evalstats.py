@@ -439,6 +439,64 @@ def test_load_annotations_rejects_duplicates(tmp_path):
     assert "line 2" in str(err.value) and "duplicate" in str(err.value)
 
 
+def test_load_annotations_rejects_duplicate_rankings(tmp_path):
+    # a repeated ranking would count twice in mean_rank and in the item ranks
+    path = tmp_path / "ann.jsonl"
+    _write(
+        path,
+        [
+            {"item": "p1", "worker": "w1", "ranking": ["autoscore", "top1"]},
+            {"item": "p1", "worker": "w2", "ranking": ["autoscore", "top1"]},
+            {"item": "p1", "worker": "w1", "ranking": ["top1", "autoscore"]},
+        ],
+    )
+    with pytest.raises(ValueError, match=r"^line 3: duplicate ranking for \('p1', 'w1'\)$"):
+        load_annotations(path)
+
+
+def test_load_annotations_keeps_one_string_per_id(tmp_path):
+    # ids repeat across records and fields, as strings and as integers;
+    # a one-character string or a one-digit integer's digits would be
+    # shared by CPython anyway, so every id here is longer
+    path = tmp_path / "ann.jsonl"
+    _write(
+        path,
+        [
+            {"item": "p1::autoscore", "worker": "w1", "field": "fluency", "value": 3},
+            {"item": "p1::autoscore", "worker": 42, "field": "fluency", "value": 2},
+            {"item": "p1::autoscore", "worker": "w1", "field": "meaning", "value": 5},
+            {"item": 42, "worker": "w1", "field": "meaning", "value": 4},
+            {"item": "p1::top1", "worker": "42", "field": "meaning", "value": 1},
+            {"item": "p1", "worker": "w1", "ranking": ["autoscore", "top1"]},
+            {"item": "p1", "worker": 42, "ranking": ["top1", "autoscore"]},
+            {"item": 42, "worker": "w1", "ranking": ["top1", "autoscore"]},
+        ],
+    )
+    matrices, rankings = load_annotations(path)
+    # what the loader returned before it shared its strings
+    assert matrices == {
+        "fluency": AnnotationMatrix(
+            {("p1::autoscore", "w1"): 3, ("p1::autoscore", "42"): 2}, FIELD_BOUNDS["fluency"]
+        ),
+        "meaning": AnnotationMatrix(
+            {("p1::autoscore", "w1"): 5, ("42", "w1"): 4, ("p1::top1", "42"): 1},
+            FIELD_BOUNDS["meaning"],
+        ),
+    }
+    assert rankings == [
+        RankAnnotation("p1", "w1", ("autoscore", "top1")),
+        RankAnnotation("p1", "42", ("top1", "autoscore")),
+        RankAnnotation("42", "w1", ("top1", "autoscore")),
+    ]
+    returned = [s for m in matrices.values() for key in m.labels for s in key]
+    returned += [s for m in matrices.values() for s in (*m.items, *m.workers)]
+    for ann in rankings:
+        returned += [ann.item, ann.worker, *ann.ranking]
+    distinct = set(returned)
+    assert len(distinct) == 7
+    assert [s for s in distinct if len({id(x) for x in returned if x == s}) > 1] == []
+
+
 def test_load_annotations_rejects_unknown_field(tmp_path):
     path = tmp_path / "ann.jsonl"
     _write(path, [{"item": "p1", "worker": "w1", "field": "style", "value": 3}])

@@ -4,7 +4,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import pytest
 
@@ -417,6 +417,78 @@ def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
     )
     assert reports["unedited"] == reports["copy"]
     assert reports["oracle"] != reports["unedited"]
+
+
+def _kept_rows_report(rows, bleu_mode):
+    """The report of ``rows`` as it was built when ``run`` and ``report``
+    kept every row until the end (verbatim apart from names)."""
+    n = len(rows)
+    parts = [row.bleu for row in rows]
+    if bleu_mode == "sentence":
+        bleu = 100.0 * metrics.left_sum(parts) / len(parts)
+    else:
+        bleu = metrics._bleu_from_counts([sum(column) for column in zip(*parts)], scale=100.0)
+    prev_vals = [row.sim_previous for row in rows if row.sim_previous is not None]
+    topic_vals = [row.sim_topic for row in rows if row.sim_topic is not None]
+    return metrics.MetricReport(
+        bleu=bleu,
+        rouge_l=metrics.left_sum(row.rouge_l for row in rows) / n,
+        sari=metrics.left_sum(row.sari for row in rows) / n,
+        no_edit_ratio=sum(1 for row in rows if row.no_edit) / n,
+        exact_match_ratio=sum(1 for row in rows if row.exact_match) / n,
+        sim_original=metrics.left_sum(row.sim_original for row in rows) / n,
+        sim_previous=metrics.left_sum(prev_vals) / len(prev_vals) if prev_vals else None,
+        sim_topic=metrics.left_sum(topic_vals) / len(topic_vals) if topic_vals else None,
+        n_instances=n,
+    )
+
+
+def _random_row(rng, bleu_mode):
+    if bleu_mode == "sentence":
+        bleu = rng.random()
+    else:
+        c = rng.randrange(0, 12)
+        totals = [max(c - n, 0) for n in range(4)]
+        bleu = [rng.randint(0, t) for t in totals] + totals + [c, rng.randrange(1, 12)]
+    return metrics._Row(
+        bleu=bleu,
+        rouge_l=rng.random(),
+        sari=100.0 * rng.random(),
+        no_edit=rng.random() < 0.3,
+        exact_match=rng.random() < 0.2,
+        sim_original=rng.random(),
+        sim_previous=rng.random() if rng.random() < 0.6 else None,
+        sim_topic=rng.random() if rng.random() < 0.4 else None,
+    )
+
+
+@pytest.mark.parametrize("bleu_mode", metrics.BLEU_MODES)
+def test_report_totals_keep_the_kept_rows_bits(bleu_mode):
+    rng = random.Random(f"totals-{bleu_mode}")
+    for n in (*range(1, 30), 300):
+        # "none" never has a context field, "all" always has both
+        by_strategy = {"mixed": [_random_row(rng, bleu_mode) for _ in range(n)]}
+        by_strategy["none"] = [
+            replace(row, sim_previous=None, sim_topic=None) for row in by_strategy["mixed"]
+        ]
+        by_strategy["all"] = [
+            replace(row, sim_previous=rng.random(), sim_topic=rng.random())
+            for row in by_strategy["mixed"]
+        ]
+        totals = metrics.ReportTotals()
+        for i in range(n):
+            totals.add({name: rows[i] for name, rows in by_strategy.items()})
+        reports = totals.reports()
+        assert list(reports) == list(by_strategy)
+        for name, rows in by_strategy.items():
+            expected = _kept_rows_report(rows, bleu_mode)
+            assert reports[name] == expected
+            for got, want in zip(astuple(reports[name]), astuple(expected)):
+                assert type(got) is type(want)
+                if isinstance(want, float):
+                    assert got.hex() == want.hex()
+        assert reports["none"].sim_previous is None and reports["none"].sim_topic is None
+        assert reports["all"].sim_previous is not None and reports["all"].sim_topic is not None
 
 
 @dataclass

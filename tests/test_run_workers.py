@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,10 @@ import pytest
 from conftest import adapters_config, make_synthetic_pairs
 
 import claimpolish
+import claimpolish.cli as cli
 from claimpolish.cli import main
 from claimpolish.corpus import write_pairs
+from claimpolish.metrics import ReportTotals
 
 # the source tree of the package under test, for fresh interpreters
 SRC = Path(claimpolish.__file__).resolve().parents[1]
@@ -115,6 +118,58 @@ def test_a_bug_in_either_stage_propagates(tmp_path, monkeypatch, force_cpus, sta
             main(["run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"),
                   "--strategies", "top1"])
         assert not (tmp_path / "o" / "errors.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage, name", [("A", "score_candidate"), ("B", "score_instance")])
+def test_a_value_error_in_either_stage_exits_two(
+    tmp_path, monkeypatch, capsys, force_cpus, stage, name
+):
+    """A ValueError that is no instance failure ends the run with one
+    ``error:`` line and exit code 2, as a bad input does, raised inline
+    or from a worker."""
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(4, seed=3), pairs_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError(f"bad value in stage {stage}")
+
+    monkeypatch.setattr(f"claimpolish.cli.{name}", broken)
+    for n_cpus in (1, 2):
+        force_cpus(n_cpus)
+        code = main(["run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"),
+                     "--strategies", "top1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad value in stage {stage}\n"
+
+
+def test_run_keeps_no_row_once_its_instance_is_added(tmp_path, monkeypatch, force_cpus):
+    """On the inline path, every row that ``score_instance`` returned for
+    an instance is gone once the next instance is added to the totals."""
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(6, seed=3), pairs_path)
+    returned = []  # per instance, a weak reference to each of its rows
+    live = []  # after each add, how many rows of earlier instances are alive
+    score_instance, add = cli.score_instance, ReportTotals.add
+
+    def recording_score_instance(*args, **kwargs):
+        rows = score_instance(*args, **kwargs)
+        returned.append([weakref.ref(row) for row in rows.values()])
+        return rows
+
+    def checking_add(totals, chosen):
+        add(totals, chosen)
+        live.append(sum(ref() is not None for refs in returned[:-1] for ref in refs))
+
+    monkeypatch.setattr(cli, "score_instance", recording_score_instance)
+    monkeypatch.setattr(ReportTotals, "add", checking_add)
+    pools = force_cpus(1)
+    argv = ["run", "--pairs", str(pairs_path), "--out", str(tmp_path / "o"),
+            "--strategies", "unedited,top1,random,autoscore"]
+    assert main(argv) == 0
+    assert pools == []
+    assert len(returned) == len(live) == 6
+    assert all(returned)
+    assert live == [0] * 6
 
 
 def test_stdio_adapters_start_one_child_each_and_leave_none(tmp_path, force_cpus, caplog):
