@@ -105,7 +105,7 @@ class ConfigError(ValueError):
 
 
 def _parse_strategies(text: str) -> tuple[Strategy, ...]:
-    if not text or text == "all":
+    if text == "all":
         return tuple(Strategy)
     strategies = tuple(Strategy(name.strip()) for name in text.split(",") if name.strip())
     if not strategies:
@@ -204,6 +204,7 @@ _SETTINGS = {
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -212,7 +213,11 @@ def read_config_file(path: str | Path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in key_lines:
+                raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {key_lines[key]}")
+            key_lines[key] = line_no
+            values[key] = value.strip()
     return values
 
 
@@ -544,8 +549,8 @@ class _Finisher:
     sari_variant: str
 
     def __call__(self, job: _Job) -> tuple[str, dict] | dict:
-        """``(lines, {strategy: row})`` of a finished instance, or the
-        errors.jsonl record of a failed one."""
+        """``(lines, {strategy: one-row total})`` of a finished instance, or
+        the errors.jsonl record of a failed one."""
         pair = job.pair
         if job.error is not None:
             return {"pair_id": pair.pair_id, "error": job.error}
@@ -563,10 +568,7 @@ class _Finisher:
             by_strategy = {name: _stored(record) for name, record in records.items()}
         lines = "".join(by_strategy[strategy.value][0] for strategy in self.strategies)
         chosen = {strategy.value: by_strategy[strategy.value][1] for strategy in self.strategies}
-        rows = score_instance(
-            pair, chosen.values(), self.embedder, self.bleu_mode, self.sari_variant
-        )
-        return lines, {name: rows[text] for name, text in chosen.items()}
+        return lines, score_instance(pair, chosen, self.embedder, self.bleu_mode, self.sari_variant)
 
 
 _finisher: _Finisher | None = None  # a worker process's stage B, set by _start_worker
@@ -829,17 +831,23 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
                 raise ValueError(f"strategy pair {a}:{b}: {exc}") from None
             tests[f"{a}_vs_{b}"] = {"statistic": statistic, "p_value": p_value, "n_items": len(xs)}
 
+    # every field's alphas before any MACE fit, so a field without them
+    # ends the command before the fits' time is spent
     for fld in sorted(matrices):
+        try:
+            report["fields"][fld] = {
+                f"krippendorff_alpha_{level}": krippendorff_alpha(matrices[fld], level)
+                for level in ("ordinal", "nominal")
+            }
+        except ValueError as exc:
+            raise ValueError(f"{fld}: {exc}") from None
+    for fld, entry in report["fields"].items():
         matrix = matrices[fld]
         mace = mace_aggregate(
             matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"], seed=s["seed"]
         )
-        report["fields"][fld] = {
-            "krippendorff_alpha_ordinal": krippendorff_alpha(matrix, "ordinal"),
-            "krippendorff_alpha_nominal": krippendorff_alpha(matrix, "nominal"),
-            "percent_agreement": percent_agreement(matrix.labels),
-            "mace": mace_summary(mace),
-        }
+        entry["percent_agreement"] = percent_agreement(matrix.labels)
+        entry["mace"] = mace_summary(mace)
 
     report["inputs"] = {"annotations_sha256": _sha256_file(annotations_path)}
     write_json(out / "stats_report.json", report)

@@ -329,21 +329,6 @@ def context_similarity(output: str, context_field: str | None, embedder: Embedde
 # ---------------------------------------------------------------------------
 # report assembly
 
-@dataclass(frozen=True)
-class _Row:
-    """Every score of one (instance, output) row; a strategy's report
-    aggregates the rows of the outputs it chose."""
-
-    bleu: float | list[int]  # sentence BLEU, or the _bleu_counts in corpus mode
-    rouge_l: float
-    sari: float
-    no_edit: bool
-    exact_match: bool
-    sim_original: float
-    sim_previous: float | None
-    sim_topic: float | None
-
-
 def _score_row(
     pair: OptimizationPair,
     normalized_ref: str,
@@ -351,54 +336,61 @@ def _score_row(
     embedder: Embedder,
     bleu_mode: str,
     sari_variant: str,
-) -> _Row:
+) -> _Sums:
     """Every score of ``output`` for ``pair``, whose reference with
-    normalized whitespace is ``normalized_ref``."""
+    normalized whitespace is ``normalized_ref``, as a one-row total."""
     if not output.strip():
         raise ValueError("output must be non-empty")
     ref = pair.reference
     previous, topic = pair.context.previous_claim, pair.context.topic
-    return _Row(
+    return _Sums(
+        n=1,
         bleu=sentence_bleu(output, ref) if bleu_mode == "sentence" else _bleu_counts(output, ref),
         rouge_l=rouge_l(output, ref),
         sari=sari(pair.source, output, ref, variant=sari_variant),
         no_edit=output == pair.source,
         exact_match=normalize_whitespace(output) == normalized_ref,
         sim_original=context_similarity(output, pair.source, embedder),
-        sim_previous=context_similarity(output, previous, embedder) if previous else None,
-        sim_topic=context_similarity(output, topic, embedder) if topic else None,
+        sim_previous=context_similarity(output, previous, embedder) if previous else 0,
+        n_previous=bool(previous),
+        sim_topic=context_similarity(output, topic, embedder) if topic else 0,
+        n_topic=bool(topic),
     )
 
 
 def score_instance(
     pair: OptimizationPair,
-    outputs: Iterable[str],
+    chosen: Mapping[str, str],
     embedder: Embedder,
     bleu_mode: str = "sentence",
     sari_variant: str = "canonical",
-) -> dict[str, _Row]:
-    """The ``_Row`` of each distinct output of the evaluation instance
-    ``pair``, keyed by the output. The pair's source, reference and
-    context are tokenized and embedded once for all its rows."""
+) -> dict[str, _Sums]:
+    """The one-row total of each strategy's output for the evaluation
+    instance ``pair``; ``chosen`` maps strategy name to output text. Each
+    distinct output is scored once, and strategies that chose it share its
+    total. The pair's source, reference and context are tokenized and
+    embedded once for all its rows."""
+    if bleu_mode not in BLEU_MODES:
+        raise ValueError(f"unknown bleu mode {bleu_mode!r}")
     # keyed on the text alone, so any embedder works, hashable or not;
     # dropped with the instance, so it holds only that instance's texts
     instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
     normalized_ref = normalize_whitespace(pair.reference)
-    rows: dict[str, _Row] = {}
-    for output in outputs:
-        if output not in rows:
-            rows[output] = _score_row(
-                pair, normalized_ref, output, instance_embedder, bleu_mode, sari_variant
-            )
-    return rows
+    rows = {
+        output: _score_row(pair, normalized_ref, output, instance_embedder, bleu_mode, sari_variant)
+        for output in dict.fromkeys(chosen.values())
+    }
+    return {strategy: rows[output] for strategy, output in chosen.items()}
 
 
-@dataclass(slots=True)
+@dataclass
 class _Sums:
-    """Running sums of one strategy's rows, in instance order. Each float
-    sum starts at the integer 0 and adds left to right, so its report
-    figure has ``left_sum``'s bits; in corpus mode ``bleu`` holds the
-    summed ``_bleu_counts``, which are integers."""
+    """Running sums of one strategy's rows, in instance order; a scored row
+    is a total with ``n = 1``. Each float sum starts at the integer 0 and
+    adds left to right, so its report figure has ``left_sum``'s bits; in
+    corpus mode ``bleu`` holds the summed ``_bleu_counts``, which are
+    integers. ``n_previous`` and ``n_topic`` count the rows whose instance
+    has that context field; a row without it adds 0 to the field's sum."""
 
     n: int = 0
     bleu: float | list[int] = 0
@@ -412,23 +404,22 @@ class _Sums:
     sim_topic: float = 0
     n_topic: int = 0
 
-    def add(self, row: _Row) -> None:
-        if isinstance(row.bleu, list):
-            self.bleu = [*map(add, self.bleu, row.bleu)] if self.n else row.bleu
+    def add(self, other: _Sums) -> None:
+        """Add ``other``'s sums field by field."""
+        if isinstance(other.bleu, list):
+            self.bleu = [*map(add, self.bleu, other.bleu)] if self.n else other.bleu
         else:
-            self.bleu += row.bleu
-        self.n += 1
-        self.rouge_l += row.rouge_l
-        self.sari += row.sari
-        self.no_edit += row.no_edit
-        self.exact_match += row.exact_match
-        self.sim_original += row.sim_original
-        if row.sim_previous is not None:
-            self.sim_previous += row.sim_previous
-            self.n_previous += 1
-        if row.sim_topic is not None:
-            self.sim_topic += row.sim_topic
-            self.n_topic += 1
+            self.bleu += other.bleu
+        self.n += other.n
+        self.rouge_l += other.rouge_l
+        self.sari += other.sari
+        self.no_edit += other.no_edit
+        self.exact_match += other.exact_match
+        self.sim_original += other.sim_original
+        self.sim_previous += other.sim_previous
+        self.n_previous += other.n_previous
+        self.sim_topic += other.sim_topic
+        self.n_topic += other.n_topic
 
     def report(self) -> MetricReport:
         """The strategy's report: mean sentence BLEU or the BLEU of the
@@ -453,14 +444,14 @@ class _Sums:
 
 
 class ReportTotals:
-    """Each strategy's running sums, fed one instance's chosen rows at a
-    time in instance order, so no row is kept once it is added."""
+    """Each strategy's running sums, fed one instance's ``score_instance``
+    totals at a time in instance order, so no row is kept once it is added."""
 
     def __init__(self):
         self._sums: defaultdict[str, _Sums] = defaultdict(_Sums)
 
-    def add(self, chosen: Mapping[str, _Row]) -> None:
-        """Add one instance's row of each strategy, keyed by strategy name."""
+    def add(self, chosen: Mapping[str, _Sums]) -> None:
+        """Add one instance's total of each strategy, keyed by strategy name."""
         for strategy, row in chosen.items():
             self._sums[strategy].add(row)
 
@@ -482,8 +473,6 @@ def evaluate_run(
     ``score_instance`` scores each instance's distinct outputs once, for
     every strategy that chose them, and ``ReportTotals`` adds them up.
     """
-    if bleu_mode not in BLEU_MODES:
-        raise ValueError(f"unknown bleu mode {bleu_mode!r}")
     if not instances:
         raise ValueError("empty instance list")
     for strategy, texts in outputs.items():
@@ -493,10 +482,8 @@ def evaluate_run(
             )
     totals = ReportTotals()
     for i, instance in enumerate(instances):
-        rows = score_instance(
-            instance, [texts[i] for texts in outputs.values()], embedder, bleu_mode, sari_variant
-        )
-        totals.add({strategy: rows[texts[i]] for strategy, texts in outputs.items()})
+        chosen = {strategy: texts[i] for strategy, texts in outputs.items()}
+        totals.add(score_instance(instance, chosen, embedder, bleu_mode, sari_variant))
     return totals.reports()
 
 

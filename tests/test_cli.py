@@ -100,6 +100,18 @@ def test_read_config_file_rejects_bare_words(tmp_path):
     assert ":1:" in str(err.value)
 
 
+def test_read_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n# the same key again, spaced otherwise\n\n seed=2\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(cfg)
+    assert str(err.value) == f"{cfg}:4: key 'seed' repeats line 1"
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", cfg, "--pairs", tmp_path / "missing.jsonl", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:4: key 'seed' repeats line 1\n"
+    assert not out.exists()
+
+
 def test_merge_precedence_file_flag(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 1\ngenerator = stdio:gen --flag\nn_candidates = 5\n")
@@ -251,6 +263,24 @@ def test_config_key_error_exits_two_before_any_output(
     assert run_cli(command, "--config", cfg, *inputs, "--out", out) == 2
     assert f"error: {named}" in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "source", [pytest.param("flag", id="flag"), pytest.param("file", id="file")]
+)
+@pytest.mark.parametrize("value", ["", ","])
+def test_blank_strategies_exit_two_before_any_input(tmp_path, capsys, source, value):
+    # the pairs file does not exist: the strategies are rejected first
+    argv = ["run", "--pairs", tmp_path / "missing.jsonl", "--out", tmp_path / "o"]
+    if source == "flag":
+        argv += ["--strategies", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"strategies = {value}\n")
+        argv += ["--config", cfg]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: strategies: empty strategy list\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _command_inputs(tmp_path, pairs_file, chains_file) -> dict[str, list]:
@@ -1428,6 +1458,30 @@ def test_stats_duplicate_ranking_exits_two_before_any_output(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli("stats", "--annotations", ann, "--out", out) == 2
     assert "error: line 3: duplicate ranking for ('3', 'w1')" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
+
+
+def test_stats_field_without_alpha_names_it_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a MACE fit ran")
+
+    monkeypatch.setattr(cli, "mace_aggregate", no_fit)
+    # argument and fluency have two labels per item; meaning, sorted after
+    # both, has one
+    records = [
+        {"item": f"p{i}", "worker": worker, "field": fld, "value": 1 + (i + w) % 3}
+        for i in range(4)
+        for w, worker in enumerate(("w1", "w2"))
+        for fld in ("argument", "fluency")
+    ]
+    records += [{"item": f"p{i}", "worker": "w1", "field": "meaning", "value": 2} for i in range(4)]
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "o"
+    assert run_cli("stats", "--annotations", ann, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: meaning: no pairable values (no item has two or more annotations)\n"
+    )
     assert not (out / "stats_report.json").exists()
 
 

@@ -419,6 +419,38 @@ def test_evaluate_run_scores_each_distinct_row_once(monkeypatch):
     assert reports["oracle"] != reports["unedited"]
 
 
+@dataclass(frozen=True)
+class _KeptRow:
+    """One output's scores as ``run`` and ``report`` kept them: a context
+    field the pair lacks is None."""
+
+    bleu: float | list[int]
+    rouge_l: float
+    sari: float
+    no_edit: bool
+    exact_match: bool
+    sim_original: float
+    sim_previous: float | None
+    sim_topic: float | None
+
+
+def _one_row_total(row):
+    """``row`` as the one-row total that ``score_instance`` returns."""
+    return metrics._Sums(
+        n=1,
+        bleu=row.bleu,
+        rouge_l=row.rouge_l,
+        sari=row.sari,
+        no_edit=row.no_edit,
+        exact_match=row.exact_match,
+        sim_original=row.sim_original,
+        sim_previous=0 if row.sim_previous is None else row.sim_previous,
+        n_previous=row.sim_previous is not None,
+        sim_topic=0 if row.sim_topic is None else row.sim_topic,
+        n_topic=row.sim_topic is not None,
+    )
+
+
 def _kept_rows_report(rows, bleu_mode):
     """The report of ``rows`` as it was built when ``run`` and ``report``
     kept every row until the end (verbatim apart from names)."""
@@ -450,7 +482,7 @@ def _random_row(rng, bleu_mode):
         c = rng.randrange(0, 12)
         totals = [max(c - n, 0) for n in range(4)]
         bleu = [rng.randint(0, t) for t in totals] + totals + [c, rng.randrange(1, 12)]
-    return metrics._Row(
+    return _KeptRow(
         bleu=bleu,
         rouge_l=rng.random(),
         sari=100.0 * rng.random(),
@@ -477,7 +509,7 @@ def test_report_totals_keep_the_kept_rows_bits(bleu_mode):
         ]
         totals = metrics.ReportTotals()
         for i in range(n):
-            totals.add({name: rows[i] for name, rows in by_strategy.items()})
+            totals.add({name: _one_row_total(rows[i]) for name, rows in by_strategy.items()})
         reports = totals.reports()
         assert list(reports) == list(by_strategy)
         for name, rows in by_strategy.items():
@@ -489,6 +521,33 @@ def test_report_totals_keep_the_kept_rows_bits(bleu_mode):
                     assert got.hex() == want.hex()
         assert reports["none"].sim_previous is None and reports["none"].sim_topic is None
         assert reports["all"].sim_previous is not None and reports["all"].sim_topic is not None
+
+
+def test_score_instance_scores_each_distinct_output_once(monkeypatch):
+    scored = []
+    real_score_row = metrics._score_row
+
+    def counting_score_row(pair, normalized_ref, output, *args):
+        scored.append(output)
+        return real_score_row(pair, normalized_ref, output, *args)
+
+    monkeypatch.setattr(metrics, "_score_row", counting_score_row)
+    pair = _instances()[0]
+    chosen = {"unedited": pair.source, "oracle": pair.reference, "top1": pair.source}
+    totals = metrics.score_instance(pair, chosen, EMB)
+    assert scored == [pair.source, pair.reference]
+    assert list(totals) == list(chosen)
+    assert totals["unedited"] is totals["top1"]
+    assert totals["oracle"] is not totals["unedited"]
+    assert all(total.n == 1 for total in totals.values())
+    assert (totals["unedited"].no_edit, totals["oracle"].exact_match) == (1, 1)
+
+
+def test_score_instance_rejects_unknown_bleu_mode(monkeypatch):
+    monkeypatch.setattr(metrics, "_score_row", None)  # nothing is scored
+    pair = _instances()[0]
+    with pytest.raises(ValueError, match="unknown bleu mode 'document'"):
+        metrics.score_instance(pair, {"x": pair.source}, EMB, bleu_mode="document")
 
 
 @dataclass
