@@ -12,6 +12,7 @@ Run: python3 demos/06_annotation_statistics.py
 import random
 
 from claimpolish.evalstats import (
+    COMPETENCE_THRESHOLD,
     AnnotationMatrix,
     RankAnnotation,
     cohens_kappa,
@@ -54,13 +55,13 @@ def main():
     print(f"\naggregation accuracy: {accuracy:.2%}")
     for worker in sorted(fit.competence):
         print(f"  competence {worker}: {fit.competence[worker]:.3f}")
-    print(f"  kept above 0.3: {competent_workers(fit, 0.3)}")
+    print(f"  kept above {COMPETENCE_THRESHOLD}: {competent_workers(fit)}")
 
     # rank two systems per item, then test the difference
     rankings = []
     for i in range(40):
         order = ("combined", "greedy") if rng.random() < 0.85 else ("greedy", "combined")
-        rankings.append(RankAnnotation(f"item{i:03d}", "judge", order))
+        rankings.append(RankAnnotation(f"item{i:03d}", order))
     means = mean_rank(rankings)
     print(f"\nmean rank combined={means['combined']:.2f} greedy={means['greedy']:.2f}")
     xs = [1.0 if r.ranking[0] == "combined" else 2.0 for r in rankings]

@@ -28,7 +28,7 @@ import shlex
 import shutil
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -69,6 +69,7 @@ from .genkit import (
 from .metrics import (
     BLEU_MODES,
     SARI_VARIANTS,
+    MetricReport,
     ReportTotals,
     evaluate_run,
     score_instance,
@@ -105,7 +106,7 @@ class ConfigError(ValueError):
 
 
 def _parse_strategies(text: str) -> tuple[Strategy, ...]:
-    if text == "all":
+    if text.strip() == "all":
         return tuple(Strategy)
     strategies = tuple(Strategy(name.strip()) for name in text.split(",") if name.strip())
     if not strategies:
@@ -379,7 +380,7 @@ def _closing_adapters(registry: ScorerRegistry, generator=None):
         yield
 
 
-def _write_reports(out: Path, reports: dict, metadata: dict) -> list[Path]:
+def _write_reports(out: Path, reports: Mapping[str, MetricReport], metadata: dict) -> list[Path]:
     """Write each strategy's MetricReport to report.json and report.csv."""
     payload = {
         "metadata": metadata,

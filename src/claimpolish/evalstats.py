@@ -86,7 +86,6 @@ class MaceResult:
 @dataclass(frozen=True, slots=True)
 class RankAnnotation:
     item: str
-    worker: str
     ranking: tuple[str, ...]
 
     def __post_init__(self):
@@ -96,6 +95,10 @@ class RankAnnotation:
 
 # ---------------------------------------------------------------------------
 # MACE-style aggregation
+
+MACE_SMOOTHING = 0.1  # add-k smoothing of both EM parameter families
+COMPETENCE_THRESHOLD = 0.3  # a competent worker's fitted competence exceeds it
+
 
 def _scatter_add(bins: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum each of ``values`` into its flat bin of a zero array of ``shape``.
@@ -113,14 +116,13 @@ def mace_aggregate(
     matrix: AnnotationMatrix,
     iterations: int = 50,
     restarts: int = 10,
-    smoothing: float = 0.1,
     seed: int = 0,
 ) -> MaceResult:
     """EM fit of the annotator-competence model; best of ``restarts``.
 
     Competence for worker j is the fitted probability that one of
     their annotations copies the true label rather than their spam
-    distribution. Add-k smoothing (k = ``smoothing``) keeps both
+    distribution. Add-k smoothing (k = ``MACE_SMOOTHING``) keeps both
     parameter families interior. Deterministic for a fixed seed.
     """
     if iterations < 1 or restarts < 1:
@@ -174,10 +176,10 @@ def mace_aggregate(
         for _ in range(iterations):
             _, _, honest = e_step(theta, xi)
             honest_per_worker = np.bincount(a_worker, weights=honest, minlength=n_workers)
-            theta = (honest_per_worker + smoothing) / (n_per_worker + 2.0 * smoothing)
+            theta = (honest_per_worker + MACE_SMOOTHING) / (n_per_worker + 2.0 * MACE_SMOOTHING)
             spam_counts = _scatter_add(spam_bins, 1.0 - honest, (n_workers, n_labels))
-            xi = (spam_counts + smoothing) / (
-                spam_counts.sum(axis=1, keepdims=True) + smoothing * n_labels
+            xi = (spam_counts + MACE_SMOOTHING) / (
+                spam_counts.sum(axis=1, keepdims=True) + MACE_SMOOTHING * n_labels
             )
         item_ll, norm, _ = e_step(theta, xi)
         return float(norm.sum()), np.exp(item_ll - norm[:, None]), theta
@@ -203,9 +205,9 @@ def mace_aggregate(
     )
 
 
-def competent_workers(result: MaceResult, threshold: float = 0.3) -> list[str]:
-    """Workers whose fitted competence strictly exceeds ``threshold``."""
-    return sorted(w for w, c in result.competence.items() if c > threshold)
+def competent_workers(result: MaceResult) -> list[str]:
+    """Workers whose fitted competence strictly exceeds ``COMPETENCE_THRESHOLD``."""
+    return sorted(w for w, c in result.competence.items() if c > COMPETENCE_THRESHOLD)
 
 
 def mace_summary(result: MaceResult) -> dict:
@@ -403,8 +405,6 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
     else:
         mu = float(ranks.sum()) / 2.0
         sigma = math.sqrt(float((ranks**2).sum()) / 4.0)
-        if sigma == 0.0:
-            raise ValueError("degenerate rank distribution")
         z = (statistic - mu + 0.5) / sigma
         p = 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0))
     return statistic, min(p, 1.0)
@@ -468,7 +468,7 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
             if (item, worker) in rankings:
                 raise ValueError(f"duplicate ranking for {(item, worker)}")
             ranking = tuple(one(name, name) for name in rec["ranking"])
-            rankings[item, worker] = RankAnnotation(item=item, worker=worker, ranking=ranking)
+            rankings[item, worker] = RankAnnotation(item=item, ranking=ranking)
             return
         for key in ("field", "value"):
             if key not in rec:

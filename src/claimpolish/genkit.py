@@ -183,10 +183,8 @@ _ELABORATIONS = (
 def _greedy_cleanup(text: str) -> str:
     # Cascade of copy-editing rules, highest priority first; every
     # applicable rule fires: capitalization, apostrophe restoration,
-    # terminal punctuation.
+    # terminal punctuation. ``generate`` has rejected a blank ``text``.
     tokens = text.split()
-    if not tokens:
-        return text
     fixed = []
     for tok in tokens:
         repl = _CONTRACTION_FIXES.get(tok.lower())
@@ -197,10 +195,10 @@ def _greedy_cleanup(text: str) -> str:
             fixed.append(tok)
     tokens = fixed
     first = tokens[0]
-    if first and first[0].isalpha() and first[0].islower():
+    if first[0].isalpha() and first[0].islower():
         tokens[0] = first[0].upper() + first[1:]
     out = " ".join(tokens)
-    if out and out[-1] not in ".!?":
+    if out[-1] not in ".!?":
         out += "."
     return out
 

@@ -298,9 +298,9 @@ def simplex_grid(
 ) -> list[tuple[float, float, float]]:
     """All weight triples on the step grid within [lo, hi] summing to 1.
 
-    Components are exact multiples of ``grid_step``; the sum must land
-    within ``grid_step / 2`` of 1. Triples come back in lexicographic
-    order, which the calibration tie-break relies on.
+    Components are exact multiples of ``grid_step``, which must divide 1
+    (to within 1e-9), so every triple sums to 1. Triples come back in
+    lexicographic order, which the calibration tie-break relies on.
     """
     if not all(map(math.isfinite, (grid_step, range_lo, range_hi))):
         raise CalibrationError("grid_step, range_lo and range_hi must be finite")
@@ -311,8 +311,8 @@ def simplex_grid(
     lo_idx = math.ceil(range_lo / grid_step - 1e-9)
     hi_idx = math.floor(range_hi / grid_step + 1e-9)
     total = round(1.0 / grid_step)
-    if abs(total * grid_step - 1.0) > grid_step / 2 + 1e-12:
-        return []
+    if abs(total * grid_step - 1.0) > 1e-9:
+        raise CalibrationError(f"grid_step {grid_step} does not divide 1")
     triples = []
     for i in range(max(lo_idx, 0), hi_idx + 1):
         for j in range(max(lo_idx, 0), hi_idx + 1):

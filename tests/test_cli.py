@@ -17,7 +17,7 @@ from conftest import (
 )
 
 import claimpolish.cli as cli
-from claimpolish import ndjson
+from claimpolish import ndjson, scoring
 from claimpolish.cli import (
     ConfigError,
     _config_hash,
@@ -281,6 +281,12 @@ def test_blank_strategies_exit_two_before_any_input(tmp_path, capsys, source, va
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == "error: strategies: empty strategy list\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["all", " all", "all "])
+def test_strategies_all_names_every_strategy(value):
+    args = build_parser().parse_args(["run", "--strategies", value])
+    assert cli._settings("run", _merge_config(args))["strategies"] == tuple(Strategy)
 
 
 def _command_inputs(tmp_path, pairs_file, chains_file) -> dict[str, list]:
@@ -640,6 +646,37 @@ def test_run_missing_pairs_file(tmp_path, capsys):
     assert "pairs file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "blank, reason",
+    [("--pairs", "no pairs file configured"), ("--out", "no output directory configured (--out)")],
+    ids=["pairs", "out"],
+)
+def test_run_blank_path_exits_two(tmp_path, pairs_file, capsys, blank, reason):
+    paths = {"--pairs": pairs_file, "--out": tmp_path / "o", blank: ""}
+    assert run_cli("run", *(arg for item in paths.items() for arg in item)) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("empty", ["pairs", "train_pairs"])
+def test_run_without_usable_pairs_exits_two(tmp_path, pairs_file, capsys, empty):
+    given = tmp_path / "given.jsonl"
+    if empty == "pairs":
+        given.write_text("")
+        argv = ["--pairs", given]
+        reason = f"no pairs in {given}"
+    else:  # every training pair's reference repeats its source
+        write_pairs(
+            [dataclasses.replace(p, reference=p.source) for p in load_pairs(pairs_file)], given
+        )
+        argv = ["--pairs", pairs_file, "--train-pairs", given]
+        reason = f"no usable ranker training pairs in {given}"
+    out = tmp_path / "o"
+    assert run_cli("run", *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_run_unknown_strategy(tmp_path, pairs_file, capsys):
     code = run_cli(
         "run", "--pairs", pairs_file, "--out", tmp_path / "o",
@@ -738,6 +775,11 @@ GOOD_RECORDS = {
             {"claims": [{"id": "x", "text": "one"}, {"id": [1], "text": "two"}]},
             "claim 'id' must be a string or an integer, got [1]",
         ),
+        ("prepare", "chains", {"claims": []}, "chain 'c' has no claims"),
+        (
+            "prepare", "chains", {"claims": [{"id": "x"}, {"id": "y", "text": "two"}]},
+            "each claim needs 'id' and 'text'",
+        ),
         (
             "prepare", "chains", {"debate_id": None},
             "'debate_id' must be a string or an integer, got None",
@@ -786,7 +828,8 @@ GOOD_RECORDS = {
         "pair-source-number", "pair-source-blank", "pair-topic-number", "pair-id-null",
         "pair-id-object", "chain-intents-number",
         "chain-intents-string", "chain-claim-text-null", "chain-claim-text-number",
-        "chain-claim-id-null", "chain-claim-id-list", "chain-debate-id-null", "chain-id-bool",
+        "chain-claim-id-null", "chain-claim-id-list", "chain-claims-empty", "chain-claim-no-text",
+        "chain-debate-id-null", "chain-id-bool",
         "chain-id-float",
         "selection-chosen-number", "selection-chosen-blank",
         "likert-value-bool", "likert-item-null", "likert-worker-bool", "ranking-worker-float",
@@ -911,6 +954,7 @@ def test_run_weights_non_number_exits_two(tmp_path, pairs_file, capsys, value):
         ("run", "context", "full"),
         ("run", "bleu_mode", "pooled"),
         ("run", "sari_variant", "f1"),
+        ("run", "generator", "foo"),
         ("report", "bleu_mode", "pooled"),
         ("report", "sari_variant", "f1"),
     ],
@@ -1308,6 +1352,17 @@ def test_calibrate_bad_grid(tmp_path, chains_file, capsys):
     )
     assert code == 2
     assert "grid" in capsys.readouterr().err
+
+
+def test_calibrate_grid_step_must_divide_one(tmp_path, capsys, monkeypatch):
+    chains = tmp_path / "chains.jsonl"
+    write_chain_records(chains, make_chain_records(30, seed=7))
+    monkeypatch.setattr(scoring, "_chain_points", lambda *a: pytest.fail("a chain was scored"))
+    out = tmp_path / "o"
+    argv = ["--chains", chains, "--out", out, "--range-lo", 0, "--range-hi", 1]
+    assert run_cli("calibrate", *argv, "--grid-step", 0.03) == 2
+    assert capsys.readouterr().err == "error: grid_step 0.03 does not divide 1\n"
+    assert not (out / "weights.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from claimpolish.evalstats import (
+    COMPETENCE_THRESHOLD,
     AnnotationMatrix,
     FIELD_BOUNDS,
     MaceResult,
@@ -74,9 +75,9 @@ def test_scale_validation():
 
 def test_rank_annotation_must_be_permutation():
     with pytest.raises(ValueError):
-        RankAnnotation("i", "w", ("a", "a"))
+        RankAnnotation("i", ("a", "a"))
     with pytest.raises(ValueError):
-        RankAnnotation("i", "w", ())
+        RankAnnotation("i", ())
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,8 @@ def test_competence_filter_is_strict():
         posterior_labels={},
         log_likelihood=0.0,
     )
-    assert competent_workers(result, 0.3) == ["b", "c"]
+    assert COMPETENCE_THRESHOLD == 0.3
+    assert competent_workers(result) == ["b", "c"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +364,9 @@ def test_wilcoxon_errors():
 
 def test_mean_rank():
     anns = [
-        RankAnnotation("i1", "w1", ("a", "b", "c")),
-        RankAnnotation("i1", "w2", ("b", "a", "c")),
-        RankAnnotation("i2", "w1", ("a", "c", "b")),
+        RankAnnotation("i1", ("a", "b", "c")),
+        RankAnnotation("i1", ("b", "a", "c")),
+        RankAnnotation("i2", ("a", "c", "b")),
     ]
     means = mean_rank(anns)
     assert means == {
@@ -376,8 +378,8 @@ def test_mean_rank():
 
 def test_mean_rank_universe_mismatch():
     anns = [
-        RankAnnotation("i1", "w1", ("a", "b")),
-        RankAnnotation("i2", "w1", ("a", "c")),
+        RankAnnotation("i1", ("a", "b")),
+        RankAnnotation("i2", ("a", "c")),
     ]
     with pytest.raises(ValueError):
         mean_rank(anns)
@@ -408,7 +410,7 @@ def test_load_annotations_mixed_file(tmp_path):
     assert set(matrices) == {"fluency", "meaning"}
     assert matrices["fluency"].labels[("p1", "w2")] == 2
     assert matrices["fluency"].bounds == FIELD_BOUNDS["fluency"]
-    assert rankings == [RankAnnotation("p1", "w1", ("autoscore", "top1"))]
+    assert rankings == [RankAnnotation("p1", ("autoscore", "top1"))]
 
 
 def test_load_annotations_keeps_integer_ids_as_their_digits(tmp_path):
@@ -422,7 +424,7 @@ def test_load_annotations_keeps_integer_ids_as_their_digits(tmp_path):
     )
     matrices, rankings = load_annotations(path)
     assert matrices["fluency"].labels == {("3", "4"): 1}
-    assert (rankings[0].item, rankings[0].worker) == ("3", "5")
+    assert rankings == [RankAnnotation("3", ("autoscore", "top1"))]
 
 
 def test_load_annotations_rejects_duplicates(tmp_path):
@@ -484,17 +486,24 @@ def test_load_annotations_keeps_one_string_per_id(tmp_path):
         ),
     }
     assert rankings == [
-        RankAnnotation("p1", "w1", ("autoscore", "top1")),
-        RankAnnotation("p1", "42", ("top1", "autoscore")),
-        RankAnnotation("42", "w1", ("top1", "autoscore")),
+        RankAnnotation("p1", ("autoscore", "top1")),
+        RankAnnotation("p1", ("top1", "autoscore")),
+        RankAnnotation("42", ("top1", "autoscore")),
     ]
     returned = [s for m in matrices.values() for key in m.labels for s in key]
     returned += [s for m in matrices.values() for s in (*m.items, *m.workers)]
     for ann in rankings:
-        returned += [ann.item, ann.worker, *ann.ranking]
+        returned += [ann.item, *ann.ranking]
     distinct = set(returned)
     assert len(distinct) == 7
     assert [s for s in distinct if len({id(x) for x in returned if x == s}) > 1] == []
+
+
+def test_load_annotations_rejects_a_record_without_field_or_ranking(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    _write(path, [{"item": "p1", "worker": "w1"}])
+    with pytest.raises(ValueError, match="^line 1: missing key 'field'$"):
+        load_annotations(path)
 
 
 def test_load_annotations_rejects_unknown_field(tmp_path):

@@ -134,6 +134,10 @@ def test_topk_synonym_substitution_preserves_punctuation():
     pytest.fail("no slot applied the synonym rule")
 
 
+def test_topk_synonym_keeps_capitalization():
+    assert MockGenerator().generate("Good idea", TOPK(5), seed=0) == "Beneficial idea"
+
+
 def test_topk_hedge_drop():
     gen = MockGenerator()
     for seed in range(3):
@@ -142,6 +146,12 @@ def test_topk_hedge_drop():
             assert out.startswith("The tax") or out.startswith("the tax")
             return
     pytest.fail("no slot dropped the hedge")
+
+
+def test_topk_lone_hedge_falls_forward_to_elaboration():
+    # seed 1 tries the hedge rule first; dropping the only word leaves nothing
+    out = MockGenerator().generate("maybe", TOPK(5), seed=1)
+    assert out == "maybe. The consequences of this are hard to dismiss."
 
 
 def test_topk_elaboration_appends_sentence():
@@ -258,6 +268,13 @@ def test_dedup_keeps_first_occurrence():
     deduped = dedup(cset)
     assert [c.text for c in deduped.candidates] == ["a", "b", "c"]
     assert [str(c.origin) for c in deduped.candidates] == ["greedy", "topk:5", "topk:15"]
+
+
+def test_dedup_keeps_texts_that_differ_in_outer_whitespace():
+    # a stdio generator may return them; only byte-identical texts are duplicates
+    texts = ["a claim", " a claim", "a claim ", "a claim"]
+    cset = CandidateSet(tuple(Candidate(t, TOPK(5 * i)) for i, t in enumerate(texts, start=1)))
+    assert [c.text for c in dedup(cset).candidates] == texts[:3]
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,8 @@ def test_simplex_grid_validation():
         simplex_grid(0.1, 0.5, 0.2)
     inf, nan = float("inf"), float("nan")
     for args in [(inf, 0.0, 1.0), (nan, 0.0, 1.0), (0.1, 0.0, inf), (0.1, inf, inf),
-                 (0.1, nan, 1.0), (0.1, 0.0, nan), (0.1, -inf, 1.0)]:
+                 (0.1, nan, 1.0), (0.1, 0.0, nan), (0.1, -inf, 1.0),
+                 (0.03, 0.0, 1.0), (0.3, 0.0, 1.0)]:
         with pytest.raises(CalibrationError):
             simplex_grid(*args)
 
@@ -357,6 +358,18 @@ def test_calibration_tie_breaks_lexicographically():
         fluency=FixedScorer(0.5), meaning=FixedScorer(0.5), argument=FixedScorer(0.5)
     )
     with pytest.raises(CalibrationError):
+        calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+
+
+@pytest.mark.parametrize(
+    "n_chains, reason",
+    [(1, "only 1 scored points; need at least 2"), (2, "revision positions have zero variance")],
+    ids=["one-chain", "two-chains"],
+)
+def test_calibration_needs_two_distinct_positions(n_chains, reason):
+    # one step per chain: every step sits at position 1
+    chains, registry = _planted_chains(n_chains=n_chains, steps=1)
+    with pytest.raises(CalibrationError, match=f"^{reason}$"):
         calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
 
 

@@ -186,6 +186,20 @@ def test_ranker_roundtrip(tmp_path):
     assert back.training_meta == ranker.training_meta
 
 
+def test_save_ranker_rejects_a_non_hashing_embedder(tmp_path):
+    class OtherEmbedder:
+        dim = 4
+
+        def embed(self, text):
+            return np.ones(4)
+
+    ranker = PairwiseRanker(OtherEmbedder(), np.zeros(4), {})
+    path = tmp_path / "ranker.json"
+    with pytest.raises(ValueError, match="^only hashing embedders can be persisted$"):
+        save_ranker(path, ranker)
+    assert not path.exists()
+
+
 def test_load_ranker_rejects_bad_payloads(tmp_path):
     path = tmp_path / "ranker.json"
     path.write_text(json.dumps({"embedder": {"kind": "neural"}, "weight_vector": []}))

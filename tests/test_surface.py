@@ -6,6 +6,10 @@ A name counts as read when its word appears outside its own definition
 in the package modules (``__init__.py`` aside: re-exporting is not
 use), a demo or a benchmark script. Tests do not count as readers, so
 code that only its own tests call is flagged for deletion.
+
+The same readers must also read every dataclass field and set every
+defaulted parameter of the package's functions and methods; a field or
+a knob that only tests touch is flagged the same way.
 """
 
 import ast
@@ -77,6 +81,154 @@ def unreached_names() -> list[str]:
 
 def test_every_top_level_name_is_read_outside_tests():
     assert unreached_names() == []
+
+
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in _readers()}
+
+
+def _called_name(node: ast.expr) -> str | None:
+    """The name a call or decorator expression calls: ``f`` or ``x.f``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _dataclasses(trees: dict[Path, ast.Module]) -> dict[str, tuple[Path, ast.ClassDef]]:
+    return {
+        node.name: (module, node)
+        for module in _modules()
+        for node in trees[module].body
+        if isinstance(node, ast.ClassDef)
+        and any(_called_name(d) == "dataclass" for d in node.decorator_list)
+    }
+
+
+def _dumped_classes(trees: dict[Path, ast.Module], classes: dict) -> set[str]:
+    """The dataclasses whose instances go through ``asdict``, so whose
+    fields all become output: the classes named in the annotation of the
+    ``asdict`` argument's variable.
+
+    The argument's variable must be a parameter of the calling function
+    with an annotation; an ``asdict`` call that this cannot resolve fails."""
+    dumped, unresolved = set(), []
+    for path, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = {a.arg: a.annotation for a in (*func.args.args, *func.args.kwonlyargs)}
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and _called_name(call) == "asdict"):
+                    continue
+                root = call.args[0]
+                while isinstance(root, (ast.Subscript, ast.Attribute)):
+                    root = root.value
+                annotation = params.get(root.id) if isinstance(root, ast.Name) else None
+                named = {
+                    n.id for n in ast.walk(annotation) if isinstance(n, ast.Name)
+                } & set(classes) if annotation else set()
+                if not named:
+                    unresolved.append(f"{path.name}:{call.lineno}")
+                dumped |= named
+    assert unresolved == [], "asdict of a value whose dataclass no annotation names"
+    return dumped
+
+
+def unread_fields() -> list[str]:
+    """Dataclass fields that no reader loads as an attribute, apart from
+    their own class's ``__post_init__`` (a check is not a use), and that
+    no ``asdict`` writes out."""
+    trees = _trees()
+    classes = _dataclasses(trees)
+    dumped = _dumped_classes(trees, classes)
+    loads = [
+        (path, node.lineno, node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for name, (module, cls) in classes.items():
+        if name in dumped:
+            continue
+        checks = [
+            range(node.lineno, node.end_lineno + 1) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        ]
+        for field in cls.body:
+            if not isinstance(field, ast.AnnAssign):
+                continue
+            if not any(
+                attr == field.target.id
+                and not (path == module and any(line in span for span in checks))
+                for path, line, attr in loads
+            ):
+                unread.append(f"{module.stem}.{name}.{field.target.id}")
+    return unread
+
+
+def _callables(tree: ast.Module):
+    """``(called name, def, leading parameters a call does not pass)`` of
+    each top-level function and each method; ``__init__`` is called by
+    its class's name, and other dunder methods are not called by name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                if method.name == "__init__":
+                    yield node.name, method, 1
+                elif not method.name.startswith("__"):
+                    yield method.name, method, 1
+
+
+def _defaulted(func: ast.FunctionDef, bound: int) -> list[tuple[int | None, str]]:
+    """Each defaulted parameter with the call position that passes it
+    (None for keyword-only ones)."""
+    positional = [*func.args.posonlyargs, *func.args.args]
+    first = len(positional) - len(func.args.defaults)
+    keyword_only = zip(func.args.kwonlyargs, func.args.kw_defaults)
+    return [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, default in keyword_only if default is not None
+    ]
+
+
+def _sets(call: ast.Call, position: int | None, param: str) -> bool:
+    return (
+        any(k.arg in (None, param) for k in call.keywords)  # None: **kwargs
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def unset_parameters() -> list[str]:
+    """Defaulted parameters of the package's functions and methods that
+    no call in a reader passes, by keyword, by position, or through
+    ``*`` or ``**``. A call counts when it calls the same name."""
+    trees = _trees()
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unset = []
+    for module in _modules():
+        for called, func, bound in _callables(trees[module]):
+            for position, param in _defaulted(func, bound):
+                if not any(
+                    _called_name(call) == called and _sets(call, position, param)
+                    for call in calls
+                ):
+                    unset.append(f"{module.stem}.{called}({param})")
+    return unset
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    assert unread_fields() == []
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    assert unset_parameters() == []
 
 
 def test_package_import_loads_no_submodule():
