@@ -64,7 +64,7 @@ def main():
         print(f"task intents {sorted(i.value for i in TASK_INTENTS)}")
         print(f"filtered {len(pairs)} -> {len(kept)} pairs")
 
-        split = split_dataset(kept, per_label_test=3, train_fraction=0.9, seed=0)
+        split = split_dataset(kept, per_label_test=3, seed=0)
         print(f"split: {len(split.train)} train / {len(split.validation)} val / "
               f"{len(split.test)} test")
         train_chains = {p.chain_id for p in split.train}

@@ -10,10 +10,20 @@ Run: python3 demos/04_weight_calibration.py
 """
 
 import random
+import tempfile
 import time
+from pathlib import Path
 
 from claimpolish.corpus import IntentLabel, RevisionChain
-from claimpolish.scoring import ScorerRegistry, calibrate_weights, save_calibration, simplex_grid
+from claimpolish.scoring import (
+    GRID_STEP,
+    RANGE_HI,
+    RANGE_LO,
+    ScorerRegistry,
+    calibrate_weights,
+    save_calibration,
+    simplex_grid,
+)
 
 
 class TableScorer:
@@ -52,8 +62,9 @@ def planted_chains(n_chains=40, length=6, seed=99):
 
 
 def main():
-    grid = simplex_grid(0.01, 0.01, 0.98)
-    print(f"grid: {len(grid)} weight triples (step 0.01, each weight in [0.01, 0.98])")
+    grid = simplex_grid(GRID_STEP, RANGE_LO, RANGE_HI)
+    print(f"grid: {len(grid)} weight triples "
+          f"(step {GRID_STEP}, each weight in [{RANGE_LO}, {RANGE_HI}])")
 
     chains, registry = planted_chains()
     print(f"planted: argument score tracks position in {len(chains)} chains; "
@@ -68,8 +79,9 @@ def main():
     print(f"pearson r at the optimum: {result.pearson_r:.4f}")
     print(f"searched {result.evaluated_points} points in {elapsed:.2f}s")
 
-    save_calibration("/tmp/demo_weights.json", result)
-    print("wrote /tmp/demo_weights.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = save_calibration(Path(tmp), result)
+        print(f"wrote {' and '.join(path.name for path in paths)}")
 
 
 if __name__ == "__main__":

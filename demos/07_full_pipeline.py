@@ -54,8 +54,7 @@ def main():
         cli("prepare", "--chains", chains, "--out", root / "data",
             "--seed", 0, "--per-label-test", 3)
         cli("calibrate", "--chains", root / "data" / "validation_chains.jsonl",
-            "--out", root / "cal", "--seed", 0, "--grid-step", 0.1,
-            "--range-lo", 0.0, "--range-hi", 1.0)
+            "--out", root / "cal", "--seed", 0)
         cli("run", "--pairs", root / "data" / "test.jsonl",
             "--out", root / "run", "--seed", 1, "--context", "both",
             "--weights", root / "cal" / "weights.json",

@@ -75,7 +75,7 @@ from .metrics import (
     score_instance,
     write_report_csv,
 )
-from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, write_json
+from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, undecodable_line, write_json
 from .scoring import (
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
@@ -139,7 +139,7 @@ def _non_negative_int(text: str) -> int:
 
 # argparse type of each parse that has one: a flag's config string (and the
 # config hash) is the converted value's str
-_FLAG_TYPES = {int: int, float: float, _non_negative_int: int}
+_FLAG_TYPES = {int: int, _non_negative_int: int}
 
 # Each command's config keys: key -> (parse, default, flag help). A tuple
 # parse lists the allowed values, the default first. A key whose help is
@@ -161,7 +161,6 @@ _SETTINGS = {
         **_SHARED,
         "chains": (str, None, "chains.jsonl input"),
         "per_label_test": (int, 200, "test pairs per intent label"),
-        "train_fraction": (float, 0.9, "share of the rest that goes to train"),
     },
     "run": {
         **_SHARED,
@@ -182,17 +181,12 @@ _SETTINGS = {
     "calibrate": {
         **_SHARED,
         "chains": (str, None, "validation chains.jsonl"),
-        "grid_step": (float, 0.01, "weight grid step"),
-        "range_lo": (float, 0.01, "smallest weight on the grid"),
-        "range_hi": (float, 0.98, "largest weight on the grid"),
         **_SCORERS,
     },
     "stats": {
         **_SHARED,
         "annotations": (str, None, "annotations.jsonl"),
         "strategy_pairs": (_parse_strategy_pairs, (), "A:B,C:D pairs to test"),
-        "mace_iterations": (int, 50, None),
-        "mace_restarts": (int, 10, None),
     },
     "report": {
         **_SHARED,
@@ -206,19 +200,24 @@ _SETTINGS = {
 def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     key_lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in key_lines:
-                raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {key_lines[key]}")
-            key_lines[key] = line_no
-            values[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        line_no, reason = undecodable_line(path)
+        raise ConfigError(f"{path}:{line_no}: {reason}") from None
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = line_no
+        values[key] = value.strip()
     return values
 
 
@@ -404,10 +403,7 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
     pairs = relabel_pairs(pairs, majority_intent(pairs))
     filtered = filter_by_intent(pairs, TASK_INTENTS)
 
-    split = split_dataset(
-        filtered, per_label_test=s["per_label_test"], train_fraction=s["train_fraction"],
-        seed=s["seed"],
-    )
+    split = split_dataset(filtered, per_label_test=s["per_label_test"], seed=s["seed"])
 
     write_pairs(pairs, out / "pairs.jsonl")
     write_pairs(split.train, out / "train.jsonl")
@@ -652,15 +648,15 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     generator = _build_generator(s)
     registry = _build_registry(s, embedder)
 
+    inputs: dict[str, Path] = {"pairs": pairs_path}
+    weights = DEFAULT_WEIGHTS
     if s["weights"]:
-        weights = load_weights(_require_file(s["weights"], "weights file"))
-    else:
-        weights = DEFAULT_WEIGHTS
+        inputs["weights"] = _require_file(s["weights"], "weights file")
+        weights = load_weights(inputs["weights"])
     gen_config = GenerationConfig(n_candidates=s["n_candidates"])
 
     ranker = None
     text_pairs: list[tuple[str, str]] = []  # ranker training pairs, if this run trains
-    inputs: dict[str, Path] = {"pairs": pairs_path}
     if Strategy.PAIRWISE_RANK in strategies:
         if s["ranker"]:
             ranker_path = _require_file(s["ranker"], "ranker file")
@@ -776,30 +772,14 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
     registry = _build_registry(s, HashingEmbedder())
     chains = load_chains(chains_path)
     with _closing_adapters(registry):
-        result = calibrate_weights(
-            chains, registry, grid_step=s["grid_step"], range_lo=s["range_lo"],
-            range_hi=s["range_hi"],
-        )
-    save_calibration(out / "weights.json", result)
-    write_json(
-        out / "calibration.json",
-        {
-            "alpha": result.weights.alpha,
-            "beta": result.weights.beta,
-            "gamma": result.weights.gamma,
-            "pearson_r": result.pearson_r,
-            "grid_step": result.grid_step,
-            "evaluated_points": result.evaluated_points,
-            "range_lo": s["range_lo"],
-            "range_hi": s["range_hi"],
-        },
-    )
+        result = calibrate_weights(chains, registry)
+    artifacts = save_calibration(out, result)
     print(
         f"alpha={result.weights.alpha:.2f} beta={result.weights.beta:.2f} "
         f"gamma={result.weights.gamma:.2f} r={result.pearson_r:.4f} "
         f"grid={result.evaluated_points}"
     )
-    return {"chains": chains_path}, [out / "weights.json", out / "calibration.json"], 0
+    return {"chains": chains_path}, artifacts, 0
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +824,7 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
             raise ValueError(f"{fld}: {exc}") from None
     for fld, entry in report["fields"].items():
         matrix = matrices[fld]
-        mace = mace_aggregate(
-            matrix, iterations=s["mace_iterations"], restarts=s["mace_restarts"], seed=s["seed"]
-        )
+        mace = mace_aggregate(matrix, seed=s["seed"])
         entry["percent_agreement"] = percent_agreement(matrix.labels)
         entry["mace"] = mace_summary(mace)
 

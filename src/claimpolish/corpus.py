@@ -133,10 +133,15 @@ TOPIC_DELIMITER = "<TOPIC>"
 
 
 def _context(record: dict) -> ContextBundle:
-    topic, previous = record.get("topic") or None, record.get("previous_claim") or None
+    """The record's topic and previous claim: each a string or null
+    (absent is null), and a blank string counts as null."""
+    topic, previous = record.get("topic"), record.get("previous_claim")
     if not all(isinstance(text, (str, type(None))) for text in (topic, previous)):
         raise ValueError("topic and previous_claim must be strings or null")
-    return ContextBundle(topic=topic, previous_claim=previous)
+    return ContextBundle(
+        topic=topic if topic and topic.strip() else None,
+        previous_claim=previous if previous and previous.strip() else None,
+    )
 
 
 def load_chains(path: str | Path) -> list[RevisionChain]:
@@ -242,24 +247,23 @@ def _pair_key(pair: OptimizationPair) -> tuple[str, int]:
     return (pair.chain_id, pair.index)
 
 
+# The share of the chains left after the test draw whose pairs go to train.
+TRAIN_FRACTION = 0.9
+
+
 def split_dataset(
-    pairs: Sequence[OptimizationPair],
-    per_label_test: int,
-    train_fraction: float = 0.9,
-    seed: int = 0,
+    pairs: Sequence[OptimizationPair], per_label_test: int, seed: int = 0
 ) -> DatasetSplit:
     """Carve a label-balanced test set, then split the rest into train/val.
 
     The test set draws ``per_label_test`` pairs for every intent present
     in ``pairs``. Chains that contributed a test pair are then excluded
-    entirely, and the remaining chains are split ``train_fraction`` /
-    ``1 - train_fraction``, so no chain has pairs in two partitions.
+    entirely, and the remaining chains are split ``TRAIN_FRACTION`` /
+    ``1 - TRAIN_FRACTION``, so no chain has pairs in two partitions.
 
     The same seed always produces the same split; each partition comes
     back sorted by (chain_id, step index).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if per_label_test < 0:
         raise ValueError("per_label_test must be >= 0")
 
@@ -280,7 +284,7 @@ def split_dataset(
 
     chain_ids = sorted({p.chain_id for p in residual})
     rng.shuffle(chain_ids)
-    n_train = int(round(train_fraction * len(chain_ids)))
+    n_train = int(round(TRAIN_FRACTION * len(chain_ids)))
     train_chains = set(chain_ids[:n_train])
     train = [p for p in residual if p.chain_id in train_chains]
     validation = [p for p in residual if p.chain_id not in train_chains]

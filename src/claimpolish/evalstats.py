@@ -97,6 +97,8 @@ class RankAnnotation:
 # MACE-style aggregation
 
 MACE_SMOOTHING = 0.1  # add-k smoothing of both EM parameter families
+MACE_ITERATIONS = 50  # EM steps of each restart
+MACE_RESTARTS = 10  # random starts; the fit with the highest likelihood wins
 COMPETENCE_THRESHOLD = 0.3  # a competent worker's fitted competence exceeds it
 
 
@@ -112,22 +114,15 @@ def _scatter_add(bins: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -
     return np.bincount(bins, weights=values, minlength=math.prod(shape)).reshape(shape)
 
 
-def mace_aggregate(
-    matrix: AnnotationMatrix,
-    iterations: int = 50,
-    restarts: int = 10,
-    seed: int = 0,
-) -> MaceResult:
-    """EM fit of the annotator-competence model; best of ``restarts``.
+def mace_aggregate(matrix: AnnotationMatrix, seed: int = 0) -> MaceResult:
+    """EM fit of the annotator-competence model: ``MACE_ITERATIONS`` steps
+    from each of ``MACE_RESTARTS`` random starts, the likeliest fit kept.
 
     Competence for worker j is the fitted probability that one of
     their annotations copies the true label rather than their spam
     distribution. Add-k smoothing (k = ``MACE_SMOOTHING``) keeps both
     parameter families interior. Deterministic for a fixed seed.
     """
-    if iterations < 1 or restarts < 1:
-        raise ValueError("iterations and restarts must be >= 1")
-
     import numpy as np
 
     items = matrix.items
@@ -173,7 +168,7 @@ def mace_aggregate(
         return item_ll, norm, honest
 
     def run_em(theta: np.ndarray, xi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        for _ in range(iterations):
+        for _ in range(MACE_ITERATIONS):
             _, _, honest = e_step(theta, xi)
             honest_per_worker = np.bincount(a_worker, weights=honest, minlength=n_workers)
             theta = (honest_per_worker + MACE_SMOOTHING) / (n_per_worker + 2.0 * MACE_SMOOTHING)
@@ -185,7 +180,7 @@ def mace_aggregate(
         return float(norm.sum()), np.exp(item_ll - norm[:, None]), theta
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for restart in range(restarts):
+    for restart in range(MACE_RESTARTS):
         rng = np.random.default_rng([seed, restart])
         theta0 = rng.uniform(0.3, 0.95, size=n_workers)
         xi0 = rng.uniform(0.5, 1.5, size=(n_workers, n_labels))

@@ -64,16 +64,33 @@ def read_jsonl(
     path: str | Path, required: Sequence[str], parse: Callable[[dict], T]
 ) -> Iterator[T]:
     """``parse(record)`` per non-blank line; RecordFormatError, naming the line, when
-    a line is no JSON object, lacks a ``required`` key, or ``parse`` raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = _parse_record(line, required, parse)
-            except ValueError as exc:
-                raise RecordFormatError(line_no, str(exc)) from None
-            yield value
+    a line is not UTF-8 or no JSON object, lacks a ``required`` key, or ``parse``
+    raises ValueError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    value = _parse_record(line, required, parse)
+                except ValueError as exc:
+                    raise RecordFormatError(line_no, str(exc)) from None
+                yield value
+    except UnicodeDecodeError:  # its position is within one buffered chunk
+        raise RecordFormatError(*undecodable_line(path)) from None
+
+
+def undecodable_line(path: str | Path) -> tuple[int, str]:
+    """The line of ``path`` that holds its first byte that is not UTF-8,
+    numbered as a text-mode read numbers lines, and what is wrong there."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        line_no = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+        return line_no, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    raise ValueError(f"{path} changed while it was read")
 
 
 def parse_id(value: object, name: str) -> str:

@@ -289,8 +289,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 class CalibrationResult:
     weights: Weights
     pearson_r: float
-    grid_step: float
     evaluated_points: int
+
+
+# The grid ``calibrate_weights`` searches: each weight a multiple of
+# GRID_STEP in [RANGE_LO, RANGE_HI], 4851 triples.
+GRID_STEP = 0.01
+RANGE_LO = 0.01
+RANGE_HI = 0.98
 
 
 def simplex_grid(
@@ -298,21 +304,13 @@ def simplex_grid(
 ) -> list[tuple[float, float, float]]:
     """All weight triples on the step grid within [lo, hi] summing to 1.
 
-    Components are exact multiples of ``grid_step``, which must divide 1
-    (to within 1e-9), so every triple sums to 1. Triples come back in
+    Components are exact multiples of ``grid_step``, a positive step
+    that divides 1, so every triple sums to 1. Triples come back in
     lexicographic order, which the calibration tie-break relies on.
     """
-    if not all(map(math.isfinite, (grid_step, range_lo, range_hi))):
-        raise CalibrationError("grid_step, range_lo and range_hi must be finite")
-    if grid_step <= 0:
-        raise CalibrationError("grid_step must be positive")
-    if not 0 <= range_lo <= range_hi:
-        raise CalibrationError("need 0 <= range_lo <= range_hi")
     lo_idx = math.ceil(range_lo / grid_step - 1e-9)
     hi_idx = math.floor(range_hi / grid_step + 1e-9)
     total = round(1.0 / grid_step)
-    if abs(total * grid_step - 1.0) > 1e-9:
-        raise CalibrationError(f"grid_step {grid_step} does not divide 1")
     triples = []
     for i in range(max(lo_idx, 0), hi_idx + 1):
         for j in range(max(lo_idx, 0), hi_idx + 1):
@@ -406,13 +404,10 @@ _TIE = 1e-12
 
 
 def calibrate_weights(
-    chains: Sequence[RevisionChain],
-    registry: ScorerRegistry,
-    grid_step: float = 0.01,
-    range_lo: float = 0.01,
-    range_hi: float = 0.98,
+    chains: Sequence[RevisionChain], registry: ScorerRegistry
 ) -> CalibrationResult:
-    """Grid-search the weight simplex for the best position correlation.
+    """Grid-search the weight simplex (``GRID_STEP``, ``RANGE_LO``,
+    ``RANGE_HI``) for the best position correlation.
 
     Every revision step (c_{i-1} -> c_i) in every chain is scored; the
     target signal is the revision's min-max normalized position in its
@@ -423,11 +418,7 @@ def calibrate_weights(
     """
     if not chains:
         raise CalibrationError("no chains to calibrate on")
-    triples = simplex_grid(grid_step, range_lo, range_hi)
-    if not triples:
-        raise CalibrationError(
-            f"no valid grid point with step {grid_step} in [{range_lo}, {range_hi}]"
-        )
+    triples = simplex_grid(GRID_STEP, RANGE_LO, RANGE_HI)
     vectors, positions = _chain_points(chains, registry)
     if len(positions) < 2:
         raise CalibrationError(f"only {len(positions)} scored points; need at least 2")
@@ -456,10 +447,7 @@ def calibrate_weights(
     # first tie wins: the lexicographically smallest triple
     winner = next(i for i, r in enumerate(rs) if r >= best - _TIE)
     return CalibrationResult(
-        weights=Weights(*triples[winner]),
-        pearson_r=rs[winner],
-        grid_step=grid_step,
-        evaluated_points=len(triples),
+        weights=Weights(*triples[winner]), pearson_r=rs[winner], evaluated_points=len(triples)
     )
 
 
@@ -477,16 +465,27 @@ def load_weights(path: str | Path) -> Weights:
     return read_json(path, parse, required=("alpha", "beta", "gamma"))
 
 
-def save_calibration(path: str | Path, result: CalibrationResult) -> None:
-    """Write ``result`` as the weights.json that :func:`load_weights` reads."""
+def save_calibration(out: Path, result: CalibrationResult) -> list[Path]:
+    """Write ``result`` into ``out``: weights.json, which :func:`load_weights`
+    reads, and calibration.json, the same keys plus the grid's bounds and size.
+    Returns both paths."""
     weights = result.weights
+    payload = {
+        "alpha": weights.alpha,
+        "beta": weights.beta,
+        "gamma": weights.gamma,
+        "pearson_r": result.pearson_r,
+        "grid_step": GRID_STEP,
+    }
+    paths = [out / "weights.json", out / "calibration.json"]
+    write_json(paths[0], payload)
     write_json(
-        path,
+        paths[1],
         {
-            "alpha": weights.alpha,
-            "beta": weights.beta,
-            "gamma": weights.gamma,
-            "pearson_r": result.pearson_r,
-            "grid_step": result.grid_step,
+            **payload,
+            "evaluated_points": result.evaluated_points,
+            "range_lo": RANGE_LO,
+            "range_hi": RANGE_HI,
         },
     )
+    return paths

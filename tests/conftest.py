@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from claimpolish import evalstats, scoring
 from claimpolish.corpus import (
     ContextBundle,
     IntentLabel,
@@ -125,6 +126,32 @@ def pairs_file(tmp_path):
     path = tmp_path / "pairs.jsonl"
     write_pairs(make_synthetic_pairs(12, seed=3), path)
     return path
+
+
+@pytest.fixture
+def calibration_grid(monkeypatch):
+    """``calibration_grid(step, lo, hi)`` makes ``calibrate_weights``
+    search that grid instead of ``scoring.GRID_STEP``'s."""
+
+    def set_grid(step, lo, hi):
+        monkeypatch.setattr(scoring, "GRID_STEP", step)
+        monkeypatch.setattr(scoring, "RANGE_LO", lo)
+        monkeypatch.setattr(scoring, "RANGE_HI", hi)
+
+    return set_grid
+
+
+@pytest.fixture
+def mace_schedule(monkeypatch):
+    """``mace_schedule(iterations, restarts)`` gives ``mace_aggregate``
+    that EM schedule instead of ``evalstats.MACE_ITERATIONS`` and
+    ``MACE_RESTARTS``."""
+
+    def set_schedule(iterations, restarts):
+        monkeypatch.setattr(evalstats, "MACE_ITERATIONS", iterations)
+        monkeypatch.setattr(evalstats, "MACE_RESTARTS", restarts)
+
+    return set_schedule
 
 
 @pytest.fixture

@@ -221,8 +221,7 @@ def test_criterion_4_calibration_recovers_planted_weight(capsys):
         argument=_TableScorer(argument_table),
     )
     start = time.perf_counter()
-    result = calibrate_weights(chains, registry, grid_step=0.01,
-                               range_lo=0.01, range_hi=0.98)
+    result = calibrate_weights(chains, registry)
     elapsed = time.perf_counter() - start
 
     expected_points = 0
@@ -284,7 +283,7 @@ def test_criterion_5_agreement_statistics(capsys):
     )
 
 
-def test_criterion_6_aggregation_separates_spammers(capsys):
+def test_criterion_6_aggregation_separates_spammers(capsys, mace_schedule):
     data_rng = random.Random(1234)
     truth = {f"item{i:03d}": data_rng.randrange(4) for i in range(200)}
     labels = {}
@@ -297,8 +296,9 @@ def test_criterion_6_aggregation_separates_spammers(capsys):
 
     results = {}
     start = time.perf_counter()
+    mace_schedule(50, 5)
     for seed in range(5):
-        fit = mace_aggregate(matrix, iterations=50, restarts=5, seed=seed)
+        fit = mace_aggregate(matrix, seed=seed)
         accuracy = sum(
             fit.posterior_labels[item] == true for item, true in truth.items()
         ) / len(truth)
@@ -344,7 +344,7 @@ def test_criterion_8_source_corpus_reproduction(capsys):
     chains = load_chains(chains_path)
     pairs = [pair for chain in chains for pair in derive_pairs(chain)]
     filtered = filter_by_intent(pairs, TASK_INTENTS)
-    split = split_dataset(filtered, per_label_test=200, train_fraction=0.9, seed=0)
+    split = split_dataset(filtered, per_label_test=200, seed=0)
     unedited = evaluate_run(
         split.test, {"unedited": [p.source for p in split.test]}, HashingEmbedder()
     )["unedited"]

@@ -1,6 +1,10 @@
+import builtins
 import dataclasses
+import hashlib
+import io
 import json
 import logging
+import os
 import random
 import re
 import shlex
@@ -17,7 +21,7 @@ from conftest import (
 )
 
 import claimpolish.cli as cli
-from claimpolish import ndjson, scoring
+from claimpolish import corpus, ndjson
 from claimpolish.cli import (
     ConfigError,
     _config_hash,
@@ -134,7 +138,8 @@ def test_config_hash_ignores_output_location():
 ALL8 = "unedited,top1,random,max_fluency,max_argument,max_meaning,autoscore,pairwise_rank"
 
 
-# merged config strings and hashes computed before the settings table existed
+# merged config strings and hashes computed before the settings table existed;
+# calibrate's was recomputed when its grid flags became constants
 @pytest.mark.parametrize(
     "argv, merged, digest",
     [
@@ -148,11 +153,9 @@ ALL8 = "unedited,top1,random,max_fluency,max_argument,max_meaning,autoscore,pair
             "89ad300f10d993a403c12bb2b49b526d0b80a59151da55f506512e2c927e19ab",
         ),
         (
-            ["calibrate", "--chains", "chains.jsonl", "--out", "cal", "--seed", "2",
-             "--grid-step", "0.1", "--range-lo", "0.0", "--range-hi", "1"],
-            {"seed": "2", "out": "cal", "chains": "chains.jsonl", "grid_step": "0.1",
-             "range_lo": "0.0", "range_hi": "1.0"},
-            "066a6fcf51c6d00fae151a6172a743e94afde2071b06f179754efc090a418dd1",
+            ["calibrate", "--chains", "chains.jsonl", "--out", "cal", "--seed", "2"],
+            {"seed": "2", "out": "cal", "chains": "chains.jsonl"},
+            "66d79ea2bc70e1315a1860f6147c499af537d5d15d32493be5df823dae1afaea",
         ),
     ],
     ids=["run", "calibrate"],
@@ -165,10 +168,10 @@ def test_merged_flags_and_config_hash_are_pinned(argv, merged, digest):
 
 def test_flags_are_the_settings_keys_with_help():
     flags = {
-        "prepare": {"chains", "out", "per_label_test", "seed", "train_fraction"},
+        "prepare": {"chains", "out", "per_label_test", "seed"},
         "run": {"context", "n_candidates", "out", "pairs", "ranker", "seed", "strategies",
                 "train_pairs", "weights"},
-        "calibrate": {"chains", "grid_step", "out", "range_hi", "range_lo", "seed"},
+        "calibrate": {"chains", "out", "seed"},
         "stats": {"annotations", "out", "seed", "strategy_pairs"},
         "report": {"out", "pairs", "seed", "selections"},
     }
@@ -242,6 +245,12 @@ def test_readme_cli_commands_parse():
         ("stats", "competence_threshold = 0.3", "unknown config key 'competence_threshold'"),
         ("run", "embed_dim = 256", "unknown config key 'embed_dim'"),
         ("calibrate", "embed_seed = 0", "unknown config key 'embed_seed'"),
+        ("prepare", "train_fraction = 0.9", "unknown config key 'train_fraction'"),
+        ("calibrate", "grid_step = 0.01", "unknown config key 'grid_step'"),
+        ("calibrate", "range_lo = 0.01", "unknown config key 'range_lo'"),
+        ("calibrate", "range_hi = 0.98", "unknown config key 'range_hi'"),
+        ("stats", "mace_iterations = 50", "unknown config key 'mace_iterations'"),
+        ("stats", "mace_restarts = 10", "unknown config key 'mace_restarts'"),
         ("run", "strategies = top1,top1,unedited", "strategies: strategy 'top1' is listed twice"),
         (
             "stats", "strategy_pairs = autoscore:autoscore",
@@ -331,12 +340,12 @@ def test_config_on_a_directory_exits_two(tmp_path, chains_file, capsys):
 def test_keys_of_other_commands_are_ignored(tmp_path, chains_file):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text(
-        "per_label_test = 2\nn_candidates = x\nmace_restarts = bogus\nbleu_mode = corpus\n"
+        "per_label_test = 2\nn_candidates = x\nstrategy_pairs = bogus\nbleu_mode = corpus\n"
     )
     out = tmp_path / "data"
     assert run_cli("prepare", "--config", cfg, "--chains", chains_file, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["mace_restarts"] == "bogus"
+    assert manifest["config"]["strategy_pairs"] == "bogus"
 
 
 def test_version_flag(capsys):
@@ -360,7 +369,6 @@ def test_prepare_artifacts_and_counts(tmp_path, chains_file, capsys):
         "--out", out,
         "--seed", 5,
         "--per-label-test", 2,
-        "--train-fraction", 0.8,
     )
     assert code == 0
     for name in (
@@ -391,7 +399,8 @@ def test_prepare_artifacts_and_counts(tmp_path, chains_file, capsys):
     assert emitted == val_chain_ids
 
 
-def test_prepare_integer_chain_ids_keep_validation_chains(tmp_path):
+def test_prepare_integer_chain_ids_keep_validation_chains(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "TRAIN_FRACTION", 0.5)  # 2 of 4 chains in validation
     records = make_chain_records(4, seed=7)
     for chain_id, record in enumerate(records, start=1):
         record["chain_id"] = chain_id
@@ -400,7 +409,7 @@ def test_prepare_integer_chain_ids_keep_validation_chains(tmp_path):
     out = tmp_path / "prep"
     assert run_cli(
         "prepare", "--chains", chains, "--out", out,
-        "--per-label-test", 0, "--train-fraction", 0.5,
+        "--per-label-test", 0,
     ) == 0
     val_chain_ids = {r["pair_id"].rsplit("#", 1)[0] for r in read_rows(out / "validation.jsonl")}
     assert val_chain_ids
@@ -748,6 +757,13 @@ GOOD_RECORDS = {
         ("run", "pairs", {"source": 5}, "'source' must be a string, got 5"),
         ("run", "pairs", {"source": " "}, "source must be non-empty"),
         ("run", "pairs", {"topic": 5}, "topic and previous_claim must be strings or null"),
+        ("run", "pairs", {"topic": 0}, "topic and previous_claim must be strings or null"),
+        ("run", "pairs", {"topic": False}, "topic and previous_claim must be strings or null"),
+        (
+            "run", "pairs", {"previous_claim": []},
+            "topic and previous_claim must be strings or null",
+        ),
+        ("prepare", "chains", {"topic": {}}, "topic and previous_claim must be strings or null"),
         ("run", "pairs", {"pair_id": None}, "'pair_id' must be a string or an integer, got None"),
         (
             "run", "pairs", {"pair_id": {"x": 1}},
@@ -825,7 +841,8 @@ GOOD_RECORDS = {
         ),
     ],
     ids=[
-        "pair-source-number", "pair-source-blank", "pair-topic-number", "pair-id-null",
+        "pair-source-number", "pair-source-blank", "pair-topic-number", "pair-topic-zero",
+        "pair-topic-false", "pair-previous-list", "chain-topic-object", "pair-id-null",
         "pair-id-object", "chain-intents-number",
         "chain-intents-string", "chain-claim-text-null", "chain-claim-text-number",
         "chain-claim-id-null", "chain-claim-id-list", "chain-claims-empty", "chain-claim-no-text",
@@ -849,6 +866,60 @@ def test_bad_field_exits_two_naming_the_line(
         argv += ["--pairs", pairs_file]
     assert run_cli(*argv) == 2
     assert f"error: line 1: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_good", [1, 2000], ids=["first-chunk", "far-in"])
+@pytest.mark.parametrize(
+    "command, kind", [("run", "pairs"), ("prepare", "chains"), ("stats", "annotations")]
+)
+def test_non_utf8_byte_exits_two_naming_the_line(tmp_path, capsys, command, kind, n_good):
+    # good lines with distinct ids (CRLF-ended, then a blank one), then a
+    # 0xff byte inside a string value
+    ids = {
+        "pairs": lambda i: {"pair_id": f"c#{i}"},
+        "chains": lambda i: {
+            "chain_id": f"c{i}",
+            "claims": [{"id": f"x{i}", "text": "one"}, {"id": f"y{i}", "text": "two"}],
+        },
+        "annotations": lambda i: {"item": f"a{i}"},
+    }[kind]
+    good = [json.dumps(dict(GOOD_RECORDS[kind], **ids(i))) for i in range(n_good)]
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_bytes(("\r\n".join(good) + "\r\n\r\n").encode() + b'{"x": "\xff"}\n')
+    assert run_cli(command, f"--{kind}", bad, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"error: line {n_good + 2}: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+    assert not any(tmp_path.glob("o/*"))
+
+
+def test_non_utf8_config_and_json_name_the_file(tmp_path, pairs_file, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 1\n\n# caf\xe9 au lait\n")
+    assert run_cli("run", "--config", cfg, "--pairs", pairs_file, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+    )
+    weights = tmp_path / "weights.json"
+    weights.write_bytes(json.dumps(WEIGHTS).encode()[:-1] + b', "note": "\xff"}')
+    code = run_cli("run", "--pairs", pairs_file, "--weights", weights, "--out", tmp_path / "o")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {weights}: ") and "byte 0xff" in err
+
+
+def test_blank_topic_counts_as_absent(tmp_path):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(dict(GOOD_RECORDS["pairs"], topic="  ")) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--pairs", pairs, "--out", out, "--strategies", "unedited") == 0
+    assert json.loads((out / "report.json").read_text())["reports"]["unedited"]["sim_topic"] is None
+    out = tmp_path / "topic"
+    argv = ["--strategies", "unedited", "--context", "topic"]
+    assert run_cli("run", "--pairs", pairs, "--out", out, *argv) == 1
+    assert read_rows(out / "errors.jsonl") == [
+        {"pair_id": "c#0", "error": "pair c#0: no topic in context"}
+    ]
 
 
 @pytest.mark.parametrize("command", ["run", "report"])
@@ -1291,24 +1362,17 @@ def test_closing_adapters_closes_every_adapter_when_one_fails():
 # calibrate
 
 
-def test_calibrate_artifacts(tmp_path, chains_file, capsys):
+def test_calibrate_artifacts(tmp_path, chains_file, capsys, calibration_grid):
+    calibration_grid(0.1, 0.0, 1.0)
     out = tmp_path / "cal"
-    code = run_cli(
-        "calibrate",
-        "--chains", chains_file,
-        "--out", out,
-        "--seed", 2,
-        "--grid-step", 0.1,
-        "--range-lo", 0.0,
-        "--range-hi", 1.0,
-    )
+    code = run_cli("calibrate", "--chains", chains_file, "--out", out, "--seed", 2)
     assert code == 0
     weights = json.loads((out / "weights.json").read_text())
     assert set(weights) == {"alpha", "beta", "gamma", "pearson_r", "grid_step"}
     assert weights["alpha"] + weights["beta"] + weights["gamma"] == pytest.approx(1.0)
+    assert weights["grid_step"] == 0.1
     detail = json.loads((out / "calibration.json").read_text())
-    assert detail["evaluated_points"] == 66
-    assert set(detail) == set(weights) | {"evaluated_points", "range_lo", "range_hi"}
+    assert detail == dict(weights, evaluated_points=66, range_lo=0.0, range_hi=1.0)
     assert (out / "manifest.json").is_file()
     summary = capsys.readouterr().out
     assert "r=" in summary and "grid=66" in summary
@@ -1346,23 +1410,14 @@ def test_calibrate_scorer_error_exits_one_naming_the_chain(tmp_path, capsys):
 
 
 def test_calibrate_bad_grid(tmp_path, chains_file, capsys):
-    code = run_cli(
-        "calibrate", "--chains", chains_file, "--out", tmp_path / "o",
-        "--grid-step", 0.5,
-    )
-    assert code == 2
-    assert "grid" in capsys.readouterr().err
-
-
-def test_calibrate_grid_step_must_divide_one(tmp_path, capsys, monkeypatch):
-    chains = tmp_path / "chains.jsonl"
-    write_chain_records(chains, make_chain_records(30, seed=7))
-    monkeypatch.setattr(scoring, "_chain_points", lambda *a: pytest.fail("a chain was scored"))
+    """The grid is ``scoring``'s constants: a grid flag is an argparse error."""
     out = tmp_path / "o"
-    argv = ["--chains", chains, "--out", out, "--range-lo", 0, "--range-hi", 1]
-    assert run_cli("calibrate", *argv, "--grid-step", 0.03) == 2
-    assert capsys.readouterr().err == "error: grid_step 0.03 does not divide 1\n"
-    assert not (out / "weights.json").exists()
+    for flag, value in (("--grid-step", 0.5), ("--grid-step", 1e-320), ("--range-hi", 1)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("calibrate", "--chains", chains_file, "--out", out, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1392,15 +1447,14 @@ def _write_annotations(path, n_items=8):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
 
 
-def test_stats_full_report(tmp_path):
+def test_stats_full_report(tmp_path, mace_schedule):
+    mace_schedule(10, 2)
     ann = tmp_path / "ann.jsonl"
     _write_annotations(ann)
-    cfg = tmp_path / "stats.cfg"
-    cfg.write_text("mace_iterations = 10\nmace_restarts = 2\n")
     out = tmp_path / "stats"
     code = run_cli(
         "stats", "--annotations", ann, "--out", out, "--seed", 3,
-        "--config", cfg, "--strategy-pairs", "autoscore:top1",
+        "--strategy-pairs", "autoscore:top1",
     )
     assert code == 0
     report = json.loads((out / "stats_report.json").read_text())
@@ -1418,7 +1472,7 @@ def test_stats_full_report(tmp_path):
     assert report["inputs"]["annotations_sha256"]
 
 
-def test_stats_fields_do_not_depend_on_the_line_order(tmp_path):
+def test_stats_fields_do_not_depend_on_the_line_order(tmp_path, mace_schedule):
     # units of 1 to 7 labels add different weights to a coincidence cell
     rng = random.Random(5)
     records = [
@@ -1427,14 +1481,13 @@ def test_stats_fields_do_not_depend_on_the_line_order(tmp_path):
         for w in range(1 + i % 7)
         for fld, hi in (("fluency", 3), ("meaning", 5))
     ]
-    cfg = tmp_path / "stats.cfg"
-    cfg.write_text("mace_iterations = 5\nmace_restarts = 2\n")
+    mace_schedule(5, 2)
     fields = []
     for name, order in (("forwards", records), ("reversed", records[::-1])):
         ann = tmp_path / f"{name}.jsonl"
         ann.write_text("".join(json.dumps(r) + "\n" for r in order))
         out = tmp_path / name
-        assert run_cli("stats", "--annotations", ann, "--out", out, "--config", cfg) == 0
+        assert run_cli("stats", "--annotations", ann, "--out", out) == 0
         fields.append(json.loads((out / "stats_report.json").read_text())["fields"])
     assert fields[0] == fields[1]
 
@@ -1449,17 +1502,15 @@ def test_stats_bad_strategy_pair(tmp_path, capsys):
     assert "A:B" in capsys.readouterr().err
 
 
-def test_stats_strips_the_names_around_the_colon(tmp_path):
+def test_stats_strips_the_names_around_the_colon(tmp_path, mace_schedule):
+    mace_schedule(10, 2)
     ann = tmp_path / "ann.jsonl"
     _write_annotations(ann)
-    cfg = tmp_path / "stats.cfg"
-    cfg.write_text("mace_iterations = 10\nmace_restarts = 2\n")
     reports = []
     for i, spec in enumerate(("autoscore:top1", "autoscore: top1", " autoscore :top1 ")):
         out = tmp_path / f"o{i}"
         assert run_cli(
-            "stats", "--annotations", ann, "--out", out, "--config", cfg,
-            "--strategy-pairs", spec,
+            "stats", "--annotations", ann, "--out", out, "--strategy-pairs", spec,
         ) == 0
         reports.append((out / "stats_report.json").read_bytes())
     assert reports[1] == reports[2] == reports[0]
@@ -1613,7 +1664,44 @@ def test_manifest_fingerprints_inputs(run_dir, pairs_file):
     assert manifest["command"] == "run"
     assert "pairs" in manifest["inputs"]
     digest = manifest["inputs"]["pairs"]["sha256"]
-    import hashlib
-
     assert digest == hashlib.sha256(pairs_file.read_bytes()).hexdigest()
     assert {"selections.jsonl", "report.json", "report.csv"} <= set(manifest["artifacts"])
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_manifest_inputs_name_every_file_the_command_read(
+    tmp_path, pairs_file, chains_file, monkeypatch, mace_schedule, command
+):
+    mace_schedule(10, 2)
+    inputs = _command_inputs(tmp_path, pairs_file, chains_file)[command]
+    if command == "prepare":
+        inputs += ["--per-label-test", 2]
+    if command == "run":
+        weights, train = tmp_path / "weights.json", tmp_path / "train.jsonl"
+        write_weights(weights)
+        write_pairs(make_synthetic_pairs(6, seed=4), train)
+        inputs += ["--weights", weights, "--train-pairs", train, "--n-candidates", 2]
+    out = tmp_path / "o"
+    read: set[Path] = set()
+    real_open, real_manifest = builtins.open, cli._write_manifest
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            path = Path(file).resolve()
+            if path.is_relative_to(tmp_path) and not path.is_relative_to(out):
+                read.add(path)
+        return real_open(file, mode, *args, **kwargs)
+
+    def manifest_unrecorded(*args):  # it hashes the inputs it names
+        monkeypatch.setattr(builtins, "open", real_open)
+        monkeypatch.setattr(io, "open", real_open)
+        real_manifest(*args)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)  # pathlib's reads
+    monkeypatch.setattr(cli, "_write_manifest", manifest_unrecorded)
+    assert run_cli(command, *inputs, "--out", out) == 0
+    named = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert {Path(entry["path"]).resolve() for entry in named.values()} == read
+    for entry in named.values():
+        assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()

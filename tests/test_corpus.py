@@ -322,9 +322,7 @@ def test_split_insufficient_label_pool_raises():
 
 def test_split_validates_arguments():
     pairs = _pairs_for_split(n_chains=4)
-    with pytest.raises(ValueError):
-        split_dataset(pairs, per_label_test=1, train_fraction=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="per_label_test must be >= 0"):
         split_dataset(pairs, per_label_test=-1)
 
 

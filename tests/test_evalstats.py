@@ -43,7 +43,7 @@ def test_matrix_sorts_axes():
     assert m.workers == ("w1", "w2")
 
 
-def test_matrix_statistics_do_not_depend_on_label_order():
+def test_matrix_statistics_do_not_depend_on_label_order(mace_schedule):
     rng = random.Random(8)
     labels = {(f"i{i:02d}", f"w{w}"): rng.randint(1, 3) for i in range(30) for w in range(4)}
     ordered = AnnotationMatrix(dict(sorted(labels.items())))
@@ -53,7 +53,8 @@ def test_matrix_statistics_do_not_depend_on_label_order():
     for level in ("nominal", "ordinal", "interval"):
         alpha = krippendorff_alpha(reversed_, level)
         assert alpha.hex() == krippendorff_alpha(ordered, level).hex()
-    assert mace_aggregate(reversed_, restarts=2) == mace_aggregate(ordered, restarts=2)
+    mace_schedule(50, 2)
+    assert mace_aggregate(reversed_) == mace_aggregate(ordered)
 
 
 def test_matrix_rejects_empty_labels():
@@ -243,9 +244,10 @@ def test_scatter_add_is_np_add_at_bit_for_bit():
     assert _scatter_add(flat_bins, flat_values, (5, 3)).tobytes() == expected.tobytes()
 
 
-def test_mace_recovers_planted_labels():
+def test_mace_recovers_planted_labels(mace_schedule):
     matrix, truth = _planted_matrix(60, 3, 3, 3, seed=1)
-    result = mace_aggregate(matrix, iterations=30, restarts=4, seed=0)
+    mace_schedule(30, 4)
+    result = mace_aggregate(matrix, seed=0)
     accuracy = sum(
         result.posterior_labels[item] == true for item, true in truth.items()
     ) / len(truth)
@@ -255,34 +257,29 @@ def test_mace_recovers_planted_labels():
     assert min(good) > max(spam)
 
 
-def test_mace_is_deterministic():
+def test_mace_is_deterministic(mace_schedule):
     matrix, _ = _planted_matrix(40, 2, 2, 3, seed=2)
-    a = mace_aggregate(matrix, iterations=20, restarts=3, seed=7)
-    b = mace_aggregate(matrix, iterations=20, restarts=3, seed=7)
+    mace_schedule(20, 3)
+    a = mace_aggregate(matrix, seed=7)
+    b = mace_aggregate(matrix, seed=7)
     assert a == b
 
 
-def test_mace_seed_changes_restart_draws():
+def test_mace_seed_changes_restart_draws(mace_schedule):
     matrix, _ = _planted_matrix(40, 2, 2, 3, seed=2)
-    a = mace_aggregate(matrix, iterations=20, restarts=2, seed=0)
-    b = mace_aggregate(matrix, iterations=20, restarts=2, seed=123)
+    mace_schedule(20, 2)
+    a = mace_aggregate(matrix, seed=0)
+    b = mace_aggregate(matrix, seed=123)
     # posteriors agree on labels, but fitted parameters generally differ
     assert a.log_likelihood != b.log_likelihood or a.competence != b.competence
 
 
-def test_mace_unanimous_data():
+def test_mace_unanimous_data(mace_schedule):
     labels = {(f"i{i}", f"w{w}"): i % 2 for i in range(10) for w in range(3)}
-    result = mace_aggregate(AnnotationMatrix(labels), restarts=2)
+    mace_schedule(50, 2)
+    result = mace_aggregate(AnnotationMatrix(labels))
     assert all(result.posterior_labels[f"i{i}"] == i % 2 for i in range(10))
     assert all(c > 0.9 for c in result.competence.values())
-
-
-def test_mace_validation():
-    matrix, _ = _planted_matrix(10, 1, 1, 2, seed=0)
-    with pytest.raises(ValueError):
-        mace_aggregate(matrix, iterations=0)
-    with pytest.raises(ValueError):
-        mace_aggregate(matrix, restarts=0)
 
 
 def test_competence_filter_is_strict():

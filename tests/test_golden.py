@@ -25,7 +25,8 @@ The cases, in the order they run:
 - ``run_corpus``: ``run`` itself under the same two settings, with
   ``--context topic``, the calibrated weights and four strategies;
 - ``stats``: every analysis with one Wilcoxon pair, on a seeded
-  annotations file of Likert and ranking records.
+  annotations file of Likert and ranking records, with MACE shortened
+  to 10 EM iterations and 2 restarts.
 
 A report averages its rows, and the mean can absorb a one-ulp change in
 one row. So ``row_metrics`` also pins, as ``float.hex``, both SARI
@@ -65,11 +66,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from conftest import make_chain_records, make_synthetic_pairs, write_chain_records
 
+from claimpolish import evalstats
 from claimpolish.cli import main
 from claimpolish.corpus import load_pairs, write_pairs
 from claimpolish.metrics import left_sum, rouge_l, sari, sentence_bleu
@@ -109,23 +112,28 @@ CASES = {
         "--weights", "calibrate/weights.json",
     ],
     "stats": [
-        "stats", "--config", "stats.conf", "--annotations", "annotations.jsonl",
-        "--out", "stats", "--strategy-pairs", "autoscore:top1",
+        "stats", "--annotations", "annotations.jsonl", "--out", "stats",
+        "--strategy-pairs", "autoscore:top1",
     ],
 }
 
 
-def _cut_run_in_half() -> None:
+@contextlib.contextmanager
+def _cut_run_in_half():
     """The first half of ``run``'s selections, as a run killed mid-row leaves them."""
     clean = Path("run/selections.jsonl").read_bytes()
     half = len(clean) // 2
     assert b"\n" not in clean[half - 1 : half + 1], "the cut must fall inside a row"
     Path("run_resumed").mkdir()
     Path("run_resumed/selections.jsonl").write_bytes(clean[:half])
+    yield
 
 
-# case -> what runs in the work directory before it
-SETUP = {"run_resumed": _cut_run_in_half}
+# case -> a context manager its command runs in, in the work directory
+SETUP = {
+    "run_resumed": _cut_run_in_half,
+    "stats": lambda: mock.patch.multiple(evalstats, MACE_ITERATIONS=10, MACE_RESTARTS=2),
+}
 
 
 def _annotation_records(n_items: int = 12, seed: int = 11) -> list[dict]:
@@ -155,7 +163,6 @@ def _write_inputs(work: Path) -> None:
     write_pairs(make_synthetic_pairs(40, seed=6), work / "train.jsonl")
     (work / "report.conf").write_text("bleu_mode = corpus\nsari_variant = all_f1\n")
     (work / "cosine.conf").write_text("meaning_scorer = cosine\n")
-    (work / "stats.conf").write_text("mace_iterations = 10\nmace_restarts = 2\n")
     (work / "annotations.jsonl").write_text(
         "".join(json.dumps(record) + "\n" for record in _annotation_records())
     )
@@ -186,9 +193,8 @@ def compute_digests(work: Path) -> dict[str, dict[str, str]]:
     digests = {}
     with _cwd(work):
         for case, argv in CASES.items():
-            if case in SETUP:
-                SETUP[case]()
-            code = main(argv)
+            with SETUP.get(case, contextlib.nullcontext)():
+                code = main(argv)
             if code != 0:
                 raise RuntimeError(f"{case} exited {code}")
             digests[case] = _artifact_digests(work / argv[argv.index("--out") + 1])

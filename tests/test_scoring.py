@@ -292,19 +292,6 @@ def test_simplex_grid_half_step_has_no_interior_point():
     assert simplex_grid(0.5, 0.01, 0.98) == []
 
 
-def test_simplex_grid_validation():
-    with pytest.raises(CalibrationError):
-        simplex_grid(0.0, 0.0, 1.0)
-    with pytest.raises(CalibrationError):
-        simplex_grid(0.1, 0.5, 0.2)
-    inf, nan = float("inf"), float("nan")
-    for args in [(inf, 0.0, 1.0), (nan, 0.0, 1.0), (0.1, 0.0, inf), (0.1, inf, inf),
-                 (0.1, nan, 1.0), (0.1, 0.0, nan), (0.1, -inf, 1.0),
-                 (0.03, 0.0, 1.0), (0.3, 0.0, 1.0)]:
-        with pytest.raises(CalibrationError):
-            simplex_grid(*args)
-
-
 # ---------------------------------------------------------------------------
 # calibration
 
@@ -335,30 +322,33 @@ def _planted_chains(n_chains=30, steps=4, noise=0.05, seed=9):
     return chains, registry
 
 
-def test_calibration_recovers_planted_signal():
+def test_calibration_recovers_planted_signal(calibration_grid):
     chains, registry = _planted_chains()
-    result = calibrate_weights(chains, registry, grid_step=0.05, range_lo=0.05, range_hi=0.9)
+    calibration_grid(0.05, 0.05, 0.9)
+    result = calibrate_weights(chains, registry)
     assert result.weights.gamma >= 0.8
     assert result.pearson_r >= 0.9
     assert result.evaluated_points == len(simplex_grid(0.05, 0.05, 0.9))
 
 
-def test_calibration_is_deterministic():
+def test_calibration_is_deterministic(calibration_grid):
     chains, registry = _planted_chains()
-    a = calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
-    b = calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+    calibration_grid(0.1, 0.0, 1.0)
+    a = calibrate_weights(chains, registry)
+    b = calibrate_weights(chains, registry)
     assert a == b
 
 
-def test_calibration_tie_breaks_lexicographically():
+def test_calibration_tie_breaks_lexicographically(calibration_grid):
     # constant scorers make every grid point equally (un)informative;
     # positions vary but scores do not, so every r is undefined
     chains, _ = _planted_chains(n_chains=2)
     registry = ScorerRegistry(
         fluency=FixedScorer(0.5), meaning=FixedScorer(0.5), argument=FixedScorer(0.5)
     )
+    calibration_grid(0.1, 0.0, 1.0)
     with pytest.raises(CalibrationError):
-        calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+        calibrate_weights(chains, registry)
 
 
 @pytest.mark.parametrize(
@@ -366,22 +356,24 @@ def test_calibration_tie_breaks_lexicographically():
     [(1, "only 1 scored points; need at least 2"), (2, "revision positions have zero variance")],
     ids=["one-chain", "two-chains"],
 )
-def test_calibration_needs_two_distinct_positions(n_chains, reason):
+def test_calibration_needs_two_distinct_positions(calibration_grid, n_chains, reason):
     # one step per chain: every step sits at position 1
     chains, registry = _planted_chains(n_chains=n_chains, steps=1)
+    calibration_grid(0.1, 0.0, 1.0)
     with pytest.raises(CalibrationError, match=f"^{reason}$"):
-        calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+        calibrate_weights(chains, registry)
 
 
-def test_calibration_rejects_constant_scores_whose_mean_rounds():
+def test_calibration_rejects_constant_scores_whose_mean_rounds(calibration_grid):
     # 12 equal combined scores whose rounded mean differs from them used to
     # center to a constant nonzero residue and correlate at exactly 0.0
     chains, _ = _planted_chains(n_chains=3)
     registry = ScorerRegistry(
         fluency=FixedScorer(0.1), meaning=FixedScorer(0.1), argument=FixedScorer(0.1)
     )
+    calibration_grid(0.1, 0.0, 1.0)
     with pytest.raises(CalibrationError):
-        calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
+        calibrate_weights(chains, registry)
 
 
 def test_calibration_ties_within_1e_12_go_to_the_first_triple():
@@ -476,17 +468,18 @@ def _oracle_case(kind, seed):
         ("complementary_axes", 6),
     ],
 )
-def test_pooled_calibration_matches_grid_matrix_oracle(kind, n_cases):
+def test_pooled_calibration_matches_grid_matrix_oracle(calibration_grid, kind, n_cases):
     strict = 0
     for seed in range(n_cases):
         chains, registry, step, lo, hi = _oracle_case(kind, seed)
         oracle = _oracle_pick(chains, registry, step, lo, hi)
+        calibration_grid(step, lo, hi)
         if oracle is None:
             with pytest.raises(CalibrationError):
-                calibrate_weights(chains, registry, grid_step=step, range_lo=lo, range_hi=hi)
+                calibrate_weights(chains, registry)
             continue
         triple, oracle_r, gap, rs = oracle
-        result = calibrate_weights(chains, registry, grid_step=step, range_lo=lo, range_hi=hi)
+        result = calibrate_weights(chains, registry)
         weights = result.weights
         picked = simplex_grid(step, lo, hi).index((weights.alpha, weights.beta, weights.gamma))
         assert rs[picked] >= rs.max() - 1e-9, (kind, seed)
@@ -511,13 +504,6 @@ def test_pooled_calibration_memory_stays_small():
     assert peak < 16 * 2**20
 
 
-def test_calibration_rejects_half_step_grid():
-    chains, registry = _planted_chains(n_chains=2)
-    with pytest.raises(CalibrationError) as err:
-        calibrate_weights(chains, registry, grid_step=0.5)
-    assert "no valid grid point" in str(err.value)
-
-
 def test_calibration_rejects_short_chain():
     chain = RevisionChain(
         "solo",
@@ -540,21 +526,25 @@ def test_calibration_rejects_empty_chains():
 
 
 def test_weights_roundtrip(tmp_path):
-    path = tmp_path / "weights.json"
-    save_calibration(path, CalibrationResult(DEFAULT_WEIGHTS, 0.35, 0.01, evaluated_points=1))
-    assert load_weights(path) == DEFAULT_WEIGHTS
+    save_calibration(tmp_path, CalibrationResult(DEFAULT_WEIGHTS, 0.35, evaluated_points=1))
+    assert load_weights(tmp_path / "weights.json") == DEFAULT_WEIGHTS
 
 
-def test_save_calibration_writes_spec_keys(tmp_path):
+def test_save_calibration_writes_spec_keys(tmp_path, calibration_grid):
     import json
 
     chains, registry = _planted_chains(n_chains=5)
-    result = calibrate_weights(chains, registry, grid_step=0.1, range_lo=0.0, range_hi=1.0)
-    path = tmp_path / "weights.json"
-    save_calibration(path, result)
-    payload = json.loads(path.read_text())
-    assert set(payload) == {"alpha", "beta", "gamma", "pearson_r", "grid_step"}
-    assert load_weights(path) == result.weights
+    calibration_grid(0.1, 0.0, 1.0)
+    result = calibrate_weights(chains, registry)
+    paths = save_calibration(tmp_path, result)
+    assert paths == [tmp_path / "weights.json", tmp_path / "calibration.json"]
+    weights, detail = (json.loads(path.read_text()) for path in paths)
+    assert weights == {
+        "alpha": result.weights.alpha, "beta": result.weights.beta,
+        "gamma": result.weights.gamma, "pearson_r": result.pearson_r, "grid_step": 0.1,
+    }
+    assert detail == dict(weights, evaluated_points=66, range_lo=0.0, range_hi=1.0)
+    assert load_weights(paths[0]) == result.weights
 
 
 def test_load_weights_rejects_incomplete(tmp_path):

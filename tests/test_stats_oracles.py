@@ -191,16 +191,21 @@ def _mace_bits(competence, posterior_labels, log_lik):
 @pytest.mark.parametrize("smoothing", [0.1, 0.7])
 @pytest.mark.parametrize("strings", [False, True], ids=["int", "str"])
 @pytest.mark.parametrize("n_labels", [1, 2, 3, 6])
-def test_mace_matches_the_replaced_e_step_bit_for_bit(n_labels, strings, smoothing, monkeypatch):
-    # the library's smoothing is a module constant; 0.7 checks the EM away from it
+def test_mace_matches_the_replaced_e_step_bit_for_bit(
+    n_labels, strings, smoothing, monkeypatch, mace_schedule
+):
+    # the library's smoothing and schedule are module constants; 0.7 checks
+    # the EM away from the smoothing, 12 steps and 3 restarts keep it short
     monkeypatch.setattr(evalstats, "MACE_SMOOTHING", smoothing)
+    mace_schedule(12, 3)
     for seed in range(3):
         matrix = AnnotationMatrix(_ragged_labels(seed, n_labels, strings))
         assert min(Counter(it for it, _ in matrix.labels).values()) == 1
         assert max(Counter(it for it, _ in matrix.labels).values()) == 8
-        kwargs = dict(iterations=12, restarts=3, seed=seed)
-        new = mace_aggregate(matrix, **kwargs)
-        old = oracle_mace_aggregate(matrix, smoothing=smoothing, **kwargs)
+        new = mace_aggregate(matrix, seed=seed)
+        old = oracle_mace_aggregate(
+            matrix, iterations=12, restarts=3, smoothing=smoothing, seed=seed
+        )
         assert _mace_bits(new.competence, new.posterior_labels, new.log_likelihood) == (
             _mace_bits(*old)
         )
