@@ -14,7 +14,6 @@ import random
 from claimpolish.evalstats import (
     COMPETENCE_THRESHOLD,
     AnnotationMatrix,
-    RankAnnotation,
     cohens_kappa,
     competent_workers,
     krippendorff_alpha,
@@ -61,11 +60,11 @@ def main():
     rankings = []
     for i in range(40):
         order = ("combined", "greedy") if rng.random() < 0.85 else ("greedy", "combined")
-        rankings.append(RankAnnotation(f"item{i:03d}", order))
+        rankings.append(order)
     means = mean_rank(rankings)
     print(f"\nmean rank combined={means['combined']:.2f} greedy={means['greedy']:.2f}")
-    xs = [1.0 if r.ranking[0] == "combined" else 2.0 for r in rankings]
-    ys = [2.0 if r.ranking[0] == "combined" else 1.0 for r in rankings]
+    xs = [1.0 if r[0] == "combined" else 2.0 for r in rankings]
+    ys = [2.0 if r[0] == "combined" else 1.0 for r in rankings]
     statistic, p = wilcoxon_signed_rank(xs, ys)
     print(f"wilcoxon statistic={statistic:.1f} p={p:.2e}")
 

@@ -11,8 +11,8 @@ manifest.json fingerprinting inputs and emitted artifacts.
 Config files are plain ``key = value`` lines (# comments). CLI flags
 override file values, and nothing else sets a key: adapters are named
 by their config keys only. ``_SETTINGS`` holds each command's keys with
-their types and defaults; it also generates the flags. A key that no
-command reads is an error.
+their types and defaults; it also generates the flags, whose values are
+config strings like a file's. A key that no command reads is an error.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .metrics import (
     score_instance,
     write_report_csv,
 )
-from .ndjson import decode_line, encode_line, open_atomic, read_jsonl, undecodable_line, write_json
+from .ndjson import encode_line, open_atomic, read_jsonl, undecodable_line, write_json
 from .scoring import (
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
@@ -126,20 +126,21 @@ def _parse_strategy_pairs(text: str) -> tuple[tuple[str, str], ...]:
             raise ValueError(f"bad strategy pair {spec_pair!r} (want A:B)")
         if a == b:
             raise ValueError(f"strategy pair {spec_pair!r} compares {a!r} with itself")
+        if (a, b) in pairs:
+            raise ValueError(f"strategy pair '{a}:{b}' is listed twice")
         pairs.append((a, b))
     return tuple(pairs)
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
+    if value < low:
+        raise ValueError(f"must be >= {low}, got {value}")
     return value
 
 
-# argparse type of each parse that has one: a flag's config string (and the
-# config hash) is the converted value's str
-_FLAG_TYPES = {int: int, _non_negative_int: int}
+_non_negative_int = functools.partial(_int_at_least, 0)
+_positive_int = functools.partial(_int_at_least, 1)
 
 # Each command's config keys: key -> (parse, default, flag help). A tuple
 # parse lists the allowed values, the default first. A key whose help is
@@ -160,7 +161,7 @@ _SETTINGS = {
     "prepare": {
         **_SHARED,
         "chains": (str, None, "chains.jsonl input"),
-        "per_label_test": (int, 200, "test pairs per intent label"),
+        "per_label_test": (_non_negative_int, 200, "test pairs per intent label"),
     },
     "run": {
         **_SHARED,
@@ -170,7 +171,7 @@ _SETTINGS = {
             "debate context in the generator input",
         ),
         "strategies": (_parse_strategies, tuple(Strategy), "comma list or 'all'"),
-        "n_candidates": (int, 10, "candidates generated per pair"),
+        "n_candidates": (_positive_int, 10, "candidates generated per pair"),
         "weights": (str, None, "weights.json from calibrate"),
         "train_pairs": (str, None, "pairs for ranker training"),
         "ranker": (str, None, "previously trained ranker.json"),
@@ -224,14 +225,15 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 def _merge_config(args: argparse.Namespace) -> dict[str, str]:
     """File config, overridden by CLI flags.
 
-    Every option of the subcommand is a config key under its dest name.
+    Every option of the subcommand is a config key under its dest name,
+    its value the string given, as in the file.
     """
     merged: dict[str, str] = {}
     if args.config:
         merged.update(read_config_file(_require_file(args.config, "config file")))
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None:
-            merged[key] = str(value)
+            merged[key] = value
     return merged
 
 
@@ -410,14 +412,15 @@ def cmd_prepare(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path],
     write_pairs(split.validation, out / "validation.jsonl")
     write_pairs(split.test, out / "test.jsonl")
 
-    # chains whose pairs ended up in validation, for weight calibration
+    # for weight calibration, the lines (one chain per non-blank line) of the
+    # chains whose pairs ended up in validation
     validation_chain_ids = {p.chain_id for p in split.validation}
     with open_atomic(out / "validation_chains.jsonl") as fh, open(
         chains_path, encoding="utf-8"
     ) as src:
-        for line in src:
-            # chain ids compared as _parse_chain stores them: str() of the raw value
-            if line.strip() and str(decode_line(line)["chain_id"]) in validation_chain_ids:
+        lines = (line for line in src if line.strip())
+        for chain, line in zip(chains, lines, strict=True):
+            if chain.chain_id in validation_chain_ids:
                 fh.write(line if line.endswith("\n") else line + "\n")
 
     counts = {
@@ -790,19 +793,17 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
     out = _out_dir(s["out"])
 
     matrices, rankings = load_annotations(annotations_path)
-    ranked = {name for ann in rankings for name in ann.ranking}
+    every_ranking = [ranking for by_item in rankings.values() for ranking in by_item]
+    ranked = every_ranking[0] if every_ranking else ()  # the strategies every ranking orders
     unknown = [name for pair in s["strategy_pairs"] for name in pair if name not in ranked]
     if unknown:
         raise ConfigError(f"strategy {unknown[0]!r} is in no ranking")
     report: dict = {"fields": {}, "ranks": {}}
 
-    if rankings:
-        report["ranks"]["mean_rank"] = mean_rank(rankings)
-    if s["strategy_pairs"]:  # so there are rankings, and all rank the same strategies
-        by_item: dict[str, list] = {}
-        for ann in rankings:
-            by_item.setdefault(ann.item, []).append(ann)
-        item_ranks = [mean_rank(by_item[item]) for item in sorted(by_item)]
+    if every_ranking:
+        report["ranks"]["mean_rank"] = mean_rank(every_ranking)
+    if s["strategy_pairs"]:  # so there are rankings
+        item_ranks = [mean_rank(rankings[item]) for item in sorted(rankings)]
         tests = report["ranks"]["wilcoxon"] = {}
         for a, b in s["strategy_pairs"]:
             xs, ys = [ranks[a] for ranks in item_ranks], [ranks[b] for ranks in item_ranks]
@@ -894,8 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
             if flag_help is not None:
                 p.add_argument(
                     "--" + key.replace("_", "-"),
-                    type=_FLAG_TYPES.get(parse),
-                    choices=parse if isinstance(parse, tuple) else None,
+                    metavar="{" + ",".join(parse) + "}" if isinstance(parse, tuple) else None,
                     help=flag_help,
                 )
     return parser

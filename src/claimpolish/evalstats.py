@@ -83,16 +83,6 @@ class MaceResult:
     log_likelihood: float
 
 
-@dataclass(frozen=True, slots=True)
-class RankAnnotation:
-    item: str
-    ranking: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.ranking)) != len(self.ranking) or not self.ranking:
-            raise ValueError(f"ranking {self.ranking!r} is not a permutation")
-
-
 # ---------------------------------------------------------------------------
 # MACE-style aggregation
 
@@ -408,20 +398,19 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> tuple[float,
 # ---------------------------------------------------------------------------
 # ranks
 
-def mean_rank(annotations: Sequence[RankAnnotation]) -> dict[str, float]:
-    """Per strategy, the mean 1-based rank across all annotations."""
-    if not annotations:
+def mean_rank(rankings: Sequence[tuple[str, ...]]) -> dict[str, float]:
+    """Per strategy, the mean 1-based rank across ``rankings``, each a
+    best-first tuple of strategy names."""
+    if not rankings:
         raise ValueError("no rank annotations")
-    universe = frozenset(annotations[0].ranking)
+    universe = frozenset(rankings[0])
     sums: dict[str, float] = {name: 0.0 for name in universe}
-    for ann in annotations:
-        if frozenset(ann.ranking) != universe:
-            raise ValueError(
-                f"annotation for item {ann.item!r} ranks a different strategy set"
-            )
-        for position, name in enumerate(ann.ranking, start=1):
+    for ranking in rankings:
+        if frozenset(ranking) != universe:
+            raise ValueError(f"ranking {ranking!r} ranks a different strategy set")
+        for position, name in enumerate(ranking, start=1):
             sums[name] += position
-    return {name: sums[name] / len(annotations) for name in sorted(universe)}
+    return {name: sums[name] / len(rankings) for name in sorted(universe)}
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +424,26 @@ FIELD_BOUNDS: dict[str, tuple[int, int]] = {
 }
 
 
-def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnotation]]:
+def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], dict[str, list[tuple]]]:
     """Read an annotations.jsonl file of Likert and ranking records.
 
     Likert records: ``{"item", "worker", "field", "value"}`` with field
     one of fluency/meaning/argument. Ranking records: ``{"item",
-    "worker", "ranking": [...]}``. Returns one AnnotationMatrix per
-    field plus the list of rank annotations. An (item, worker) gives at
-    most one label per field and one ranking.
+    "worker", "ranking": [...]}``, a best-first permutation of the
+    strategies the file's first ranking orders. Returns one
+    AnnotationMatrix per field and each item's rankings, in file order.
+    An (item, worker) gives at most one label per field and one ranking.
     """
     likert: dict[str, dict[tuple[str, str], int]] = {}
-    rankings: dict[tuple[str, str], RankAnnotation] = {}
+    rankings: dict[str, dict[str, tuple[str, ...]]] = {}  # item -> worker -> ranking
+    first: frozenset[str] | None = None  # the strategies of the first ranking
     # one string per distinct item id, worker id and strategy name, however
     # many records repeat it
     strings: dict[str, str] = {}
     one = strings.setdefault
 
     def parse(rec: dict) -> None:
+        nonlocal first
         item, worker = parse_id(rec["item"], "'item'"), parse_id(rec["worker"], "'worker'")
         item, worker = one(item, item), one(worker, worker)
         if "ranking" in rec:
@@ -460,10 +452,16 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
             for name in rec["ranking"]:
                 if not isinstance(name, str) or not name.strip():
                     raise ValueError(f"ranking entry {name!r} is not a strategy name")
-            if (item, worker) in rankings:
+            if worker in rankings.setdefault(item, {}):
                 raise ValueError(f"duplicate ranking for {(item, worker)}")
             ranking = tuple(one(name, name) for name in rec["ranking"])
-            rankings[item, worker] = RankAnnotation(item=item, ranking=ranking)
+            names = frozenset(ranking)
+            if len(names) != len(ranking) or not ranking:
+                raise ValueError(f"ranking {ranking!r} is not a permutation")
+            first = first or names
+            if names != first:
+                raise ValueError(f"ranking {ranking!r} ranks other strategies than the first one")
+            rankings[item][worker] = ranking
             return
         for key in ("field", "value"):
             if key not in rec:
@@ -482,4 +480,4 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], list[RankAnnota
     for _ in read_jsonl(path, ("item", "worker"), parse):
         pass
     matrices = {fld: AnnotationMatrix(labels, FIELD_BOUNDS[fld]) for fld, labels in likert.items()}
-    return matrices, list(rankings.values())
+    return matrices, {item: list(by_worker.values()) for item, by_worker in rankings.items()}

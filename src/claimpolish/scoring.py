@@ -244,8 +244,8 @@ class StdioScorer(NdjsonChild):
             "source": source,
             "candidate": candidate,
             "context": {
-                "topic": context.topic if context else None,
-                "previous_claim": context.previous_claim if context else None,
+                "topic": context.topic,
+                "previous_claim": context.previous_claim,
             },
         }
         response = self.request(request)

@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -260,6 +261,10 @@ def test_readme_cli_commands_parse():
             "stats", "strategy_pairs = autoscore: autoscore",
             "strategy_pairs: strategy pair 'autoscore: autoscore' compares 'autoscore' with itself",
         ),
+        (
+            "stats", "strategy_pairs = autoscore:top1, autoscore :top1",
+            "strategy_pairs: strategy pair 'autoscore:top1' is listed twice",
+        ),
     ],
 )
 def test_config_key_error_exits_two_before_any_output(
@@ -290,6 +295,67 @@ def test_blank_strategies_exit_two_before_any_input(tmp_path, capsys, source, va
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == "error: strategies: empty strategy list\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "source", [pytest.param("flag", id="flag"), pytest.param("file", id="file")]
+)
+@pytest.mark.parametrize(
+    "command, key, value, named",
+    [
+        ("prepare", "per_label_test", "-1", "per_label_test: must be >= 0, got -1"),
+        ("run", "n_candidates", "0", "n_candidates: must be >= 1, got 0"),
+        ("run", "n_candidates", "ten", "n_candidates: invalid literal for int()"),
+        (
+            "run", "context", "bogus",
+            "unknown context 'bogus' (choose from none, previous, topic, both)",
+        ),
+    ],
+)
+def test_bad_value_is_reported_before_any_input(
+    tmp_path, capsys, command, key, value, named, source
+):
+    # the input file does not exist: the value is rejected first, as one
+    # error line whether it came from a flag or from the file
+    input_flag = {"prepare": "--chains", "run": "--pairs"}[command]
+    argv = [command, input_flag, tmp_path / "missing.jsonl", "--out", tmp_path / "o"]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", cfg]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_flag_and_file_record_one_config_and_hash(tmp_path, chains_file):
+    manifests = []
+    for source in ("flag", "file"):
+        out = tmp_path / source
+        argv = ["prepare", "--chains", chains_file, "--out", out, "--per-label-test", "2"]
+        if source == "flag":
+            argv += ["--seed", "007"]
+        else:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text("seed = 007\n")
+            argv += ["--config", cfg]
+        assert run_cli(*argv) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    flag, file = manifests
+    assert flag["config"]["seed"] == file["config"]["seed"] == "007"
+    assert flag["config_hash"] == file["config_hash"]
+    assert (tmp_path / "flag" / "test.jsonl").read_bytes() == (
+        tmp_path / "file" / "test.jsonl"
+    ).read_bytes()
+
+
+def test_help_names_the_context_values(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "--context {none,previous,topic,both}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["all", " all", "all "])
@@ -438,15 +504,23 @@ def test_prepare_failing_part_way_keeps_the_old_validation_chains(
     assert run_cli(*argv) == 0
     old = (out / "validation_chains.jsonl").read_bytes()
     assert old
-    lines_read = []
 
-    def failing_decode(line):
-        lines_read.append(line)
-        if len(lines_read) > 20:
+    class FailingFile:
+        """The file ``open_atomic`` opened, failing once its first line is written."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text)
             raise OSError("disk gone")
-        return ndjson.decode_line(line)
 
-    monkeypatch.setattr(cli, "decode_line", failing_decode)
+    @contextlib.contextmanager
+    def failing_open_atomic(path):
+        with ndjson.open_atomic(path) as fh:
+            yield FailingFile(fh)
+
+    monkeypatch.setattr(cli, "open_atomic", failing_open_atomic)
     with pytest.raises(OSError, match="disk gone"):
         run_cli(*argv)
     assert (out / "validation_chains.jsonl").read_bytes() == old
@@ -590,7 +664,7 @@ def test_run_failing_an_input_check_leaves_ranker_json_alone(
     argv = ["run", "--pairs", pairs_file, "--train-pairs", pairs_file, "--out", out]
     if bad_input == "n_candidates":
         argv += ["--n-candidates", 0]
-        named = "n_candidates must be >= 1"
+        named = "n_candidates: must be >= 1, got 0"
     else:
         record = json.dumps({"pair_id": "p", "strategy": "top1", "chosen": "x"})
         (out / "selections.jsonl").write_text(f"{record}\n{{bad\n{record}\n")
@@ -1549,6 +1623,22 @@ def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, dro
     )
     assert code == 2
     assert "error: strategy 'bogus' is in no ranking" in capsys.readouterr().err
+    assert not (out / "stats_report.json").exists()
+
+
+def test_stats_ranking_of_other_strategies_exits_two_naming_its_line(tmp_path, capsys):
+    records = [
+        {"item": "p1", "worker": "w1", "ranking": ["a", "b"]},
+        {"item": "p1", "worker": "w2", "ranking": ["b", "a"]},
+        {"item": "p2", "worker": "w1", "ranking": ["a", "c"]},
+    ]
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "o"
+    assert run_cli("stats", "--annotations", ann, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: ranking ('a', 'c') ranks other strategies than the first one\n"
+    )
     assert not (out / "stats_report.json").exists()
 
 

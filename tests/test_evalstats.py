@@ -9,7 +9,6 @@ from claimpolish.evalstats import (
     AnnotationMatrix,
     FIELD_BOUNDS,
     MaceResult,
-    RankAnnotation,
     _scatter_add,
     cohens_kappa,
     competent_workers,
@@ -72,13 +71,6 @@ def test_scale_validation():
     for bounds in ((3, 3), (5, 1)):
         with pytest.raises(ValueError, match="bad scale bounds"):
             matrix_from({"i1": {"w1": 3}}, bounds=bounds)
-
-
-def test_rank_annotation_must_be_permutation():
-    with pytest.raises(ValueError):
-        RankAnnotation("i", ("a", "a"))
-    with pytest.raises(ValueError):
-        RankAnnotation("i", ())
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +352,7 @@ def test_wilcoxon_errors():
 
 
 def test_mean_rank():
-    anns = [
-        RankAnnotation("i1", ("a", "b", "c")),
-        RankAnnotation("i1", ("b", "a", "c")),
-        RankAnnotation("i2", ("a", "c", "b")),
-    ]
-    means = mean_rank(anns)
+    means = mean_rank([("a", "b", "c"), ("b", "a", "c"), ("a", "c", "b")])
     assert means == {
         "a": pytest.approx((1 + 2 + 1) / 3),
         "b": pytest.approx((2 + 1 + 3) / 3),
@@ -374,12 +361,8 @@ def test_mean_rank():
 
 
 def test_mean_rank_universe_mismatch():
-    anns = [
-        RankAnnotation("i1", ("a", "b")),
-        RankAnnotation("i2", ("a", "c")),
-    ]
-    with pytest.raises(ValueError):
-        mean_rank(anns)
+    with pytest.raises(ValueError, match="different strategy set"):
+        mean_rank([("a", "b"), ("a", "c")])
     with pytest.raises(ValueError):
         mean_rank([])
 
@@ -407,7 +390,7 @@ def test_load_annotations_mixed_file(tmp_path):
     assert set(matrices) == {"fluency", "meaning"}
     assert matrices["fluency"].labels[("p1", "w2")] == 2
     assert matrices["fluency"].bounds == FIELD_BOUNDS["fluency"]
-    assert rankings == [RankAnnotation("p1", ("autoscore", "top1"))]
+    assert rankings == {"p1": [("autoscore", "top1")]}
 
 
 def test_load_annotations_keeps_integer_ids_as_their_digits(tmp_path):
@@ -421,7 +404,7 @@ def test_load_annotations_keeps_integer_ids_as_their_digits(tmp_path):
     )
     matrices, rankings = load_annotations(path)
     assert matrices["fluency"].labels == {("3", "4"): 1}
-    assert rankings == [RankAnnotation("3", ("autoscore", "top1"))]
+    assert rankings == {"3": [("autoscore", "top1")]}
 
 
 def test_load_annotations_rejects_duplicates(tmp_path):
@@ -453,6 +436,34 @@ def test_load_annotations_rejects_duplicate_rankings(tmp_path):
         load_annotations(path)
 
 
+@pytest.mark.parametrize(
+    "ranking, reason",
+    [
+        (["top1", "top1"], "ranking ('top1', 'top1') is not a permutation"),
+        ([], "ranking () is not a permutation"),
+        (
+            ["autoscore", "random"],
+            "ranking ('autoscore', 'random') ranks other strategies than the first one",
+        ),
+        (["autoscore"], "ranking ('autoscore',) ranks other strategies than the first one"),
+    ],
+    ids=["repeat", "empty", "other-set", "subset"],
+)
+def test_load_annotations_rejects_a_ranking_naming_its_line(tmp_path, ranking, reason):
+    path = tmp_path / "ann.jsonl"
+    _write(
+        path,
+        [
+            {"item": "p1", "worker": "w1", "field": "fluency", "value": 3},
+            {"item": "p1", "worker": "w1", "ranking": ["top1", "autoscore"]},
+            {"item": "p2", "worker": "w1", "ranking": ranking},
+        ],
+    )
+    with pytest.raises(ValueError) as err:
+        load_annotations(path)
+    assert str(err.value) == f"line 3: {reason}"
+
+
 def test_load_annotations_keeps_one_string_per_id(tmp_path):
     # ids repeat across records and fields, as strings and as integers;
     # a one-character string or a one-digit integer's digits would be
@@ -482,15 +493,14 @@ def test_load_annotations_keeps_one_string_per_id(tmp_path):
             FIELD_BOUNDS["meaning"],
         ),
     }
-    assert rankings == [
-        RankAnnotation("p1", ("autoscore", "top1")),
-        RankAnnotation("p1", ("top1", "autoscore")),
-        RankAnnotation("42", ("top1", "autoscore")),
-    ]
+    assert rankings == {
+        "p1": [("autoscore", "top1"), ("top1", "autoscore")],
+        "42": [("top1", "autoscore")],
+    }
     returned = [s for m in matrices.values() for key in m.labels for s in key]
     returned += [s for m in matrices.values() for s in (*m.items, *m.workers)]
-    for ann in rankings:
-        returned += [ann.item, *ann.ranking]
+    for item, item_rankings in rankings.items():
+        returned += [item, *(name for ranking in item_rankings for name in ranking)]
     distinct = set(returned)
     assert len(distinct) == 7
     assert [s for s in distinct if len({id(x) for x in returned if x == s}) > 1] == []

@@ -209,14 +209,14 @@ def test_stdio_scorer_roundtrip(tmp_path):
         assert scorer.score("s", "abc", context) == pytest.approx(0.3)
         assert scorer.score("s", "abcde", context) == pytest.approx(0.5)
         # the raw answer comes back as sent; score_candidate checks its range
-        assert scorer.score("s", "abc", None) == -1.0
+        assert scorer.score("s", "abc", ContextBundle()) == -1.0
 
 
 def test_stdio_scorer_error_response_raises(tmp_path):
     cmd = _stdio_script(tmp_path, "    print(json.dumps({'error': 'no model'}), flush=True)\n")
     with StdioScorer(cmd) as scorer:
         with pytest.raises(ScorerError) as err:
-            scorer.score("s", "c", None)
+            scorer.score("s", "c", ContextBundle())
     assert str(err.value) == "scorer error: no model"
 
 
@@ -224,7 +224,7 @@ def test_stdio_scorer_malformed_response_raises(tmp_path):
     cmd = _stdio_script(tmp_path, "    print('not json', flush=True)\n")
     with StdioScorer(cmd) as scorer:
         with pytest.raises(ScorerError) as err:
-            scorer.score("s", "c", None)
+            scorer.score("s", "c", ContextBundle())
     assert "scorer sent malformed JSON" in str(err.value)
 
 
@@ -233,7 +233,7 @@ def test_stdio_scorer_dead_process_raises(tmp_path):
     path.write_text("import sys; sys.exit(0)\n")
     with StdioScorer([sys.executable, str(path)]) as scorer:
         with pytest.raises(ScorerError):
-            scorer.score("s", "c", None)
+            scorer.score("s", "c", ContextBundle())
 
 
 def test_stdio_scorer_missing_score_raises(tmp_path):
@@ -241,7 +241,7 @@ def test_stdio_scorer_missing_score_raises(tmp_path):
         cmd = _stdio_script(tmp_path, f"    print(json.dumps({{'score': {score}}}), flush=True)\n")
         with StdioScorer(cmd) as scorer:
             with pytest.raises(ScorerError) as err:
-                scorer.score("s", "c", None)
+                scorer.score("s", "c", ContextBundle())
         assert "missing 'score'" in str(err.value)
 
 

@@ -9,7 +9,8 @@ code that only its own tests call is flagged for deletion.
 
 The same readers must also read every dataclass field and set every
 defaulted parameter of the package's functions and methods; a field or
-a knob that only tests touch is flagged the same way.
+a knob that only tests touch is flagged the same way. Every name a
+package module imports must be loaded in that module.
 """
 
 import ast
@@ -229,6 +230,31 @@ def test_every_dataclass_field_is_read_outside_tests():
 
 def test_every_defaulted_parameter_is_set_outside_tests():
     assert unset_parameters() == []
+
+
+def unused_imports() -> list[str]:
+    """Names that a module of the package imports (at any depth, ``as``
+    names included; ``__future__`` aside) and never loads."""
+    unused = []
+    for module in _modules():
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{module.stem}: {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
 
 
 def test_package_import_loads_no_submodule():
