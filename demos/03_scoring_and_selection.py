@@ -30,7 +30,7 @@ def main():
         ("taxes help", "Taxes help. They fund the services people rely on."),
         ("we should act", "We should act. Waiting only raises the eventual cost."),
     ]
-    embedder = HashingEmbedder(dim=256, seed=0)
+    embedder = HashingEmbedder()
     ranker = train_pairwise_ranker(training, embedder, seed=0)
     columns = score_columns(candidates, scores, DEFAULT_WEIGHTS, ranker=ranker)
 

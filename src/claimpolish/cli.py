@@ -29,7 +29,7 @@ import shutil
 import sys
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -453,9 +453,13 @@ def _stored(record: dict) -> tuple[str, str]:
     return encode_line(record), record["chosen"]
 
 
-def _read_selections(path: Path, keep: Callable[[dict], object]) -> dict[str, dict]:
+def _read_selections(
+    path: Path, keep: Callable[[dict], object], pairs: list[OptimizationPair]
+) -> dict[str, dict]:
     """selections.jsonl as {pair_id: {strategy: keep(record)}}; a repeated
-    (pair, strategy) keeps its last record."""
+    (pair, strategy) keeps its last record. A record of a pair in ``pairs``
+    must say whether its ``chosen`` edits that pair's source."""
+    sources = {pair.pair_id: pair.source for pair in pairs}
 
     def parse(rec: dict) -> tuple:
         for key in ("pair_id", "strategy", "chosen"):
@@ -463,7 +467,16 @@ def _read_selections(path: Path, keep: Callable[[dict], object]) -> dict[str, di
                 raise ValueError(f"{key!r} must be a string, got {rec[key]!r}")
         if not rec["chosen"].strip():
             raise ValueError("'chosen' must not be blank")
-        return rec["pair_id"], rec["strategy"], keep(rec)
+        pair_id = rec["pair_id"]
+        if pair_id in sources:
+            edited = rec["chosen"] != sources[pair_id]
+            if rec.get("edited") is not edited:
+                raise ValueError(
+                    f"'chosen' {'differs from' if edited else 'is'} the source of pair "
+                    f"{pair_id!r}, so 'edited' must be {json.dumps(edited)}, "
+                    f"got {rec.get('edited')!r}"
+                )
+        return pair_id, rec["strategy"], keep(rec)
 
     by_pair: dict[str, dict] = {}
     for pair_id, strategy, kept in read_jsonl(path, ("pair_id", "strategy", "chosen"), parse):
@@ -472,7 +485,7 @@ def _read_selections(path: Path, keep: Callable[[dict], object]) -> dict[str, di
 
 
 def _load_checkpoint(
-    selections_path: Path, strategies: tuple[Strategy, ...]
+    selections_path: Path, strategies: tuple[Strategy, ...], pairs: list[OptimizationPair]
 ) -> dict[str, dict[str, tuple[str, str]]]:
     """Stored rows of complete instances from an interrupted run, keyed by pair.
 
@@ -485,7 +498,7 @@ def _load_checkpoint(
     with open(selections_path, "rb+") as fh:
         fh.truncate(sum(len(line) for line in fh if line.endswith(b"\n")))
     wanted = {s.value for s in strategies}
-    by_pair = _read_selections(selections_path, _stored)
+    by_pair = _read_selections(selections_path, _stored, pairs)
     return {pid: by_s for pid, by_s in by_pair.items() if set(by_s) == wanted}
 
 
@@ -639,6 +652,8 @@ def _finishing(finisher: _Finisher, n_jobs: int):
 
 
 def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
+    if s["ranker"] and s["train_pairs"]:
+        raise ConfigError("ranker and train_pairs are both set")
     pairs_path = _require_file(s["pairs"], "pairs file")
     out = _out_dir(s["out"])
     seed, strategies = s["seed"], s["strategies"]
@@ -663,7 +678,8 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     if Strategy.PAIRWISE_RANK in strategies:
         if s["ranker"]:
             ranker_path = _require_file(s["ranker"], "ranker file")
-            ranker = load_ranker(ranker_path)
+            # scored with the run's embedder, as a ranker this run trains is
+            ranker = replace(load_ranker(ranker_path), embedder=embedder)
             inputs["ranker"] = ranker_path
         elif s["train_pairs"]:
             train_path = _require_file(s["train_pairs"], "ranker training pairs")
@@ -678,7 +694,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                 "pairwise_rank strategy needs either a ranker file or train_pairs"
             )
     selections_path = out / "selections.jsonl"
-    checkpoint = _load_checkpoint(selections_path, strategies)
+    checkpoint = _load_checkpoint(selections_path, strategies, pairs)
     if text_pairs:
         # after every input check, so a run that exits 2 leaves ranker.json alone
         ranker = train_pairwise_ranker(text_pairs, embedder, seed)
@@ -842,7 +858,7 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
     pairs_path = _require_file(s["pairs"], "pairs file")
     out = _out_dir(s["out"])
     pairs = load_pairs(pairs_path)
-    by_pair = _read_selections(selections_path, lambda rec: rec["chosen"])
+    by_pair = _read_selections(selections_path, lambda rec: rec["chosen"], pairs)
     if not by_pair:
         raise ConfigError(f"no selections in {selections_path}")
     strategies = sorted({name for by_s in by_pair.values() for name in by_s})

@@ -1,55 +1,45 @@
-"""Text embedding contract plus a deterministic offline implementation.
+"""The one text embedding: deterministic feature hashing.
 
-Context-similarity metrics and the pairwise ranker both consume
-embeddings through the small protocol below, so a neural sentence
-encoder can be swapped in without touching either module. The default
-is a seeded feature-hashing bag-of-words embedder: fully deterministic
-across processes (keyed BLAKE2 digests, not Python's salted ``hash``),
-L2-normalized so identical texts always have cosine similarity 1.
+Context-similarity metrics, the cosine meaning scorer and the pairwise
+ranker all embed with ``HashingEmbedder``: a bag-of-words vector of
+``DIM`` slots, fully deterministic across processes (BLAKE2 digests
+keyed with ``KEY``, not Python's salted ``hash``), L2-normalized so
+identical texts always have cosine similarity 1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from .text import tokenize
 
 if TYPE_CHECKING:
     import numpy as np
 
-
-class Embedder(Protocol):
-    dim: int
-
-    def embed(self, text: str) -> np.ndarray: ...
+DIM = 256
+KEY = bytes(8)  # the BLAKE2 key; an unkeyed hash gives other slots
 
 
 class HashingEmbedder:
-    def __init__(self, dim: int = 256, seed: int = 0):
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
-        self.dim = dim
-        self.seed = seed
-        # any int: seeds in the int64 range keep their two's-complement bytes
-        self._key = (seed % 2**64).to_bytes(8, "little")
+    def __init__(self):
         # token -> (slot, sign); the keyed hash is deterministic, so a
         # remembered slot is the one a fresh hash would give
         self._slots: dict[str, tuple[int, float]] = {}
 
     def _slot(self, token: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(token.encode("utf-8"), key=self._key, digest_size=8).digest()
+        digest = hashlib.blake2b(token.encode("utf-8"), key=KEY, digest_size=8).digest()
         value = int.from_bytes(digest, "little")
         # low bits pick the slot, one spare bit picks the sign
-        index = value % self.dim
+        index = value % DIM
         sign = 1.0 if (value >> 32) & 1 else -1.0
         return index, sign
 
     def embed(self, text: str) -> np.ndarray:
         import numpy as np
 
-        vec = np.zeros(self.dim, dtype=np.float64)
+        vec = np.zeros(DIM, dtype=np.float64)
         slots = self._slots
         for token in tokenize(text):
             slot = slots.get(token)

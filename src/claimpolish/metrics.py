@@ -38,7 +38,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .corpus import MissingContextError, OptimizationPair
-from .embedding import Embedder, unit_cosine
+from .embedding import HashingEmbedder, unit_cosine
 from .ndjson import open_atomic
 from .text import normalize_whitespace, tokenize
 
@@ -319,7 +319,7 @@ def sari(source: str, output: str, reference: str, variant: str = "canonical") -
 # ---------------------------------------------------------------------------
 # context similarity
 
-def context_similarity(output: str, context_field: str | None, embedder: Embedder) -> float:
+def context_similarity(output: str, context_field: str | None, embedder: HashingEmbedder) -> float:
     """Embedding cosine between output and a context field, mapped onto [0, 1]."""
     if not context_field:
         raise MissingContextError("context field is missing")
@@ -333,7 +333,7 @@ def _score_row(
     pair: OptimizationPair,
     normalized_ref: str,
     output: str,
-    embedder: Embedder,
+    embedder: HashingEmbedder,
     bleu_mode: str,
     sari_variant: str,
 ) -> _Sums:
@@ -361,7 +361,7 @@ def _score_row(
 def score_instance(
     pair: OptimizationPair,
     chosen: Mapping[str, str],
-    embedder: Embedder,
+    embedder: HashingEmbedder,
     bleu_mode: str = "sentence",
     sari_variant: str = "canonical",
 ) -> dict[str, _Sums]:
@@ -372,9 +372,8 @@ def score_instance(
     embedded once for all its rows."""
     if bleu_mode not in BLEU_MODES:
         raise ValueError(f"unknown bleu mode {bleu_mode!r}")
-    # keyed on the text alone, so any embedder works, hashable or not;
     # dropped with the instance, so it holds only that instance's texts
-    instance_embedder = SimpleNamespace(dim=embedder.dim, embed=cache(embedder.embed))
+    instance_embedder = SimpleNamespace(embed=cache(embedder.embed))
     normalized_ref = normalize_whitespace(pair.reference)
     rows = {
         output: _score_row(pair, normalized_ref, output, instance_embedder, bleu_mode, sari_variant)
@@ -463,7 +462,7 @@ class ReportTotals:
 def evaluate_run(
     instances: Sequence[OptimizationPair],
     outputs: Mapping[str, Sequence[str]],
-    embedder: Embedder,
+    embedder: HashingEmbedder,
     bleu_mode: str = "sentence",
     sari_variant: str = "canonical",
 ) -> dict[str, MetricReport]:

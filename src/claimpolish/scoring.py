@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .corpus import ContextBundle, RevisionChain
-from .embedding import Embedder, unit_cosine
+from .embedding import HashingEmbedder, unit_cosine
 from .ndjson import NdjsonChild, read_json, write_json
 from .text import normalize_whitespace, tokenize
 
@@ -183,7 +183,7 @@ class JaccardMeaningScorer:
 class CosineMeaningScorer:
     """Embedding cosine between source and candidate, mapped onto [0, 1]."""
 
-    def __init__(self, embedder: Embedder):
+    def __init__(self, embedder: HashingEmbedder):
         self._embedder = embedder
 
     def score(self, source: str, candidate: str, context: ContextBundle) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .embedding import Embedder, HashingEmbedder
+from .embedding import DIM, KEY, HashingEmbedder
 from .genkit import Candidate
 from .ndjson import read_json, write_json
 from .scoring import ScoreVector, Weights, autoscore
@@ -41,7 +41,7 @@ class Strategy(enum.Enum):
 
 @dataclass(eq=False)
 class PairwiseRanker:
-    embedder: Embedder
+    embedder: HashingEmbedder
     weight_vector: np.ndarray
     training_meta: dict
 
@@ -134,7 +134,7 @@ MARGIN = 1.0
 
 
 def train_pairwise_ranker(
-    training_pairs: Sequence[tuple[str, str]], embedder: Embedder, seed: int = 0
+    training_pairs: Sequence[tuple[str, str]], embedder: HashingEmbedder, seed: int = 0
 ) -> PairwiseRanker:
     """Fit a linear scoring function from (worse, better) text pairs.
 
@@ -156,7 +156,7 @@ def train_pairwise_ranker(
         [embedder.embed(better) - embedder.embed(worse) for worse, better in training_pairs]
     )
     rng = np.random.default_rng(seed)
-    w = np.zeros(embedder.dim, dtype=np.float64)
+    w = np.zeros(DIM, dtype=np.float64)
     order = np.arange(len(diffs))
     for _ in range(EPOCHS):
         rng.shuffle(order)
@@ -179,16 +179,14 @@ def train_pairwise_ranker(
     return PairwiseRanker(embedder=embedder, weight_vector=w, training_meta=meta)
 
 
+# the one embedder a ranker.json names: HashingEmbedder, whose key is the seed's bytes
+EMBEDDER = {"dim": DIM, "kind": "hashing", "seed": int.from_bytes(KEY, "little")}
+
+
 def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
-    if not isinstance(ranker.embedder, HashingEmbedder):
-        raise ValueError("only hashing embedders can be persisted")
     payload = {
         "weight_vector": [float(x) for x in ranker.weight_vector],
-        "embedder": {
-            "kind": "hashing",
-            "dim": ranker.embedder.dim,
-            "seed": ranker.embedder.seed,
-        },
+        "embedder": EMBEDDER,
         "training_meta": ranker.training_meta,
     }
     write_json(path, payload)
@@ -196,17 +194,12 @@ def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
 
 def load_ranker(path: str | Path) -> PairwiseRanker:
     def parse(payload: dict) -> PairwiseRanker:
-        for key in ("embedder", "training_meta"):
-            if not isinstance(payload.get(key, {}), dict):
-                raise ValueError(f"{key!r} must be an object")
-        emb = payload.get("embedder", {})
-        if emb.get("kind") != "hashing":
-            raise ValueError(f"unsupported embedder kind {emb.get('kind')!r}")
-        for key in ("dim", "seed"):
-            if key not in emb:
-                raise ValueError(f"missing key 'embedder.{key}'")
-            if type(emb[key]) is not int:
-                raise ValueError(f"'embedder.{key}' must be an integer, got {emb[key]!r}")
+        emb = payload["embedder"]
+        # by type too: 256.0 == 256 and False == 0 hold in Python
+        if emb != EMBEDDER or any(type(emb[k]) is not type(v) for k, v in EMBEDDER.items()):
+            raise ValueError(f"'embedder' must be {EMBEDDER}, got {emb!r}")
+        if not isinstance(payload.get("training_meta", {}), dict):
+            raise ValueError("'training_meta' must be an object")
         if not isinstance(payload["weight_vector"], list):
             raise ValueError("'weight_vector' must be a list")
         for value in payload["weight_vector"]:
@@ -214,17 +207,14 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
                 raise ValueError(
                     f"'weight_vector' must be a list of finite numbers, got {value!r}"
                 )
+        if len(payload["weight_vector"]) != DIM:
+            raise ValueError(f"'weight_vector' must hold {DIM} numbers")
         import numpy as np
 
-        embedder = HashingEmbedder(dim=emb["dim"], seed=emb["seed"])
-        weight_vector = np.asarray(payload["weight_vector"], dtype=np.float64)
-        if weight_vector.shape != (embedder.dim,):
-            raise ValueError("weight vector length does not match embedder dim")
         return PairwiseRanker(
-            embedder=embedder,
-            weight_vector=weight_vector,
+            embedder=HashingEmbedder(),
+            weight_vector=np.asarray(payload["weight_vector"], dtype=np.float64),
             training_meta=dict(payload.get("training_meta", {})),
         )
 
-    return read_json(path, parse, required=("weight_vector",))
-
+    return read_json(path, parse, required=("weight_vector", "embedder"))

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -43,6 +44,7 @@ WEIGHTS = {
     "pearson_r": 0.9,
     "grid_step": 0.01,
 }
+EMBEDDER = {"kind": "hashing", "dim": 256, "seed": 0}  # the one a ranker.json may name
 
 
 def write_weights(path):
@@ -279,6 +281,16 @@ def test_config_key_error_exits_two_before_any_output(
     assert list(out.glob("*")) == []
 
 
+def test_run_ranker_and_train_pairs_both_set_exit_two_before_any_output(tmp_path, capsys):
+    # neither file exists: the two keys are rejected first
+    out = tmp_path / "o"
+    argv = ["run", "--pairs", tmp_path / "pairs.jsonl", "--out", out]
+    argv += ["--ranker", tmp_path / "ranker.json", "--train-pairs", tmp_path / "missing.jsonl"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: ranker and train_pairs are both set\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "source", [pytest.param("flag", id="flag"), pytest.param("file", id="file")]
 )
@@ -371,7 +383,7 @@ def _command_inputs(tmp_path, pairs_file, chains_file) -> dict[str, list]:
     selections = tmp_path / "selections.jsonl"
     pair_id = read_rows(pairs_file)[0]["pair_id"]
     selections.write_text(
-        json.dumps({"pair_id": pair_id, "strategy": "top1", "chosen": "x"}) + "\n"
+        json.dumps({"pair_id": pair_id, "strategy": "top1", "chosen": "x", "edited": True}) + "\n"
     )
     return {
         "prepare": ["--chains", chains_file],
@@ -820,7 +832,8 @@ GOOD_RECORDS = {
         "claims": [{"id": "x", "text": "one"}, {"id": "y", "text": "two"}],
         "intents": ["links"],
     },
-    "selections": {"strategy": "top1", "chosen": "x"},  # plus a pair id of pairs_file
+    # plus a pair id of pairs_file
+    "selections": {"strategy": "top1", "chosen": "x", "edited": True},
     "annotations": {"item": "a", "worker": "w", "field": "fluency", "value": 2},
 }
 
@@ -1017,18 +1030,20 @@ def test_stats_non_list_ranking_exits_two(tmp_path, capsys):
     assert "error: line 1: ranking must be a list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("missing", ["weight_vector", "embedder.dim", "embedder.seed"])
-def test_run_ranker_missing_key_exits_two(tmp_path, pairs_file, capsys, missing):
-    payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
-    owner = payload["embedder"] if missing.startswith("embedder.") else payload
-    del owner[missing.removeprefix("embedder.")]
+def _run_with_ranker(tmp_path, pairs_file, payload) -> int:
     ranker = tmp_path / "ranker.json"
     ranker.write_text(json.dumps(payload))
-    code = run_cli(
+    return run_cli(
         "run", "--pairs", pairs_file, "--out", tmp_path / "o",
         "--strategies", "pairwise_rank", "--ranker", ranker,
     )
-    assert code == 2
+
+
+@pytest.mark.parametrize("missing", ["weight_vector"])  # a missing 'embedder': below
+def test_run_ranker_missing_key_exits_two(tmp_path, pairs_file, capsys, missing):
+    payload = {"weight_vector": [0.0] * 256, "embedder": EMBEDDER}
+    del payload[missing]
+    assert _run_with_ranker(tmp_path, pairs_file, payload) == 2
     assert f"ranker.json: missing key '{missing}'" in capsys.readouterr().err
 
 
@@ -1038,50 +1053,37 @@ def test_run_ranker_missing_key_exits_two(tmp_path, pairs_file, capsys, missing)
         ("embedder", 5),
         ("training_meta", 5),
         ("weight_vector", {"a": 1}),
-        ("weight_vector", [{}, 0.0, 0.0, 0.0]),
-        ("weight_vector", [float("nan"), 0.0, 0.0, 0.0]),
+        ("weight_vector", [{}] + [0.0] * 255),
+        ("weight_vector", [float("nan")] + [0.0] * 255),
     ],
 )
 def test_run_ranker_bad_field_exits_two(tmp_path, pairs_file, capsys, field, value):
-    payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
-    payload[field] = value
-    ranker = tmp_path / "ranker.json"
-    ranker.write_text(json.dumps(payload))
-    code = run_cli(
-        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
-        "--strategies", "pairwise_rank", "--ranker", ranker,
-    )
-    assert code == 2
+    payload = {"weight_vector": [0.0] * 256, "embedder": EMBEDDER, field: value}
+    assert _run_with_ranker(tmp_path, pairs_file, payload) == 2
     assert f"ranker.json: '{field}' must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("dim", [4]), ("dim", 4.0), ("dim", True), ("seed", 1.5), ("seed", "0")],
+    "change",
+    [
+        {"dim": 4},
+        {"seed": 1},
+        {"dim": 256.0},
+        {"seed": False},
+        {"kind": "other"},
+        {"normalize": True},
+        None,
+    ],
+    ids=["dim-4", "seed-1", "dim-float", "seed-false", "kind-other", "extra-key", "missing"],
 )
-def test_run_ranker_non_integer_embedder_field_exits_two(tmp_path, pairs_file, capsys, key, value):
-    payload = {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 0}}
-    payload["embedder"][key] = value
-    ranker = tmp_path / "ranker.json"
-    ranker.write_text(json.dumps(payload))
-    code = run_cli(
-        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
-        "--strategies", "pairwise_rank", "--ranker", ranker,
-    )
-    assert code == 2
-    assert f"ranker.json: 'embedder.{key}' must be an integer" in capsys.readouterr().err
-
-
-def test_run_accepts_embedder_seed_outside_int64(tmp_path, pairs_file):
-    ranker = tmp_path / "ranker.json"
-    ranker.write_text(json.dumps(
-        {"weight_vector": [0.0] * 4, "embedder": {"kind": "hashing", "dim": 4, "seed": 2**70}}
-    ))
-    code = run_cli(
-        "run", "--pairs", pairs_file, "--out", tmp_path / "o",
-        "--strategies", "top1,pairwise_rank", "--ranker", ranker,
-    )
-    assert code == 0
+def test_run_ranker_other_embedder_exits_two(tmp_path, pairs_file, capsys, change):
+    payload = {"weight_vector": [0.0] * 256}
+    if change is not None:
+        payload["embedder"] = {**EMBEDDER, **change}
+    assert _run_with_ranker(tmp_path, pairs_file, payload) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ranker.json: " in err and "'embedder'" in err
 
 
 @pytest.mark.parametrize("value", ["a", None, True, float("nan"), float("inf")])
@@ -1747,6 +1749,41 @@ def test_report_rejects_selection_missing_key(tmp_path, pairs_file, capsys):
     code = run_cli("report", "--selections", sel, "--pairs", pairs_file, "--out", tmp_path / "o")
     assert code == 2
     assert "error: line 1: missing key 'pair_id'" in capsys.readouterr().err
+
+
+def _contradicting_line(selections, pairs_path) -> int:
+    """The first line of ``selections`` whose ``edited`` flag is false of
+    its ``chosen`` and the source its pair has in ``pairs_path``."""
+    sources = {p.pair_id: p.source for p in load_pairs(pairs_path)}
+    rows = read_rows(selections)
+    return next(
+        n for n, row in enumerate(rows, start=1)
+        if row["edited"] is not (row["chosen"] != sources[row["pair_id"]])
+    )
+
+
+@pytest.mark.parametrize("command", ["report", "resume"])
+def test_selections_contradicting_the_pairs_file_exit_two(
+    tmp_path, run_dir, capsys, command
+):
+    # the same pair ids as pairs_file, other texts
+    other = tmp_path / "other.jsonl"
+    write_pairs(make_synthetic_pairs(12, seed=4), other)
+    line = _contradicting_line(run_dir / "selections.jsonl", other)
+    if command == "report":
+        out = tmp_path / "rep"
+        argv = ["report", "--selections", run_dir / "selections.jsonl"]
+    else:
+        out = tmp_path / "resumed"
+        shutil.copytree(run_dir, out)
+        argv = ["run", "--seed", 11, "--n-candidates", 10, "--train-pairs", other]
+    before = {path.name: path.read_bytes() for path in out.glob("*")}
+    assert run_cli(*argv, "--pairs", other, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: 'chosen' ") and err.count("\n") == 1
+    assert "so 'edited' must be" in err
+    # a resume exits before training: ranker.json and selections.jsonl keep their bytes
+    assert {path.name: path.read_bytes() for path in out.glob("*")} == before
 
 
 def test_manifest_fingerprints_inputs(run_dir, pairs_file):

@@ -22,7 +22,7 @@ from claimpolish.metrics import (
 )
 from claimpolish.scoring import default_registry, score_candidate
 
-EMB = HashingEmbedder(dim=128)
+EMB = HashingEmbedder()
 
 
 def inst(source, reference, **ctx):
@@ -556,7 +556,6 @@ class _ListEmbedder:
     ``eq`` is."""
 
     inner: HashingEmbedder
-    dim: int = 128
     calls: list = field(default_factory=list)
 
     def embed(self, text):
@@ -571,7 +570,7 @@ def test_evaluate_run_accepts_unhashable_embedder():
         "oracle": [i.reference for i in instances],
         "again": [i.reference for i in instances],
     }
-    custom = _ListEmbedder(HashingEmbedder(dim=128))
+    custom = _ListEmbedder(HashingEmbedder())
     with pytest.raises(TypeError):
         hash(custom)
     assert evaluate_run(instances, outputs, custom) == evaluate_run(instances, outputs, EMB)

@@ -142,6 +142,34 @@ def test_a_value_error_in_either_stage_exits_two(
         assert capsys.readouterr().err == f"error: bad value in stage {stage}\n"
 
 
+def test_a_loaded_ranker_embeds_with_the_runs_embedder(tmp_path, monkeypatch, force_cpus):
+    """On the inline path, a run with ``--ranker`` makes the same embed
+    calls on the run's embedder as the run that trained the ranker, less
+    the training's two per pair, and picks the same."""
+    pairs_path = tmp_path / "pairs.jsonl"
+    pairs = make_synthetic_pairs(6, seed=3)
+    write_pairs(pairs, pairs_path)
+    calls = []
+
+    class CountingEmbedder(cli.HashingEmbedder):
+        def embed(self, text):
+            calls.append(text)
+            return super().embed(text)
+
+    monkeypatch.setattr(cli, "HashingEmbedder", CountingEmbedder)
+    force_cpus(1)
+    argv = ["run", "--pairs", str(pairs_path), "--strategies", "pairwise_rank"]
+    assert main([*argv, "--out", str(tmp_path / "t"), "--train-pairs", str(pairs_path)]) == 0
+    trained = len(calls)
+    calls.clear()
+    ranker = str(tmp_path / "t" / "ranker.json")
+    assert main([*argv, "--out", str(tmp_path / "l"), "--ranker", ranker]) == 0
+    n_training = sum(p.source != p.reference for p in pairs)
+    assert len(calls) == trained - 2 * n_training
+    selections = [(tmp_path / out / "selections.jsonl").read_bytes() for out in ("t", "l")]
+    assert selections[0] == selections[1]
+
+
 def test_run_keeps_no_row_once_its_instance_is_added(tmp_path, monkeypatch, force_cpus):
     """On the inline path, every row that ``score_instance`` returned for
     an instance is gone once the next instance is added to the totals."""

@@ -8,7 +8,6 @@ from claimpolish.embedding import HashingEmbedder
 from claimpolish.genkit import Candidate, GREEDY, TOPK
 from claimpolish.scoring import DEFAULT_WEIGHTS, ScoreVector, Weights
 from claimpolish.selection import (
-    PairwiseRanker,
     Strategy,
     load_ranker,
     save_ranker,
@@ -137,7 +136,7 @@ def _training_pairs(n=40, seed=0):
 
 
 def test_ranker_learns_marker_tokens():
-    emb = HashingEmbedder(dim=64, seed=0)
+    emb = HashingEmbedder()
     ranker = train_pairwise_ranker(_training_pairs(), emb)
     assert ranker.score_text("roads jobs therefore improved") > ranker.score_text(
         "roads jobs"
@@ -146,14 +145,14 @@ def test_ranker_learns_marker_tokens():
 
 
 def test_ranker_training_is_deterministic():
-    emb = HashingEmbedder(dim=64, seed=0)
+    emb = HashingEmbedder()
     a = train_pairwise_ranker(_training_pairs(), emb)
     b = train_pairwise_ranker(_training_pairs(), emb)
     assert np.array_equal(a.weight_vector, b.weight_vector)
 
 
 def test_ranker_rejects_zero_margin_pairs():
-    emb = HashingEmbedder(dim=64)
+    emb = HashingEmbedder()
     with pytest.raises(ValueError) as err:
         train_pairwise_ranker([("same text", "same text")], emb)
     assert "zero-margin" in str(err.value)
@@ -162,7 +161,7 @@ def test_ranker_rejects_zero_margin_pairs():
 
 
 def test_pairwise_selection_uses_ranker_scores():
-    emb = HashingEmbedder(dim=64, seed=0)
+    emb = HashingEmbedder()
     ranker = train_pairwise_ranker(_training_pairs(), emb)
     cands = build_set(["tax school", "tax school therefore improved"])
     scores = vectors((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
@@ -173,46 +172,31 @@ def test_pairwise_selection_uses_ranker_scores():
 
 
 def test_ranker_roundtrip(tmp_path):
-    emb = HashingEmbedder(dim=64, seed=5)
+    emb = HashingEmbedder()
     ranker = train_pairwise_ranker(_training_pairs(), emb)
     path = tmp_path / "ranker.json"
     save_ranker(path, ranker)
     back = load_ranker(path)
     assert np.array_equal(back.weight_vector, ranker.weight_vector)
-    assert back.embedder.dim == 64
     assert back.score_text("tax therefore improved") == pytest.approx(
         ranker.score_text("tax therefore improved")
     )
     assert back.training_meta == ranker.training_meta
 
 
-def test_save_ranker_rejects_a_non_hashing_embedder(tmp_path):
-    class OtherEmbedder:
-        dim = 4
-
-        def embed(self, text):
-            return np.ones(4)
-
-    ranker = PairwiseRanker(OtherEmbedder(), np.zeros(4), {})
-    path = tmp_path / "ranker.json"
-    with pytest.raises(ValueError, match="^only hashing embedders can be persisted$"):
-        save_ranker(path, ranker)
-    assert not path.exists()
-
-
 def test_load_ranker_rejects_bad_payloads(tmp_path):
     path = tmp_path / "ranker.json"
     path.write_text(json.dumps({"embedder": {"kind": "neural"}, "weight_vector": []}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'embedder' must be "):
         load_ranker(path)
     path.write_text(
         json.dumps(
             {
-                "embedder": {"kind": "hashing", "dim": 8, "seed": 0},
+                "embedder": {"kind": "hashing", "dim": 256, "seed": 0},
                 "weight_vector": [0.0] * 4,
             }
         )
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'weight_vector' must hold 256 numbers"):
         load_ranker(path)
 

@@ -10,7 +10,8 @@ code that only its own tests call is flagged for deletion.
 The same readers must also read every dataclass field and set every
 defaulted parameter of the package's functions and methods; a field or
 a knob that only tests touch is flagged the same way. Every name a
-package module imports must be loaded in that module.
+package module imports must be loaded in that module, and every
+``Protocol`` needs two package classes that implement it.
 """
 
 import ast
@@ -230,6 +231,34 @@ def test_every_dataclass_field_is_read_outside_tests():
 
 def test_every_defaulted_parameter_is_set_outside_tests():
     assert unset_parameters() == []
+
+
+def lone_protocols() -> dict[str, list[str]]:
+    """Each ``Protocol`` class of the package that fewer than two package
+    classes implement, with those that do: a class implements a protocol
+    when it defines every method the protocol declares."""
+    classes = [
+        node for module in _modules()
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+    def methods(cls: ast.ClassDef) -> set[str]:
+        return {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+    protocols = [c for c in classes if any(_called_name(b) == "Protocol" for b in c.bases)]
+    lone = {}
+    for protocol in protocols:
+        implementers = [
+            c.name for c in classes if c not in protocols and methods(protocol) <= methods(c)
+        ]
+        if len(implementers) < 2:
+            lone[protocol.name] = implementers
+    return lone
+
+
+def test_every_protocol_has_two_implementations():
+    assert lone_protocols() == {}
 
 
 def unused_imports() -> list[str]:

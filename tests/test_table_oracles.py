@@ -18,6 +18,7 @@ the seeded rows may draw several, and each is checked as its own
 single-reference instance, passed to the copies as a one-item list.
 """
 
+import hashlib
 import random
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -331,7 +332,22 @@ def head_sari(source, output, references, variant="canonical"):
     return 100.0 * (keep_total / 4 + delete_total / 4 + add_total / 4) / 3.0
 
 
-class HeadEmbedder(HashingEmbedder):
+class HeadEmbedder:
+    """The embedder as it was when its dimension and seed were parameters
+    and its norm was ``np.linalg.norm``."""
+
+    def __init__(self, dim, seed):
+        self.dim = dim
+        self._key = (seed % 2**64).to_bytes(8, "little")
+        self._slots = {}
+
+    def _slot(self, token):
+        digest = hashlib.blake2b(token.encode("utf-8"), key=self._key, digest_size=8).digest()
+        value = int.from_bytes(digest, "little")
+        index = value % self.dim
+        sign = 1.0 if (value >> 32) & 1 else -1.0
+        return index, sign
+
     def embed(self, text):
         vec = np.zeros(self.dim, dtype=np.float64)
         slots = self._slots
@@ -513,7 +529,7 @@ def test_hot_path_matches_its_table_based_version_bit_for_bit(words, punct, seed
     for case in cases:
         assert seen[case] >= 40, case
 
-    embedder, head_embedder = HashingEmbedder(dim=64, seed=seed), HeadEmbedder(dim=64, seed=seed)
+    embedder, head_embedder = HashingEmbedder(), HeadEmbedder(dim=256, seed=0)
     for source, references, outputs in rows:
         source_vec = embedder.embed(source)
         assert source_vec.tobytes() == head_embedder.embed(source).tobytes(), source
