@@ -22,8 +22,11 @@ def test_embedding_is_deterministic_across_instances():
     assert np.array_equal(a, b)
 
 
-def test_warm_embedder_equals_fresh_one():
-    texts = ["the tax helps towns", "Schools need funding!", "the towns need the tax", ""]
+@pytest.mark.parametrize("words, number", [(2, 0), (64, 3), (256, -7), (1000, 2**40)])
+def test_warm_embedder_equals_fresh_one(words, number):
+    # vocabularies below, at and above DIM slots, and numeric tokens
+    vocabulary = " ".join(f"w{i}" for i in range(words))
+    texts = ["the tax helps towns", "Schools need funding!", vocabulary, f"the tax is {number}", ""]
     warm = HashingEmbedder()
     for text in texts:
         warm.embed(text)
