@@ -22,6 +22,7 @@ import collections
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -531,18 +532,23 @@ def _instance_records(pair, candidates, columns, picks) -> dict[str, dict]:
 _STAGE_A_FAILURES = (GenerationError, ScorerError, MissingContextError)
 
 
+def _error_record(pair: OptimizationPair, stage: str, exc: Exception) -> dict:
+    """The errors.jsonl record of an instance that ``exc`` failed in ``stage``."""
+    return {"pair_id": pair.pair_id, "stage": stage, "type": type(exc).__name__, "error": str(exc)}
+
+
 @dataclass(frozen=True)
 class _Job:
     """One instance for stage B: a resumed instance's stored rows by
-    strategy, a fresh one's candidates and their scores, or the error
-    that ended it in stage A."""
+    strategy, a fresh one's candidates and their scores, or the
+    errors.jsonl record of its stage-A failure."""
 
     pair: OptimizationPair
     seed: int
     stored: dict[str, tuple[str, str]] | None = None
     candidates: tuple = ()
     scores: tuple = ()
-    error: str | None = None
+    error: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -566,7 +572,7 @@ class _Finisher:
         the errors.jsonl record of a failed one."""
         pair = job.pair
         if job.error is not None:
-            return {"pair_id": pair.pair_id, "error": job.error}
+            return job.error
         by_strategy = job.stored
         if by_strategy is None:
             columns = score_columns(job.candidates, job.scores, self.weights, self.ranker)
@@ -576,7 +582,7 @@ class _Finisher:
                     for strategy in self.strategies
                 }
             except ValueError as exc:
-                return {"pair_id": pair.pair_id, "error": str(exc)}
+                return _error_record(pair, "B", exc)
             records = _instance_records(pair, job.candidates, columns, picks)
             by_strategy = {name: _stored(record) for name, record in records.items()}
         lines = "".join(by_strategy[strategy.value][0] for strategy in self.strategies)
@@ -590,9 +596,22 @@ _finisher: _Finisher | None = None  # a worker process's stage B, set by _start_
 def _start_worker(finisher: _Finisher) -> None:
     global _finisher
     _finisher = finisher
+    # stage B embeds every instance: load numpy now, while another worker
+    # may be training the ranker, not in this worker's first chunk
+    finisher.embedder.embed("")
 
 
-def _finish_chunk(jobs: list[_Job]) -> list:
+def _train_in_worker(text_pairs: list[tuple[str, str]], seed: int) -> tuple[tuple, dict]:
+    ranker = train_pairwise_ranker(text_pairs, _finisher.embedder, seed)
+    return ranker.weight_vector, ranker.training_meta
+
+
+def _finish_chunk(jobs: list[_Job], trained: tuple[tuple, dict] | None) -> list:
+    """Stage B of ``jobs``; ``trained`` is the ranker this run trained in a
+    worker, which this worker installs before its first chunk."""
+    global _finisher
+    if trained is not None and _finisher.ranker is None:
+        _finisher = replace(_finisher, ranker=PairwiseRanker(_finisher.embedder, *trained))
     return [_finisher(job) for job in jobs]
 
 
@@ -603,18 +622,32 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _finishing(finisher: _Finisher, n_jobs: int):
-    """A function from an iterable of jobs to their stage-B results, in
-    job order.
+def _finishing(
+    finisher: _Finisher, n_jobs: int, text_pairs: list[tuple[str, str]], seed: int
+):
+    """A function from an iterable of jobs to the ranker that stage B
+    scores with, followed by the jobs' stage-B results in job order.
 
-    With several usable CPUs, several jobs and ``fork``, one forked worker
-    process per CPU (at most one per job) runs ``finisher`` on chunks of
-    jobs, while the jobs' stage A still runs here. Otherwise ``finisher``
-    runs inline. The pool is shut down on the way out.
+    Given ``text_pairs``, that ranker is trained on them with ``seed``;
+    otherwise it is ``finisher``'s. With several usable CPUs, several
+    jobs and ``fork``, one forked worker process per CPU (at most one per
+    job) runs ``finisher`` on chunks of jobs, while the jobs' stage A
+    still runs here; the ranker trains in a worker too, and stage A goes
+    on meanwhile, its chunks held here until the ranker is known.
+    Otherwise everything runs inline, the training first. The pool is
+    shut down on the way out.
     """
     workers = min(_usable_cpus(), n_jobs)
     if workers < 2 or not hasattr(os, "fork"):
-        yield functools.partial(map, finisher)
+
+        def finish_inline(jobs):
+            ranker = finisher.ranker
+            if text_pairs:
+                ranker = train_pairwise_ranker(text_pairs, finisher.embedder, seed)
+            yield ranker
+            yield from map(replace(finisher, ranker=ranker), jobs)
+
+        yield finish_inline
         return
     # imported only here: they take 15-25 ms, which a one-instance run is spared
     import multiprocessing
@@ -629,19 +662,26 @@ def _finishing(finisher: _Finisher, n_jobs: int):
     chunksize = max(1, min(8, n_jobs // (8 * workers)))
 
     def finish(jobs):
-        pending: collections.deque = collections.deque()
-        chunk: list[_Job] = []
-        for job in jobs:
-            chunk.append(job)
-            if len(chunk) == chunksize:
-                pending.append(pool.submit(_finish_chunk, chunk))
-                chunk = []
+        jobs = iter(jobs)
+        chunks = iter(lambda: list(itertools.islice(jobs, chunksize)), [])
+        ranker, trained, held = finisher.ranker, None, []
+        if text_pairs:
+            training = pool.submit(_train_in_worker, text_pairs, seed)
+            for chunk in chunks:  # stage A goes on while the ranker trains
+                held.append(chunk)
+                if training.done():
+                    break
+            trained = training.result()
+            ranker = PairwiseRanker(finisher.embedder, *trained)
+        yield ranker
+        pending = collections.deque(pool.submit(_finish_chunk, chunk, trained) for chunk in held)
+        held.clear()  # the pool holds them until they are finished
+        for chunk in chunks:
+            pending.append(pool.submit(_finish_chunk, chunk, trained))
             # stage A waits once each worker has a chunk queued behind its
             # current one, so this process holds few instances at a time
             while pending and (pending[0].done() or len(pending) > 2 * workers):
                 yield from pending.popleft().result()
-        if chunk:
-            pending.append(pool.submit(_finish_chunk, chunk))
         while pending:
             yield from pending.popleft().result()
 
@@ -695,11 +735,6 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
             )
     selections_path = out / "selections.jsonl"
     checkpoint = _load_checkpoint(selections_path, strategies, pairs)
-    if text_pairs:
-        # after every input check, so a run that exits 2 leaves ranker.json alone
-        ranker = train_pairwise_ranker(text_pairs, embedder, seed)
-        save_ranker(out / "ranker.json", ranker)
-
     context_mode = ContextMode(s["context"])
 
     def jobs():
@@ -720,7 +755,7 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
                     for c in candidates
                 )
             except _STAGE_A_FAILURES as exc:
-                yield _Job(pair, seed + i, error=str(exc))
+                yield _Job(pair, seed + i, error=_error_record(pair, "A", exc))
             else:
                 yield _Job(pair, seed + i, candidates=candidates, scores=scores)
 
@@ -729,23 +764,30 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
     )
     totals = ReportTotals()
     errors: list[dict] = []
-    # rewrite only the complete instances, in pairs-file order, then resume.
     # The pool stops before the adapters close: a worker forked after an
     # adapter child started holds that child's pipes, so the child would not
     # see EOF while the worker lives.
     with (
         _closing_adapters(registry, generator),
-        _finishing(finisher, len(pairs)) as finish,
-        open(selections_path, "w", encoding="utf-8") as sel_fh,
+        _finishing(finisher, len(pairs), text_pairs, seed) as finish,
     ):
-        for result in finish(jobs()):
-            if isinstance(result, dict):
-                errors.append(result)
-                continue
-            lines, chosen_rows = result
-            sel_fh.write(lines)
-            sel_fh.flush()
-            totals.add(chosen_rows)
+        results = finish(jobs())
+        ranker = next(results)  # trained by now, if this run trains one
+        if text_pairs:
+            # after every input check, so a run that exits 2 leaves ranker.json
+            # alone, and before selections.jsonl is truncated, so a failed
+            # training leaves an interrupted run's rows alone too
+            save_ranker(out / "ranker.json", ranker)
+        # rewrite only the complete instances, in pairs-file order, then resume
+        with open(selections_path, "w", encoding="utf-8") as sel_fh:
+            for result in results:
+                if isinstance(result, dict):
+                    errors.append(result)
+                    continue
+                lines, chosen_rows = result
+                sel_fh.write(lines)
+                sel_fh.flush()
+                totals.add(chosen_rows)
 
     artifacts = [selections_path]
     errors_path = out / "errors.jsonl"

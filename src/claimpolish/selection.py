@@ -12,6 +12,7 @@ transforms of the decision score.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from collections.abc import Sequence
@@ -41,12 +42,22 @@ class Strategy(enum.Enum):
 
 @dataclass(eq=False)
 class PairwiseRanker:
+    """A linear scorer of embedded texts. Its weights are Python floats, so
+    a ranker is trained, saved, loaded and sent between processes without
+    numpy; their array is built where the ranker first scores."""
+
     embedder: HashingEmbedder
-    weight_vector: np.ndarray
+    weight_vector: tuple[float, ...]
     training_meta: dict
 
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        import numpy as np
+
+        return np.asarray(self.weight_vector, dtype=np.float64)
+
     def score_text(self, text: str) -> float:
-        return float(self.weight_vector @ self.embedder.embed(text))
+        return float(self._weights @ self.embedder.embed(text))
 
 
 # the column of score_columns that each argmax strategy maximizes
@@ -176,7 +187,7 @@ def train_pairwise_ranker(
         "n_pairs": len(training_pairs),
         "train_violations": violations,
     }
-    return PairwiseRanker(embedder=embedder, weight_vector=w, training_meta=meta)
+    return PairwiseRanker(embedder=embedder, weight_vector=tuple(w.tolist()), training_meta=meta)
 
 
 # the one embedder a ranker.json names: HashingEmbedder, whose key is the seed's bytes
@@ -185,7 +196,7 @@ EMBEDDER = {"dim": DIM, "kind": "hashing", "seed": int.from_bytes(KEY, "little")
 
 def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
     payload = {
-        "weight_vector": [float(x) for x in ranker.weight_vector],
+        "weight_vector": list(ranker.weight_vector),
         "embedder": EMBEDDER,
         "training_meta": ranker.training_meta,
     }
@@ -209,11 +220,9 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
                 )
         if len(payload["weight_vector"]) != DIM:
             raise ValueError(f"'weight_vector' must hold {DIM} numbers")
-        import numpy as np
-
         return PairwiseRanker(
             embedder=HashingEmbedder(),
-            weight_vector=np.asarray(payload["weight_vector"], dtype=np.float64),
+            weight_vector=tuple(float(value) for value in payload["weight_vector"]),
             training_meta=dict(payload.get("training_meta", {})),
         )
 

@@ -1005,7 +1005,10 @@ def test_blank_topic_counts_as_absent(tmp_path):
     argv = ["--strategies", "unedited", "--context", "topic"]
     assert run_cli("run", "--pairs", pairs, "--out", out, *argv) == 1
     assert read_rows(out / "errors.jsonl") == [
-        {"pair_id": "c#0", "error": "pair c#0: no topic in context"}
+        {
+            "pair_id": "c#0", "stage": "A", "type": "MissingContextError",
+            "error": "pair c#0: no topic in context",
+        }
     ]
 
 
@@ -1250,7 +1253,10 @@ def test_run_stores_stdio_meaning_score_as_answered(tmp_path, capsys):
     assert "errors.jsonl" in capsys.readouterr().err
     errors = read_rows(out / "errors.jsonl")
     assert [e["pair_id"] for e in errors] == [pairs[1].pair_id]
-    assert errors[0]["error"] == "meaning scorer returned -0.2, outside [0, 1]"
+    assert errors[0] == {
+        "pair_id": pairs[1].pair_id, "stage": "A", "type": "ScorerError",
+        "error": "meaning scorer returned -0.2, outside [0, 1]",
+    }
     rows = read_rows(out / "selections.jsonl")
     assert len(rows) == 2 * 2
     assert all(s["meaning"] == 0.4 for r in rows for s in r["scores"])

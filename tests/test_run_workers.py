@@ -88,13 +88,13 @@ def test_failures_in_both_stages_give_the_same_bytes_on_both_paths(tmp_path, for
         }
     assert outputs[1] == outputs[2]
     errors = [json.loads(line) for line in outputs[2]["errors.jsonl"].splitlines()]
-    assert [e["pair_id"] for e in errors] == [pairs[i].pair_id for i in (1, 2, 4, 5, 7)]
-    assert [e["error"] for e in errors] == [
-        "all 3 generation steps failed",
-        "no greedy-origin candidate in the set",
-        "no greedy-origin candidate in the set",
-        "all 3 generation steps failed",
-        "no greedy-origin candidate in the set",
+    generation = {"stage": "A", "type": "GenerationError", "error": "all 3 generation steps failed"}
+    selection = {"stage": "B", "type": "ValueError", "error": "no greedy-origin candidate in the set"}
+    assert errors == [
+        {"pair_id": pairs[i].pair_id, **failure}
+        for i, failure in (
+            (1, generation), (2, selection), (4, selection), (5, generation), (7, selection)
+        )
     ]
     selections = [json.loads(line) for line in outputs[2]["selections.jsonl"].splitlines()]
     assert [r["pair_id"] for r in selections[::2]] == [pairs[i].pair_id for i in (0, 3, 6)]
@@ -168,6 +168,41 @@ def test_a_loaded_ranker_embeds_with_the_runs_embedder(tmp_path, monkeypatch, fo
     assert len(calls) == trained - 2 * n_training
     selections = [(tmp_path / out / "selections.jsonl").read_bytes() for out in ("t", "l")]
     assert selections[0] == selections[1]
+
+
+def test_a_failed_training_leaves_ranker_json_and_selections_alone(
+    tmp_path, monkeypatch, capsys, force_cpus
+):
+    """A training that raises ends the run with exit code 2 and one
+    ``error:`` line on both paths, in the main process or in a worker,
+    before ``ranker.json`` is written or an interrupted run's
+    ``selections.jsonl`` is truncated, and leaves no worker behind."""
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_pairs(make_synthetic_pairs(8, seed=3), pairs_path)
+    out = tmp_path / "o"
+    argv = ["run", "--pairs", str(pairs_path), "--out", str(out), "--strategies",
+            "top1,pairwise_rank", "--n-candidates", "3", "--train-pairs", str(pairs_path)]
+    force_cpus(1)
+    assert main(argv) == 0
+    # an interrupted run: three complete instances, and no ranker.json
+    interrupted = b"".join((out / "selections.jsonl").read_bytes().splitlines(True)[:6])
+    (out / "selections.jsonl").write_bytes(interrupted)
+    (out / "ranker.json").unlink()
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise ValueError("the training failed")
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr("claimpolish.cli.train_pairwise_ranker", broken)
+    for n_cpus in (1, 2):
+        pools = force_cpus(n_cpus)
+        assert main(argv) == 2
+        assert pools == ([2] if n_cpus == 2 and FORK else [])
+        assert capsys.readouterr().err == "error: the training failed\n"
+        assert not (out / "ranker.json").exists()
+        assert (out / "selections.jsonl").read_bytes() == interrupted
+        assert multiprocessing.active_children() == []
 
 
 def test_run_keeps_no_row_once_its_instance_is_added(tmp_path, monkeypatch, force_cpus):
@@ -287,3 +322,54 @@ def test_pooled_run_is_clean_under_dev_mode_and_warnings_as_errors(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+@pytest.mark.skipif(not FORK, reason="the pool needs fork")
+def test_a_pooled_run_trains_its_ranker_without_numpy_in_the_main_process(
+    tmp_path, monkeypatch, force_cpus
+):
+    """With two CPUs, the ranker trains in a worker, so the main process
+    never imports numpy, and the artifacts are the one-CPU run's bytes.
+    The run is clean under dev mode and warnings as errors, as in
+    ``test_pooled_run_is_clean_under_dev_mode_and_warnings_as_errors``."""
+    # the later --strategies overrides the helper's
+    argv = ["--strategies", "top1,autoscore,pairwise_rank", "--train-pairs", "pairs.jsonl"]
+    result = _run_in_a_fresh_interpreter(
+        tmp_path, ["-X", "dev", "-W", "error"], 12, argv,
+        "assert 'concurrent.futures.process' in sys.modules\n"
+        "        print('numpy' in sys.modules)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.strip() == "False"
+    monkeypatch.chdir(tmp_path)
+    force_cpus(1)
+    assert main(["run", "--pairs", "pairs.jsonl", "--out", "one", "--n-candidates", "3", *argv]) == 0
+    for name in ("ranker.json", "selections.jsonl", "report.json", "report.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not FORK, reason="the pool needs fork")
+def test_a_pooled_run_loads_its_ranker_without_numpy_in_the_main_process(
+    tmp_path, monkeypatch, force_cpus
+):
+    """A ``--ranker`` run builds the weights' array in the workers that
+    score, so its main process never imports numpy either, and it picks
+    what the run that trained the ranker picked."""
+    argv = ["--strategies", "top1,pairwise_rank", "--n-candidates", "3"]
+    write_pairs(make_synthetic_pairs(12, seed=3), tmp_path / "pairs.jsonl")
+    monkeypatch.chdir(tmp_path)
+    force_cpus(1)
+    assert main(["run", "--pairs", "pairs.jsonl", "--out", "t", "--train-pairs", "pairs.jsonl",
+                 *argv]) == 0
+    # the later --strategies overrides the helper's
+    result = _run_in_a_fresh_interpreter(
+        tmp_path, [], 12, [*argv, "--ranker", "t/ranker.json"],
+        "assert 'concurrent.futures.process' in sys.modules\n"
+        "        print('numpy' in sys.modules)",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+    assert (tmp_path / "o" / "selections.jsonl").read_bytes() == (
+        tmp_path / "t" / "selections.jsonl"
+    ).read_bytes()
