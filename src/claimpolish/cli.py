@@ -76,7 +76,7 @@ from .metrics import (
     score_instance,
     write_report_csv,
 )
-from .ndjson import encode_line, open_atomic, read_jsonl, undecodable_line, write_json
+from .ndjson import encode_line, open_atomic, read_json, read_jsonl, undecodable_line, write_json
 from .scoring import (
     CosineMeaningScorer,
     DEFAULT_WEIGHTS,
@@ -280,6 +280,18 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _numpy_version() -> str | None:
+    """The installed numpy's version, from the first ``numpy-*.dist-info``
+    on ``sys.path`` as ``importlib.metadata.version`` finds it; None when
+    numpy is not installed. Neither numpy nor ``importlib.metadata`` is
+    imported: the latter's email and zipfile imports would add to every
+    command's start-up time and peak memory."""
+    for entry in sys.path:
+        for info in sorted(Path(entry or ".").glob("numpy-*.dist-info")):
+            return info.name.removeprefix("numpy-").removesuffix(".dist-info")
+    return None
+
+
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -300,6 +312,7 @@ def _write_manifest(
         },
         "versions": {
             "claimpolish": __version__,
+            "numpy": _numpy_version(),
             "python": sys.version.split()[0],
         },
         "timestamps": {"started": started, "finished": time.time()},
@@ -895,6 +908,17 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
 # ---------------------------------------------------------------------------
 # report
 
+def _run_pairs_sha256(manifest_path: Path, selections_sha256: str) -> str | None:
+    """The digest of the pairs file a run read, when ``manifest_path`` is
+    that run's manifest and its ``selections.jsonl`` had the digest
+    ``selections_sha256``; otherwise None."""
+    manifest = read_json(manifest_path, lambda record: record)
+    artifact = manifest.get("artifacts", {}).get("selections.jsonl", {})
+    if manifest.get("command") != "run" or artifact.get("sha256") != selections_sha256:
+        return None
+    return manifest["inputs"]["pairs"]["sha256"]
+
+
 def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
     selections_path = _require_file(s["selections"], "selections file")
     pairs_path = _require_file(s["pairs"], "pairs file")
@@ -903,6 +927,17 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
     by_pair = _read_selections(selections_path, lambda rec: rec["chosen"], pairs)
     if not by_pair:
         raise ConfigError(f"no selections in {selections_path}")
+    inputs = {"selections": selections_path, "pairs": pairs_path}
+    pairs_sha256, selections_sha256 = _sha256_file(pairs_path), _sha256_file(selections_path)
+    # the rows' ``edited`` flags catch other pairs only where a row keeps a source
+    run_manifest = selections_path.parent / "manifest.json"
+    if run_manifest.is_file():
+        inputs["run_manifest"] = run_manifest
+        if _run_pairs_sha256(run_manifest, selections_sha256) not in (None, pairs_sha256):
+            raise ConfigError(
+                f"{selections_path} was written by a run on another pairs file than "
+                f"{pairs_path}, as {run_manifest} records"
+            )
     strategies = sorted({name for by_s in by_pair.values() for name in by_s})
     usable = [p for p in pairs if sorted(by_pair.get(p.pair_id, {})) == strategies]
     if not usable:
@@ -916,13 +951,13 @@ def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], 
         out,
         reports,
         {
-            "dataset_fingerprint": _sha256_file(pairs_path),
-            "selections_fingerprint": _sha256_file(selections_path),
+            "dataset_fingerprint": pairs_sha256,
+            "selections_fingerprint": selections_sha256,
             "strategies": strategies,
             "n_instances": len(usable),
         },
     )
-    return {"selections": selections_path, "pairs": pairs_path}, artifacts, 0
+    return inputs, artifacts, 0
 
 
 # ---------------------------------------------------------------------------

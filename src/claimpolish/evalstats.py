@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 from .metrics import left_sum
 from .ndjson import parse_id, read_jsonl
+from .pcg64 import PCG64
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,9 +172,9 @@ def mace_aggregate(matrix: AnnotationMatrix, seed: int = 0) -> MaceResult:
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for restart in range(MACE_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        theta0 = rng.uniform(0.3, 0.95, size=n_workers)
-        xi0 = rng.uniform(0.5, 1.5, size=(n_workers, n_labels))
+        rng = PCG64(seed, restart)  # np.random.default_rng([seed, restart])'s stream
+        theta0 = np.array(rng.uniform(0.3, 0.95, n_workers))
+        xi0 = np.array(rng.uniform(0.5, 1.5, n_workers * n_labels)).reshape(n_workers, n_labels)
         xi0 /= xi0.sum(axis=1, keepdims=True)
         log_lik, posterior, theta = run_em(theta0, xi0)
         if best is None or log_lik > best[0]:

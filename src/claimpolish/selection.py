@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 from .embedding import DIM, KEY, HashingEmbedder
 from .genkit import Candidate
 from .ndjson import read_json, write_json
+from .pcg64 import PCG64
 from .scoring import ScoreVector, Weights, autoscore
 
 if TYPE_CHECKING:
@@ -163,12 +164,13 @@ def train_pairwise_ranker(
 
     import numpy as np
 
-    diffs = np.stack(
-        [embedder.embed(better) - embedder.embed(worse) for worse, better in training_pairs]
-    )
-    rng = np.random.default_rng(seed)
+    # filled row by row, so one n x DIM matrix is all that is alive
+    diffs = np.empty((len(training_pairs), DIM))
+    for row, (worse, better) in zip(diffs, training_pairs):
+        np.subtract(embedder.embed(better), embedder.embed(worse), out=row)
+    rng = PCG64(seed)
     w = np.zeros(DIM, dtype=np.float64)
-    order = np.arange(len(diffs))
+    order = list(range(len(diffs)))
     for _ in range(EPOCHS):
         rng.shuffle(order)
         for idx in order:

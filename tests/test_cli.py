@@ -2,10 +2,12 @@ import builtins
 import contextlib
 import dataclasses
 import hashlib
+import importlib.metadata
 import io
 import json
 import logging
 import os
+import platform
 import random
 import re
 import shlex
@@ -22,6 +24,7 @@ from conftest import (
     write_chain_records,
 )
 
+import claimpolish
 import claimpolish.cli as cli
 from claimpolish import corpus, ndjson
 from claimpolish.cli import (
@@ -1790,6 +1793,70 @@ def test_selections_contradicting_the_pairs_file_exit_two(
     assert "so 'edited' must be" in err
     # a resume exits before training: ranker.json and selections.jsonl keep their bytes
     assert {path.name: path.read_bytes() for path in out.glob("*")} == before
+
+
+def _edited_run(tmp_path) -> Path:
+    """The selections.jsonl of a ``max_argument`` run on six synthetic
+    pairs, every row of which edits its pair's source."""
+    write_pairs(make_synthetic_pairs(6, seed=3), tmp_path / "pairs.jsonl")
+    out = tmp_path / "run"
+    assert run_cli("run", "--pairs", tmp_path / "pairs.jsonl", "--out", out,
+                   "--strategies", "max_argument") == 0
+    assert all(row["edited"] for row in read_rows(out / "selections.jsonl"))
+    return out / "selections.jsonl"
+
+
+def test_report_scores_a_runs_selections_only_against_that_runs_pairs(tmp_path, capsys):
+    selections = _edited_run(tmp_path)
+    # the same pair ids, other texts: no row's edited flag contradicts them
+    other = tmp_path / "other.jsonl"
+    write_pairs(make_synthetic_pairs(6, seed=4), other)
+    out = tmp_path / "rep"
+    assert run_cli("report", "--selections", selections, "--pairs", other, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(selections) in err and str(other) in err
+    assert list(out.iterdir()) == []
+    pairs = tmp_path / "pairs.jsonl"
+    assert run_cli("report", "--selections", selections, "--pairs", pairs, "--out", out) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs["run_manifest"]["path"] == str(selections.parent / "manifest.json")
+
+
+@pytest.mark.parametrize("change", ["moved", "edited", "not_a_run"])
+def test_report_checks_no_pairs_file_without_the_runs_manifest(tmp_path, change):
+    selections = _edited_run(tmp_path)
+    if change == "moved":
+        (tmp_path / "loose").mkdir()
+        selections = Path(shutil.copy(selections, tmp_path / "loose"))
+    elif change == "edited":  # a blank line: the same rows, other bytes
+        with open(selections, "a") as fh:
+            fh.write("\n")
+    else:  # a report written into the run's directory replaces its manifest
+        other_report = tmp_path / "run"
+        assert run_cli("report", "--selections", selections, "--pairs",
+                       tmp_path / "pairs.jsonl", "--out", other_report) == 0
+    other = tmp_path / "other.jsonl"
+    write_pairs(make_synthetic_pairs(6, seed=4), other)
+    assert run_cli("report", "--selections", selections, "--pairs", other,
+                   "--out", tmp_path / "rep") == 0
+
+
+def test_manifest_records_the_installed_numpy_version(run_dir):
+    versions = json.loads((run_dir / "manifest.json").read_text())["versions"]
+    assert versions == {
+        "claimpolish": claimpolish.__version__,
+        "numpy": importlib.metadata.version("numpy"),
+        "python": platform.python_version(),
+    }
+
+
+def test_numpy_version_is_read_from_the_first_dist_info_on_sys_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "missing"), str(tmp_path)])
+    assert cli._numpy_version() is None
+    (tmp_path / "numpy-9.8.7.dist-info").mkdir()
+    (tmp_path / "numpy_financial-1.0.dist-info").mkdir()
+    assert cli._numpy_version() == "9.8.7"
 
 
 def test_manifest_fingerprints_inputs(run_dir, pairs_file):

@@ -299,10 +299,13 @@ def test_package_import_loads_no_submodule():
     assert done.stdout.splitlines() == [__version__, "[]"]
 
 
-# ``prepare`` and heuristic ``calibrate`` on one three-claim chain, then
-# ``stats`` on two items; after each, a line saying whether numpy is loaded
+# ``prepare`` and heuristic ``calibrate`` on one three-claim chain, a
+# one-CPU ``run`` that trains the ranker inline on the two test pairs, then
+# ``stats`` on two items; after each, a line saying whether numpy and
+# numpy.random are loaded
 _START = """
-import json, sys
+import json, os, sys
+os.sched_getaffinity = lambda pid: {0}
 from claimpolish import cli
 claims = ["the tax helps small towns", "The tax helps small towns.",
           "The tax helps small towns. This matters for trust."]
@@ -318,10 +321,12 @@ with open("ann.jsonl", "w") as fh:
 for argv in (
     ["prepare", "--chains", "chains.jsonl", "--out", "data", "--per-label-test", "1"],
     ["calibrate", "--chains", "chains.jsonl", "--out", "cal"],
+    ["run", "--pairs", "data/test.jsonl", "--out", "run", "--strategies", "pairwise_rank",
+     "--train-pairs", "data/test.jsonl"],
     ["stats", "--annotations", "ann.jsonl", "--out", "stats"],
 ):
     assert cli.main(argv) == 0, argv
-    print("numpy after", argv[0], "numpy" in sys.modules)
+    print("after", argv[0], "numpy" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
@@ -331,7 +336,9 @@ def test_prepare_and_calibrate_start_without_numpy(tmp_path):
         [sys.executable, "-c", _START], cwd=tmp_path, capture_output=True, text=True,
         env=env, check=True,
     )
-    loaded = [line for line in done.stdout.splitlines() if line.startswith("numpy after ")]
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("after ")]
     assert loaded == [
-        "numpy after prepare False", "numpy after calibrate False", "numpy after stats True"
+        "after prepare False False", "after calibrate False False",
+        "after run True False", "after stats True False",
     ]
+    assert (tmp_path / "run" / "ranker.json").is_file()
