@@ -21,7 +21,6 @@ import argparse
 import collections
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -32,6 +31,16 @@ import time
 from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+
+# CPython's own SHA-256, equal to hashlib's: hashlib would load OpenSSL's
+# libcrypto (3.6 MB) into every command's process for these digests
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:  # a CPython built without it
+        from hashlib import sha256
 
 from . import __version__
 from .corpus import (
@@ -269,11 +278,11 @@ def _config_hash(config: dict) -> str:
     # the hash identifies the run recipe; the output location is not part of it
     hashed = {k: v for k, v in config.items() if k != "out"}
     blob = json.dumps(hashed, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
@@ -318,6 +327,18 @@ def _write_manifest(
         "timestamps": {"started": started, "finished": time.time()},
     }
     write_json(out_dir / "manifest.json", manifest)
+
+
+def _check_manifest_owner(out: str | None, command: str) -> None:
+    """ConfigError when ``out`` holds another command's manifest.json: this
+    command's would replace it, and with it the fingerprints that a later
+    ``report`` checks a run's selections by. The command's own (a resume)
+    is allowed."""
+    if not out or not (manifest := Path(out) / "manifest.json").is_file():
+        return
+    owner = read_json(manifest, lambda record: record.get("command"))
+    if owner != command:
+        raise ConfigError(f"{manifest} records a {owner!r} command; {command} would replace it")
 
 
 def _require_file(path_text: str | None, what: str) -> Path:
@@ -999,6 +1020,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _merge_config(args)
         settings = _settings(args.command, config)
+        _check_manifest_owner(settings["out"], args.command)
         started = time.time()
         inputs, artifacts, code = _COMMANDS[args.command][0](settings, _config_hash(config))
         _write_manifest(Path(settings["out"]), args.command, config, inputs, artifacts, started)

@@ -9,9 +9,13 @@ identical texts always have cosine similarity 1.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import TYPE_CHECKING
+
+# hashlib.blake2b is this class, but importing hashlib loads OpenSSL's
+# libcrypto (3.6 MB); a CPython without _blake2 has no hashlib.blake2b
+# either, so there is no fallback to take
+from _blake2 import blake2b
 
 from .text import tokenize
 
@@ -29,7 +33,7 @@ class HashingEmbedder:
         self._slots: dict[str, tuple[int, float]] = {}
 
     def _slot(self, token: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(token.encode("utf-8"), key=KEY, digest_size=8).digest()
+        digest = blake2b(token.encode("utf-8"), key=KEY, digest_size=8).digest()
         value = int.from_bytes(digest, "little")
         # low bits pick the slot, one spare bit picks the sign
         index = value % DIM

@@ -15,10 +15,12 @@ import contextlib
 import json
 import logging
 import os
-import subprocess
 from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
-from typing import TextIO, TypeVar
+from typing import TYPE_CHECKING, TextIO, TypeVar
+
+if TYPE_CHECKING:
+    import subprocess
 
 T = TypeVar("T")
 
@@ -144,6 +146,10 @@ class NdjsonChild:
         self._proc: subprocess.Popen | None = None
 
     def _child(self) -> subprocess.Popen:
+        # imported here, where a child starts or stops: subprocess brings
+        # selectors and signal, which a command without a stdio adapter never needs
+        import subprocess
+
         if self._proc is not None and self._proc.poll() is not None:
             self.close()  # reap the exited child and its pipes before respawning
         if self._proc is None:
@@ -185,6 +191,8 @@ class NdjsonChild:
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        import subprocess
+
         with contextlib.suppress(BrokenPipeError):  # a request failed writing
             proc.stdin.close()
         proc.stdout.close()

@@ -12,6 +12,7 @@ import random
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -1832,14 +1833,29 @@ def test_report_checks_no_pairs_file_without_the_runs_manifest(tmp_path, change)
     elif change == "edited":  # a blank line: the same rows, other bytes
         with open(selections, "a") as fh:
             fh.write("\n")
-    else:  # a report written into the run's directory replaces its manifest
-        other_report = tmp_path / "run"
+    else:  # a report's manifest, copied over the run's
         assert run_cli("report", "--selections", selections, "--pairs",
-                       tmp_path / "pairs.jsonl", "--out", other_report) == 0
+                       tmp_path / "pairs.jsonl", "--out", tmp_path / "first") == 0
+        shutil.copy(tmp_path / "first" / "manifest.json", selections.parent)
     other = tmp_path / "other.jsonl"
     write_pairs(make_synthetic_pairs(6, seed=4), other)
     assert run_cli("report", "--selections", selections, "--pairs", other,
                    "--out", tmp_path / "rep") == 0
+
+
+def test_report_into_its_runs_directory_exits_two_and_keeps_the_runs_manifest(
+    tmp_path, capsys
+):
+    selections = _edited_run(tmp_path)
+    run = selections.parent
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert run_cli("report", "--selections", selections, "--pairs", tmp_path / "pairs.jsonl",
+                   "--out", run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(run / "manifest.json") in err
+    # the command did not run: its report.json did not replace the run's either
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 def test_manifest_records_the_installed_numpy_version(run_dir):
@@ -1857,6 +1873,35 @@ def test_numpy_version_is_read_from_the_first_dist_info_on_sys_path(tmp_path, mo
     (tmp_path / "numpy-9.8.7.dist-info").mkdir()
     (tmp_path / "numpy_financial-1.0.dist-info").mkdir()
     assert cli._numpy_version() == "9.8.7"
+
+
+# the digests with CPython's built-in SHA-256 unavailable, so that the
+# package falls back to hashlib's
+_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from claimpolish import cli
+print(cli.sha256 is hashlib.sha256)
+print(cli._sha256_file(sys.argv[1]))
+print(cli._config_hash(json.loads(sys.argv[2])))
+"""
+
+
+def test_manifest_digests_equal_hashlibs_sha256_with_and_without_the_builtin(tmp_path):
+    data = random.Random(0).randbytes(3 * (1 << 16) + 7)  # three full reads and a tail
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    config = {"out": "o", "seed": 7, "topic": "débat ✓"}
+    recipe = json.dumps({"seed": 7, "topic": "débat ✓"}, sort_keys=True, ensure_ascii=False)
+    expected = [hashlib.sha256(data).hexdigest(), hashlib.sha256(recipe.encode()).hexdigest()]
+    assert [cli._sha256_file(path), cli._config_hash(config)] == expected
+    done = subprocess.run(
+        [sys.executable, "-c", _FALLBACK, str(path), json.dumps(config)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+    )
+    assert done.stdout.splitlines() == ["True", *expected]
 
 
 def test_manifest_fingerprints_inputs(run_dir, pairs_file):

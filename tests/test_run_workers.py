@@ -298,9 +298,10 @@ def _run_in_a_fresh_interpreter(tmp_path, flags, n_pairs, argv=(), epilogue=""):
 
 
 def test_a_one_pair_run_imports_no_pool_module(tmp_path):
+    """Nor OpenSSL's ``_hashlib``."""
     result = _run_in_a_fresh_interpreter(
         tmp_path, [], 1, epilogue="print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('multiprocessing', 'concurrent')))",
+        "('multiprocessing', 'concurrent', '_hashlib')))",
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -330,6 +331,7 @@ def test_a_pooled_run_trains_its_ranker_without_numpy_in_the_main_process(
 ):
     """With two CPUs, the ranker trains in a worker, so the main process
     never imports numpy, and the artifacts are the one-CPU run's bytes.
+    Nor does it load OpenSSL's ``_hashlib``.
     The run is clean under dev mode and warnings as errors, as in
     ``test_pooled_run_is_clean_under_dev_mode_and_warnings_as_errors``."""
     # the later --strategies overrides the helper's
@@ -337,6 +339,7 @@ def test_a_pooled_run_trains_its_ranker_without_numpy_in_the_main_process(
     result = _run_in_a_fresh_interpreter(
         tmp_path, ["-X", "dev", "-W", "error"], 12, argv,
         "assert 'concurrent.futures.process' in sys.modules\n"
+        "        assert '_hashlib' not in sys.modules\n"
         "        print('numpy' in sys.modules)",
     )
     assert result.returncode == 0, result.stderr
@@ -366,6 +369,7 @@ def test_a_pooled_run_loads_its_ranker_without_numpy_in_the_main_process(
     result = _run_in_a_fresh_interpreter(
         tmp_path, [], 12, [*argv, "--ranker", "t/ranker.json"],
         "assert 'concurrent.futures.process' in sys.modules\n"
+        "        assert '_hashlib' not in sys.modules\n"
         "        print('numpy' in sys.modules)",
     )
     assert result.returncode == 0, result.stderr

@@ -300,11 +300,13 @@ def test_package_import_loads_no_submodule():
 
 
 # ``prepare`` and heuristic ``calibrate`` on one three-claim chain, a
-# one-CPU ``run`` that trains the ranker inline on the two test pairs, then
-# ``stats`` on two items; after each, a line saying whether numpy and
-# numpy.random are loaded
+# one-CPU ``run`` that trains the ranker inline on the two test pairs, a
+# ``report`` of its selections, then ``stats`` on two items; after each, a
+# line saying whether numpy, numpy.random and OpenSSL's ``_hashlib`` are
+# loaded, after a first line saying whether ``_hashlib`` was at start
 _START = """
 import json, os, sys
+print("start", "_hashlib" in sys.modules)
 os.sched_getaffinity = lambda pid: {0}
 from claimpolish import cli
 claims = ["the tax helps small towns", "The tax helps small towns.",
@@ -323,10 +325,12 @@ for argv in (
     ["calibrate", "--chains", "chains.jsonl", "--out", "cal"],
     ["run", "--pairs", "data/test.jsonl", "--out", "run", "--strategies", "pairwise_rank",
      "--train-pairs", "data/test.jsonl"],
+    ["report", "--selections", "run/selections.jsonl", "--pairs", "data/test.jsonl",
+     "--out", "rep"],
     ["stats", "--annotations", "ann.jsonl", "--out", "stats"],
 ):
     assert cli.main(argv) == 0, argv
-    print("after", argv[0], "numpy" in sys.modules, "numpy.random" in sys.modules)
+    print("after", argv[0], *(m in sys.modules for m in ("numpy", "numpy.random", "_hashlib")))
 """
 
 
@@ -336,9 +340,11 @@ def test_prepare_and_calibrate_start_without_numpy(tmp_path):
         [sys.executable, "-c", _START], cwd=tmp_path, capture_output=True, text=True,
         env=env, check=True,
     )
-    loaded = [line for line in done.stdout.splitlines() if line.startswith("after ")]
+    loaded = [line for line in done.stdout.splitlines() if line.startswith(("start ", "after "))]
     assert loaded == [
-        "after prepare False False", "after calibrate False False",
-        "after run True False", "after stats True False",
+        "start False",
+        "after prepare False False False", "after calibrate False False False",
+        "after run True False False", "after report True False False",
+        "after stats True False False",
     ]
     assert (tmp_path / "run" / "ranker.json").is_file()
