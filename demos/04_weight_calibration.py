@@ -80,8 +80,7 @@ def main():
     print(f"searched {result.evaluated_points} points in {elapsed:.2f}s")
 
     with tempfile.TemporaryDirectory() as tmp:
-        paths = save_calibration(Path(tmp), result)
-        print(f"wrote {' and '.join(path.name for path in paths)}")
+        print(f"wrote {save_calibration(Path(tmp), result).name}")
 
 
 if __name__ == "__main__":

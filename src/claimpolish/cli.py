@@ -726,8 +726,11 @@ def _finishing(
 
 
 def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:
-    if s["ranker"] and s["train_pairs"]:
+    given = [key for key in ("ranker", "train_pairs") if s[key]]
+    if len(given) == 2:
         raise ConfigError("ranker and train_pairs are both set")
+    if given and Strategy.PAIRWISE_RANK not in s["strategies"]:
+        raise ConfigError(f"{given[0]} is set, but the pairwise_rank strategy is not")
     pairs_path = _require_file(s["pairs"], "pairs file")
     out = _out_dir(s["out"])
     seed, strategies = s["seed"], s["strategies"]
@@ -749,24 +752,21 @@ def cmd_run(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int
 
     ranker = None
     text_pairs: list[tuple[str, str]] = []  # ranker training pairs, if this run trains
-    if Strategy.PAIRWISE_RANK in strategies:
-        if s["ranker"]:
-            ranker_path = _require_file(s["ranker"], "ranker file")
-            # scored with the run's embedder, as a ranker this run trains is
-            ranker = replace(load_ranker(ranker_path), embedder=embedder)
-            inputs["ranker"] = ranker_path
-        elif s["train_pairs"]:
-            train_path = _require_file(s["train_pairs"], "ranker training pairs")
-            inputs["train_pairs"] = train_path
-            text_pairs = [
-                (p.source, p.reference) for p in load_pairs(train_path) if p.source != p.reference
-            ]
-            if not text_pairs:
-                raise ConfigError(f"no usable ranker training pairs in {train_path}")
-        else:
-            raise ConfigError(
-                "pairwise_rank strategy needs either a ranker file or train_pairs"
-            )
+    if s["ranker"]:
+        ranker_path = _require_file(s["ranker"], "ranker file")
+        # scored with the run's embedder, as a ranker this run trains is
+        ranker = load_ranker(ranker_path, embedder)
+        inputs["ranker"] = ranker_path
+    elif s["train_pairs"]:
+        train_path = _require_file(s["train_pairs"], "ranker training pairs")
+        inputs["train_pairs"] = train_path
+        text_pairs = [
+            (p.source, p.reference) for p in load_pairs(train_path) if p.source != p.reference
+        ]
+        if not text_pairs:
+            raise ConfigError(f"no usable ranker training pairs in {train_path}")
+    elif Strategy.PAIRWISE_RANK in strategies:
+        raise ConfigError("pairwise_rank strategy needs either a ranker file or train_pairs")
     selections_path = out / "selections.jsonl"
     checkpoint = _load_checkpoint(selections_path, strategies, pairs)
     context_mode = ContextMode(s["context"])
@@ -868,7 +868,7 @@ def cmd_calibrate(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path
     chains = load_chains(chains_path)
     with _closing_adapters(registry):
         result = calibrate_weights(chains, registry)
-    artifacts = save_calibration(out, result)
+    artifacts = [save_calibration(out, result)]
     print(
         f"alpha={result.weights.alpha:.2f} beta={result.weights.beta:.2f} "
         f"gamma={result.weights.gamma:.2f} r={result.pearson_r:.4f} "
@@ -885,6 +885,8 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
     out = _out_dir(s["out"])
 
     matrices, rankings = load_annotations(annotations_path)
+    if not matrices and not rankings:
+        raise ConfigError(f"no annotations in {annotations_path}")
     every_ranking = [ranking for by_item in rankings.values() for ranking in by_item]
     ranked = every_ranking[0] if every_ranking else ()  # the strategies every ranking orders
     unknown = [name for pair in s["strategy_pairs"] for name in pair if name not in ranked]
@@ -929,15 +931,33 @@ def cmd_stats(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], i
 # ---------------------------------------------------------------------------
 # report
 
+def _nested(record: dict, *keys: str) -> object:
+    """``record[keys[0]][keys[1]]...``, or None where a key is missing;
+    ValueError where a value that holds a key is not an object."""
+    for n, key in enumerate(keys):
+        if not isinstance(record, dict):
+            raise ValueError(f"{'.'.join(keys[:n])!r} must be an object, got {record!r}")
+        if key not in record:
+            return None
+        record = record[key]
+    return record
+
+
 def _run_pairs_sha256(manifest_path: Path, selections_sha256: str) -> str | None:
     """The digest of the pairs file a run read, when ``manifest_path`` is
     that run's manifest and its ``selections.jsonl`` had the digest
     ``selections_sha256``; otherwise None."""
-    manifest = read_json(manifest_path, lambda record: record)
-    artifact = manifest.get("artifacts", {}).get("selections.jsonl", {})
-    if manifest.get("command") != "run" or artifact.get("sha256") != selections_sha256:
-        return None
-    return manifest["inputs"]["pairs"]["sha256"]
+
+    def parse(manifest: dict) -> str | None:
+        selections = _nested(manifest, "artifacts", "selections.jsonl", "sha256")
+        if manifest.get("command") != "run" or selections != selections_sha256:
+            return None
+        digest = _nested(manifest, "inputs", "pairs", "sha256")
+        if not isinstance(digest, str):
+            raise ValueError(f"'inputs.pairs.sha256' must be a string, got {digest!r}")
+        return digest
+
+    return read_json(manifest_path, parse)
 
 
 def cmd_report(s: dict, config_hash: str) -> tuple[dict[str, Path], list[Path], int]:

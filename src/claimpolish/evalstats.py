@@ -268,9 +268,9 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
 
     Items with fewer than two annotations cannot produce coincidences
     and are ignored. Distances: nominal 0/1, ordinal squared rank
-    difference (see _ordinal_ranks), interval squared value difference.
+    difference (see _ordinal_ranks).
     """
-    if level not in ("nominal", "ordinal", "interval"):
+    if level not in ("nominal", "ordinal"):
         raise ValueError(f"unknown level {level!r}")
 
     by_item: dict[str, list] = {}
@@ -289,11 +289,8 @@ def krippendorff_alpha(matrix: AnnotationMatrix, level: str = "nominal") -> floa
     if level == "nominal":
         dist = 1.0 - np.eye(k)
     else:
-        if level == "ordinal":
-            pos = _ordinal_ranks(values, matrix.bounds)
-            coords = np.array([pos[v] for v in values], dtype=np.float64)
-        else:
-            coords = np.array([float(v) for v in values], dtype=np.float64)
+        pos = _ordinal_ranks(values, matrix.bounds)
+        coords = np.array([pos[v] for v in values], dtype=np.float64)
         dist = (coords[:, None] - coords[None, :]) ** 2
 
     # each unit's ordered value pairs (a, b), a != b, weighing 1 / (m - 1), in
@@ -433,7 +430,8 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], dict[str, list[
     "worker", "ranking": [...]}``, a best-first permutation of the
     strategies the file's first ranking orders. Returns one
     AnnotationMatrix per field and each item's rankings, in file order.
-    An (item, worker) gives at most one label per field and one ranking.
+    A record is one kind or the other, and an (item, worker) gives at
+    most one label per field and one ranking.
     """
     likert: dict[str, dict[tuple[str, str], int]] = {}
     rankings: dict[str, dict[str, tuple[str, ...]]] = {}  # item -> worker -> ranking
@@ -462,6 +460,8 @@ def load_annotations(path) -> tuple[dict[str, AnnotationMatrix], dict[str, list[
             first = first or names
             if names != first:
                 raise ValueError(f"ranking {ranking!r} ranks other strategies than the first one")
+            if "field" in rec or "value" in rec:
+                raise ValueError("a record holds a ranking or a field and value, not both")
             rankings[item][worker] = ranking
             return
         for key in ("field", "value"):

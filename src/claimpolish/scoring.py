@@ -24,7 +24,7 @@ import logging
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Protocol
@@ -465,27 +465,10 @@ def load_weights(path: str | Path) -> Weights:
     return read_json(path, parse, required=("alpha", "beta", "gamma"))
 
 
-def save_calibration(out: Path, result: CalibrationResult) -> list[Path]:
-    """Write ``result`` into ``out``: weights.json, which :func:`load_weights`
-    reads, and calibration.json, the same keys plus the grid's bounds and size.
-    Returns both paths."""
-    weights = result.weights
-    payload = {
-        "alpha": weights.alpha,
-        "beta": weights.beta,
-        "gamma": weights.gamma,
-        "pearson_r": result.pearson_r,
-        "grid_step": GRID_STEP,
-    }
-    paths = [out / "weights.json", out / "calibration.json"]
-    write_json(paths[0], payload)
-    write_json(
-        paths[1],
-        {
-            **payload,
-            "evaluated_points": result.evaluated_points,
-            "range_lo": RANGE_LO,
-            "range_hi": RANGE_HI,
-        },
-    )
-    return paths
+def save_calibration(out: Path, result: CalibrationResult) -> Path:
+    """Write ``result`` into ``out`` as weights.json, which :func:`load_weights`
+    reads, and return its path."""
+    path = out / "weights.json"
+    payload = {**asdict(result.weights), "pearson_r": result.pearson_r, "grid_step": GRID_STEP}
+    write_json(path, payload)
+    return path

@@ -205,7 +205,9 @@ def save_ranker(path: str | Path, ranker: PairwiseRanker) -> None:
     write_json(path, payload)
 
 
-def load_ranker(path: str | Path) -> PairwiseRanker:
+def load_ranker(path: str | Path, embedder: HashingEmbedder) -> PairwiseRanker:
+    """The ranker ``path`` holds, scoring with ``embedder``."""
+
     def parse(payload: dict) -> PairwiseRanker:
         emb = payload["embedder"]
         # by type too: 256.0 == 256 and False == 0 hold in Python
@@ -223,7 +225,7 @@ def load_ranker(path: str | Path) -> PairwiseRanker:
         if len(payload["weight_vector"]) != DIM:
             raise ValueError(f"'weight_vector' must hold {DIM} numbers")
         return PairwiseRanker(
-            embedder=HashingEmbedder(),
+            embedder=embedder,
             weight_vector=tuple(float(value) for value in payload["weight_vector"]),
             training_meta=dict(payload.get("training_meta", {})),
         )

@@ -37,6 +37,7 @@ from claimpolish.cli import (
     read_config_file,
 )
 from claimpolish.corpus import load_pairs, write_pairs
+from claimpolish.embedding import HashingEmbedder
 from claimpolish.genkit import GREEDY, TOPK, Candidate
 from claimpolish.scoring import DEFAULT_WEIGHTS, ScoreVector, Weights, autoscore
 from claimpolish.selection import COLUMNS, Strategy, load_ranker, score_columns, select
@@ -292,6 +293,20 @@ def test_run_ranker_and_train_pairs_both_set_exit_two_before_any_output(tmp_path
     argv += ["--ranker", tmp_path / "ranker.json", "--train-pairs", tmp_path / "missing.jsonl"]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == "error: ranker and train_pairs are both set\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["ranker", "train_pairs"])
+def test_run_ranker_or_train_pairs_without_pairwise_rank_exits_two_before_any_output(
+    tmp_path, pairs_file, capsys, key
+):
+    # the file does not exist: the key is rejected before it is read
+    out = tmp_path / "o"
+    argv = ["run", "--pairs", pairs_file, "--out", out, "--strategies", "top1,autoscore"]
+    assert run_cli(*argv, "--" + key.replace("_", "-"), tmp_path / "missing.jsonl") == 2
+    assert capsys.readouterr().err == (
+        f"error: {key} is set, but the pairwise_rank strategy is not\n"
+    )
     assert not out.exists()
 
 
@@ -693,7 +708,7 @@ def test_run_failing_an_input_check_leaves_ranker_json_alone(
 def test_selection_record_schema(run_dir, pairs_file):
     rows = read_rows(run_dir / "selections.jsonl")
     sources = {p.pair_id: p.source for p in load_pairs(pairs_file)}
-    ranker = load_ranker(run_dir / "ranker.json")
+    ranker = load_ranker(run_dir / "ranker.json", HashingEmbedder())
     weights = Weights(WEIGHTS["alpha"], WEIGHTS["beta"], WEIGHTS["gamma"])
     # each pair's rows in --strategies order, pairs in file order
     assert [(r["pair_id"], r["strategy"]) for r in rows] == [
@@ -1457,9 +1472,7 @@ def test_calibrate_artifacts(tmp_path, chains_file, capsys, calibration_grid):
     assert set(weights) == {"alpha", "beta", "gamma", "pearson_r", "grid_step"}
     assert weights["alpha"] + weights["beta"] + weights["gamma"] == pytest.approx(1.0)
     assert weights["grid_step"] == 0.1
-    detail = json.loads((out / "calibration.json").read_text())
-    assert detail == dict(weights, evaluated_points=66, range_lo=0.0, range_hi=1.0)
-    assert (out / "manifest.json").is_file()
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "weights.json"]
     summary = capsys.readouterr().out
     assert "r=" in summary and "grid=66" in summary
 
@@ -1636,6 +1649,16 @@ def test_stats_strategy_pairs_without_any_ranking_exit_two(tmp_path, capsys, dro
     assert code == 2
     assert "error: strategy 'bogus' is in no ranking" in capsys.readouterr().err
     assert not (out / "stats_report.json").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_stats_on_no_annotations_exits_two_naming_the_file(tmp_path, capsys, text):
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli("stats", "--annotations", ann, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: no annotations in {ann}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_stats_ranking_of_other_strategies_exits_two_naming_its_line(tmp_path, capsys):
@@ -1843,6 +1866,36 @@ def test_report_checks_no_pairs_file_without_the_runs_manifest(tmp_path, change)
                    "--out", tmp_path / "rep") == 0
 
 
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda m: m.update(artifacts=[]), "'artifacts' must be an object, got []"),
+        (lambda m: m["artifacts"].update({"selections.jsonl": "x"}),
+         "'artifacts.selections.jsonl' must be an object, got 'x'"),
+        (lambda m: m["inputs"].pop("pairs"), "'inputs.pairs.sha256' must be a string, got None"),
+        (lambda m: m.pop("inputs"), "'inputs.pairs.sha256' must be a string, got None"),
+        (lambda m: m["inputs"].update(pairs=[]), "'inputs.pairs' must be an object, got []"),
+        (lambda m: m["inputs"]["pairs"].update(sha256=7),
+         "'inputs.pairs.sha256' must be a string, got 7"),
+    ],
+    ids=["artifacts-list", "artifact-string", "no-pairs", "no-inputs", "pairs-list",
+         "digest-number"],
+)
+def test_report_beside_a_malformed_run_manifest_exits_two_naming_it(
+    tmp_path, capsys, damage, reason
+):
+    selections = _edited_run(tmp_path)
+    manifest_path = selections.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    damage(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    out = tmp_path / "rep"
+    assert run_cli("report", "--selections", selections, "--pairs", tmp_path / "pairs.jsonl",
+                   "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {manifest_path}: {reason}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_report_into_its_runs_directory_exits_two_and_keeps_the_runs_manifest(
     tmp_path, capsys
 ):
@@ -1911,6 +1964,27 @@ def test_manifest_fingerprints_inputs(run_dir, pairs_file):
     digest = manifest["inputs"]["pairs"]["sha256"]
     assert digest == hashlib.sha256(pairs_file.read_bytes()).hexdigest()
     assert {"selections.jsonl", "report.json", "report.csv"} <= set(manifest["artifacts"])
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_manifest_artifacts_are_every_file_the_command_wrote(
+    tmp_path, pairs_file, chains_file, mace_schedule, command
+):
+    mace_schedule(10, 2)
+    inputs = _command_inputs(tmp_path, pairs_file, chains_file)[command]
+    if command == "prepare":
+        inputs += ["--per-label-test", 2]
+    if command == "run":
+        inputs += ["--train-pairs", pairs_file, "--n-candidates", 2]
+    out = tmp_path / "o"
+    assert run_cli(command, *inputs, "--out", out) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    written = {path for path in out.rglob("*") if path.name != "manifest.json"}
+    assert {Path(entry["path"]) for entry in artifacts.values()} == written
+    for name, entry in artifacts.items():
+        path = Path(entry["path"])
+        assert path.name == name
+        assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

@@ -49,7 +49,7 @@ def test_matrix_statistics_do_not_depend_on_label_order(mace_schedule):
     reversed_ = AnnotationMatrix(dict(sorted(labels.items(), reverse=True)))
     assert list(reversed_.labels.items()) == list(ordered.labels.items())
     assert (reversed_.items, reversed_.workers) == (ordered.items, ordered.workers)
-    for level in ("nominal", "ordinal", "interval"):
+    for level in ("nominal", "ordinal"):
         alpha = krippendorff_alpha(reversed_, level)
         assert alpha.hex() == krippendorff_alpha(ordered, level).hex()
     mace_schedule(50, 2)
@@ -150,35 +150,39 @@ def test_alpha_no_pairable_values_raises():
 
 def test_alpha_unknown_level_raises():
     m = matrix_from({"i1": {"w1": 1, "w2": 1}})
-    with pytest.raises(ValueError):
-        krippendorff_alpha(m, level="ratio")
+    for level in ("ratio", "interval"):
+        with pytest.raises(ValueError, match=f"unknown level '{level}'"):
+            krippendorff_alpha(m, level=level)
 
 
-def test_alpha_ordinal_with_bounds_equals_interval():
-    # declared bounds make each value its own rank position
+def test_alpha_ordinal_with_bounds_is_the_squared_value_difference():
+    # declared bounds make each value its own rank position. Coincidences:
+    # 1-2, 4-5 and 1-1 both ways, so n = 6 with n_1 = 3 and n_2 = n_4 = n_5 = 1;
+    # D_o = 4 / 6 and D_e = 2 * (3*1 + 3*9 + 3*16 + 4 + 9 + 1) / (6 * 5) = 184 / 30
     rows = {
         "i1": {"w1": 1, "w2": 2},
         "i2": {"w1": 4, "w2": 5},
         "i3": {"w1": 1, "w2": 1},
     }
     m = matrix_from(rows, bounds=(1, 5))
-    assert krippendorff_alpha(m, "ordinal") == pytest.approx(
-        krippendorff_alpha(m, "interval")
-    )
+    assert krippendorff_alpha(m, "ordinal") == pytest.approx(1.0 - (4 / 6) / (184 / 30))
 
 
 def test_alpha_ordinal_without_bounds_uses_observed_positions():
-    # gap between 3 and 9 collapses under observed-position ranking
+    # gap between 3 and 9 collapses under observed-position ranking: the
+    # values count as their positions 1, 2 and 3 among the observed ones
     rows = {
         "i1": {"w1": 1, "w2": 3},
         "i2": {"w1": 3, "w2": 9},
         "i3": {"w1": 9, "w2": 9},
         "i4": {"w1": 1, "w2": 1},
     }
-    m = matrix_from(rows, bounds=None)
-    ordinal = krippendorff_alpha(m, "ordinal")
-    interval = krippendorff_alpha(m, "interval")
-    assert ordinal != pytest.approx(interval)
+    ordinal = krippendorff_alpha(matrix_from(rows, bounds=None), "ordinal")
+    position = {1: 1, 3: 2, 9: 3}
+    relabelled = {item: {w: position[v] for w, v in by.items()} for item, by in rows.items()}
+    assert ordinal == krippendorff_alpha(matrix_from(relabelled, bounds=(1, 3)), "ordinal")
+    by_value = krippendorff_alpha(matrix_from(rows, bounds=(1, 9)), "ordinal")
+    assert ordinal != pytest.approx(by_value)
 
 
 def test_alpha_random_labels_near_zero():
@@ -511,6 +515,22 @@ def test_load_annotations_rejects_a_record_without_field_or_ranking(tmp_path):
     _write(path, [{"item": "p1", "worker": "w1"}])
     with pytest.raises(ValueError, match="^line 1: missing key 'field'$"):
         load_annotations(path)
+
+
+@pytest.mark.parametrize("likert", [{"field": "fluency", "value": 3}, {"field": "fluency"},
+                                    {"value": 3}], ids=["field-value", "field", "value"])
+def test_load_annotations_rejects_a_ranking_with_a_likert_label(tmp_path, likert):
+    path = tmp_path / "ann.jsonl"
+    _write(
+        path,
+        [
+            {"item": "p1", "worker": "w1", "field": "fluency", "value": 2},
+            {"item": "p1", "worker": "w2", "ranking": ["top1", "autoscore"], **likert},
+        ],
+    )
+    with pytest.raises(ValueError) as err:
+        load_annotations(path)
+    assert str(err.value) == "line 2: a record holds a ranking or a field and value, not both"
 
 
 def test_load_annotations_rejects_unknown_field(tmp_path):

@@ -536,15 +536,14 @@ def test_save_calibration_writes_spec_keys(tmp_path, calibration_grid):
     chains, registry = _planted_chains(n_chains=5)
     calibration_grid(0.1, 0.0, 1.0)
     result = calibrate_weights(chains, registry)
-    paths = save_calibration(tmp_path, result)
-    assert paths == [tmp_path / "weights.json", tmp_path / "calibration.json"]
-    weights, detail = (json.loads(path.read_text()) for path in paths)
-    assert weights == {
+    path = save_calibration(tmp_path, result)
+    assert path == tmp_path / "weights.json"
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert json.loads(path.read_text()) == {
         "alpha": result.weights.alpha, "beta": result.weights.beta,
         "gamma": result.weights.gamma, "pearson_r": result.pearson_r, "grid_step": 0.1,
     }
-    assert detail == dict(weights, evaluated_points=66, range_lo=0.0, range_hi=1.0)
-    assert load_weights(paths[0]) == result.weights
+    assert load_weights(path) == result.weights
 
 
 def test_load_weights_rejects_incomplete(tmp_path):

@@ -176,7 +176,8 @@ def test_ranker_roundtrip(tmp_path):
     ranker = train_pairwise_ranker(_training_pairs(), emb)
     path = tmp_path / "ranker.json"
     save_ranker(path, ranker)
-    back = load_ranker(path)
+    back = load_ranker(path, emb)
+    assert back.embedder is emb
     assert np.array_equal(back.weight_vector, ranker.weight_vector)
     assert back.score_text("tax therefore improved") == pytest.approx(
         ranker.score_text("tax therefore improved")
@@ -188,7 +189,7 @@ def test_load_ranker_rejects_bad_payloads(tmp_path):
     path = tmp_path / "ranker.json"
     path.write_text(json.dumps({"embedder": {"kind": "neural"}, "weight_vector": []}))
     with pytest.raises(ValueError, match="'embedder' must be "):
-        load_ranker(path)
+        load_ranker(path, HashingEmbedder())
     path.write_text(
         json.dumps(
             {
@@ -198,5 +199,5 @@ def test_load_ranker_rejects_bad_payloads(tmp_path):
         )
     )
     with pytest.raises(ValueError, match="'weight_vector' must hold 256 numbers"):
-        load_ranker(path)
+        load_ranker(path, HashingEmbedder())
 
